@@ -35,16 +35,11 @@ from .families import (
 )
 from .graph import (
     Graph,
-    GraphMetrics,
-    closed_neighborhood,
-    combine,
     complement,
     complete_graph,
     copies,
-    delete,
     delete_edges,
     delete_vertices,
-    edge_connectivity,
     empty_graph,
     enumerate_graphs,
     graph6_decode,
@@ -52,8 +47,6 @@ from .graph import (
     is_connected,
     join,
     line_graph,
-    make_basic,
-    metrics,
     path_graph,
     permute,
     union,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .errors import CapacityError
-from .graph import Graph, graph6_decode, graph6_encode
+from .graph import Graph, component_masks, graph6_decode, graph6_encode_rows, iter_bits
 
 CERTIFICATE_ORDER_CAP = 64  # orders >= 64 are refused
 
@@ -22,13 +22,6 @@ _CERT_CACHE: dict[tuple[int, int], bytes] = {}
 
 def clear_certificate_cache() -> None:
     _CERT_CACHE.clear()
-
-
-def _iter_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 # ---------------------------------------------------------------------------
@@ -181,25 +174,6 @@ class _Search:
 # component assembly
 
 
-def _components_rows(n: int, rows: Sequence[int]) -> list[list[int]]:
-    seen = 0
-    comps = []
-    for start in range(n):
-        if seen >> start & 1:
-            continue
-        comp = 1 << start
-        frontier = 1 << start
-        while frontier:
-            nxt = 0
-            for v in _iter_bits(frontier):
-                nxt |= rows[v]
-            frontier = nxt & ~comp
-            comp |= nxt
-        seen |= comp
-        comps.append(list(_iter_bits(comp)))
-    return comps
-
-
 def _induced_rows(rows: Sequence[int], verts: list[int]) -> list[int]:
     index = {v: i for i, v in enumerate(verts)}
     out = []
@@ -216,19 +190,6 @@ def _induced_rows(rows: Sequence[int], verts: list[int]) -> list[int]:
     return out
 
 
-def _graph_from_code(n: int, code: Sequence[int]) -> Graph:
-    edges = []
-    for v in range(n):
-        nb = code[v] >> (v + 1)
-        w = v + 1
-        while nb:
-            if nb & 1:
-                edges.append((v, w))
-            nb >>= 1
-            w += 1
-    return Graph(n, edges)
-
-
 def _labeling_rows(n: int, rows: Sequence[int]) -> tuple[int, ...]:
     """Canonical labeling (old -> new) of an arbitrary rows-graph.
 
@@ -236,13 +197,12 @@ def _labeling_rows(n: int, rows: Sequence[int]) -> tuple[int, ...]:
     (component order, component certificate), which makes the assembled
     labeled graph an isomorphism invariant of the whole graph.
     """
-    comps = _components_rows(n, rows)
     pieces = []
-    for verts in comps:
+    for comp in component_masks(n, rows):
+        verts = list(iter_bits(comp))
         sub = _induced_rows(rows, verts)
         local = _Search(len(verts), sub).run()
-        code = _relabel_code(len(verts), sub, local)
-        key = graph6_encode(_graph_from_code(len(verts), code))
+        key = graph6_encode_rows(len(verts), _relabel_code(len(verts), sub, local))
         pieces.append((len(verts), key, verts, local))
     pieces.sort(key=lambda p: (p[0], p[1]))
     lab = [0] * n
@@ -271,9 +231,8 @@ def certificate_rows(n: int, rows: Sequence[int]) -> bytes:
     cached = _CERT_CACHE.get(key)
     if cached is not None:
         return cached
-    lab = _labeling_rows(n, rows)
-    code = _relabel_code(n, rows, lab)
-    cert = graph6_encode(_graph_from_code(n, code)).encode("ascii")
+    code = _relabel_code(n, rows, _labeling_rows(n, rows))
+    cert = graph6_encode_rows(n, code).encode("ascii")
     if len(_CERT_CACHE) >= _CACHE_LIMIT:
         _CERT_CACHE.clear()
     _CERT_CACHE[key] = cert
@@ -303,7 +262,7 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
         return False
     if sorted(g.degrees()) != sorted(h.degrees()):
         return False
-    if len(_components_rows(g.n, g.rows)) != len(_components_rows(h.n, h.rows)):
+    if len(component_masks(g.n, g.rows)) != len(component_masks(h.n, h.rows)):
         return False
     return certificate(g) == certificate(h)
 

@@ -10,8 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
+from time import perf_counter
 from typing import Optional
 
 from .deck import Deck, build_deck, deck_from_text, deck_to_text, endvertex_deck
@@ -59,6 +59,19 @@ def _read_deck(path: str, kind: Optional[str]) -> tuple[Deck, Optional[int]]:
     return deck_from_text(text, kind=kind, source=name)
 
 
+def _read_deck_and_c(args) -> tuple[Deck, int]:
+    """The deck argument and its deletion count: --c, else deck metadata."""
+    deck, meta_c = _read_deck(args.deck, args.kind)
+    c = args.c if args.c is not None else meta_c
+    if c is None:
+        raise InputError("deletion count needed: pass --c or use deck metadata")
+    return deck, c
+
+
+def _elapsed_ms(started: float) -> int:
+    return int((perf_counter() - started) * 1000)
+
+
 def _emit(text: str, out: Optional[str]) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
@@ -69,7 +82,6 @@ def _emit(text: str, out: Optional[str]) -> None:
 def _print_decision(
     args, problem: str, answer: bool, witness: list[Graph], started: float
 ) -> int:
-    elapsed_ms = int((time.time() - started) * 1000)
     if args.json:
         print(
             json.dumps(
@@ -77,7 +89,7 @@ def _print_decision(
                     "problem": problem,
                     "answer": answer,
                     "witness": [graph6_encode(g) for g in witness],
-                    "elapsed_ms": elapsed_ms,
+                    "elapsed_ms": _elapsed_ms(started),
                 }
             )
         )
@@ -105,12 +117,9 @@ def _cmd_deck(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    started = time.time()
+    started = perf_counter()
     g = _read_graph(args.graph)
-    deck, meta_c = _read_deck(args.deck, args.kind)
-    c = args.c if args.c is not None else meta_c
-    if c is None:
-        raise InputError("deletion count needed: pass --c or use deck metadata")
+    deck, c = _read_deck_and_c(args)
     if args.sub:
         answer = subdeck_check(g, deck, c)
         problem = f"{len(deck)}-{deck.kind[0]}dc_{c}"
@@ -121,35 +130,27 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_legit(args) -> int:
-    started = time.time()
-    deck, meta_c = _read_deck(args.deck, args.kind)
-    c = args.c if args.c is not None else meta_c
-    if c is None:
-        raise InputError("deletion count needed: pass --c or use deck metadata")
+    started = perf_counter()
+    deck, c = _read_deck_and_c(args)
     if args.two_card:
         if deck.kind != "vertex" or len(deck) != 2:
             raise InputError("--two-card needs a vertex deck with exactly 2 cards")
         answer = two_lvd(deck.cards[0], deck.cards[1], c)
         return _print_decision(args, f"2-lvd_{c}", answer, [], started)
-    if deck.kind == "vertex":
-        found = enum_preimages(deck, c, args.mode)
-        problem = f"lvd_{c}" if args.mode == "pure" else f"{len(deck)}-lvd_{c}"
-    elif deck.kind == "edge":
-        found = enum_preimages(deck, c, args.mode)
-        problem = f"led_{c}" if args.mode == "pure" else f"{len(deck)}-led_{c}"
-    else:
+    if deck.kind not in ("vertex", "edge"):
         raise InputError("legitimacy needs a vertex or edge deck")
+    found = enum_preimages(deck, c, args.mode)
+    problem = f"l{deck.kind[0]}d_{c}"
+    if args.mode == "sub":
+        problem = f"{len(deck)}-{problem}"
     return _print_decision(
         args, problem, len(found) > 0, list(found.preimages), started
     )
 
 
 def _cmd_preimages(args) -> int:
-    started = time.time()
-    deck, meta_c = _read_deck(args.deck, args.kind)
-    c = args.c if args.c is not None else meta_c
-    if c is None:
-        raise InputError("deletion count needed: pass --c or use deck metadata")
+    started = perf_counter()
+    deck, c = _read_deck_and_c(args)
     found = enum_preimages(deck, c, args.mode)
     if args.count_only:
         if args.json:
@@ -158,7 +159,7 @@ def _cmd_preimages(args) -> int:
                     {
                         "problem": f"preimages-{deck.kind}-{args.mode}",
                         "count": len(found),
-                        "elapsed_ms": int((time.time() - started) * 1000),
+                        "elapsed_ms": _elapsed_ms(started),
                     }
                 )
             )
@@ -175,14 +176,14 @@ def _cmd_preimages(args) -> int:
 
 
 def _cmd_rn(args) -> int:
-    started = time.time()
+    started = perf_counter()
     g = _read_graph(args.graph)
     result = recon_number(g, args.kind, args.quantifier)
     value = "inf" if not result.finite else int(result.value)
     payload = {
         "problem": f"{'v' if args.kind == 'vertex' else 'e'}rn-{args.quantifier}",
         "value": value,
-        "elapsed_ms": int((time.time() - started) * 1000),
+        "elapsed_ms": _elapsed_ms(started),
     }
     if result.witness is not None:
         payload["witness"] = [graph6_encode(x) for x in result.witness.cards]

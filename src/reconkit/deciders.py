@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 from .canon import certificate_rows
 from .deck import Deck
 from .errors import CapacityError, InputError
-from .graph import Graph
+from .graph import Graph, component_masks, iter_bits, rows_edges
 
 VERTEX_SEARCH_BITS_CAP = 24  # 2^(c*n' + C(c,2)) candidate patterns at most
 EDGE_SEARCH_CANDIDATES_CAP = 10**6
@@ -37,39 +37,6 @@ class PreimageSet:
 
 # ---------------------------------------------------------------------------
 # rows-level helpers (hot paths avoid building Graph objects)
-
-
-def _iter_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _graph_of_rows(n: int, rows: Sequence[int]) -> Graph:
-    edges = []
-    for u in range(n):
-        nb = rows[u] >> (u + 1)
-        v = u + 1
-        while nb:
-            if nb & 1:
-                edges.append((u, v))
-            nb >>= 1
-            v += 1
-    return Graph(n, edges)
-
-
-def _edges_of_rows(n: int, rows: Sequence[int]) -> list[tuple[int, int]]:
-    out = []
-    for u in range(n):
-        nb = rows[u] >> (u + 1)
-        v = u + 1
-        while nb:
-            if nb & 1:
-                out.append((u, v))
-            nb >>= 1
-            v += 1
-    return out
 
 
 def _delete_vertices_rows(rows: Sequence[int], drop: Sequence[int]) -> list[int]:
@@ -105,22 +72,13 @@ def _degseq_without_vertices(
 
 
 def _component_sizes(n: int, rows: Sequence[int]) -> tuple[int, ...]:
-    seen = 0
-    sizes = []
-    for start in range(n):
-        if seen >> start & 1:
-            continue
-        comp = 1 << start
-        frontier = 1 << start
-        while frontier:
-            nxt = 0
-            for v in _iter_bits(frontier):
-                nxt |= rows[v]
-            frontier = nxt & ~comp
-            comp |= nxt
-        seen |= comp
-        sizes.append(comp.bit_count())
-    return tuple(sorted(sizes))
+    return tuple(sorted(comp.bit_count() for comp in component_masks(n, rows)))
+
+
+def _non_edges(n: int, rows: Sequence[int]) -> list[tuple[int, int]]:
+    return [
+        (u, v) for u in range(n) for v in range(u + 1, n) if not rows[u] >> v & 1
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -196,13 +154,13 @@ def _pure_match(n: int, rows: Sequence[int], t: _DeckTargets) -> bool:
             work[ds] -= 1
         work = Counter(t.cert_counter)
         for drop in drops:
-            sub = _delete_vertices_rows(rows, list(_iter_bits(drop)))
+            sub = _delete_vertices_rows(rows, list(iter_bits(drop)))
             cert = certificate_rows(n - t.c, sub)
             if work.get(cert, 0) == 0:
                 return False
             work[cert] -= 1
         return True
-    edges = _edges_of_rows(n, rows)
+    edges = rows_edges(n, rows)
     work = Counter(t.degseq_counter)
     for drop in combinations(edges, t.c):
         ds = list(degs)
@@ -312,7 +270,7 @@ def _sub_match(n: int, rows: Sequence[int], t: _DeckTargets) -> bool:
             if remaining < total:
                 return False
         return False
-    edges = _edges_of_rows(n, rows)
+    edges = rows_edges(n, rows)
     remaining = comb(len(edges), c)
     for drop in combinations(edges, c):
         remaining -= 1
@@ -405,7 +363,7 @@ def _iter_vertex_extensions(
         for i in range(c):
             attach = pattern >> (i * n) & full
             out[n + i] = attach
-            for u in _iter_bits(attach):
+            for u in iter_bits(attach):
                 out[u] |= 1 << (n + i)
         links = pattern >> (c * n)
         for b, (i, j) in enumerate(pair_bits):
@@ -456,12 +414,7 @@ def _search_preimages(
         candidates = _iter_vertex_extensions(n0, d.cards[0].rows, c)
     else:
         base = d.cards[0]
-        non_edges = [
-            (u, v)
-            for u in range(n0)
-            for v in range(u + 1, n0)
-            if not base.rows[u] >> v & 1
-        ]
+        non_edges = _non_edges(n0, base.rows)
         if comb(len(non_edges), c) > EDGE_SEARCH_CANDIDATES_CAP:
             raise CapacityError(
                 f"{comb(len(non_edges), c)} edge-addition candidates exceed "
@@ -482,7 +435,7 @@ def _search_preimages(
         if match(n, rows, t):
             cert = certificate_rows(n, rows)
             if cert not in found:
-                found[cert] = _graph_of_rows(n, rows)
+                found[cert] = Graph(n, rows_edges(n, rows))
                 if first_only:
                     break
     return [found[cert] for cert in sorted(found)]

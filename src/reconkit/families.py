@@ -17,7 +17,15 @@ from typing import Sequence
 from .canon import CERTIFICATE_ORDER_CAP
 from .deck import Deck
 from .errors import CapacityError, InputError
-from .graph import Graph, complete_graph, components, copies, empty_graph, union
+from .graph import (
+    Graph,
+    complete_graph,
+    component_masks,
+    copies,
+    empty_graph,
+    iter_bits,
+    union,
+)
 
 FAMILY_ORDER_CAP = CERTIFICATE_ORDER_CAP - 1  # cards must be certifiable
 
@@ -27,6 +35,8 @@ def clique_union_pair(n: int) -> tuple[Graph, Graph]:
     extra isolated vertex in each when n is odd."""
     if n < 4:
         raise InputError(f"the pair is defined for n >= 4, got {n}")
+    if n > FAMILY_ORDER_CAP:
+        raise CapacityError(f"order {n} exceeds the cap {FAMILY_ORDER_CAP}")
     t = n // 2
     first = union([complete_graph(t + 1), complete_graph(t - 1)])
     second = copies(complete_graph(t), 2)
@@ -117,12 +127,9 @@ def many_preimage_graphs(k: int, n: int) -> tuple[Graph, ...]:
 
 def is_clique_union(g: Graph) -> bool:
     """True when every connected component is a complete graph."""
-    for comp in components(g):
-        mask = 0
-        for v in comp:
-            mask |= 1 << v
-        want = len(comp) - 1
-        for v in comp:
-            if (g.rows[v] & mask).bit_count() != want:
+    for comp in component_masks(g.n, g.rows):
+        want = comp.bit_count() - 1
+        for v in iter_bits(comp):
+            if (g.rows[v] & comp).bit_count() != want:
                 return False
     return True

@@ -7,8 +7,6 @@ what every hot loop in the toolkit works on.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -60,7 +58,7 @@ class Graph:
         return bool(self.rows[u] >> v & 1)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(_iter_bits(self.rows[v]))
+        return tuple(iter_bits(self.rows[v]))
 
     def __eq__(self, other) -> bool:
         return (
@@ -76,11 +74,49 @@ class Graph:
         return f"Graph(n={self.n}, edges={list(self.edges)})"
 
 
-def _iter_bits(mask: int) -> Iterator[int]:
+# ---------------------------------------------------------------------------
+# rows kernel: rows[v] is the adjacency bitmask of vertex v, the format
+# every decider works on without building Graph objects
+
+
+def iter_bits(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def component_masks(n: int, rows: Sequence[int]) -> list[int]:
+    """Vertex bitmask of each connected component, by smallest vertex."""
+    seen = 0
+    out = []
+    for start in range(n):
+        if seen >> start & 1:
+            continue
+        comp = frontier = 1 << start
+        while frontier:
+            nxt = 0
+            for v in iter_bits(frontier):
+                nxt |= rows[v]
+            frontier = nxt & ~comp
+            comp |= nxt
+        seen |= comp
+        out.append(comp)
+    return out
+
+
+def rows_edges(n: int, rows: Sequence[int]) -> list[tuple[int, int]]:
+    """Edges (u, v), u < v, in lexicographic order."""
+    out = []
+    for u in range(n):
+        nb = rows[u] >> (u + 1)
+        v = u + 1
+        while nb:
+            if nb & 1:
+                out.append((u, v))
+            nb >>= 1
+            v += 1
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -97,19 +133,6 @@ def path_graph(n: int) -> Graph:
 
 def empty_graph(n: int) -> Graph:
     return Graph(n)
-
-
-def make_basic(kind: str, n: int) -> Graph:
-    """Build a named basic graph: complete (K_n), path (P_n), or empty (nK_1)."""
-    if n < 0:
-        raise InputError(f"vertex count must be >= 0, got {n}")
-    if kind == "complete":
-        return complete_graph(n)
-    if kind == "path":
-        return path_graph(n)
-    if kind == "empty":
-        return empty_graph(n)
-    raise InputError(f"unknown basic graph kind {kind!r}")
 
 
 def union(parts: Sequence[Graph]) -> Graph:
@@ -139,14 +162,6 @@ def join(parts: Sequence[Graph]) -> Graph:
         for j in range(i + 1, len(spans)):
             edges.extend((u, v) for u in spans[i] for v in spans[j])
     return Graph(g.n, edges)
-
-
-def combine(kind: str, parts: Sequence[Graph]) -> Graph:
-    if kind == "union":
-        return union(parts)
-    if kind == "join":
-        return join(parts)
-    raise InputError(f"unknown combine kind {kind!r}")
 
 
 def copies(g: Graph, count: int) -> Graph:
@@ -211,14 +226,6 @@ def delete_edges(g: Graph, s: Iterable[tuple[int, int]]) -> Graph:
     return Graph(g.n, present - drop)
 
 
-def delete(g: Graph, what: str, s: Iterable) -> Graph:
-    if what == "vertices":
-        return delete_vertices(g, s)
-    if what == "edges":
-        return delete_edges(g, s)
-    raise InputError(f"unknown deletion target {what!r}")
-
-
 def permute(g: Graph, perm: Sequence[int]) -> Graph:
     """Relabel vertices: new graph has edge (perm[u], perm[v]) per edge (u, v)."""
     if sorted(perm) != list(range(g.n)):
@@ -226,93 +233,8 @@ def permute(g: Graph, perm: Sequence[int]) -> Graph:
     return Graph(g.n, ((perm[u], perm[v]) for u, v in g.edges))
 
 
-def closed_neighborhood(g: Graph, v: int) -> frozenset[int]:
-    if not (0 <= v < g.n):
-        raise InputError(f"vertex {v} out of range for order {g.n}")
-    return frozenset({v} | set(_iter_bits(g.rows[v])))
-
-
-# ---------------------------------------------------------------------------
-# metrics
-
-
-@dataclass(frozen=True)
-class GraphMetrics:
-    degrees: tuple[int, ...]
-    min_degree: int
-    edge_connectivity: int
-    is_connected: bool
-    components: tuple[tuple[int, ...], ...]
-
-
-def components(g: Graph) -> tuple[tuple[int, ...], ...]:
-    seen = 0
-    out = []
-    for start in range(g.n):
-        if seen >> start & 1:
-            continue
-        comp = 1 << start
-        frontier = 1 << start
-        while frontier:
-            nxt = 0
-            for v in _iter_bits(frontier):
-                nxt |= g.rows[v]
-            frontier = nxt & ~comp
-            comp |= nxt
-        seen |= comp
-        out.append(tuple(_iter_bits(comp)))
-    return tuple(out)
-
-
 def is_connected(g: Graph) -> bool:
-    return len(components(g)) <= 1
-
-
-def _max_flow_unit(rows: Sequence[int], n: int, s: int, t: int) -> int:
-    # Edmonds-Karp on the unit-capacity digraph with arcs both ways per edge.
-    cap = [[0] * n for _ in range(n)]
-    for u in range(n):
-        for v in _iter_bits(rows[u]):
-            cap[u][v] = 1
-    flow = 0
-    while True:
-        parent = [-1] * n
-        parent[s] = s
-        q = deque([s])
-        while q and parent[t] == -1:
-            u = q.popleft()
-            for v in range(n):
-                if parent[v] == -1 and cap[u][v] > 0:
-                    parent[v] = u
-                    q.append(v)
-        if parent[t] == -1:
-            return flow
-        v = t
-        while v != s:
-            u = parent[v]
-            cap[u][v] -= 1
-            cap[v][u] += 1
-            v = u
-        flow += 1
-
-
-def edge_connectivity(g: Graph) -> int:
-    """Exact minimum edge cut; 0 for disconnected graphs and for n <= 1."""
-    if g.n <= 1 or not is_connected(g):
-        return 0
-    return min(_max_flow_unit(g.rows, g.n, 0, t) for t in range(1, g.n))
-
-
-def metrics(g: Graph) -> GraphMetrics:
-    degs = g.degrees()
-    comps = components(g)
-    return GraphMetrics(
-        degrees=degs,
-        min_degree=min(degs) if degs else 0,
-        edge_connectivity=edge_connectivity(g),
-        is_connected=len(comps) <= 1,
-        components=comps,
-    )
+    return len(component_masks(g.n, g.rows)) <= 1
 
 
 # ---------------------------------------------------------------------------
@@ -323,22 +245,9 @@ def pair_table(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((u, v) for u in range(n) for v in range(u + 1, n))
 
 
-def edges_mask(n: int, edges: Iterable[tuple[int, int]]) -> int:
-    index = {}
-    k = 0
-    for u in range(n):
-        for v in range(u + 1, n):
-            index[(u, v)] = k
-            k += 1
-    mask = 0
-    for u, v in edges:
-        mask |= 1 << index[(u, v) if u < v else (v, u)]
-    return mask
-
-
 def graph_from_mask(n: int, mask: int) -> Graph:
     pairs = pair_table(n)
-    return Graph(n, (pairs[b] for b in _iter_bits(mask)))
+    return Graph(n, (pairs[b] for b in iter_bits(mask)))
 
 
 # ---------------------------------------------------------------------------
@@ -349,9 +258,12 @@ _G6_HEADER = ">>graph6<<"
 
 
 def graph6_encode(g: Graph) -> str:
+    return graph6_encode_rows(g.n, g.rows)
+
+
+def graph6_encode_rows(n: int, rows: Sequence[int]) -> str:
     """Standard graph6 line: size prefix plus the upper triangle of the
     adjacency matrix in column order, packed into 6-bit chunks offset by 63."""
-    n = g.n
     if n <= 62:
         out = [chr(63 + n)]
     elif n <= 258047:
@@ -361,7 +273,7 @@ def graph6_encode(g: Graph) -> str:
     bits = 0
     nbits = 0
     for v in range(1, n):
-        row = g.rows[v]
+        row = rows[v]
         for u in range(v):
             bits = bits << 1 | (row >> u & 1)
             nbits += 1
@@ -496,14 +408,9 @@ _CHUNK = 11
 def _mask_transform_tables(n: int, perm: tuple[int, ...]) -> list[list[int]]:
     # Per-chunk lookup tables mapping 11 source bits to their permuted mask.
     nbits = n * (n - 1) // 2
-    index = {}
-    k = 0
-    for u in range(n):
-        for v in range(u + 1, n):
-            index[(u, v)] = k
-            k += 1
-    bitmap = [0] * nbits
     pairs = pair_table(n)
+    index = {pair: b for b, pair in enumerate(pairs)}
+    bitmap = [0] * nbits
     for b, (u, v) in enumerate(pairs):
         pu, pv = perm[u], perm[v]
         bitmap[b] = index[(pu, pv) if pu < pv else (pv, pu)]

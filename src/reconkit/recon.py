@@ -15,7 +15,13 @@ from typing import Iterator, Optional
 
 from .canon import certificate, certificate_rows
 from .deck import Deck, build_deck, subdeck_contained
-from .deciders import _DeckTargets, _iter_vertex_extensions, _sub_match
+from .deciders import (
+    _DeckTargets,
+    _iter_edge_additions,
+    _iter_vertex_extensions,
+    _non_edges,
+    _sub_match,
+)
 from .errors import CapacityError, InputError
 from .graph import Graph
 
@@ -97,21 +103,14 @@ def identifies(g: Graph, s: Deck, kind: str) -> bool:
     targets = _DeckTargets(query, 1)
     own = certificate(g)
     if kind == "vertex":
-        for rows in _iter_vertex_extensions(base.n, base.rows, 1):
-            if _sub_match(base.n + 1, rows, targets):
-                if certificate_rows(base.n + 1, rows) != own:
-                    return False
-        return True
-    for u in range(base.n):
-        for v in range(u + 1, base.n):
-            if base.rows[u] >> v & 1:
-                continue
-            rows = list(base.rows)
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-            if _sub_match(base.n, rows, targets):
-                if certificate_rows(base.n, rows) != own:
-                    return False
+        n = base.n + 1
+        candidates = _iter_vertex_extensions(base.n, base.rows, 1)
+    else:
+        n = base.n
+        candidates = _iter_edge_additions(base.rows, _non_edges(n, base.rows), 1)
+    for rows in candidates:
+        if _sub_match(n, rows, targets) and certificate_rows(n, rows) != own:
+            return False
     return True
 
 

@@ -8,11 +8,16 @@ are_isomorphic on the source pair.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import combinations, combinations_with_replacement, islice
+from itertools import (
+    combinations,
+    combinations_with_replacement,
+    islice,
+    product,
+    starmap,
+)
 from math import comb
-from typing import Callable, Optional
+from typing import Optional
 
 from .canon import are_isomorphic, certificate
 from .deck import Deck, build_deck
@@ -37,7 +42,6 @@ from .graph import (
     line_graph,
     union,
 )
-from .runtime import thread_count
 
 REDUCTION_KINDS = (
     "gi_to_lvd",
@@ -234,7 +238,6 @@ def verify_reduction(
     n_max: int,
     c: int,
     k: Optional[int] = None,
-    threads: Optional[int] = None,
 ) -> ReductionReport:
     """Sweep every admissible instance family up to n_max and check that
     the target decision equals are_isomorphic; violations are reported,
@@ -244,14 +247,13 @@ def verify_reduction(
     if n_max > 5:
         raise InputError(f"verification sweeps are capped at n_max = 5, got {n_max}")
     if kind == "kedc_to_kvdc":
-        return _verify_transfer(n_max, c, k or 2, threads)
+        return _verify_transfer(n_max, c, k or 2)
     needs_k = kind in ("gi_to_kedc", "gi_to_klvd", "gi_to_kled")
     if needs_k and k is None:
         raise InputError(f"{kind} requires k")
     use_k = k if needs_k else None
 
-    def decide(pair: tuple[Graph, Graph]) -> Optional[bool]:
-        g, h = pair
+    def decide(g: Graph, h: Graph) -> Optional[bool]:
         if kind == "gi_to_lvd":
             return legit_vertex(gi_to_lvd(g, h, c), c, "pure")
         if kind == "gi_to_led":
@@ -275,15 +277,14 @@ def verify_reduction(
     checked = 0
     for n in range(_min_order(kind, c), n_max + 1):
         conn = _connected_upto(n)
-        pairs = [(g, h) for g in conn for h in conn]
-        expected = [are_isomorphic(g, h) for g, h in pairs]
-        results = _map_pairs(decide, pairs, threads)
         cell_skipped = False
-        for (g, h), want, got in zip(pairs, expected, results):
+        for g, h in product(conn, conn):
+            got = decide(g, h)
             if got is None:
                 cell_skipped = True
                 continue
             checked += 1
+            want = are_isomorphic(g, h)
             if got != want:
                 violations.append(
                     f"n={n} g={graph6_encode(g)} h={graph6_encode(h)} "
@@ -298,25 +299,12 @@ def verify_reduction(
     )
 
 
-def _map_pairs(fn: Callable, items: list, threads: Optional[int]) -> list:
-    workers = threads if threads is not None else thread_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
-def _verify_transfer(
-    n_max: int, c: int, k: int, threads: Optional[int]
-) -> ReductionReport:
+def _verify_transfer(n_max: int, c: int, k: int) -> ReductionReport:
     """Membership transfer of kedc_to_kvdc: the k-EDC answer on <g, cards>
     must equal the k-VDC answer on the line-graph image, for card multisets
     drawn from true edge-cards and same-shape non-cards alike."""
-    violations: list[str] = []
-    checked = 0
 
-    def check(instance: tuple[Graph, Deck]) -> Optional[str]:
-        g, cards = instance
+    def check(g: Graph, cards: Deck) -> Optional[str]:
         source = subdeck_check(g, cards, c)
         graph_im, cards_im = kedc_to_kvdc(g, cards, c)
         image = subdeck_check(graph_im, cards_im, c)
@@ -351,11 +339,5 @@ def _verify_transfer(
             pool.extend(non_cards[:3])
             for chosen in combinations_with_replacement(pool, k):
                 instances.append((g, Deck("edge", chosen)))
-    results = _map_pairs(check, instances, threads)
-    for res in results:
-        checked += 1
-        if res is not None:
-            violations.append(res)
-    return ReductionReport(
-        "kedc_to_kvdc", c, k, n_max, checked, tuple(violations), ()
-    )
+    violations = tuple(v for v in starmap(check, instances) if v is not None)
+    return ReductionReport("kedc_to_kvdc", c, k, n_max, len(instances), violations, ())

@@ -1,17 +1,18 @@
 """Named verification sweeps; the full battery is the acceptance suite.
 
 Every sweep cross-checks a construction against an independent brute-force
-route and returns a CriterionResult, so the CLI and the test suite share
-one implementation.
+route and returns a (passed, detail) verdict; run_sweep names and times it
+as a CriterionResult, so the CLI and the test suite share one
+implementation.
 """
 
 from __future__ import annotations
 
 import random
-import time
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
+from time import perf_counter
 from typing import Callable, Optional
 
 from .canon import are_isomorphic, certificate
@@ -39,6 +40,9 @@ from .recon import recon_number
 from .reductions import verify_reduction
 
 
+Verdict = tuple[bool, str]  # (passed, detail) of one sweep
+
+
 @dataclass(frozen=True)
 class CriterionResult:
     name: str
@@ -51,25 +55,15 @@ class CriterionResult:
         return f"{status} {self.name}: {self.detail} ({self.elapsed:.1f}s)"
 
 
-def _result(name: str, started: float, passed: bool, detail: str) -> CriterionResult:
-    return CriterionResult(name, passed, detail, time.time() - started)
-
-
-def check_deck_uniqueness() -> CriterionResult:
+def check_deck_uniqueness() -> Verdict:
     """Nonisomorphic graphs on 3..6 vertices have different 1-vertex-decks."""
-    t0 = time.time()
     collisions = []
     for n in (3, 4, 5, 6):
         decks = [build_deck(g, "vertex", 1).certs for g in enumerate_graphs(n)]
         for a, b in combinations(range(len(decks)), 2):
             if decks[a] == decks[b]:
                 collisions.append((n, a, b))
-    return _result(
-        "deck-uniqueness",
-        t0,
-        not collisions,
-        f"{len(collisions)} deck collisions over n=3..6",
-    )
+    return (not collisions, f"{len(collisions)} deck collisions over n=3..6")
 
 
 REDUCTION_CELLS = (
@@ -92,10 +86,9 @@ REDUCTION_CELLS = (
 )
 
 
-def check_reduction_iff(n_max: int = 5) -> CriterionResult:
+def check_reduction_iff(n_max: int = 5) -> Verdict:
     """Target decision == are_isomorphic for every gadget, over connected
     pairs up to order 4 (order 5 for the c=1 cells)."""
-    t0 = time.time()
     violations = []
     skipped = []
     checked = 0
@@ -110,25 +103,21 @@ def check_reduction_iff(n_max: int = 5) -> CriterionResult:
     detail = f"{checked} instances, {len(violations)} violations"
     if skipped:
         detail += f", {len(skipped)} cells skipped (capacity)"
-    return _result("reduction-iff", t0, not violations, detail)
+    return (not violations, detail)
 
 
-def check_edge_to_vertex_transfer(n_max: int = 4) -> CriterionResult:
+def check_edge_to_vertex_transfer(n_max: int = 4) -> Verdict:
     """k-EDC answers survive the hat/line-graph transfer to k-VDC."""
-    t0 = time.time()
     report = verify_reduction("kedc_to_kvdc", min(n_max, 4), 1, 2)
-    return _result(
-        "edge-to-vertex-transfer",
-        t0,
+    return (
         report.ok,
         f"{report.checked} instances, {len(report.violations)} violations",
     )
 
 
-def check_line_graph_deck_identity() -> CriterionResult:
+def check_line_graph_deck_identity() -> Verdict:
     """Edge-deck mapped through line graphs equals the line graph's
     vertex-deck, for n <= 5 and c in {1, 2}."""
-    t0 = time.time()
     bad = 0
     for n in range(0, 6):
         for g in enumerate_graphs(n):
@@ -141,15 +130,12 @@ def check_line_graph_deck_identity() -> CriterionResult:
                 )
                 if not deck_equal(mapped, build_deck(line_graph(g), "vertex", c)):
                     bad += 1
-    return _result(
-        "line-graph-deck-identity", t0, bad == 0, f"{bad} identity failures"
-    )
+    return (bad == 0, f"{bad} identity failures")
 
 
-def check_two_card_equivalence() -> CriterionResult:
+def check_two_card_equivalence() -> Verdict:
     """two_lvd agrees with the exhaustive two-card subdeck search on all
     ordered pairs of graphs of orders 3 and 4, c in {1, 2}."""
-    t0 = time.time()
     bad = 0
     checked = 0
     for n in (3, 4):
@@ -162,15 +148,12 @@ def check_two_card_equivalence() -> CriterionResult:
                         Deck("vertex", [g1, g2]), c, "sub"
                     ):
                         bad += 1
-    return _result(
-        "two-card-equivalence", t0, bad == 0, f"{checked} pairs, {bad} disagreements"
-    )
+    return (bad == 0, f"{checked} pairs, {bad} disagreements")
 
 
-def check_rich_decks() -> CriterionResult:
+def check_rich_decks() -> Verdict:
     """The k-card family admits exactly 2^n pairwise nonisomorphic
     preimages, each containing the deck; card order matches the formula."""
-    t0 = time.time()
     problems = []
     for k, n in ((2, 1), (2, 2), (3, 1)):
         deck = many_preimage_deck(k, n)
@@ -185,16 +168,13 @@ def check_rich_decks() -> CriterionResult:
         for p in preimages:
             if not subdeck_contained(deck, build_deck(p, "vertex", 1)):
                 problems.append(f"(k={k},n={n}): preimage misses the deck")
-    return _result(
-        "rich-decks", t0, not problems, "; ".join(problems) or "counts 2, 4, 2 verified"
-    )
+    return (not problems, "; ".join(problems) or "counts 2, 4, 2 verified")
 
 
-def check_clique_pair_numbers() -> CriterionResult:
+def check_clique_pair_numbers() -> Verdict:
     """For n = 4..8 the clique-union pair has existential number 3,
     universal numbers floor(n/2)+2 on both sides, and the two decks share
     exactly floor(n/2)+1 cards."""
-    t0 = time.time()
     problems = []
     for n in range(4, 9):
         t = n // 2
@@ -213,15 +193,12 @@ def check_clique_pair_numbers() -> CriterionResult:
             problems.append(
                 f"n={n}: shared cards {sum(shared.values())} != {t + 1}"
             )
-    return _result(
-        "clique-pair-numbers", t0, not problems, "; ".join(problems) or "n=4..8 verified"
-    )
+    return (not problems, "; ".join(problems) or "n=4..8 verified")
 
 
-def check_clique_union_propagation() -> CriterionResult:
+def check_clique_union_propagation() -> Verdict:
     """Four clique-union cards in a 1-vertex-deck force a clique-union
     graph, over every graph on 5..7 vertices."""
-    t0 = time.time()
     bad = 0
     for n in (5, 6, 7):
         for g in enumerate_graphs(n):
@@ -229,15 +206,12 @@ def check_clique_union_propagation() -> CriterionResult:
             hits = sum(1 for card in deck.cards if is_clique_union(card))
             if hits >= 4 and not is_clique_union(g):
                 bad += 1
-    return _result(
-        "clique-union-propagation", t0, bad == 0, f"{bad} counterexamples over n=5..7"
-    )
+    return (bad == 0, f"{bad} counterexamples over n=5..7")
 
 
-def check_whitney() -> CriterionResult:
+def check_whitney() -> Verdict:
     """Line graphs separate connected nonisomorphic pairs on 4..5
     vertices; the triangle/3-star collision is the lone control."""
-    t0 = time.time()
     bad = 0
     for n in (4, 5):
         conn = [g for g in enumerate_graphs(n) if is_connected(g)]
@@ -247,18 +221,15 @@ def check_whitney() -> CriterionResult:
                 bad += 1
     star = Graph(4, [(0, 1), (0, 2), (0, 3)])
     control = are_isomorphic(line_graph(complete_graph(3)), line_graph(star))
-    return _result(
-        "whitney-control",
-        t0,
+    return (
         bad == 0 and control,
         f"{bad} collisions; triangle/star control {'ok' if control else 'BROKEN'}",
     )
 
 
-def check_iso_engine(seed: int = 0x5EED) -> CriterionResult:
+def check_iso_engine(seed: int = 0x5EED) -> Verdict:
     """Certificates are invariant under 100 random relabelings per graph
     (n <= 6) and pairwise distinct across the order-5 catalog."""
-    t0 = time.time()
     rng = random.Random(seed)
     bad = 0
     for n in range(0, 7):
@@ -271,19 +242,16 @@ def check_iso_engine(seed: int = 0x5EED) -> CriterionResult:
                     bad += 1
     certs = [certificate(g) for g in enumerate_graphs(5)]
     distinct = len(set(certs)) == len(certs)
-    return _result(
-        "iso-engine",
-        t0,
+    return (
         bad == 0 and distinct,
         f"{bad} relabeling mismatches; order-5 certificates "
         + ("distinct" if distinct else "COLLIDE"),
     )
 
 
-def check_graph6() -> CriterionResult:
+def check_graph6() -> Verdict:
     """Round-trip identity on every graph with n <= 5 plus the two
     hand-derived encodings."""
-    t0 = time.time()
     bad = 0
     for n in range(0, 6):
         for g in enumerate_graphs(n):
@@ -293,16 +261,14 @@ def check_graph6() -> CriterionResult:
         graph6_encode(complete_graph(3)) == "Bw"
         and graph6_encode(empty_graph(2)) == "A?"
     )
-    return _result(
-        "graph6-codec",
-        t0,
+    return (
         bad == 0 and hand,
         f"{bad} round-trip failures; hand encodings "
         + ("ok" if hand else "BROKEN"),
     )
 
 
-SWEEPS: dict[str, Callable[..., CriterionResult]] = {
+SWEEPS: dict[str, Callable[..., Verdict]] = {
     "deck-uniqueness": check_deck_uniqueness,
     "reduction-iff": check_reduction_iff,
     "edge-to-vertex-transfer": check_edge_to_vertex_transfer,
@@ -323,9 +289,12 @@ def run_sweep(name: str, n_max: Optional[int] = None) -> CriterionResult:
             f"unknown sweep {name!r}; choose from {', '.join(sorted(SWEEPS))}"
         )
     fn = SWEEPS[name]
+    started = perf_counter()
     if name in ("reduction-iff", "edge-to-vertex-transfer") and n_max is not None:
-        return fn(n_max)
-    return fn()
+        passed, detail = fn(n_max)
+    else:
+        passed, detail = fn()
+    return CriterionResult(name, passed, detail, perf_counter() - started)
 
 
 def run_all(n_max: Optional[int] = None) -> list[CriterionResult]:

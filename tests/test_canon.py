@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -34,6 +35,24 @@ def test_certificate_basic():
     assert certificate(complete_graph(3)) != certificate(p3)
     star = Graph(4, [(0, 1), (0, 2), (0, 3)])
     assert certificate(line_graph(star)) == certificate(complete_graph(3))
+
+
+def test_certificate_bytes_are_pinned():
+    # deck card order, CLI witness order and canonical_form all follow
+    # the certificate bytes, so any change to them must be deliberate
+    rng = random.Random(7)
+    digest = hashlib.sha256()
+    classes = 0
+    for n in range(0, 8):
+        for g in enumerate_graphs(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            digest.update(certificate(permute(g, perm)) + b"\n")
+            classes += 1
+    assert classes == 1253
+    assert digest.hexdigest() == (
+        "542964b31c2cd5a911608a48302d094ab8628054fda9734e076598dc1243dc02"
+    )
 
 
 def test_certificate_matches_brute_force_classes():

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -70,6 +73,42 @@ def test_legit_two_card(capsys, monkeypatch):
     )
     assert code == 0
     assert json.loads(out)["problem"] == "2-lvd_1"
+
+
+# (deck file, extra flags, expected problem string): pure and sub mode
+# over vertex and edge decks, c = 1 and c = 2
+LEGIT_PROBLEMS = [
+    ("# kind=vertex c=1\nA_\nA_\nA_\n", [], "lvd_1"),
+    ("# kind=edge c=1\nBg\nBg\nBg\n", [], "led_1"),
+    ("# kind=vertex c=2\n@\n@\n@\n", [], "lvd_2"),
+    ("# kind=vertex\nA_\nA_\n", ["--mode", "sub", "--c", "1"], "2-lvd_1"),
+    ("# kind=edge c=1\nBg\n", ["--mode", "sub"], "1-led_1"),
+    ("# kind=edge c=2\nBO\nBO\n", ["--mode", "sub"], "2-led_2"),
+]
+
+
+@pytest.mark.parametrize(
+    "deck,flags,problem", LEGIT_PROBLEMS, ids=[p for _, _, p in LEGIT_PROBLEMS]
+)
+def test_legit_problem_strings(capsys, monkeypatch, deck, flags, problem):
+    code, out, _ = run_cli(
+        capsys, ["legit", "--json", *flags, "-"], stdin=deck, monkeypatch=monkeypatch
+    )
+    payload = json.loads(out)
+    assert code == 0 and payload["answer"] is True
+    assert payload["problem"] == problem
+
+
+@pytest.mark.parametrize(
+    "flags", [["--c", "1"], ["--c", "1", "--mode", "sub"]], ids=["pure", "sub"]
+)
+def test_legit_refuses_endvertex_decks(capsys, monkeypatch, flags):
+    deck = "# kind=endvertex\nBW\nBW\n"
+    code, out, err = run_cli(
+        capsys, ["legit", *flags, "-"], stdin=deck, monkeypatch=monkeypatch
+    )
+    assert code == 2 and out == ""
+    assert "vertex or edge deck" in err
 
 
 def test_check_subcommand(capsys, monkeypatch, tmp_path):
@@ -177,6 +216,28 @@ def test_error_exit_codes(capsys, monkeypatch, tmp_path):
     assert exc.value.code == 2
 
 
+def test_family_clique_pair_cap(capsys):
+    code, out, _ = run_cli(capsys, ["family", "clique-pair", "--n", "63"])
+    assert code == 0 and len(out.splitlines()) == 3
+    code, out, err = run_cli(capsys, ["family", "clique-pair", "--n", "64"])
+    assert code == 3 and out == ""
+    assert "capacity error" in err
+
+
+def test_cli_import_leaves_pool_machinery_out():
+    # a cold CLI call pays for every module it imports
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import reconkit.cli; "
+        "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe, str(src)],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "[]"
+
+
 def test_missing_c_is_input_error(capsys, monkeypatch):
     code, _, err = run_cli(
         capsys, ["legit", "-"], stdin="A_\nA_\nA_\n", monkeypatch=monkeypatch
@@ -228,4 +289,4 @@ def test_endvertex_deck_roundtrip(capsys, monkeypatch, tmp_path):
 def test_verify_single_sweep(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, ["verify", "graph6"])
     assert code == 0
-    assert out.startswith("PASS graph6-codec")
+    assert out.startswith("PASS graph6: ")

@@ -6,6 +6,7 @@ from reconkit.canon import are_isomorphic, certificate
 from reconkit.deck import build_deck, subdeck_contained
 from reconkit.errors import CapacityError, InputError
 from reconkit.families import (
+    FAMILY_ORDER_CAP,
     clique_union_pair,
     is_clique_union,
     many_preimage_deck,
@@ -29,6 +30,13 @@ def test_clique_union_pair_small():
 
     with pytest.raises(InputError):
         clique_union_pair(3)
+
+
+def test_clique_union_pair_order_cap():
+    a, b = clique_union_pair(FAMILY_ORDER_CAP)
+    assert FAMILY_ORDER_CAP == 63 and a.n == b.n == 63
+    with pytest.raises(CapacityError):
+        clique_union_pair(FAMILY_ORDER_CAP + 1)
 
 
 def test_clique_union_pair_shared_cards():

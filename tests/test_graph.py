@@ -8,24 +8,24 @@ from reconkit.canon import are_isomorphic, certificate
 from reconkit.errors import CapacityError, Graph6ParseError, InputError
 from reconkit.graph import (
     Graph,
-    closed_neighborhood,
-    combine,
     complement,
     complete_graph,
+    component_masks,
     copies,
-    delete,
     delete_edges,
     delete_vertices,
     empty_graph,
     enumerate_graphs,
     graph6_decode,
     graph6_encode,
+    graph6_encode_rows,
+    is_connected,
+    iter_bits,
     join,
     line_graph,
-    make_basic,
-    metrics,
     path_graph,
     permute,
+    rows_edges,
     union,
 )
 
@@ -41,26 +41,26 @@ def test_graph_validation():
     assert Graph(3, [(1, 0), (0, 1)]).edges == ((0, 1),)
 
 
-def test_make_basic():
-    assert make_basic("complete", 3).edges == ((0, 1), (0, 2), (1, 2))
-    assert make_basic("path", 4).edges == ((0, 1), (1, 2), (2, 3))
-    empty = make_basic("empty", 2)
-    assert empty.n == 2 and empty.m == 0
-    with pytest.raises(InputError):
-        make_basic("cycle", 3)
-
-
 def test_combine():
-    g = combine("union", [complete_graph(2), empty_graph(1)])
+    g = union([complete_graph(2), empty_graph(1)])
     assert g.n == 3 and g.m == 1
-    assert are_isomorphic(combine("join", [empty_graph(1), empty_graph(1)]), complete_graph(2))
-    g = combine("join", [complete_graph(2), empty_graph(2)])
+    assert are_isomorphic(join([empty_graph(1), empty_graph(1)]), complete_graph(2))
+    g = join([complete_graph(2), empty_graph(2)])
     assert g.n == 4 and g.m == 1 + 4
     # three-part join adds all pairwise cross edges
     g = join([empty_graph(1), empty_graph(1), empty_graph(1)])
     assert are_isomorphic(g, complete_graph(3))
     with pytest.raises(InputError):
-        combine("union", [])
+        union([])
+    with pytest.raises(InputError):
+        join([])
+
+
+def test_join_order_only_relabels():
+    a = join([complete_graph(2), empty_graph(2), path_graph(3)])
+    b = join([path_graph(3), empty_graph(2), complete_graph(2)])
+    assert a.edges != b.edges or a == b
+    assert are_isomorphic(a, b)
 
 
 def test_union_identity():
@@ -91,9 +91,9 @@ def test_line_graph():
 
 
 def test_delete():
-    assert are_isomorphic(delete(complete_graph(3), "vertices", {0}), complete_graph(2))
-    assert are_isomorphic(delete(path_graph(3), "vertices", {1}), empty_graph(2))
-    assert are_isomorphic(delete(complete_graph(3), "edges", {(0, 1)}), path_graph(3))
+    assert are_isomorphic(delete_vertices(complete_graph(3), {0}), complete_graph(2))
+    assert are_isomorphic(delete_vertices(path_graph(3), {1}), empty_graph(2))
+    assert are_isomorphic(delete_edges(complete_graph(3), {(0, 1)}), path_graph(3))
     with pytest.raises(InputError):
         delete_vertices(path_graph(3), {5})
     with pytest.raises(InputError):
@@ -106,30 +106,33 @@ def test_delete():
 
 
 def test_metrics():
-    m = metrics(complete_graph(4))
-    assert m.edge_connectivity == 3 and m.min_degree == 3 and m.is_connected
-    m = metrics(path_graph(3))
-    assert m.edge_connectivity == 1 and m.min_degree == 1
-    m = metrics(copies(complete_graph(2), 2))
-    assert m.edge_connectivity == 0 and not m.is_connected
-    assert len(m.components) == 2
-    assert metrics(empty_graph(1)).edge_connectivity == 0
-    assert metrics(empty_graph(0)).is_connected
+    assert is_connected(complete_graph(4))
+    assert is_connected(path_graph(3))
+    two_edges = copies(complete_graph(2), 2)
+    assert not is_connected(two_edges)
+    assert len(component_masks(two_edges.n, two_edges.rows)) == 2
+    assert is_connected(empty_graph(1))
+    assert is_connected(empty_graph(0))
 
 
-def test_edge_connectivity_below_min_degree():
-    for n in range(2, 6):
-        for g in enumerate_graphs(n):
-            m = metrics(g)
-            assert m.edge_connectivity <= m.min_degree
-
-
-def test_closed_neighborhood():
-    assert closed_neighborhood(complete_graph(3), 0) == {0, 1, 2}
-    assert closed_neighborhood(empty_graph(3), 1) == {1}
-    assert closed_neighborhood(path_graph(3), 1) == {0, 1, 2}
-    with pytest.raises(InputError):
-        closed_neighborhood(path_graph(3), 3)
+def test_rows_kernel_agrees_with_graph():
+    # oracle: the edge tuples Graph builds, and a component search over
+    # them that does not use the bitmask rows
+    assert list(iter_bits(0b101001)) == [0, 3, 5]
+    rng = random.Random(5)
+    for _ in range(200):
+        n = rng.randint(0, 9)
+        g = Graph(n, [e for e in complete_graph(n).edges if rng.random() < 0.3])
+        assert rows_edges(g.n, g.rows) == list(g.edges)
+        assert graph6_encode_rows(g.n, g.rows) == graph6_encode(g)
+        label = list(range(n))
+        for _ in range(n):
+            for u, v in g.edges:
+                label[u] = label[v] = min(label[u], label[v])
+        expected = {}
+        for v in range(n):
+            expected[label[v]] = expected.get(label[v], 0) | 1 << v
+        assert component_masks(g.n, g.rows) == [expected[r] for r in sorted(expected)]
 
 
 def test_permute():

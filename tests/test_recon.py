@@ -11,11 +11,12 @@ from reconkit.errors import CapacityError, InputError
 from reconkit.graph import (
     Graph,
     complete_graph,
-    components,
+    component_masks,
     copies,
     delete_vertices,
     empty_graph,
     enumerate_graphs,
+    iter_bits,
     path_graph,
     union,
 )
@@ -110,7 +111,7 @@ def test_disconnected_exists_values():
     # all components isomorphic: at most component order + 2
     for n in (3, 4, 5, 6):
         for g in enumerate_graphs(n):
-            comps = components(g)
+            comps = [list(iter_bits(c)) for c in component_masks(g.n, g.rows)]
             if len(comps) < 2:
                 continue
             comp_graphs = [
