@@ -17,7 +17,8 @@ from .graph import Graph, component_masks, graph6_decode, graph6_encode_rows, it
 CERTIFICATE_ORDER_CAP = 64  # orders >= 64 are refused
 
 _CACHE_LIMIT = 400_000
-_CERT_CACHE: dict[tuple[int, int], bytes] = {}
+# (n, packed rows) -> (certificate, canonical labeling old -> new as bytes)
+_CERT_CACHE: dict[tuple[int, int], tuple[bytes, bytes]] = {}
 
 
 def clear_certificate_cache() -> None:
@@ -214,12 +215,8 @@ def _labeling_rows(n: int, rows: Sequence[int]) -> tuple[int, ...]:
     return tuple(lab)
 
 
-# ---------------------------------------------------------------------------
-# public API
-
-
-def certificate_rows(n: int, rows: Sequence[int]) -> bytes:
-    """Certificate of the labeled graph given as adjacency bitmask rows."""
+def _canon_entry(n: int, rows: Sequence[int]) -> tuple[bytes, bytes]:
+    """(certificate, canonical labeling) of a rows-graph, memoized."""
     if n >= CERTIFICATE_ORDER_CAP:
         raise CapacityError(
             f"certificates are capped below order {CERTIFICATE_ORDER_CAP}, got {n}"
@@ -231,12 +228,22 @@ def certificate_rows(n: int, rows: Sequence[int]) -> bytes:
     cached = _CERT_CACHE.get(key)
     if cached is not None:
         return cached
-    code = _relabel_code(n, rows, _labeling_rows(n, rows))
-    cert = graph6_encode_rows(n, code).encode("ascii")
+    lab = _labeling_rows(n, rows)
+    cert = graph6_encode_rows(n, _relabel_code(n, rows, lab)).encode("ascii")
+    entry = (cert, bytes(lab))
     if len(_CERT_CACHE) >= _CACHE_LIMIT:
         _CERT_CACHE.clear()
-    _CERT_CACHE[key] = cert
-    return cert
+    _CERT_CACHE[key] = entry
+    return entry
+
+
+# ---------------------------------------------------------------------------
+# public API
+
+
+def certificate_rows(n: int, rows: Sequence[int]) -> bytes:
+    """Certificate of the labeled graph given as adjacency bitmask rows."""
+    return _canon_entry(n, rows)[0]
 
 
 def certificate(g: Graph) -> bytes:
@@ -245,11 +252,7 @@ def certificate(g: Graph) -> bytes:
 
 def canonical_labeling(g: Graph) -> tuple[int, ...]:
     """Vertex map old -> new onto the canonical representative."""
-    if g.n >= CERTIFICATE_ORDER_CAP:
-        raise CapacityError(
-            f"certificates are capped below order {CERTIFICATE_ORDER_CAP}, got {g.n}"
-        )
-    return _labeling_rows(g.n, g.rows)
+    return tuple(_canon_entry(g.n, g.rows)[1])
 
 
 def canonical_form(g: Graph) -> Graph:
@@ -271,8 +274,8 @@ def find_isomorphism(g: Graph, h: Graph) -> Optional[tuple[int, ...]]:
     """An explicit edge-preserving bijection V(g) -> V(h), or None."""
     if not are_isomorphic(g, h):
         return None
-    lab_g = canonical_labeling(g)
-    lab_h = canonical_labeling(h)
+    lab_g = _canon_entry(g.n, g.rows)[1]
+    lab_h = _canon_entry(h.n, h.rows)[1]
     inv_h = [0] * h.n
     for v in range(h.n):
         inv_h[lab_h[v]] = v

@@ -33,12 +33,14 @@ from .verify import SWEEPS, run_all, run_sweep
 
 
 def _read_text(path: str) -> tuple[str, str]:
-    if path == "-":
-        return sys.stdin.read(), "<stdin>"
+    name = "<stdin>" if path == "-" else path
     try:
-        return Path(path).read_text(), path
+        text = sys.stdin.read() if path == "-" else Path(path).read_text()
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+        raise InputError(f"cannot read {name}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{name}: not UTF-8 text ({exc.reason})") from exc
+    return text, name
 
 
 def _read_graph(path: str) -> Graph:

@@ -1,18 +1,34 @@
 """Deck checking, subdeck checking, and legitimate-deck decisions.
 
-Deck checking compares certificate multisets after a degree-sequence
-prescan; legitimacy is decided by exhaustive preimage search seeded from
-the first card, which is complete because every preimage contains the
-first card as a card.
+Legitimacy is decided by exhaustive preimage search seeded from the first
+card, which is complete because every preimage contains the first card as
+a card.  Deck checks and the search share one matcher, which tests each
+deletion in three stages: the degree-class prefilter, the component-size
+profile, then exact certificates.
+
+Degree-class prefilter: a graph is kept with its degree classes (degree r
+-> bitmask of the vertices of degree r) and its degree histogram packed
+into one int, a 6-bit field per degree (cards are below order 64, so a
+card's counts never carry).  Deleting a vertex set S turns the key into
+the card's from popcounts of the "adjacent to exactly j of S" masks
+against each class, with no sort; deleting c edges changes it in O(c).
+Adding a vertex over an attachment set A moves A up one class, so each
+extension of the first card derives its classes from the card's.  Card
+rows are built only when a key hits a target card class.
+
+Pure vertex decks use Kelly's lemma: each edge of a preimage survives in
+C(n-2, c) of its cards, so the cards' edge counts fix |E(G)| and only
+extension patterns adding |E(G)| - |E(card_0)| edges are tried.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from functools import partial
+from itertools import combinations, product
 from math import comb
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .canon import certificate_rows
 from .deck import Deck
@@ -21,6 +37,10 @@ from .graph import Graph, component_masks, iter_bits, rows_edges
 
 VERTEX_SEARCH_BITS_CAP = 24  # 2^(c*n' + C(c,2)) candidate patterns at most
 EDGE_SEARCH_CANDIDATES_CAP = 10**6
+_FIELD = 6  # bits per degree in a packed histogram: degree r counts 1 << 6r
+# key change when a vertex of degree d loses one edge, for d < 64 (edge-kind
+# candidates have the cards' order, which is below 64)
+_DOWN = tuple((1 << _FIELD * d) - ((1 << _FIELD * d) >> _FIELD) for d in range(64))
 
 
 @dataclass(frozen=True)
@@ -59,18 +79,6 @@ def _delete_edges_rows(rows: Sequence[int], drop: Sequence[tuple[int, int]]) -> 
     return out
 
 
-def _degseq_without_vertices(
-    n: int, rows: Sequence[int], degs: Sequence[int], drop_mask: int
-) -> tuple[int, ...]:
-    return tuple(
-        sorted(
-            degs[u] - (rows[u] & drop_mask).bit_count()
-            for u in range(n)
-            if not drop_mask >> u & 1
-        )
-    )
-
-
 def _component_sizes(n: int, rows: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted(comp.bit_count() for comp in component_masks(n, rows)))
 
@@ -82,12 +90,177 @@ def _non_edges(n: int, rows: Sequence[int]) -> list[tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
+# degree-class kernel
+
+
+class _Shape:
+    """A rows-graph with its degree classes (degree -> vertex mask), packed
+    degree histogram `key` and edge count.  Edge-kind candidates carry no
+    classes: their deletion keys need only degrees."""
+
+    __slots__ = ("n", "rows", "classes", "key", "m")
+
+    def __init__(
+        self,
+        n: int,
+        rows: Sequence[int],
+        classes: Optional[dict[int, int]],
+        key: int,
+        m: int,
+    ):
+        self.n = n
+        self.rows = rows
+        self.classes = classes
+        self.key = key
+        self.m = m
+
+    def degree_class(self, d: int) -> int:
+        return self.classes.get(d, 0)
+
+
+class _Extension(_Shape):
+    """The card plus one vertex w over `attach`.  Degree classes are read
+    off the card's, and rows, classes and key are built on first use, so
+    a candidate that fails on class sizes costs a few mask operations."""
+
+    __slots__ = ("card", "attach")
+
+    def __init__(self, card: _Shape, attach: int):
+        self.n = card.n + 1
+        self.m = card.m + attach.bit_count()
+        self.card = card
+        self.attach = attach
+
+    def degree_class(self, d: int) -> int:
+        # attach's vertices move up one degree, w has degree |attach|
+        classes, attach = self.card.classes, self.attach
+        mask = classes.get(d, 0) & ~attach | classes.get(d - 1, 0) & attach
+        return mask | 1 << self.card.n if attach.bit_count() == d else mask
+
+    def __getattr__(self, name: str):
+        # first read of rows, classes or key (unset slots) builds all three
+        if name not in ("rows", "classes", "key"):
+            raise AttributeError(name)
+        card, attach, n0 = self.card, self.attach, self.card.n
+        classes: dict[int, int] = {}
+        for d, mask in card.classes.items():
+            up = mask & attach
+            if up:
+                classes[d + 1] = classes.get(d + 1, 0) | up
+            if mask ^ up:
+                classes[d] = classes.get(d, 0) | mask ^ up
+        deg = attach.bit_count()
+        classes[deg] = classes.get(deg, 0) | 1 << n0
+        moved = _class_histogram(card.classes, attach)
+        self.classes = classes
+        self.key = card.key + (moved << _FIELD) - moved + (1 << _FIELD * deg)
+        rows = card.rows
+        self.rows = [rows[u] | (attach >> u & 1) << n0 for u in range(n0)] + [attach]
+        return getattr(self, name)
+
+
+def _shape(n: int, rows: Sequence[int]) -> _Shape:
+    classes: dict[int, int] = {}
+    for v in range(n):
+        d = rows[v].bit_count()
+        classes[d] = classes.get(d, 0) | 1 << v
+    return _Shape(
+        n,
+        rows,
+        classes,
+        _class_histogram(classes, (1 << n) - 1),
+        sum(d * mask.bit_count() for d, mask in classes.items()) // 2,
+    )
+
+
+def _class_histogram(classes: dict[int, int], within: int) -> int:
+    """Packed degree histogram of the vertices in `within`."""
+    acc = 0
+    for d, mask in classes.items():
+        hit = within & mask
+        if hit:
+            acc += hit.bit_count() << _FIELD * d
+    return acc
+
+
+def _key_without_vertices(s: _Shape, drop: Sequence[int]) -> int:
+    """Packed histogram of s minus the vertices in drop: a vertex adjacent
+    to exactly j of them moves down j degrees, which shifts its share of
+    the histogram by 6j bits."""
+    rows = s.rows
+    if len(drop) == 1:
+        nb = rows[drop[0]]
+        moved = _class_histogram(s.classes, nb)
+        return s.key - (1 << _FIELD * nb.bit_count()) - moved + (moved >> _FIELD)
+    key = s.key
+    drop_mask = 0
+    for v in drop:
+        drop_mask |= 1 << v
+        key -= 1 << _FIELD * rows[v].bit_count()
+    exact = [((1 << s.n) - 1) & ~drop_mask]  # exact[j]: adjacent to j of drop
+    for v in drop:
+        nb = rows[v]
+        exact = (
+            [exact[0] & ~nb]
+            + [(exact[j] & ~nb) | (exact[j - 1] & nb) for j in range(1, len(exact))]
+            + [exact[-1] & nb]
+        )
+    for j in range(1, len(exact)):
+        moved = _class_histogram(s.classes, exact[j])
+        key -= moved - (moved >> _FIELD * j)
+    return key
+
+
+def _keyer(s: _Shape, kind: str, c: int) -> Callable[[tuple], int]:
+    """drop -> packed histogram of s minus drop (c vertices or c edges)."""
+    if kind == "vertex" and c > 1:
+        return partial(_key_without_vertices, s)
+    if kind == "vertex":
+        memo: dict[int, int] = {}  # closed twins are swapped by an automorphism
+
+        def vertex_keyed(drop: tuple[int]) -> int:
+            closed = s.rows[drop[0]] | 1 << drop[0]
+            if closed not in memo:
+                memo[closed] = _key_without_vertices(s, drop)
+            return memo[closed]
+
+        return vertex_keyed
+    # an endpoint losing its (i+1)-th edge moves the key by _DOWN[d] >> 6i
+    deg = [r.bit_count() for r in s.rows]
+
+    def keyed(drop: tuple[tuple[int, int], ...]) -> int:
+        if len(drop) == 1:
+            (u, v), = drop
+            return s.key - _DOWN[deg[u]] - _DOWN[deg[v]]
+        if len(drop) == 2:  # two distinct edges share at most one endpoint
+            (u, v), (x, y) = drop
+            return (
+                s.key
+                - _DOWN[deg[u]]
+                - _DOWN[deg[v]]
+                - _DOWN[deg[x] - (x == u or x == v)]
+                - _DOWN[deg[y] - (y == u or y == v)]
+            )
+        key = s.key
+        lost: dict[int, int] = {}
+        for edge in drop:
+            for v in edge:
+                i = lost.get(v, 0)
+                key -= _DOWN[deg[v] - i]
+                lost[v] = i + 1
+        return key
+
+    return keyed
+
+
+# ---------------------------------------------------------------------------
 # precomputed view of the deck being matched against
 
 
 @dataclass
 class _CardClass:
     cert: bytes
+    key: int
     degseq: tuple[int, ...]
     edges: int
     comps: tuple[int, ...]
@@ -105,75 +278,60 @@ class _DeckTargets:
         self.count = len(d)
         self.order = d.uniform_order()  # None when empty or mixed
         self.edges = d.uniform_edges()
-        self.degseqs = [tuple(sorted(card.degrees())) for card in d.cards]
-        self.degseq_counter = Counter(self.degseqs)
         self.cert_counter = d.cert_counter()
         self.classes: list[_CardClass] = []
         seen: dict[bytes, int] = {}
-        for cert, card, degseq in zip(d.certs, d.cards, self.degseqs):
+        for cert, card in zip(d.certs, d.cards):
             if cert in seen:
                 self.classes[seen[cert]].mult += 1
-            else:
-                seen[cert] = len(self.classes)
-                self.classes.append(
-                    _CardClass(
-                        cert,
-                        degseq,
-                        card.m,
-                        _component_sizes(card.n, card.rows),
-                        1,
-                    )
+                continue
+            seen[cert] = len(self.classes)
+            degs = card.degrees()
+            self.classes.append(
+                _CardClass(
+                    cert,
+                    sum(1 << _FIELD * r for r in degs),
+                    tuple(sorted(degs)),
+                    card.m,
+                    _component_sizes(card.n, card.rows),
+                    1,
                 )
-        self.by_degseq: dict[tuple[int, ...], list[int]] = {}
+            )
+        self.by_key: dict[int, list[int]] = {}
+        self.key_counter: Counter = Counter()
+        self.need_by_edges: Counter = Counter()
         for idx, cls in enumerate(self.classes):
-            self.by_degseq.setdefault(cls.degseq, []).append(idx)
+            self.by_key.setdefault(cls.key, []).append(idx)
+            self.key_counter[cls.key] += cls.mult
+            self.need_by_edges[cls.edges] += cls.mult
+        self.comp_whitelist = {cls.comps for cls in self.classes}
 
 
-def _deletion_space(n: int, m: int, kind: str, c: int) -> int:
-    return comb(n, c) if kind == "vertex" else comb(m, c)
-
-
-def _pure_match(n: int, rows: Sequence[int], t: _DeckTargets) -> bool:
-    """Does the rows-graph have exactly the target deck?  Cardinality and
+def _pure_match(s: _Shape, t: _DeckTargets) -> bool:
+    """Does the graph have exactly the target deck?  Cardinality and
     card-shape uniformity are rejected before any certificate work."""
-    m = sum(r.bit_count() for r in rows) // 2
+    n, rows = s.n, s.rows
     if t.kind == "vertex":
         if t.order != n - t.c or t.count != comb(n, t.c):
             return False
+        space: Sequence = range(n)
+        card_rows = _delete_vertices_rows
     else:
-        if t.order != n or t.edges != m - t.c or t.count != comb(m, t.c):
+        if t.order != n or t.edges != s.m - t.c or t.count != comb(s.m, t.c):
             return False
-    degs = [r.bit_count() for r in rows]
-    if t.kind == "vertex":
-        drops = [sum(1 << v for v in s) for s in combinations(range(n), t.c)]
-        work = Counter(t.degseq_counter)
-        for drop in drops:
-            ds = _degseq_without_vertices(n, rows, degs, drop)
-            if work.get(ds, 0) == 0:
-                return False
-            work[ds] -= 1
-        work = Counter(t.cert_counter)
-        for drop in drops:
-            sub = _delete_vertices_rows(rows, list(iter_bits(drop)))
-            cert = certificate_rows(n - t.c, sub)
-            if work.get(cert, 0) == 0:
-                return False
-            work[cert] -= 1
-        return True
-    edges = rows_edges(n, rows)
-    work = Counter(t.degseq_counter)
-    for drop in combinations(edges, t.c):
-        ds = list(degs)
-        for u, v in drop:
-            ds[u] -= 1
-            ds[v] -= 1
-        key = tuple(sorted(ds))
+        space = rows_edges(n, rows)
+        card_rows = _delete_edges_rows
+    keyed = _keyer(s, t.kind, t.c)
+    work = Counter(t.key_counter)
+    for drop in combinations(space, t.c):
+        key = keyed(drop)
         if work.get(key, 0) == 0:
             return False
         work[key] -= 1
     work = Counter(t.cert_counter)
-    for drop in combinations(edges, t.c):
-        cert = certificate_rows(n, _delete_edges_rows(rows, drop))
+    for drop in combinations(space, t.c):
+        sub = card_rows(rows, drop)
+        cert = certificate_rows(len(sub), sub)
         if work.get(cert, 0) == 0:
             return False
         work[cert] -= 1
@@ -193,94 +351,64 @@ def _edge_delta_feasible(
     return all(a - c <= b <= a for a, b in zip(cand_degseq, card_degseq))
 
 
-def _sub_match(n: int, rows: Sequence[int], t: _DeckTargets) -> bool:
-    """Does the rows-graph's deck contain the target multiset?
+def _sub_match(s: _Shape, t: _DeckTargets) -> bool:
+    """Does the graph's deck contain the target multiset?
 
     One pass over the deletion sets, counting hits per card class with
     early success and early exhaustion; certificates are computed only for
-    deletions that already match a class degree sequence and component
-    size profile.
+    deletions whose packed degree histogram and component size profile
+    already match a class.
     """
-    c = t.c
-    m = sum(r.bit_count() for r in rows) // 2
-    degs = [r.bit_count() for r in rows]
+    c, n = t.c, s.n
     if t.kind == "vertex":
         if t.order != n - c or comb(n, c) < t.count:
             return False
+        if c == 1:
+            # the deleted vertex's degree is forced by the card edge count,
+            # so each degree class must be large enough to serve every card
+            # class that needs it
+            eligible = 0
+            for edges, need in t.need_by_edges.items():
+                mask = s.degree_class(s.m - edges)
+                if mask.bit_count() < need:
+                    return False
+                eligible |= mask
+            space: Sequence = list(iter_bits(eligible))
+        else:
+            space = range(n)
+        card_rows = _delete_vertices_rows
     else:
-        if t.order != n or t.edges != m - c or comb(m, c) < t.count:
+        if t.order != n or t.edges != s.m - c or comb(s.m, c) < t.count:
             return False
-        cand_degseq = sorted(degs)
+        cand_degseq = sorted(r.bit_count() for r in s.rows)
         for cls in t.classes:
             if not _edge_delta_feasible(cand_degseq, cls.degseq, c):
                 return False
+        space = rows_edges(n, s.rows)
+        card_rows = _delete_edges_rows
+    keyed = _keyer(s, t.kind, c)
     needed = [cls.mult for cls in t.classes]
-    total = sum(needed)
-
-    def try_hit(hit: list[int], sub_rows) -> int:
-        # sub_rows is called lazily; returns the new outstanding total
-        nonlocal total
-        built: list[int] | None = None
-        cert = None
-        for idx in hit:
-            if not needed[idx]:
-                continue
-            cls = t.classes[idx]
-            if built is None:
-                built = sub_rows()
-                if _component_sizes(len(built), built) not in comp_whitelist:
-                    return total
-                cert = certificate_rows(len(built), built)
-            if cert == cls.cert:
-                needed[idx] -= 1
-                total -= 1
-                break
-        return total
-
-    comp_whitelist = {cls.comps for cls in t.classes}
-    if t.kind == "vertex":
-        if c == 1:
-            # deg of the deleted vertex is forced by the card edge count,
-            # so each degree value must occur often enough to serve every
-            # class that needs it
-            deg_count = Counter(degs)
-            required: Counter = Counter()
-            for cls in t.classes:
-                required[m - cls.edges] += cls.mult
-            if any(deg_count[d] < need for d, need in required.items()):
-                return False
-            deletions = [v for v in range(n) if degs[v] in required]
-        else:
-            deletions = list(combinations(range(n), c))
-        remaining = len(deletions)
-        for drop in deletions:
-            remaining -= 1
-            if c == 1:
-                drop_mask = 1 << drop
-                sub = (drop,)
-            else:
-                drop_mask = sum(1 << v for v in drop)
-                sub = drop
-            ds = _degseq_without_vertices(n, rows, degs, drop_mask)
-            hit = t.by_degseq.get(ds)
-            if hit and not try_hit(
-                hit, lambda: _delete_vertices_rows(rows, sub)
-            ):
-                return True
-            if remaining < total:
-                return False
-        return False
-    edges = rows_edges(n, rows)
-    remaining = comb(len(edges), c)
-    for drop in combinations(edges, c):
+    total = t.count
+    remaining = comb(len(space), c)
+    for drop in combinations(space, c):
         remaining -= 1
-        ds = list(degs)
-        for u, v in drop:
-            ds[u] -= 1
-            ds[v] -= 1
-        hit = t.by_degseq.get(tuple(sorted(ds)))
-        if hit and not try_hit(hit, lambda: _delete_edges_rows(rows, drop)):
-            return True
+        hit = t.by_key.get(keyed(drop))
+        if hit:
+            cert = None
+            for idx in hit:
+                if not needed[idx]:
+                    continue
+                if cert is None:
+                    sub = card_rows(s.rows, drop)
+                    if _component_sizes(len(sub), sub) not in t.comp_whitelist:
+                        break
+                    cert = certificate_rows(len(sub), sub)
+                if cert == t.classes[idx].cert:
+                    needed[idx] -= 1
+                    total -= 1
+                    if not total:
+                        return True
+                    break
         if remaining < total:
             return False
     return False
@@ -297,7 +425,7 @@ def deck_check(g: Graph, d: Deck, c: int) -> bool:
         raise InputError(f"cannot delete {c} vertices from order {g.n}")
     if t.kind == "edge" and c > g.m:
         raise InputError(f"cannot delete {c} edges from {g.m} edges")
-    return _pure_match(g.n, g.rows, t)
+    return _pure_match(_shape(g.n, g.rows), t)
 
 
 def subdeck_check(g: Graph, cards: Deck, c: int) -> bool:
@@ -309,7 +437,7 @@ def subdeck_check(g: Graph, cards: Deck, c: int) -> bool:
         raise InputError(f"cannot delete {c} vertices from order {g.n}")
     if t.kind == "edge" and c > g.m:
         raise InputError(f"cannot delete {c} edges from {g.m} edges")
-    return _sub_match(g.n, g.rows, t)
+    return _sub_match(_shape(g.n, g.rows), t)
 
 
 # --- preimage enumeration ---------------------------------------------------
@@ -329,61 +457,76 @@ def _twin_classes(n: int, rows: Sequence[int]) -> list[list[int]]:
     return classes
 
 
-def _iter_vertex_extensions(
-    n: int, rows: Sequence[int], c: int
-) -> Iterator[list[int]]:
-    """All ways of adding c vertices to the rows-graph, as candidate rows.
+def _twin_patterns(n: int, rows: Sequence[int], size: Optional[int]) -> Iterator[int]:
+    """Attachment sets for one new vertex, one per twin-class count profile:
+    vertices of a twin class are interchangeable by an automorphism, so
+    these cover every isomorphism class.  `size` fixes the set size."""
+    prefixes = []  # per twin class: the masks of its first 0, 1, 2, ... vertices
+    for twins in _twin_classes(n, rows):
+        masks = [0]
+        for v in twins:
+            masks.append(masks[-1] | 1 << v)
+        prefixes.append(masks)
+    patterns = map(sum, product(*prefixes))  # classes are disjoint: sum is or
+    if size is None:
+        return patterns
+    return (mask for mask in patterns if mask.bit_count() == size)
 
-    For c = 1 the attachment sets are enumerated per twin-class counts:
-    vertices of a twin class are interchangeable by an automorphism, so one
-    representative per count profile covers every isomorphism class.
-    """
-    if c == 1:
-        classes = _twin_classes(n, rows)
 
-        def rec(i: int, mask: int) -> Iterator[int]:
-            if i == len(classes):
-                yield mask
-                return
-            yield from rec(i + 1, mask)
-            picked = 0
-            for v in classes[i]:
-                picked |= 1 << v
-                yield from rec(i + 1, mask | picked)
-
-        for mask in rec(0, 0):
-            yield [
-                rows[u] | (mask >> u & 1) << n for u in range(n)
-            ] + [mask]
+def _extensions(
+    base: Graph, kind: str, c: int, size: Optional[int] = None
+) -> Iterator[_Shape]:
+    """Every graph with base as a c-deletion card: c new vertices over each
+    attachment pattern (vertex kind; `size` fixes the number of added
+    edges) or c new edges (edge kind)."""
+    n0, rows0 = base.n, base.rows
+    card = _shape(n0, rows0)
+    if kind == "edge":
+        for added in combinations(_non_edges(n0, rows0), c):
+            rows = list(rows0)
+            key = card.key
+            for u, v in added:
+                key += _DOWN[rows[u].bit_count() + 1] + _DOWN[rows[v].bit_count() + 1]
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+            yield _Shape(n0, rows, None, key, card.m + c)
         return
-    full = (1 << n) - 1
+    if c == 1:
+        for attach in _twin_patterns(n0, rows0, size):
+            yield _Extension(card, attach)
+        return
+    n = n0 + c
+    full = (1 << n0) - 1
     pair_bits = [(i, j) for i in range(c) for j in range(i + 1, c)]
-    for pattern in range(1 << (c * n + len(pair_bits))):
-        out = list(rows) + [0] * c
+    bits = c * n0 + len(pair_bits)
+    for pattern in range(1 << bits):
+        if size is not None and pattern.bit_count() != size:
+            continue
+        out = list(rows0) + [0] * c
         for i in range(c):
-            attach = pattern >> (i * n) & full
-            out[n + i] = attach
+            attach = pattern >> (i * n0) & full
+            out[n0 + i] = attach
             for u in iter_bits(attach):
-                out[u] |= 1 << (n + i)
-        links = pattern >> (c * n)
+                out[u] |= 1 << (n0 + i)
+        links = pattern >> (c * n0)
         for b, (i, j) in enumerate(pair_bits):
             if links >> b & 1:
-                out[n + i] |= 1 << (n + j)
-                out[n + j] |= 1 << (n + i)
-        yield out
+                out[n0 + i] |= 1 << (n0 + j)
+                out[n0 + j] |= 1 << (n0 + i)
+        yield _shape(n, out)
 
 
-def _iter_edge_additions(
-    base_rows: Sequence[int],
-    non_edges: Sequence[tuple[int, int]],
-    c: int,
-) -> Iterator[list[int]]:
-    for added in combinations(non_edges, c):
-        rows = list(base_rows)
-        for u, v in added:
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-        yield rows
+def _kelly_added_edges(d: Deck, c: int, n: int) -> Optional[int]:
+    """Edges an extension of the first card must add for the full c-deck d
+    of an order-n graph (Kelly: each edge lies in C(n-2, c) cards).  None
+    when the count is not fixed; negative when no graph has this deck."""
+    per_edge = comb(n - 2, c)
+    if not per_edge:
+        return None
+    total = sum(card.m for card in d.cards)
+    if total % per_edge:
+        return -1
+    return total // per_edge - d.cards[0].m
 
 
 def _search_preimages(
@@ -397,45 +540,41 @@ def _search_preimages(
     if t.order is None or (t.kind == "edge" and t.edges is None):
         return []  # mixed card shapes never form or fit a deck
     n0 = t.order
+    base = d.cards[0]
+    size = None
     if t.kind == "vertex":
         bits = c * n0 + c * (c - 1) // 2
         if bits > VERTEX_SEARCH_BITS_CAP:
             raise CapacityError(
                 f"2^{bits} attachment patterns exceed the 2^{VERTEX_SEARCH_BITS_CAP} cap"
             )
-        n = n0 + c
-        full_size = comb(n, c)
-        if mode == "sub" and len(d) > full_size:
-            raise InputError(
-                f"{len(d)} cards cannot be contained in a {full_size}-card deck"
-            )
-        if mode == "pure" and len(d) != full_size:
-            return []
-        candidates = _iter_vertex_extensions(n0, d.cards[0].rows, c)
+        full_size = comb(n0 + c, c)
     else:
-        base = d.cards[0]
-        non_edges = _non_edges(n0, base.rows)
-        if comb(len(non_edges), c) > EDGE_SEARCH_CANDIDATES_CAP:
+        added = comb(len(_non_edges(n0, base.rows)), c)
+        if added > EDGE_SEARCH_CANDIDATES_CAP:
             raise CapacityError(
-                f"{comb(len(non_edges), c)} edge-addition candidates exceed "
+                f"{added} edge-addition candidates exceed "
                 f"the {EDGE_SEARCH_CANDIDATES_CAP} cap"
             )
-        n = n0
         full_size = comb(base.m + c, c)
-        if mode == "sub" and len(d) > full_size:
-            raise InputError(
-                f"{len(d)} cards cannot be contained in a {full_size}-card deck"
-            )
-        if mode == "pure" and len(d) != full_size:
+    if mode == "sub" and len(d) > full_size:
+        raise InputError(
+            f"{len(d)} cards cannot be contained in a {full_size}-card deck"
+        )
+    if mode == "pure":
+        if len(d) != full_size:
             return []
-        candidates = _iter_edge_additions(base.rows, non_edges, c)
+        if t.kind == "vertex":
+            size = _kelly_added_edges(d, c, n0 + c)
+            if size is not None and size < 0:
+                return []
     match = _pure_match if mode == "pure" else _sub_match
     found: dict[bytes, Graph] = {}
-    for rows in candidates:
-        if match(n, rows, t):
-            cert = certificate_rows(n, rows)
+    for s in _extensions(base, t.kind, c, size):
+        if match(s, t):
+            cert = certificate_rows(s.n, s.rows)
             if cert not in found:
-                found[cert] = Graph(n, rows_edges(n, rows))
+                found[cert] = Graph(s.n, rows_edges(s.n, s.rows))
                 if first_only:
                     break
     return [found[cert] for cert in sorted(found)]

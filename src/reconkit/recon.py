@@ -15,13 +15,7 @@ from typing import Iterator, Optional
 
 from .canon import certificate, certificate_rows
 from .deck import Deck, build_deck, subdeck_contained
-from .deciders import (
-    _DeckTargets,
-    _iter_edge_additions,
-    _iter_vertex_extensions,
-    _non_edges,
-    _sub_match,
-)
+from .deciders import _DeckTargets, _extensions, _sub_match
 from .errors import CapacityError, InputError
 from .graph import Graph
 
@@ -99,17 +93,10 @@ def identifies(g: Graph, s: Deck, kind: str) -> bool:
         raise InputError("the given cards are not a subdeck of g's deck")
     if len(query) == 0:
         return _universe_is_singleton(g, kind)
-    base = query.cards[0]
     targets = _DeckTargets(query, 1)
     own = certificate(g)
-    if kind == "vertex":
-        n = base.n + 1
-        candidates = _iter_vertex_extensions(base.n, base.rows, 1)
-    else:
-        n = base.n
-        candidates = _iter_edge_additions(base.rows, _non_edges(n, base.rows), 1)
-    for rows in candidates:
-        if _sub_match(n, rows, targets) and certificate_rows(n, rows) != own:
+    for cand in _extensions(query.cards[0], kind, 1):
+        if _sub_match(cand, targets) and certificate_rows(cand.n, cand.rows) != own:
             return False
     return True
 

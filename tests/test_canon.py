@@ -230,3 +230,27 @@ def test_cospectral_parameter_twins_are_separated():
     assert rook.m == shr.m == 48
     assert sorted(rook.degrees()) == sorted(shr.degrees())
     assert not are_isomorphic(rook, shr)
+
+
+def test_warm_find_isomorphism_reuses_cached_labelings(monkeypatch):
+    # the labeling is cached beside the certificate, so once both graphs'
+    # certificates are known no canonical search runs again
+    import reconkit.canon as canon
+
+    rook = line_graph(join([empty_graph(6), empty_graph(6)]))  # 6x6 rook graph
+    perm = list(range(rook.n))
+    random.Random(36).shuffle(perm)
+    other = permute(rook, perm)
+    assert are_isomorphic(rook, other)
+
+    def no_search(*args):
+        raise AssertionError("canonical search ran for a cached pair")
+
+    monkeypatch.setattr(canon, "_Search", no_search)
+    mapping = find_isomorphism(rook, other)
+    assert mapping is not None and sorted(mapping) == list(range(rook.n))
+    assert rook.n == 36 and rook.m == 180
+    for u, v in rook.edges:
+        assert other.has_edge(mapping[u], mapping[v])
+    lab = canonical_labeling(other)  # served from the cache as well
+    assert permute(other, lab) == canonical_form(other)

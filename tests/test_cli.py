@@ -290,3 +290,23 @@ def test_verify_single_sweep(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, ["verify", "graph6"])
     assert code == 0
     assert out.startswith("PASS graph6: ")
+
+
+def test_non_utf8_file_is_input_error(capsys, tmp_path):
+    bad = tmp_path / "bad.g6"
+    bad.write_bytes(b"\xff\xfe\n")
+    code, out, err = run_cli(
+        capsys, ["rn", "--kind", "vertex", "--quantifier", "exists", str(bad)]
+    )
+    assert code == 2 and out == ""
+    assert "bad.g6" in err and "UTF-8" in err
+
+
+def test_non_utf8_stdin_is_input_error(capsys, monkeypatch):
+    import io
+
+    raw = io.TextIOWrapper(io.BytesIO(b"\xff\xfe\n"), encoding="utf-8", errors="strict")
+    monkeypatch.setattr(sys, "stdin", raw)
+    code, out, err = run_cli(capsys, ["legit", "--kind", "vertex", "--c", "1", "-"])
+    assert code == 2 and out == ""
+    assert "<stdin>" in err and "UTF-8" in err

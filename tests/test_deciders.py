@@ -248,3 +248,29 @@ def test_mixed_shape_collections_are_rejected_by_answer():
     assert not legit_vertex(mixed_orders, 1, "sub")
     assert not deck_check(complete_graph(4), mixed_orders, 1)
     assert not subdeck_check(complete_graph(4), mixed_orders, 1)
+
+
+def test_pure_vertex_search_uses_kellys_edge_count(monkeypatch):
+    # each edge of an n-vertex preimage lies in C(n-2, c) of its c-cards, so
+    # the cards fix |E| and only extensions with that many edges are matched
+    import reconkit.deciders as deciders
+
+    offered = []
+    real = deciders._pure_match
+
+    def spy(s, t):
+        offered.append(s.m)
+        return real(s, t)
+
+    monkeypatch.setattr(deciders, "_pure_match", spy)
+    rng = random.Random(7)
+    for c in (1, 2):
+        for g in rng.sample(enumerate_graphs(5), 8):
+            offered.clear()
+            found = enum_preimages(build_deck(g, "vertex", c), c, "pure")
+            assert any(are_isomorphic(p, g) for p in found.preimages)
+            assert offered and set(offered) == {g.m}
+    # an odd edge sum over a 4-vertex 1-deck: no graph, no candidate tried
+    offered.clear()
+    assert not legit_vertex(Deck("vertex", [K3, K3, K3, P3]), 1, "pure")
+    assert offered == []

@@ -1,0 +1,170 @@
+"""The degree-class search against the search it replaced.
+
+`preimage_oracle` keeps the rebuild-and-sort preimage search unchanged;
+every answer here must agree with it exactly: yes/no, and the certificate
+list of every preimage set.
+"""
+
+import random
+from itertools import product
+
+import pytest
+
+import preimage_oracle as oracle
+
+import reconkit.deciders as deciders
+from reconkit.canon import certificate
+from reconkit.deck import Deck, build_deck
+from reconkit.deciders import (
+    deck_check,
+    enum_preimages,
+    legit_edge,
+    legit_vertex,
+    subdeck_check,
+)
+from reconkit.families import many_preimage_deck
+from reconkit.graph import Graph, enumerate_graphs, is_connected
+from reconkit.recon import identifies
+from reconkit.reductions import gi_to_kled, gi_to_klvd, gi_to_led, gi_to_lvd
+
+
+def _connected(n):
+    return [g for g in enumerate_graphs(n) if is_connected(g)]
+
+
+def _pairs(n, sample=None, seed=0):
+    """Ordered pairs of connected order-n graphs, or a seeded sample of at
+    most `sample` of them."""
+    pairs = list(product(_connected(n), repeat=2))
+    if sample is not None and sample < len(pairs):
+        pairs = random.Random(seed).sample(pairs, sample)
+    return pairs
+
+
+def _random_graph(rng, n, p):
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+def _agree(deck, c, mode):
+    """enum_preimages and legit_* against the oracle; returns the oracle's
+    preimages so callers can reuse them as deck-check inputs."""
+    want = oracle._search_preimages(deck, c, mode, False)
+    got = enum_preimages(deck, c, mode)
+    assert [certificate(p) for p in got.preimages] == [certificate(p) for p in want]
+    legit = legit_vertex if deck.kind == "vertex" else legit_edge
+    assert legit(deck, c, mode) == bool(want)
+    return want
+
+
+def _agree_checks(g, deck, c):
+    if (deck.kind == "vertex" and c > g.n) or (deck.kind == "edge" and c > g.m):
+        return
+    assert deck_check(g, deck, c) == oracle.deck_check(g, deck, c)
+    assert subdeck_check(g, deck, c) == oracle.subdeck_check(g, deck, c)
+
+
+def _agree_on_gadgets(decks, c, mode, rng):
+    for deck in decks:
+        for g in _agree(deck, c, mode):
+            _agree_checks(g, deck, c)
+        order = deck.card_order + (c if deck.kind == "vertex" else 0)
+        _agree_checks(_random_graph(rng, order, 0.5), deck, c)
+
+
+def test_klvd_c1_every_order4_deck():
+    rng = random.Random(1)
+    for k in (2, 3):
+        decks = [gi_to_klvd(g, h, 1, k) for g, h in _pairs(4)]
+        _agree_on_gadgets(decks, 1, "sub", rng)
+
+
+def test_klvd_c1_order5_sample():
+    rng = random.Random(2)
+    for k in (2, 3):
+        decks = [gi_to_klvd(g, h, 1, k) for g, h in _pairs(5, 12, seed=k)]
+        _agree_on_gadgets(decks, 1, "sub", rng)
+
+
+@pytest.mark.parametrize("c, n_max", [(1, 5), (2, 4)])
+def test_lvd_pure(c, n_max):
+    rng = random.Random(3)
+    for n in range(3, n_max + 1):
+        decks = [gi_to_lvd(g, h, c) for g, h in _pairs(n, 10, seed=n)]
+        _agree_on_gadgets(decks, c, "pure", rng)
+
+
+def test_edge_gadgets_c1():
+    rng = random.Random(4)
+    for n in (3, 4, 5):
+        pairs = _pairs(n, 8, seed=n)
+        _agree_on_gadgets([gi_to_led(g, h, 1) for g, h in pairs], 1, "pure", rng)
+        for k in (2, 3):
+            _agree_on_gadgets([gi_to_kled(g, h, 1, k) for g, h in pairs], 1, "sub", rng)
+
+
+def test_edge_gadgets_c2_sample():
+    rng = random.Random(5)
+    pairs = _pairs(3) + _pairs(4, 3, seed=5)
+    _agree_on_gadgets([gi_to_led(g, h, 2) for g, h in pairs], 2, "pure", rng)
+    _agree_on_gadgets([gi_to_kled(g, h, 2, 2) for g, h in pairs], 2, "sub", rng)
+
+
+def test_rich_decks():
+    for k, n in ((2, 1), (2, 2), (3, 1)):
+        deck = many_preimage_deck(k, n)
+        assert len(_agree(deck, 1, "sub")) >= 2 ** n
+
+
+def test_random_subdecks_orders_6_to_8():
+    # recon-size inputs: 1-3 cards of a random graph, vertex and edge kind,
+    # through enum_preimages, the deck checks and recon.identifies
+    rng = random.Random(68)
+    for trial in range(24):
+        n = 6 + trial % 3
+        g = _random_graph(rng, n, rng.choice((0.3, 0.5, 0.7)))
+        for kind in ("vertex", "edge"):
+            if kind == "edge" and not 1 <= g.m <= 12:
+                continue
+            full = build_deck(g, kind, 1)
+            sub = Deck(kind, rng.sample(full.cards, rng.randint(1, min(3, len(full)))))
+            for p in _agree(sub, 1, "sub")[:4]:
+                _agree_checks(p, sub, 1)
+                _agree_checks(p, full, 1)
+            assert identifies(g, sub, kind) == oracle.identifies(g, sub, kind)
+        if n <= 7:
+            _agree(build_deck(g, "vertex", 1), 1, "pure")
+            _agree(build_deck(g, "vertex", 2), 2, "pure")
+
+
+def test_vertex_c2_and_c3_subdecks():
+    rng = random.Random(23)
+    for n, c in ((5, 2), (5, 3), (6, 2)):
+        for g in rng.sample(enumerate_graphs(n), 3):
+            full = build_deck(g, "vertex", c)
+            sub = Deck("vertex", rng.sample(full.cards, 2))
+            for p in _agree(sub, c, "sub"):
+                _agree_checks(p, sub, c)
+                _agree_checks(p, full, c)
+
+
+def test_prefilter_certificate_calls_do_not_grow(monkeypatch):
+    # the speedup must come from cheaper prefilter keys, not from a weaker
+    # filter that shifts work onto certificates
+    decks = [
+        gi_to_klvd(g, h, 1, k) for k in (2, 3) for g, h in _pairs(5, 10, seed=50 + k)
+    ]
+    calls = {"new": 0, "oracle": 0}
+
+    def counting(name, real):
+        def wrapped(n, rows):
+            calls[name] += 1
+            return real(n, rows)
+
+        return wrapped
+
+    monkeypatch.setattr(deciders, "certificate_rows", counting("new", deciders.certificate_rows))
+    monkeypatch.setattr(oracle, "certificate_rows", counting("oracle", oracle.certificate_rows))
+    for deck in decks:
+        assert legit_vertex(deck, 1, "sub") == oracle.legit(deck, 1, "sub")
+    assert calls["oracle"] > 0
+    assert calls["new"] <= calls["oracle"]
