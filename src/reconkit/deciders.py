@@ -2,9 +2,12 @@
 
 Legitimacy is decided by exhaustive preimage search seeded from the first
 card, which is complete because every preimage contains the first card as
-a card.  Deck checks and the search share one matcher, which tests each
-deletion in three stages: the degree-class prefilter, the component-size
-profile, then exact certificates.
+a card.  Deck checks and the search share one matcher, deck containment,
+which tests each deletion in three stages: the degree-class prefilter, the
+component-size profile, then exact certificates.  Pure mode (deck
+equality) is containment of a full-size deck: a multiset of C(n, c) cards
+(C(m, c) for edge decks) lies in the deck exactly when it equals it, so
+card counts are compared first and only equal sizes reach the matcher.
 
 Degree-class prefilter: a graph is kept with its degree classes (degree r
 -> bitmask of the vertices of degree r) and its degree histogram packed
@@ -31,7 +34,7 @@ from math import comb
 from typing import Callable, Iterator, Optional, Sequence
 
 from .canon import certificate_rows
-from .deck import Deck
+from .deck import Deck, check_deletion_sets
 from .errors import CapacityError, InputError
 from .graph import Graph, component_masks, iter_bits, rows_edges
 
@@ -278,7 +281,6 @@ class _DeckTargets:
         self.count = len(d)
         self.order = d.uniform_order()  # None when empty or mixed
         self.edges = d.uniform_edges()
-        self.cert_counter = d.cert_counter()
         self.classes: list[_CardClass] = []
         seen: dict[bytes, int] = {}
         for cert, card in zip(d.certs, d.cards):
@@ -298,44 +300,11 @@ class _DeckTargets:
                 )
             )
         self.by_key: dict[int, list[int]] = {}
-        self.key_counter: Counter = Counter()
         self.need_by_edges: Counter = Counter()
         for idx, cls in enumerate(self.classes):
             self.by_key.setdefault(cls.key, []).append(idx)
-            self.key_counter[cls.key] += cls.mult
             self.need_by_edges[cls.edges] += cls.mult
         self.comp_whitelist = {cls.comps for cls in self.classes}
-
-
-def _pure_match(s: _Shape, t: _DeckTargets) -> bool:
-    """Does the graph have exactly the target deck?  Cardinality and
-    card-shape uniformity are rejected before any certificate work."""
-    n, rows = s.n, s.rows
-    if t.kind == "vertex":
-        if t.order != n - t.c or t.count != comb(n, t.c):
-            return False
-        space: Sequence = range(n)
-        card_rows = _delete_vertices_rows
-    else:
-        if t.order != n or t.edges != s.m - t.c or t.count != comb(s.m, t.c):
-            return False
-        space = rows_edges(n, rows)
-        card_rows = _delete_edges_rows
-    keyed = _keyer(s, t.kind, t.c)
-    work = Counter(t.key_counter)
-    for drop in combinations(space, t.c):
-        key = keyed(drop)
-        if work.get(key, 0) == 0:
-            return False
-        work[key] -= 1
-    work = Counter(t.cert_counter)
-    for drop in combinations(space, t.c):
-        sub = card_rows(rows, drop)
-        cert = certificate_rows(len(sub), sub)
-        if work.get(cert, 0) == 0:
-            return False
-        work[cert] -= 1
-    return True
 
 
 def _edge_delta_feasible(
@@ -418,25 +387,28 @@ def _sub_match(s: _Shape, t: _DeckTargets) -> bool:
 # the eight decision problems
 
 
-def deck_check(g: Graph, d: Deck, c: int) -> bool:
-    """VDC_c / EDC_c: is d exactly the c-deletion deck of g?"""
+def _check_targets(g: Graph, d: Deck, c: int) -> tuple[_DeckTargets, int]:
+    """Targets for matching d against g, and g's number of c-deletions."""
     t = _DeckTargets(d, c)
     if t.kind == "vertex" and c > g.n:
         raise InputError(f"cannot delete {c} vertices from order {g.n}")
     if t.kind == "edge" and c > g.m:
         raise InputError(f"cannot delete {c} edges from {g.m} edges")
-    return _pure_match(_shape(g.n, g.rows), t)
+    return t, comb(g.n if t.kind == "vertex" else g.m, c)
+
+
+def deck_check(g: Graph, d: Deck, c: int) -> bool:
+    """VDC_c / EDC_c: is d exactly the c-deletion deck of g?"""
+    t, deletions = _check_targets(g, d, c)
+    return len(d) == deletions and _sub_match(_shape(g.n, g.rows), t)
 
 
 def subdeck_check(g: Graph, cards: Deck, c: int) -> bool:
     """k-VDC_c / k-EDC_c: are the given cards a sub-multiset of g's deck?"""
     if len(cards) < 1:
         raise InputError("subdeck check requires at least one card")
-    t = _DeckTargets(cards, c)
-    if t.kind == "vertex" and c > g.n:
-        raise InputError(f"cannot delete {c} vertices from order {g.n}")
-    if t.kind == "edge" and c > g.m:
-        raise InputError(f"cannot delete {c} edges from {g.m} edges")
+    t, deletions = _check_targets(g, cards, c)
+    check_deletion_sets(deletions)
     return _sub_match(_shape(g.n, g.rows), t)
 
 
@@ -529,16 +501,16 @@ def _kelly_added_edges(d: Deck, c: int, n: int) -> Optional[int]:
     return total // per_edge - d.cards[0].m
 
 
-def _search_preimages(
-    d: Deck, c: int, mode: str, first_only: bool
-) -> list[Graph]:
+def _search_preimages(d: Deck, c: int, mode: str) -> Iterator[tuple[bytes, _Shape]]:
+    """Each preimage class of d once, as (certificate, shape), lazily: the
+    deck is validated and the caps are checked at the first step."""
     if mode not in ("pure", "sub"):
         raise InputError(f"mode must be pure or sub, got {mode!r}")
     if len(d) == 0:
         raise InputError("preimage search needs a nonempty deck")
     t = _DeckTargets(d, c)
     if t.order is None or (t.kind == "edge" and t.edges is None):
-        return []  # mixed card shapes never form or fit a deck
+        return  # mixed card shapes never form or fit a deck
     n0 = t.order
     base = d.cards[0]
     size = None
@@ -563,41 +535,42 @@ def _search_preimages(
         )
     if mode == "pure":
         if len(d) != full_size:
-            return []
+            return
         if t.kind == "vertex":
             size = _kelly_added_edges(d, c, n0 + c)
             if size is not None and size < 0:
-                return []
-    match = _pure_match if mode == "pure" else _sub_match
-    found: dict[bytes, Graph] = {}
+                return
+    check_deletion_sets(full_size)  # the matcher walks them per candidate
+    seen: set[bytes] = set()
     for s in _extensions(base, t.kind, c, size):
-        if match(s, t):
+        if _sub_match(s, t):
             cert = certificate_rows(s.n, s.rows)
-            if cert not in found:
-                found[cert] = Graph(s.n, rows_edges(s.n, s.rows))
-                if first_only:
-                    break
-    return [found[cert] for cert in sorted(found)]
+            if cert not in seen:
+                seen.add(cert)
+                yield cert, s
 
 
 def enum_preimages(d: Deck, c: int, mode: str) -> PreimageSet:
     """All preimages of d up to isomorphism (pure: deck equality; sub:
     containment), found by extending the first card every possible way."""
-    return PreimageSet(tuple(_search_preimages(d, c, mode, False)), mode)
+    found = sorted(_search_preimages(d, c, mode), key=lambda item: item[0])
+    return PreimageSet(
+        tuple(Graph(s.n, rows_edges(s.n, s.rows)) for _, s in found), mode
+    )
 
 
 def legit_vertex(d: Deck, c: int, mode: str) -> bool:
     """LVD_c (pure) / k-LVD_c (sub)."""
     if d.kind != "vertex":
         raise InputError(f"legit_vertex needs a vertex deck, got {d.kind!r}")
-    return bool(_search_preimages(d, c, mode, True))
+    return next(_search_preimages(d, c, mode), None) is not None
 
 
 def legit_edge(d: Deck, c: int, mode: str) -> bool:
     """LED_c (pure) / k-LED_c (sub), via c-edge additions to the first card."""
     if d.kind != "edge":
         raise InputError(f"legit_edge needs an edge deck, got {d.kind!r}")
-    return bool(_search_preimages(d, c, mode, True))
+    return next(_search_preimages(d, c, mode), None) is not None
 
 
 def two_lvd(g1: Graph, g2: Graph, c: int) -> bool:
@@ -608,7 +581,9 @@ def two_lvd(g1: Graph, g2: Graph, c: int) -> bool:
     if c < 1:
         raise InputError(f"deletion count must be >= 1, got {c}")
     n = g1.n
-    for size in range(1, min(c, n) + 1):
+    sizes = range(1, min(c, n) + 1)
+    check_deletion_sets(sum(comb(n, size) for size in sizes))
+    for size in sizes:
         seen = {
             certificate_rows(n - size, _delete_vertices_rows(g1.rows, s))
             for s in combinations(range(n), size)

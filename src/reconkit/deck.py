@@ -10,13 +10,15 @@ from __future__ import annotations
 import re
 from collections import Counter
 from itertools import combinations
+from math import comb
 from typing import Iterable, Optional, Sequence
 
 from .canon import certificate
-from .errors import InputError
+from .errors import CapacityError, InputError
 from .graph import Graph, delete_edges, delete_vertices, graph6_decode, graph6_encode
 
 DECK_KINDS = ("vertex", "edge", "endvertex")
+DELETION_SETS_CAP = 10**5  # deletion sets one deck build or check may walk
 
 
 class Deck:
@@ -75,6 +77,16 @@ class Deck:
         return Counter(self.certs)
 
 
+def check_deletion_sets(count: int) -> None:
+    """Refuse a walk over more than DELETION_SETS_CAP deletion sets before
+    it starts: the walks are exhaustive, so past the cap they would run for
+    hours rather than fail."""
+    if count > DELETION_SETS_CAP:
+        raise CapacityError(
+            f"{count} deletion sets exceed the {DELETION_SETS_CAP} cap"
+        )
+
+
 def build_deck(g: Graph, kind: str, c: int) -> Deck:
     """All cards obtained by deleting every c-subset of vertices or edges."""
     if c < 0:
@@ -82,10 +94,12 @@ def build_deck(g: Graph, kind: str, c: int) -> Deck:
     if kind == "vertex":
         if c > g.n:
             raise InputError(f"cannot delete {c} vertices from order {g.n}")
+        check_deletion_sets(comb(g.n, c))
         cards = [delete_vertices(g, s) for s in combinations(range(g.n), c)]
     elif kind == "edge":
         if c > g.m:
             raise InputError(f"cannot delete {c} edges from {g.m} edges")
+        check_deletion_sets(comb(g.m, c))
         cards = [delete_edges(g, s) for s in combinations(g.edges, c)]
     else:
         raise InputError(f"build_deck kind must be vertex or edge, got {kind!r}")

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterator, Optional
 
-from .canon import certificate, certificate_rows
+from .canon import certificate
 from .deck import Deck, build_deck, subdeck_contained
-from .deciders import _DeckTargets, _extensions, _sub_match
+from .deciders import _search_preimages
 from .errors import CapacityError, InputError
 from .graph import Graph
 
@@ -75,9 +75,10 @@ def _universe_is_singleton(g: Graph, kind: str) -> bool:
 def identifies(g: Graph, s: Deck, kind: str) -> bool:
     """Does the subdeck s of g's 1-deletion deck identify g?
 
-    The candidate universe is every one-element extension of the first
-    card: one new vertex over each neighbor subset (vertex kind) or one
-    new edge over each non-adjacent pair (edge kind).
+    It does when every preimage of s (sub mode, c = 1) is isomorphic to
+    g; the search extends the first card by one vertex over each neighbor
+    subset (vertex kind) or by one edge over each non-adjacent pair (edge
+    kind).
     """
     _check_caps(g, kind)
     if kind == "vertex":
@@ -93,12 +94,8 @@ def identifies(g: Graph, s: Deck, kind: str) -> bool:
         raise InputError("the given cards are not a subdeck of g's deck")
     if len(query) == 0:
         return _universe_is_singleton(g, kind)
-    targets = _DeckTargets(query, 1)
     own = certificate(g)
-    for cand in _extensions(query.cards[0], kind, 1):
-        if _sub_match(cand, targets) and certificate_rows(cand.n, cand.rows) != own:
-            return False
-    return True
+    return all(cert == own for cert, _ in _search_preimages(query, 1, "sub"))
 
 
 def _profiles(mults: list[int], size: int) -> Iterator[tuple[int, ...]]:

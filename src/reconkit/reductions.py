@@ -21,14 +21,8 @@ from typing import Optional
 
 from .canon import are_isomorphic, certificate
 from .deck import Deck, build_deck
-from .deciders import (
-    VERTEX_SEARCH_BITS_CAP,
-    legit_edge,
-    legit_vertex,
-    subdeck_check,
-    two_lvd,
-)
-from .errors import InputError
+from .deciders import legit_edge, legit_vertex, subdeck_check, two_lvd
+from .errors import CapacityError, InputError
 from .graph import (
     Graph,
     complete_graph,
@@ -53,13 +47,25 @@ REDUCTION_KINDS = (
 )
 
 
-def _require_pair(g: Graph, h: Graph, min_order: int, what: str) -> int:
+def _min_order(kind: str, c: int) -> int:
+    """Smallest source-graph order the gadget `kind` admits for c."""
+    if kind == "gi_to_lvd":
+        return 3
+    if kind == "gi_to_led":
+        return max(c, 2) + 1
+    if kind == "gi_to_kedc":
+        return 3
+    return c + 1  # gi_to_klvd, gi_to_kled
+
+
+def _require_pair(g: Graph, h: Graph, kind: str, c: int) -> int:
     if g.n != h.n:
-        raise InputError(f"{what}: orders differ ({g.n} vs {h.n})")
+        raise InputError(f"{kind}: orders differ ({g.n} vs {h.n})")
+    min_order = _min_order(kind, c)
     if g.n < min_order:
-        raise InputError(f"{what}: order must be >= {min_order}, got {g.n}")
+        raise InputError(f"{kind}: order must be >= {min_order}, got {g.n}")
     if not is_connected(g) or not is_connected(h):
-        raise InputError(f"{what}: both graphs must be connected")
+        raise InputError(f"{kind}: both graphs must be connected")
     return g.n
 
 
@@ -76,7 +82,7 @@ def gi_to_lvd(g: Graph, h: Graph, c: int) -> Deck:
     "h + isolated" card."""
     if c < 1:
         raise InputError(f"deletion count must be >= 1, got {c}")
-    n = _require_pair(g, h, 3, "gi_to_lvd")
+    n = _require_pair(g, h, "gi_to_lvd", c)
     big = union([g, empty_graph(c + 1)])
     cards = list(build_deck(big, "vertex", c).cards)
     cards = _remove_one(
@@ -93,7 +99,7 @@ def gi_to_led(g: Graph, h: Graph, c: int) -> Deck:
     c-edge-deck of g + c disjoint edges + a large clique."""
     if c < 1:
         raise InputError(f"deletion count must be >= 1, got {c}")
-    n = _require_pair(g, h, max(c, 2) + 1, "gi_to_led")
+    n = _require_pair(g, h, "gi_to_led", c)
     ell = n + 1
     big = union([g, copies(complete_graph(2), c), complete_graph(ell)])
     cards = list(build_deck(big, "edge", c).cards)
@@ -140,7 +146,7 @@ def gi_to_kedc(g: Graph, h: Graph, c: int, k: int) -> tuple[Graph, Deck]:
         raise InputError(f"deletion count must be >= 1, got {c}")
     if k < 2:
         raise InputError(f"card count must be >= 2, got {k}")
-    _require_pair(g, h, 3, "gi_to_kedc")
+    _require_pair(g, h, "gi_to_kedc", c)
     base = union([g, copies(complete_graph(2), c)])
     if comb(base.m, c) - 1 < k - 1:
         raise InputError("gi_to_kedc: not enough cards after the removal")
@@ -166,7 +172,7 @@ def gi_to_klvd(g: Graph, h: Graph, c: int, k: int) -> Deck:
         raise InputError(f"deletion count must be >= 1, got {c}")
     if k < 2:
         raise InputError(f"card count must be >= 2, got {k}")
-    n = _require_pair(g, h, c + 1, "gi_to_klvd")
+    n = _require_pair(g, h, "gi_to_klvd", c)
     ell = n + k
     g_card = union([complete_graph(ell), complete_graph(ell + 2 * c), g])
     h_card = union([complete_graph(ell + c), complete_graph(ell + c), h])
@@ -182,7 +188,7 @@ def gi_to_kled(g: Graph, h: Graph, c: int, k: int) -> Deck:
         raise InputError(f"deletion count must be >= 1, got {c}")
     if k < 2:
         raise InputError(f"card count must be >= 2, got {k}")
-    n = _require_pair(g, h, c + 1, "gi_to_kled")
+    n = _require_pair(g, h, "gi_to_kled", c)
     ell = n + k
     if k - 1 > comb(comb(ell, 2), c):
         raise InputError("gi_to_kled: not enough edge subsets in the clique")
@@ -223,16 +229,6 @@ def _connected_upto(n: int) -> list[Graph]:
     return [g for g in enumerate_graphs(n) if is_connected(g)]
 
 
-def _min_order(kind: str, c: int) -> int:
-    if kind == "gi_to_lvd":
-        return 3
-    if kind == "gi_to_led":
-        return max(c, 2) + 1
-    if kind == "gi_to_kedc":
-        return 3
-    return c + 1  # gi_to_klvd, gi_to_kled
-
-
 def verify_reduction(
     kind: str,
     n_max: int,
@@ -264,13 +260,12 @@ def verify_reduction(
         if kind == "gi_to_kled":
             return legit_edge(gi_to_kled(g, h, c, use_k), c, "sub")
         deck = gi_to_klvd(g, h, c, use_k)
-        assert deck.card_order is not None
-        bits = c * deck.card_order + c * (c - 1) // 2
-        if bits <= VERTEX_SEARCH_BITS_CAP:
+        try:
             return legit_vertex(deck, c, "sub")
-        if use_k == 2:
-            return two_lvd(deck.cards[0], deck.cards[1], c)
-        return None  # over capacity, no polynomial oracle for k > 2
+        except CapacityError:
+            if use_k == 2:
+                return two_lvd(deck.cards[0], deck.cards[1], c)
+            return None  # over capacity, no polynomial oracle for k > 2
 
     violations: list[str] = []
     skipped: list[str] = []

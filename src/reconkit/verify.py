@@ -281,6 +281,13 @@ SWEEPS: dict[str, Callable[..., Verdict]] = {
     "iso-engine": check_iso_engine,
     "graph6": check_graph6,
 }
+SCALED_SWEEPS = ("reduction-iff", "edge-to-vertex-transfer")  # take n_max
+
+
+def _check_n_max(n_max: Optional[int]) -> None:
+    # below order 2 no gadget has an instance, so a sweep would pass vacuously
+    if n_max is not None and n_max < 2:
+        raise InputError(f"n_max must be >= 2, got {n_max}")
 
 
 def run_sweep(name: str, n_max: Optional[int] = None) -> CriterionResult:
@@ -288,14 +295,21 @@ def run_sweep(name: str, n_max: Optional[int] = None) -> CriterionResult:
         raise InputError(
             f"unknown sweep {name!r}; choose from {', '.join(sorted(SWEEPS))}"
         )
+    _check_n_max(n_max)
+    if n_max is not None and name not in SCALED_SWEEPS:
+        raise InputError(
+            f"sweep {name!r} has no scale; n_max applies to "
+            + " and ".join(SCALED_SWEEPS)
+        )
     fn = SWEEPS[name]
     started = perf_counter()
-    if name in ("reduction-iff", "edge-to-vertex-transfer") and n_max is not None:
-        passed, detail = fn(n_max)
-    else:
-        passed, detail = fn()
+    passed, detail = fn() if n_max is None else fn(n_max)
     return CriterionResult(name, passed, detail, perf_counter() - started)
 
 
 def run_all(n_max: Optional[int] = None) -> list[CriterionResult]:
-    return [run_sweep(name, n_max) for name in SWEEPS]
+    """Every sweep; n_max scales the sweeps that take one."""
+    _check_n_max(n_max)
+    return [
+        run_sweep(name, n_max if name in SCALED_SWEEPS else None) for name in SWEEPS
+    ]

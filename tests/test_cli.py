@@ -13,6 +13,7 @@ from reconkit.graph import (
     empty_graph,
     graph6_decode,
     graph6_encode,
+    path_graph,
     union,
 )
 
@@ -310,3 +311,54 @@ def test_non_utf8_stdin_is_input_error(capsys, monkeypatch):
     code, out, err = run_cli(capsys, ["legit", "--kind", "vertex", "--c", "1", "-"])
     assert code == 2 and out == ""
     assert "<stdin>" in err and "UTF-8" in err
+
+
+def test_deletion_set_cap_exits_3(capsys, tmp_path):
+    # C(40, 20) = 137,846,528,820 deletion sets: refused before the walk
+    gpath = tmp_path / "p40.g6"
+    gpath.write_text(graph6_encode(path_graph(40)) + "\n")
+    card = tmp_path / "k20.deck"
+    card.write_text("# kind=vertex c=20\n" + graph6_encode(complete_graph(20)) + "\n")
+    for args in (
+        ["check", "--sub", str(gpath), str(card)],
+        ["deck", "--c", "20", str(gpath)],
+    ):
+        code, out, err = run_cli(capsys, args)
+        assert code == 3 and out == ""
+        assert "deletion sets exceed" in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "reduction-iff", "--n-max", "0"],
+        ["verify", "edge-to-vertex-transfer", "--n-max", "-3"],
+        ["verify", "all", "--n-max", "1"],
+        ["verify", "graph6", "--n-max", "2"],  # graph6 has no scale
+    ],
+)
+def test_verify_refuses_vacuous_or_ignored_n_max(capsys, args):
+    code, out, err = run_cli(capsys, args)
+    assert code == 2 and out == ""
+    assert "n_max" in err
+
+
+def test_verify_all_passes_n_max_to_scaled_sweeps_only(capsys, monkeypatch):
+    import reconkit.verify as verify
+
+    calls = {}
+
+    def stub(name):
+        def sweep(*args):
+            calls[name] = args
+            return True, "stub"
+
+        return sweep
+
+    for name in list(verify.SWEEPS):
+        monkeypatch.setitem(verify.SWEEPS, name, stub(name))
+    code, out, _ = run_cli(capsys, ["verify", "all", "--n-max", "3"])
+    assert code == 0 and len(out.splitlines()) == len(verify.SWEEPS)
+    assert calls == {
+        name: (3,) if name in verify.SCALED_SWEEPS else () for name in verify.SWEEPS
+    }

@@ -4,7 +4,13 @@ from itertools import combinations
 import pytest
 
 from reconkit.canon import are_isomorphic, certificate
-from reconkit.deck import Deck, build_deck, deck_equal, subdeck_contained
+from reconkit.deck import (
+    DELETION_SETS_CAP,
+    Deck,
+    build_deck,
+    deck_equal,
+    subdeck_contained,
+)
 from reconkit.deciders import (
     deck_check,
     enum_preimages,
@@ -250,19 +256,74 @@ def test_mixed_shape_collections_are_rejected_by_answer():
     assert not subdeck_check(complete_graph(4), mixed_orders, 1)
 
 
+def test_deck_check_rejects_on_card_count_before_matching(monkeypatch):
+    # P40 has C(40, 20) 20-cards, so a one-card collection cannot be its
+    # deck; the matcher, which would walk those deletions, is never called
+    import reconkit.deciders as deciders
+
+    def fail(s, t):
+        raise AssertionError("matcher called")
+
+    monkeypatch.setattr(deciders, "_sub_match", fail)
+    assert not deck_check(path_graph(40), Deck("vertex", [complete_graph(20)]), 20)
+
+
+def test_preimage_search_caps_at_their_boundaries():
+    # vertex search: 2^(c*n') patterns, n' = 24 at the 2^24 cap; the two
+    # preimages are E25 and K2 + E23
+    assert len(enum_preimages(Deck("vertex", [empty_graph(24)] * 2), 1, "sub")) == 2
+    with pytest.raises(CapacityError):
+        enum_preimages(Deck("vertex", [empty_graph(25)] * 2), 1, "sub")
+    # edge search: C(C(53, 2), 2) = 948,753 candidates, C(C(54, 2), 2) =
+    # 1,023,165 past the 10^6 cap
+    assert legit_edge(Deck("edge", [empty_graph(53)]), 2, "sub")
+    with pytest.raises(CapacityError):
+        legit_edge(Deck("edge", [empty_graph(54)]), 2, "sub")
+
+
+def _sparse_card(m):
+    # three isolated vertices first: the first candidate adds (0, 1) and
+    # (0, 2), and its first deletion gives the card back
+    pairs = list(combinations(range(3, 50), 2))
+    return Graph(50, random.Random(5).sample(pairs, m))
+
+
+def test_deletion_set_cap_at_its_boundary():
+    assert DELETION_SETS_CAP == 10**5
+    # C(40, 4) = 91,390 deletion sets; the first one already matches
+    assert subdeck_check(empty_graph(40), Deck("vertex", [empty_graph(36)]), 4)
+    # 39 + C(39, 2) + C(39, 3) + C(39, 4) = 92,170 deletion sets per graph
+    assert two_lvd(empty_graph(39), empty_graph(39), 4)
+    # each candidate's deck: C(445 + 2, 2) = 99,681 edge pairs
+    assert legit_edge(Deck("edge", [_sparse_card(445)]), 2, "sub")
+
+
+def test_deletion_set_cap_refuses_just_past_it():
+    with pytest.raises(CapacityError):  # C(41, 4) = 101,270
+        subdeck_check(empty_graph(41), Deck("vertex", [empty_graph(37)]), 4)
+    with pytest.raises(CapacityError):
+        build_deck(empty_graph(41), "vertex", 4)
+    with pytest.raises(CapacityError):  # C(C(31, 2), 2) = 107,880
+        build_deck(complete_graph(31), "edge", 2)
+    with pytest.raises(CapacityError):  # 40 + 780 + 9,880 + 91,390 = 102,090
+        two_lvd(empty_graph(40), empty_graph(40), 4)
+    with pytest.raises(CapacityError):  # C(446 + 2, 2) = 100,128
+        legit_edge(Deck("edge", [_sparse_card(446)]), 2, "sub")
+
+
 def test_pure_vertex_search_uses_kellys_edge_count(monkeypatch):
     # each edge of an n-vertex preimage lies in C(n-2, c) of its c-cards, so
     # the cards fix |E| and only extensions with that many edges are matched
     import reconkit.deciders as deciders
 
     offered = []
-    real = deciders._pure_match
+    real = deciders._sub_match
 
     def spy(s, t):
         offered.append(s.m)
         return real(s, t)
 
-    monkeypatch.setattr(deciders, "_pure_match", spy)
+    monkeypatch.setattr(deciders, "_sub_match", spy)
     rng = random.Random(7)
     for c in (1, 2):
         for g in rng.sample(enumerate_graphs(5), 8):

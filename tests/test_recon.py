@@ -172,7 +172,13 @@ def test_threshold():
 
 
 def test_capacity_limits():
+    # each cap is pinned at its boundary: order 10 and 12 edges are
+    # accepted, order 11 and 13 edges refused
+    assert recon_number(empty_graph(10), "vertex", "exists").value == 3
     with pytest.raises(CapacityError):
         recon_number(empty_graph(11), "vertex", "exists")
+    assert recon_number(path_graph(13), "edge", "exists").value == 3
+    with pytest.raises(CapacityError):
+        recon_number(path_graph(14), "edge", "exists")
     with pytest.raises(CapacityError):
         recon_number(complete_graph(6), "edge", "exists")  # 15 edges > 12

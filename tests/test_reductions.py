@@ -18,6 +18,7 @@ from reconkit.graph import (
     union,
 )
 from reconkit.reductions import (
+    _min_order,
     gi_to_kedc,
     gi_to_kled,
     gi_to_klvd,
@@ -135,6 +136,22 @@ def test_precondition_errors():
         verify_reduction("gi_to_lvd", 6, 1)  # sweep cap
     with pytest.raises(InputError):
         verify_reduction("nonsense", 4, 1)
+
+
+@pytest.mark.parametrize("c", [1, 2])
+@pytest.mark.parametrize(
+    "build, k",
+    [(gi_to_lvd, None), (gi_to_led, None), (gi_to_kedc, 2), (gi_to_klvd, 2), (gi_to_kled, 2)],
+)
+def test_builders_admit_exactly_the_min_order(build, k, c):
+    # the sweeps start at _min_order, so each builder must refuse just below
+    # it and accept at it
+    args = (c,) if k is None else (c, k)
+    low = _min_order(build.__name__, c)
+    below = path_graph(low - 1)
+    with pytest.raises(InputError):
+        build(below, below, *args)
+    build(path_graph(low), path_graph(low), *args)
 
 
 def test_small_iff_sweeps():
