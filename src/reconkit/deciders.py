@@ -29,14 +29,21 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations, product
+from itertools import combinations
 from math import comb
 from typing import Callable, Iterator, Optional, Sequence
 
 from .canon import certificate_rows
 from .deck import Deck, check_deletion_sets
 from .errors import CapacityError, InputError
-from .graph import Graph, component_masks, iter_bits, rows_edges
+from .graph import (
+    Graph,
+    component_masks,
+    extend_rows,
+    iter_bits,
+    rows_edges,
+    twin_patterns,
+)
 
 VERTEX_SEARCH_BITS_CAP = 24  # 2^(c*n' + C(c,2)) candidate patterns at most
 EDGE_SEARCH_CANDIDATES_CAP = 10**6
@@ -157,8 +164,7 @@ class _Extension(_Shape):
         moved = _class_histogram(card.classes, attach)
         self.classes = classes
         self.key = card.key + (moved << _FIELD) - moved + (1 << _FIELD * deg)
-        rows = card.rows
-        self.rows = [rows[u] | (attach >> u & 1) << n0 for u in range(n0)] + [attach]
+        self.rows = extend_rows(n0, card.rows, attach)
         return getattr(self, name)
 
 
@@ -415,36 +421,6 @@ def subdeck_check(g: Graph, cards: Deck, c: int) -> bool:
 # --- preimage enumeration ---------------------------------------------------
 
 
-def _twin_classes(n: int, rows: Sequence[int]) -> list[list[int]]:
-    closed: dict[int, list[int]] = {}
-    for v in range(n):
-        closed.setdefault(rows[v] | 1 << v, []).append(v)
-    classes = [vs for vs in closed.values() if len(vs) > 1]
-    open_: dict[int, list[int]] = {}
-    for vs in closed.values():
-        if len(vs) == 1:
-            open_.setdefault(rows[vs[0]], []).append(vs[0])
-    classes.extend(open_.values())
-    classes.sort(key=lambda vs: vs[0])
-    return classes
-
-
-def _twin_patterns(n: int, rows: Sequence[int], size: Optional[int]) -> Iterator[int]:
-    """Attachment sets for one new vertex, one per twin-class count profile:
-    vertices of a twin class are interchangeable by an automorphism, so
-    these cover every isomorphism class.  `size` fixes the set size."""
-    prefixes = []  # per twin class: the masks of its first 0, 1, 2, ... vertices
-    for twins in _twin_classes(n, rows):
-        masks = [0]
-        for v in twins:
-            masks.append(masks[-1] | 1 << v)
-        prefixes.append(masks)
-    patterns = map(sum, product(*prefixes))  # classes are disjoint: sum is or
-    if size is None:
-        return patterns
-    return (mask for mask in patterns if mask.bit_count() == size)
-
-
 def _extensions(
     base: Graph, kind: str, c: int, size: Optional[int] = None
 ) -> Iterator[_Shape]:
@@ -464,7 +440,7 @@ def _extensions(
             yield _Shape(n0, rows, None, key, card.m + c)
         return
     if c == 1:
-        for attach in _twin_patterns(n0, rows0, size):
+        for attach in twin_patterns(n0, rows0, size):
             yield _Extension(card, attach)
         return
     n = n0 + c

@@ -7,12 +7,12 @@ what every hot loop in the toolkit works on.
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from itertools import combinations, product
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import CapacityError, Graph6ParseError, InputError
 
-ENUMERATION_CAP = 7  # 2^C(7,2) = 2^21 labeled graphs is the desk-scale ceiling
+ENUMERATION_CAP = 7  # 1,044 classes; 8 has 12,346 (A000088), past desk scale
 
 
 class Graph:
@@ -117,6 +117,42 @@ def rows_edges(n: int, rows: Sequence[int]) -> list[tuple[int, int]]:
             nb >>= 1
             v += 1
     return out
+
+
+def extend_rows(n: int, rows: Sequence[int], attach: int) -> list[int]:
+    """Rows of the graph plus one new vertex n adjacent to the vertices in
+    the bitmask attach."""
+    return [rows[u] | (attach >> u & 1) << n for u in range(n)] + [attach]
+
+
+def _twin_classes(n: int, rows: Sequence[int]) -> list[list[int]]:
+    closed: dict[int, list[int]] = {}
+    for v in range(n):
+        closed.setdefault(rows[v] | 1 << v, []).append(v)
+    classes = [vs for vs in closed.values() if len(vs) > 1]
+    open_: dict[int, list[int]] = {}
+    for vs in closed.values():
+        if len(vs) == 1:
+            open_.setdefault(rows[vs[0]], []).append(vs[0])
+    classes.extend(open_.values())
+    classes.sort(key=lambda vs: vs[0])
+    return classes
+
+
+def twin_patterns(n: int, rows: Sequence[int], size: Optional[int]) -> Iterator[int]:
+    """Attachment sets for one new vertex, one per twin-class count profile:
+    vertices of a twin class are interchangeable by an automorphism, so
+    these cover every isomorphism class.  `size` fixes the set size."""
+    prefixes = []  # per twin class: the masks of its first 0, 1, 2, ... vertices
+    for twins in _twin_classes(n, rows):
+        masks = [0]
+        for v in twins:
+            masks.append(masks[-1] | 1 << v)
+        prefixes.append(masks)
+    patterns = map(sum, product(*prefixes))  # classes are disjoint: sum is or
+    if size is None:
+        return patterns
+    return (mask for mask in patterns if mask.bit_count() == size)
 
 
 # ---------------------------------------------------------------------------
@@ -238,19 +274,6 @@ def is_connected(g: Graph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# edge <-> bitmask indexing (row-major upper triangle)
-
-
-def pair_table(n: int) -> tuple[tuple[int, int], ...]:
-    return tuple((u, v) for u in range(n) for v in range(u + 1, n))
-
-
-def graph_from_mask(n: int, mask: int) -> Graph:
-    pairs = pair_table(n)
-    return Graph(n, (pairs[b] for b in iter_bits(mask)))
-
-
-# ---------------------------------------------------------------------------
 # graph6 codec
 
 
@@ -349,16 +372,18 @@ def _column_order_pair(bit: int) -> tuple[int, int]:
 # exhaustive enumeration of isomorphism classes
 
 
-_ENUM_CACHE: dict[int, tuple[Graph, ...]] = {}
+_ENUM_CACHE: dict[int, tuple[Graph, ...]] = {0: (Graph(0),)}
 
 
 def enumerate_graphs(n: int) -> tuple[Graph, ...]:
     """One canonical representative per isomorphism class on n vertices.
 
-    Sweeps all 2^C(n,2) labeled graphs; each new class is certified once and
-    its whole relabeling orbit is marked visited, so the certificate-level
-    deduplication never recertifies a known class.  Output is sorted by
-    certificate.  Capped at n = 7.
+    Every graph on n >= 1 vertices is G - v plus the vertex v, with G a
+    graph on n - 1 vertices.  So the classes on n vertices are the
+    one-vertex extensions of the classes on n - 1, over every attachment
+    set up to twins (`twin_patterns`), kept once per certificate.  The
+    representative is the decoded certificate (what `canonical_form`
+    returns), and the output is sorted by certificate.  Capped at n = 7.
     """
     if n > ENUMERATION_CAP:
         raise CapacityError(
@@ -366,73 +391,14 @@ def enumerate_graphs(n: int) -> tuple[Graph, ...]:
         )
     if n < 0:
         raise InputError(f"vertex count must be >= 0, got {n}")
-    if n in _ENUM_CACHE:
-        return _ENUM_CACHE[n]
-    from .canon import canonical_form, certificate
+    if n not in _ENUM_CACHE:
+        from .canon import certificate_rows
 
-    nbits = n * (n - 1) // 2
-    transforms = [_mask_transform_tables(n, p) for p in _sn_generators(n)]
-    visited = bytearray(1 << nbits)
-    found: dict[bytes, Graph] = {}
-    for mask in range(1 << nbits):
-        if visited[mask]:
-            continue
-        g = graph_from_mask(n, mask)
-        found[certificate(g)] = canonical_form(g)
-        visited[mask] = 1
-        queue = [mask]
-        while queue:
-            cur = queue.pop()
-            for tables in transforms:
-                img = _apply_mask_transform(cur, tables)
-                if not visited[img]:
-                    visited[img] = 1
-                    queue.append(img)
-    result = tuple(found[c] for c in sorted(found))
-    _ENUM_CACHE[n] = result
-    return result
-
-
-def _sn_generators(n: int) -> list[tuple[int, ...]]:
-    if n < 2:
-        return []
-    swap = list(range(n))
-    swap[0], swap[1] = 1, 0
-    cycle = list(range(1, n)) + [0]
-    return [tuple(swap), tuple(cycle)]
-
-
-_CHUNK = 11
-
-
-def _mask_transform_tables(n: int, perm: tuple[int, ...]) -> list[list[int]]:
-    # Per-chunk lookup tables mapping 11 source bits to their permuted mask.
-    nbits = n * (n - 1) // 2
-    pairs = pair_table(n)
-    index = {pair: b for b, pair in enumerate(pairs)}
-    bitmap = [0] * nbits
-    for b, (u, v) in enumerate(pairs):
-        pu, pv = perm[u], perm[v]
-        bitmap[b] = index[(pu, pv) if pu < pv else (pv, pu)]
-    tables = []
-    for lo in range(0, nbits, _CHUNK):
-        width = min(_CHUNK, nbits - lo)
-        table = [0] * (1 << width)
-        for val in range(1 << width):
-            out = 0
-            rem = val
-            while rem:
-                low = rem & -rem
-                out |= 1 << bitmap[lo + low.bit_length() - 1]
-                rem ^= low
-            table[val] = out
-        tables.append(table)
-    return tables
-
-
-def _apply_mask_transform(mask: int, tables: list[list[int]]) -> int:
-    out = 0
-    for table in tables:
-        out |= table[mask & (len(table) - 1)]
-        mask >>= _CHUNK
-    return out
+        n0 = n - 1
+        found = {
+            certificate_rows(n, extend_rows(n0, g.rows, attach))
+            for g in enumerate_graphs(n0)
+            for attach in twin_patterns(n0, g.rows, None)
+        }
+        _ENUM_CACHE[n] = tuple(graph6_decode(c.decode("ascii")) for c in sorted(found))
+    return _ENUM_CACHE[n]

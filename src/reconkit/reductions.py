@@ -55,7 +55,7 @@ def _min_order(kind: str, c: int) -> int:
         return max(c, 2) + 1
     if kind == "gi_to_kedc":
         return 3
-    return c + 1  # gi_to_klvd, gi_to_kled
+    return c + 1  # gi_to_klvd, gi_to_kled, kedc_to_kvdc (a graph with c edges)
 
 
 def _require_pair(g: Graph, h: Graph, kind: str, c: int) -> int:
@@ -242,6 +242,11 @@ def verify_reduction(
         raise InputError(f"unknown reduction kind {kind!r}")
     if n_max > 5:
         raise InputError(f"verification sweeps are capped at n_max = 5, got {n_max}")
+    if n_max < _min_order(kind, c):
+        # no instance below the minimum order: the sweep would pass vacuously
+        raise InputError(
+            f"{kind} with c={c} needs n_max >= {_min_order(kind, c)}, got {n_max}"
+        )
     if kind == "kedc_to_kvdc":
         return _verify_transfer(n_max, c, k or 2)
     needs_k = kind in ("gi_to_kedc", "gi_to_klvd", "gi_to_kled")

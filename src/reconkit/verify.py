@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from time import perf_counter
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .canon import are_isomorphic, certificate
 from .deck import Deck, build_deck, deck_equal, subdeck_contained
@@ -37,7 +37,7 @@ from .graph import (
     permute,
 )
 from .recon import recon_number
-from .reductions import verify_reduction
+from .reductions import _min_order, verify_reduction
 
 
 Verdict = tuple[bool, str]  # (passed, detail) of one sweep
@@ -106,9 +106,13 @@ def check_reduction_iff(n_max: int = 5) -> Verdict:
     return (not violations, detail)
 
 
+TRANSFER_CELL = ("kedc_to_kvdc", 1, 2)
+
+
 def check_edge_to_vertex_transfer(n_max: int = 4) -> Verdict:
     """k-EDC answers survive the hat/line-graph transfer to k-VDC."""
-    report = verify_reduction("kedc_to_kvdc", min(n_max, 4), 1, 2)
+    kind, c, k = TRANSFER_CELL
+    report = verify_reduction(kind, min(n_max, 4), c, k)
     return (
         report.ok,
         f"{report.checked} instances, {len(report.violations)} violations",
@@ -281,13 +285,21 @@ SWEEPS: dict[str, Callable[..., Verdict]] = {
     "iso-engine": check_iso_engine,
     "graph6": check_graph6,
 }
-SCALED_SWEEPS = ("reduction-iff", "edge-to-vertex-transfer")  # take n_max
+# the sweeps that take n_max, with the (kind, c, k) cells each one runs
+SCALED_SWEEPS = {
+    "reduction-iff": REDUCTION_CELLS,
+    "edge-to-vertex-transfer": (TRANSFER_CELL,),
+}
 
 
-def _check_n_max(n_max: Optional[int]) -> None:
-    # below order 2 no gadget has an instance, so a sweep would pass vacuously
-    if n_max is not None and n_max < 2:
-        raise InputError(f"n_max must be >= 2, got {n_max}")
+def _check_n_max(names: Iterable[str], n_max: Optional[int]) -> None:
+    # a cell below its minimum order has no instance and would pass vacuously
+    if n_max is None:
+        return
+    for name in names:
+        floor = max(_min_order(kind, c) for kind, c, _k in SCALED_SWEEPS[name])
+        if n_max < floor:
+            raise InputError(f"n_max for {name} must be >= {floor}, got {n_max}")
 
 
 def run_sweep(name: str, n_max: Optional[int] = None) -> CriterionResult:
@@ -295,12 +307,12 @@ def run_sweep(name: str, n_max: Optional[int] = None) -> CriterionResult:
         raise InputError(
             f"unknown sweep {name!r}; choose from {', '.join(sorted(SWEEPS))}"
         )
-    _check_n_max(n_max)
     if n_max is not None and name not in SCALED_SWEEPS:
         raise InputError(
             f"sweep {name!r} has no scale; n_max applies to "
             + " and ".join(SCALED_SWEEPS)
         )
+    _check_n_max((name,), n_max)
     fn = SWEEPS[name]
     started = perf_counter()
     passed, detail = fn() if n_max is None else fn(n_max)
@@ -309,7 +321,7 @@ def run_sweep(name: str, n_max: Optional[int] = None) -> CriterionResult:
 
 def run_all(n_max: Optional[int] = None) -> list[CriterionResult]:
     """Every sweep; n_max scales the sweeps that take one."""
-    _check_n_max(n_max)
+    _check_n_max(SCALED_SWEEPS, n_max)
     return [
         run_sweep(name, n_max if name in SCALED_SWEEPS else None) for name in SWEEPS
     ]

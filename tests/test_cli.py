@@ -332,8 +332,11 @@ def test_deletion_set_cap_exits_3(capsys, tmp_path):
     "args",
     [
         ["verify", "reduction-iff", "--n-max", "0"],
+        ["verify", "reduction-iff", "--n-max", "2"],  # floor 3
         ["verify", "edge-to-vertex-transfer", "--n-max", "-3"],
+        ["verify", "edge-to-vertex-transfer", "--n-max", "1"],  # floor 2
         ["verify", "all", "--n-max", "1"],
+        ["verify", "all", "--n-max", "2"],  # floor 3, from reduction-iff
         ["verify", "graph6", "--n-max", "2"],  # graph6 has no scale
     ],
 )
@@ -343,22 +346,57 @@ def test_verify_refuses_vacuous_or_ignored_n_max(capsys, args):
     assert "n_max" in err
 
 
-def test_verify_all_passes_n_max_to_scaled_sweeps_only(capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "sweep, floor", [("reduction-iff", 3), ("edge-to-vertex-transfer", 2)]
+)
+def test_verify_runs_at_the_n_max_floor(capsys, sweep, floor):
+    # every cell of the sweep has an instance at its floor
+    code, out, _ = run_cli(capsys, ["verify", sweep, "--n-max", str(floor)])
+    assert code == 0 and out.startswith(f"PASS {sweep}: ")
+    assert not out.split(": ")[1].startswith("0 instances")
+
+
+def stub_sweeps(monkeypatch) -> list:
+    """Replace every sweep by a stub; returns the (name, args) of each call."""
     import reconkit.verify as verify
 
-    calls = {}
+    calls = []
 
     def stub(name):
         def sweep(*args):
-            calls[name] = args
+            calls.append((name, args))
             return True, "stub"
 
         return sweep
 
     for name in list(verify.SWEEPS):
         monkeypatch.setitem(verify.SWEEPS, name, stub(name))
+    return calls
+
+
+def test_verify_floor_is_checked_before_any_sweep_starts(monkeypatch):
+    import reconkit.verify as verify
+    from reconkit.errors import InputError
+
+    calls = stub_sweeps(monkeypatch)
+    with pytest.raises(InputError):
+        verify.run_all(2)
+    with pytest.raises(InputError):
+        verify.run_sweep("reduction-iff", 2)
+    with pytest.raises(InputError):
+        verify.run_sweep("edge-to-vertex-transfer", 1)
+    assert calls == []
+    verify.run_sweep("reduction-iff", 3)
+    verify.run_sweep("edge-to-vertex-transfer", 2)
+    assert calls == [("reduction-iff", (3,)), ("edge-to-vertex-transfer", (2,))]
+
+
+def test_verify_all_passes_n_max_to_scaled_sweeps_only(capsys, monkeypatch):
+    import reconkit.verify as verify
+
+    calls = stub_sweeps(monkeypatch)
     code, out, _ = run_cli(capsys, ["verify", "all", "--n-max", "3"])
     assert code == 0 and len(out.splitlines()) == len(verify.SWEEPS)
-    assert calls == {
-        name: (3,) if name in verify.SCALED_SWEEPS else () for name in verify.SWEEPS
-    }
+    assert calls == [
+        (name, (3,) if name in verify.SCALED_SWEEPS else ()) for name in verify.SWEEPS
+    ]

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import all_labeled_graphs, brute_isomorphic
+from conftest import all_labeled_graphs, brute_canonical_mask, brute_isomorphic
 
 from reconkit.canon import are_isomorphic, certificate
 from reconkit.errors import CapacityError, Graph6ParseError, InputError
@@ -16,6 +16,7 @@ from reconkit.graph import (
     delete_vertices,
     empty_graph,
     enumerate_graphs,
+    extend_rows,
     graph6_decode,
     graph6_encode,
     graph6_encode_rows,
@@ -26,6 +27,7 @@ from reconkit.graph import (
     path_graph,
     permute,
     rows_edges,
+    twin_patterns,
     union,
 )
 
@@ -133,6 +135,24 @@ def test_rows_kernel_agrees_with_graph():
         for v in range(n):
             expected[label[v]] = expected.get(label[v], 0) | 1 << v
         assert component_masks(g.n, g.rows) == [expected[r] for r in sorted(expected)]
+    # twin_patterns: every labeled one-vertex extension is isomorphic to the
+    # extension by some pattern of the same size; patterns are distinct
+    def extend(g, attach):
+        return Graph(g.n + 1, list(g.edges) + [(v, g.n) for v in iter_bits(attach)])
+
+    for n in range(0, 5):
+        for g in all_labeled_graphs(n):
+            every = list(twin_patterns(n, g.rows, None))
+            assert len(every) == len(set(every))
+            for attach in every:
+                assert extend_rows(n, g.rows, attach) == list(extend(g, attach).rows)
+            for size in range(0, n + 1):
+                sized = list(twin_patterns(n, g.rows, size))
+                assert sized == [a for a in every if a.bit_count() == size]
+                reached = {brute_canonical_mask(extend(g, a)) for a in sized}
+                for attach in range(1 << n):
+                    if attach.bit_count() == size:
+                        assert brute_canonical_mask(extend(g, attach)) in reached
 
 
 def test_permute():
@@ -149,15 +169,16 @@ def test_permute():
 
 def test_enumeration_counts_against_labeled_dedupe():
     # oracle: enumerate every labeled graph, dedupe by exhaustive
-    # minimum-mask canonicalization
-    from conftest import brute_canonical_mask
-
-    for n in range(0, 5):
+    # minimum-mask canonicalization; the representatives must hit each
+    # class exactly once
+    for n in range(0, 6):
         classes = {brute_canonical_mask(g) for g in all_labeled_graphs(n)}
-        assert len(enumerate_graphs(n)) == len(classes)
-    assert len(enumerate_graphs(3)) == 4
-    assert len(enumerate_graphs(4)) == 11
-    assert len(enumerate_graphs(1)) == 1
+        reps = [brute_canonical_mask(g) for g in enumerate_graphs(n)]
+        assert len(reps) == len(set(reps)) and set(reps) == classes
+    # A000088
+    assert [len(enumerate_graphs(n)) for n in range(0, 8)] == [
+        1, 1, 2, 4, 11, 34, 156, 1044
+    ]
 
 
 def test_enumeration_no_isomorphic_pair():
@@ -180,6 +201,8 @@ def test_enumeration_covers_random_labeled_graphs():
 def test_enumeration_cap():
     with pytest.raises(CapacityError):
         enumerate_graphs(8)
+    with pytest.raises(InputError):
+        enumerate_graphs(-1)
 
 
 # --- graph6 -----------------------------------------------------------------

@@ -136,6 +136,10 @@ def test_precondition_errors():
         verify_reduction("gi_to_lvd", 6, 1)  # sweep cap
     with pytest.raises(InputError):
         verify_reduction("nonsense", 4, 1)
+    with pytest.raises(InputError):
+        verify_reduction("gi_to_lvd", 0, 1)  # no instance below order 3
+    with pytest.raises(InputError):
+        verify_reduction("gi_to_klvd", -5, 1, 2)
 
 
 @pytest.mark.parametrize("c", [1, 2])
@@ -152,6 +156,28 @@ def test_builders_admit_exactly_the_min_order(build, k, c):
     with pytest.raises(InputError):
         build(below, below, *args)
     build(path_graph(low), path_graph(low), *args)
+
+
+@pytest.mark.parametrize("c", [1, 2])
+@pytest.mark.parametrize(
+    "kind, k",
+    [
+        ("gi_to_lvd", None),
+        ("gi_to_led", None),
+        ("gi_to_kedc", 2),
+        ("gi_to_klvd", 2),
+        ("gi_to_kled", 2),
+        ("kedc_to_kvdc", 2),
+    ],
+)
+def test_verify_reduction_refuses_below_the_min_order(kind, k, c):
+    # below the minimum order no instance exists and the sweep would pass
+    # on nothing; at it, the sweep checks at least one instance
+    low = _min_order(kind, c)
+    with pytest.raises(InputError):
+        verify_reduction(kind, low - 1, c, k)
+    report = verify_reduction(kind, low, c, k)
+    assert report.ok and report.checked > 0
 
 
 def test_small_iff_sweeps():
