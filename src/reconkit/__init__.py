@@ -21,6 +21,7 @@ from .deciders import (
     PreimageSet,
     deck_check,
     enum_preimages,
+    find_preimage,
     legit_edge,
     legit_vertex,
     subdeck_check,

@@ -15,7 +15,7 @@ from time import perf_counter
 from typing import Optional
 
 from .deck import Deck, build_deck, deck_from_text, deck_to_text, endvertex_deck
-from .deciders import enum_preimages, subdeck_check, two_lvd
+from .deciders import enum_preimages, find_preimage, subdeck_check, two_lvd
 from .deciders import deck_check as run_deck_check
 from .errors import CapacityError, InputError
 from .families import clique_union_pair, many_preimage_deck, many_preimage_graphs
@@ -141,13 +141,12 @@ def _cmd_legit(args) -> int:
         return _print_decision(args, f"2-lvd_{c}", answer, [], started)
     if deck.kind not in ("vertex", "edge"):
         raise InputError("legitimacy needs a vertex or edge deck")
-    found = enum_preimages(deck, c, args.mode)
+    witness = find_preimage(deck, c, args.mode)
     problem = f"l{deck.kind[0]}d_{c}"
     if args.mode == "sub":
         problem = f"{len(deck)}-{problem}"
-    return _print_decision(
-        args, problem, len(found) > 0, list(found.preimages), started
-    )
+    found = [] if witness is None else [witness]
+    return _print_decision(args, problem, bool(found), found, started)
 
 
 def _cmd_preimages(args) -> int:

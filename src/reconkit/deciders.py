@@ -2,8 +2,19 @@
 
 Legitimacy is decided by exhaustive preimage search seeded from the first
 card, which is complete because every preimage contains the first card as
-a card.  Deck checks and the search share one matcher, deck containment,
-which tests each deletion in three stages: the degree-class prefilter, the
+a card.  Sub-mode vertex decks with two or more card classes first pass a
+certifying front end (find_preimage), in which each answer comes with
+what checks it.  No: two cards G - S and G - T of one graph share
+G - (S | T), so every pair of card classes has isomorphic deletions of
+equal size 1..c; a pair without one refutes the deck (the test two_lvd
+makes).  Yes: the first card, glued to c new vertices through each other
+class's first c-vertex agreement, over the 2^(c*c) choices of edges the
+two cards cannot see, is a preimage once subdeck_check accepts it.  The
+front end needs no attachment-pattern cap, so it also answers decks past
+the search's; what it leaves open goes to the search.
+
+Deck checks and the search share one matcher, deck containment, which
+tests each deletion in three stages: the degree-class prefilter, the
 component-size profile, then exact certificates.  Pure mode (deck
 equality) is containment of a full-size deck: a multiset of C(n, c) cards
 (C(m, c) for edge decks) lies in the deck exactly when it equals it, so
@@ -29,16 +40,17 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 from typing import Callable, Iterator, Optional, Sequence
 
-from .canon import certificate_rows
-from .deck import Deck, check_deletion_sets
+from .canon import certificate_rows, find_isomorphism
+from .deck import DELETION_SETS_CAP, Deck, check_deletion_sets
 from .errors import CapacityError, InputError
 from .graph import (
     Graph,
     component_masks,
+    delete_vertices,
     extend_rows,
     iter_bits,
     rows_edges,
@@ -268,6 +280,7 @@ def _keyer(s: _Shape, kind: str, c: int) -> Callable[[tuple], int]:
 
 @dataclass
 class _CardClass:
+    card: Graph
     cert: bytes
     key: int
     degseq: tuple[int, ...]
@@ -297,6 +310,7 @@ class _DeckTargets:
             degs = card.degrees()
             self.classes.append(
                 _CardClass(
+                    card,
                     cert,
                     sum(1 << _FIELD * r for r in degs),
                     tuple(sorted(degs)),
@@ -477,16 +491,40 @@ def _kelly_added_edges(d: Deck, c: int, n: int) -> Optional[int]:
     return total // per_edge - d.cards[0].m
 
 
-def _search_preimages(d: Deck, c: int, mode: str) -> Iterator[tuple[bytes, _Shape]]:
-    """Each preimage class of d once, as (certificate, shape), lazily: the
-    deck is validated and the caps are checked at the first step."""
+def _full_size(t: _DeckTargets, c: int) -> int:
+    """Cards in the full c-deck of a graph with t's cards."""
+    return comb((t.order if t.kind == "vertex" else t.edges) + c, c)
+
+
+def _targets(d: Deck, c: int, mode: str) -> Optional[_DeckTargets]:
+    """The validated targets of a preimage search of d, or None when the
+    cards' shapes are mixed, so that no graph has them."""
     if mode not in ("pure", "sub"):
         raise InputError(f"mode must be pure or sub, got {mode!r}")
     if len(d) == 0:
         raise InputError("preimage search needs a nonempty deck")
     t = _DeckTargets(d, c)
     if t.order is None or (t.kind == "edge" and t.edges is None):
-        return  # mixed card shapes never form or fit a deck
+        return None  # mixed card shapes never form or fit a deck
+    if mode == "sub" and len(d) > _full_size(t, c):
+        raise InputError(
+            f"{len(d)} cards cannot be contained in a {_full_size(t, c)}-card deck"
+        )
+    return t
+
+
+def _search_preimages(d: Deck, c: int, mode: str) -> Iterator[tuple[bytes, _Shape]]:
+    """Each preimage class of d once, as (certificate, shape), lazily: the
+    deck is validated and the caps are checked at the first step."""
+    t = _targets(d, c, mode)
+    if t is not None:
+        yield from _search(d, t, c, mode)
+
+
+def _search(
+    d: Deck, t: _DeckTargets, c: int, mode: str
+) -> Iterator[tuple[bytes, _Shape]]:
+    """_search_preimages on validated targets."""
     n0 = t.order
     base = d.cards[0]
     size = None
@@ -496,7 +534,6 @@ def _search_preimages(d: Deck, c: int, mode: str) -> Iterator[tuple[bytes, _Shap
             raise CapacityError(
                 f"2^{bits} attachment patterns exceed the 2^{VERTEX_SEARCH_BITS_CAP} cap"
             )
-        full_size = comb(n0 + c, c)
     else:
         added = comb(len(_non_edges(n0, base.rows)), c)
         if added > EDGE_SEARCH_CANDIDATES_CAP:
@@ -504,11 +541,7 @@ def _search_preimages(d: Deck, c: int, mode: str) -> Iterator[tuple[bytes, _Shap
                 f"{added} edge-addition candidates exceed "
                 f"the {EDGE_SEARCH_CANDIDATES_CAP} cap"
             )
-        full_size = comb(base.m + c, c)
-    if mode == "sub" and len(d) > full_size:
-        raise InputError(
-            f"{len(d)} cards cannot be contained in a {full_size}-card deck"
-        )
+    full_size = _full_size(t, c)
     if mode == "pure":
         if len(d) != full_size:
             return
@@ -535,18 +568,133 @@ def enum_preimages(d: Deck, c: int, mode: str) -> PreimageSet:
     )
 
 
+# --- certifying front end ---------------------------------------------------
+
+
+class _Deletions:
+    """A card's deletions of `size` vertices, one per twin-class profile
+    (twins are swapped by an automorphism), indexed by packed degree
+    histogram; certificates are computed on a key hit and kept."""
+
+    def __init__(self, card: Graph):
+        self.card = card
+        self.shape = _shape(card.n, card.rows)
+        self.by_size: dict[int, dict[int, list[tuple[int, ...]]]] = {}
+        self.certs: dict[tuple[int, ...], bytes] = {}
+
+    def keyed(self, size: int) -> dict[int, list[tuple[int, ...]]]:
+        table = self.by_size.get(size)
+        if table is None:
+            table = self.by_size[size] = {}
+            s = self.shape
+            for mask in twin_patterns(s.n, s.rows, size):
+                drop = tuple(iter_bits(mask))
+                table.setdefault(_key_without_vertices(s, drop), []).append(drop)
+        return table
+
+    def cert(self, drop: tuple[int, ...]) -> bytes:
+        cert = self.certs.get(drop)
+        if cert is None:
+            s = self.shape
+            cert = certificate_rows(s.n - len(drop), _delete_vertices_rows(s.rows, drop))
+            self.certs[drop] = cert
+        return cert
+
+
+def _agreement(
+    a: _Deletions, b: _Deletions, size: int
+) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The first (X, Y) with |X| = |Y| = size and a - X isomorphic to b - Y."""
+    keys_a = a.keyed(size)
+    for key, drops_b in b.keyed(size).items():
+        drops_a = keys_a.get(key)
+        if drops_a is None:
+            continue
+        certs: dict[bytes, tuple[int, ...]] = {}
+        for x in drops_a:
+            certs.setdefault(a.cert(x), x)
+        for y in drops_b:
+            x = certs.get(b.cert(y))
+            if x is not None:
+                return x, y
+    return None
+
+
+def _glued(
+    a: Graph, x: tuple[int, ...], b: Graph, y: tuple[int, ...]
+) -> Iterator[Graph]:
+    """Card a plus new vertices w_i standing for y_i: each w_i is joined to
+    a - x as y_i is to b - y, through an isomorphism b - y -> a - x, and to
+    the other w's as y_i is to y.  One graph per choice of edges between
+    the w's and x; each has a (delete the w's) and b (delete x) as cards."""
+    n, c = a.n, len(y)
+    phi = find_isomorphism(delete_vertices(b, y), delete_vertices(a, x))
+    keep_a = [v for v in range(n) if v not in x]
+    keep_b = [v for v in range(n) if v not in y]
+    to_a = {v: keep_a[phi[i]] for i, v in enumerate(keep_b)}
+    to_a.update((v, n + i) for i, v in enumerate(y))
+    glue = list(a.edges) + [
+        (to_a[u], to_a[v]) for u, v in b.edges if u in y or v in y
+    ]
+    pairs = list(product(range(n, n + c), x))
+    for choice in range(1 << len(pairs)):
+        yield Graph(
+            n + c, glue + [pair for i, pair in enumerate(pairs) if choice >> i & 1]
+        )
+
+
+def find_preimage(d: Deck, c: int, mode: str) -> Optional[Graph]:
+    """One preimage of d (pure: deck equality; sub: containment), or None
+    when no graph has d.
+
+    Sub-mode vertex decks with two or more card classes first pass a
+    certifying front end.  Two cards G - S and G - T of one graph share
+    G - (S | T), so some equal-size deletions (1..c vertices) of any two
+    card classes agree; when a pair has none, the answer is no.  Otherwise
+    the first card is glued to each other class's first c-vertex
+    agreement, and a glued graph that subdeck_check accepts is returned.
+    Only then does the exhaustive search decide, under its caps.
+    """
+    t = _targets(d, c, mode)
+    if t is None:
+        return None
+    if t.kind == "vertex" and mode == "sub" and len(t.classes) > 1:
+        n0 = t.order
+        sizes = range(1, min(c, n0) + 1)
+        check_deletion_sets(sum(comb(n0, size) for size in sizes))
+        views = [_Deletions(cls.card) for cls in t.classes]
+        for a, b in combinations(views, 2):
+            if not any(_agreement(a, b, size) for size in sizes):
+                return None
+        # the glued candidates' deck walks, within the deletion-set cap
+        glued_walk = (len(views) - 1) * 2 ** (c * c) * comb(n0 + c, c)
+        if c <= n0 and glued_walk <= DELETION_SETS_CAP:
+            for b in views[1:]:
+                # an agreement at size s < c grows to size c, one vertex
+                # and its image at a time, so the pair test ensures one
+                x, y = _agreement(views[0], b, c)
+                for g in _glued(views[0].card, x, b.card, y):
+                    if subdeck_check(g, d, c):
+                        return g
+    found = next(_search(d, t, c, mode), None)
+    if found is None:
+        return None
+    s = found[1]
+    return Graph(s.n, rows_edges(s.n, s.rows))
+
+
 def legit_vertex(d: Deck, c: int, mode: str) -> bool:
     """LVD_c (pure) / k-LVD_c (sub)."""
     if d.kind != "vertex":
         raise InputError(f"legit_vertex needs a vertex deck, got {d.kind!r}")
-    return next(_search_preimages(d, c, mode), None) is not None
+    return find_preimage(d, c, mode) is not None
 
 
 def legit_edge(d: Deck, c: int, mode: str) -> bool:
     """LED_c (pure) / k-LED_c (sub), via c-edge additions to the first card."""
     if d.kind != "edge":
         raise InputError(f"legit_edge needs an edge deck, got {d.kind!r}")
-    return next(_search_preimages(d, c, mode), None) is not None
+    return find_preimage(d, c, mode) is not None
 
 
 def two_lvd(g1: Graph, g2: Graph, c: int) -> bool:
@@ -556,18 +704,7 @@ def two_lvd(g1: Graph, g2: Graph, c: int) -> bool:
         raise InputError(f"orders differ: {g1.n} vs {g2.n}")
     if c < 1:
         raise InputError(f"deletion count must be >= 1, got {c}")
-    n = g1.n
-    sizes = range(1, min(c, n) + 1)
-    check_deletion_sets(sum(comb(n, size) for size in sizes))
-    for size in sizes:
-        seen = {
-            certificate_rows(n - size, _delete_vertices_rows(g1.rows, s))
-            for s in combinations(range(n), size)
-        }
-        for s in combinations(range(n), size):
-            if (
-                certificate_rows(n - size, _delete_vertices_rows(g2.rows, s))
-                in seen
-            ):
-                return True
-    return False
+    sizes = range(1, min(c, g1.n) + 1)
+    check_deletion_sets(sum(comb(g1.n, size) for size in sizes))
+    a, b = _Deletions(g1), _Deletions(g2)
+    return any(_agreement(a, b, size) for size in sizes)

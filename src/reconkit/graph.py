@@ -149,10 +149,27 @@ def twin_patterns(n: int, rows: Sequence[int], size: Optional[int]) -> Iterator[
         for v in twins:
             masks.append(masks[-1] | 1 << v)
         prefixes.append(masks)
-    patterns = map(sum, product(*prefixes))  # classes are disjoint: sum is or
     if size is None:
-        return patterns
-    return (mask for mask in patterns if mask.bit_count() == size)
+        return map(sum, product(*prefixes))  # classes are disjoint: sum is or
+    return _sized_patterns(prefixes, size)
+
+
+def _sized_patterns(prefixes: list[list[int]], size: int) -> Iterator[int]:
+    """The patterns of product(*prefixes) with `size` vertices, in product
+    order, visiting only count profiles that can still reach `size`."""
+    room = [0] * (len(prefixes) + 1)  # room[i]: vertices in classes i, i+1, ...
+    for i in reversed(range(len(prefixes))):
+        room[i] = room[i + 1] + len(prefixes[i]) - 1
+
+    def fill(i: int, left: int) -> Iterator[int]:
+        if i == len(prefixes):
+            yield 0
+            return
+        for k in range(max(0, left - room[i + 1]), min(left, len(prefixes[i]) - 1) + 1):
+            for rest in fill(i + 1, left - k):
+                yield prefixes[i][k] | rest
+
+    return fill(0, size) if 0 <= size <= room[0] else iter(())
 
 
 # ---------------------------------------------------------------------------

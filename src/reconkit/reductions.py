@@ -21,8 +21,8 @@ from typing import Optional
 
 from .canon import are_isomorphic, certificate
 from .deck import Deck, build_deck
-from .deciders import legit_edge, legit_vertex, subdeck_check, two_lvd
-from .errors import CapacityError, InputError
+from .deciders import legit_edge, legit_vertex, subdeck_check
+from .errors import InputError
 from .graph import (
     Graph,
     complete_graph,
@@ -218,7 +218,6 @@ class ReductionReport:
     n_max: int
     checked: int
     violations: tuple[str, ...] = field(default=())
-    skipped: tuple[str, ...] = field(default=())
 
     @property
     def ok(self) -> bool:
@@ -237,7 +236,7 @@ def verify_reduction(
 ) -> ReductionReport:
     """Sweep every admissible instance family up to n_max and check that
     the target decision equals are_isomorphic; violations are reported,
-    capacity-limited cells are listed as skipped."""
+    and a capacity refusal propagates."""
     if kind not in REDUCTION_KINDS:
         raise InputError(f"unknown reduction kind {kind!r}")
     if n_max > 5:
@@ -254,7 +253,7 @@ def verify_reduction(
         raise InputError(f"{kind} requires k")
     use_k = k if needs_k else None
 
-    def decide(g: Graph, h: Graph) -> Optional[bool]:
+    def decide(g: Graph, h: Graph) -> bool:
         if kind == "gi_to_lvd":
             return legit_vertex(gi_to_lvd(g, h, c), c, "pure")
         if kind == "gi_to_led":
@@ -264,25 +263,14 @@ def verify_reduction(
             return subdeck_check(graph, deck, c)
         if kind == "gi_to_kled":
             return legit_edge(gi_to_kled(g, h, c, use_k), c, "sub")
-        deck = gi_to_klvd(g, h, c, use_k)
-        try:
-            return legit_vertex(deck, c, "sub")
-        except CapacityError:
-            if use_k == 2:
-                return two_lvd(deck.cards[0], deck.cards[1], c)
-            return None  # over capacity, no polynomial oracle for k > 2
+        return legit_vertex(gi_to_klvd(g, h, c, use_k), c, "sub")
 
     violations: list[str] = []
-    skipped: list[str] = []
     checked = 0
     for n in range(_min_order(kind, c), n_max + 1):
         conn = _connected_upto(n)
-        cell_skipped = False
         for g, h in product(conn, conn):
             got = decide(g, h)
-            if got is None:
-                cell_skipped = True
-                continue
             checked += 1
             want = are_isomorphic(g, h)
             if got != want:
@@ -290,13 +278,7 @@ def verify_reduction(
                     f"n={n} g={graph6_encode(g)} h={graph6_encode(h)} "
                     f"expected={want} got={got}"
                 )
-        if cell_skipped:
-            skipped.append(
-                f"n={n} c={c} k={use_k}: preimage search over capacity"
-            )
-    return ReductionReport(
-        kind, c, use_k, n_max, checked, tuple(violations), tuple(skipped)
-    )
+    return ReductionReport(kind, c, use_k, n_max, checked, tuple(violations))
 
 
 def _verify_transfer(n_max: int, c: int, k: int) -> ReductionReport:
@@ -340,4 +322,4 @@ def _verify_transfer(n_max: int, c: int, k: int) -> ReductionReport:
             for chosen in combinations_with_replacement(pool, k):
                 instances.append((g, Deck("edge", chosen)))
     violations = tuple(v for v in starmap(check, instances) if v is not None)
-    return ReductionReport("kedc_to_kvdc", c, k, n_max, len(instances), violations, ())
+    return ReductionReport("kedc_to_kvdc", c, k, n_max, len(instances), violations)

@@ -7,7 +7,8 @@ import pytest
 
 from reconkit.canon import certificate
 from reconkit.cli import main
-from reconkit.deck import deck_from_text
+from reconkit.deciders import subdeck_check
+from reconkit.deck import Deck, deck_from_text
 from reconkit.graph import (
     complete_graph,
     empty_graph,
@@ -55,6 +56,30 @@ def test_legit_yes_with_preimage_witness(capsys, monkeypatch):
     assert certificate(graph6_decode(payload["witness"][0])) == certificate(
         complete_graph(3)
     )
+
+
+def test_legit_prints_one_witness_without_enumerating(capsys, monkeypatch):
+    # the one-card deck CT with c = 3 has many preimages; legit stops at the
+    # first one the search finds (`preimages` is the command that lists all)
+    import reconkit.deciders as deciders
+
+    matched = []
+    real = deciders._sub_match
+
+    def spy(s, t):
+        matched.append(s.n)
+        return real(s, t)
+
+    monkeypatch.setattr(deciders, "_sub_match", spy)
+    code, out, _ = run_cli(
+        capsys, ["legit", "--mode", "sub", "--c", "3", "-"],
+        stdin="CT\n", monkeypatch=monkeypatch,
+    )
+    lines = out.split()
+    assert code == 0 and lines[0] == "yes" and len(lines) == 2
+    assert matched == [7]  # one candidate, not the 2^15 attachment patterns
+    witness = graph6_decode(lines[1])
+    assert subdeck_check(witness, Deck("vertex", [graph6_decode("CT")]), 3)
 
 
 def test_legit_no_exit_code(capsys, monkeypatch):

@@ -3,6 +3,9 @@ from itertools import combinations
 
 import pytest
 
+import preimage_oracle as oracle
+
+import reconkit.deciders as deciders
 from reconkit.canon import are_isomorphic, certificate
 from reconkit.deck import (
     DELETION_SETS_CAP,
@@ -14,6 +17,7 @@ from reconkit.deck import (
 from reconkit.deciders import (
     deck_check,
     enum_preimages,
+    find_preimage,
     legit_edge,
     legit_vertex,
     subdeck_check,
@@ -32,7 +36,9 @@ from reconkit.graph import (
 K2 = complete_graph(2)
 K3 = complete_graph(3)
 P3 = path_graph(3)
-K2K1 = union([K2, empty_graph(1)])
+K1 = empty_graph(1)
+K2K1 = union([K2, K1])
+STAR = Graph(4, [(0, 1), (0, 2), (0, 3)])
 
 
 def test_deck_check_examples():
@@ -211,13 +217,17 @@ def test_two_lvd_examples():
         two_lvd(K3, K2, 1)
 
 
+# two_lvd is checked against the exhaustive search of the oracle, not
+# against legit_vertex, whose "no" on two card classes is the same pair test
+
+
 def test_two_lvd_agrees_with_search():
     for n in (3, 4):
         catalog = enumerate_graphs(n)
         for g1 in catalog:
             for g2 in catalog:
                 for c in (1, 2):
-                    assert two_lvd(g1, g2, c) == legit_vertex(
+                    assert two_lvd(g1, g2, c) == oracle.legit(
                         Deck("vertex", [g1, g2]), c, "sub"
                     )
 
@@ -228,9 +238,79 @@ def test_two_lvd_agrees_with_search_order5_sample():
     for _ in range(25):
         g1, g2 = rng.choice(catalog), rng.choice(catalog)
         for c in (1, 2):
-            assert two_lvd(g1, g2, c) == legit_vertex(
+            assert two_lvd(g1, g2, c) == oracle.legit(
                 Deck("vertex", [g1, g2]), c, "sub"
             )
+
+
+def test_front_end_refutes_on_a_later_card_pair(monkeypatch):
+    # card 0, K2 + E2, shares a card with K1,3 and with K3 + K1, which share
+    # none with each other: only that later pair refutes the deck, and it
+    # must do so before the exhaustive search
+    deck = Deck(
+        "vertex",
+        [
+            Graph(4, [(2, 3)]),
+            Graph(4, [(0, 3), (1, 3), (2, 3)]),
+            Graph(4, [(1, 2), (1, 3), (2, 3)]),
+        ],
+    )
+    first, star, triangle = deck.cards
+    assert first.m == 1
+    assert two_lvd(first, star, 1) and two_lvd(first, triangle, 1)
+    assert not two_lvd(star, triangle, 1)
+
+    def fail(d, t, c, mode):
+        raise AssertionError("exhaustive search entered")
+
+    monkeypatch.setattr(deciders, "_search", fail)
+    assert not legit_vertex(deck, 1, "sub")
+    assert find_preimage(deck, 1, "sub") is None
+
+
+def test_front_end_witnesses_pass_subdeck_check():
+    # E4, K2 + E2 and K1,3 share a card pairwise, so the pair test passes,
+    # but no 5-vertex graph has all three (E4 makes it a star plus isolated
+    # vertices, K1,3 makes it K1,4): every glued candidate must fail
+    # subdeck_check and the search must answer no
+    deck = Deck("vertex", [empty_graph(4), union([K2, empty_graph(2)]), STAR])
+    assert not oracle.legit(deck, 1, "sub")
+    assert not legit_vertex(deck, 1, "sub")
+    # two cards with a common preimage: a glued candidate has both
+    pair = Deck("vertex", [empty_graph(4), union([P3, K1])])
+    witness = find_preimage(pair, 1, "sub")
+    assert witness is not None and subdeck_check(witness, pair, 1)
+
+
+def test_front_end_answers_some_decks_past_the_search_cap(monkeypatch):
+    # order-25 cards: 2^25 attachment patterns, past the 2^24 search cap
+    e25, p3 = empty_graph(25), union([P3, empty_graph(22)])
+    checked = []
+    real = deciders.subdeck_check
+
+    def spy(g, cards, c):
+        checked.append(real(g, cards, c))
+        return checked[-1]
+
+    monkeypatch.setattr(deciders, "subdeck_check", spy)
+    # E25 - x and K25 - y are never isomorphic: refuted
+    assert not legit_vertex(Deck("vertex", [e25, complete_graph(25)]), 1, "sub")
+    assert checked == []
+    # P3 + E23 has both as cards: confirmed by a glued witness that passed
+    # subdeck_check
+    assert legit_vertex(Deck("vertex", [e25, p3]), 1, "sub")
+    assert checked and checked[-1] is True
+    # E4, K2 + E2 and K1,3 padded to order 25: pairwise agreeing, no
+    # glued witness, so left to the search, which refuses
+
+    def padded(order):
+        parts = (empty_graph(0), K2, STAR)
+        return Deck("vertex", [union([p, empty_graph(order - p.n)]) for p in parts])
+
+    with pytest.raises(CapacityError):
+        legit_vertex(padded(25), 1, "sub")
+    # at order 24 the search answers: no preimage
+    assert not legit_vertex(padded(24), 1, "sub")
 
 
 def test_deck_check_self_consistency():

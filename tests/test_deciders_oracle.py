@@ -6,7 +6,7 @@ list of every preimage set.
 """
 
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -21,6 +21,7 @@ from reconkit.deciders import (
     legit_edge,
     legit_vertex,
     subdeck_check,
+    two_lvd,
 )
 from reconkit.families import many_preimage_deck
 from reconkit.graph import Graph, enumerate_graphs, is_connected
@@ -145,6 +146,31 @@ def test_vertex_c2_and_c3_subdecks():
             for p in _agree(sub, c, "sub"):
                 _agree_checks(p, sub, c)
                 _agree_checks(p, full, c)
+
+
+def test_mixed_decks_from_different_graphs():
+    # random subdecks come from one graph's deck, so every card pair agrees
+    # one deletion further; these take 2 or 3 cards of different graphs, so
+    # the front end refutes some, confirms some and leaves some to the search
+    rng = random.Random(46)
+    seen = {"refutable": 0, "pairwise, no preimage": 0, "legitimate": 0}
+    for c in (1, 2):
+        for k in (2, 3):
+            for _ in range(60):
+                graphs = rng.sample(enumerate_graphs(rng.choice((4, 5, 6))), k)
+                deck = Deck(
+                    "vertex", [rng.choice(build_deck(g, "vertex", c).cards) for g in graphs]
+                )
+                want = oracle.legit(deck, c, "sub")
+                assert legit_vertex(deck, c, "sub") == want
+                classes = {certificate(card): card for card in deck.cards}.values()
+                if want:
+                    seen["legitimate"] += 1
+                elif all(two_lvd(a, b, c) for a, b in combinations(classes, 2)):
+                    seen["pairwise, no preimage"] += 1
+                else:
+                    seen["refutable"] += 1
+    assert min(seen.values()) >= 5, seen
 
 
 def test_prefilter_certificate_calls_do_not_grow(monkeypatch):
