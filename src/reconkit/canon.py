@@ -4,7 +4,12 @@ certificate(g) is a relabeling-invariant encoding with the defining
 property certificate(g) == certificate(h) iff g and h are isomorphic.
 Concretely it is the graph6 line of a canonical representative, found by
 individualization-refinement search with pruning by discovered
-automorphisms, assembled component by component.
+automorphisms, assembled component by component. A leaf whose code
+equals the first or the best leaf's code gives an automorphism, and the
+search jumps back to where the two leaves' paths part instead of
+walking the equivalent subtree: stars, complete bipartite graphs and
+the line and rook graphs the tests pin take at most n leaves in every
+labeling tried.
 """
 
 from __future__ import annotations
@@ -78,17 +83,24 @@ def _relabel_code(n: int, rows: Sequence[int], lab: Sequence[int]) -> tuple[int,
 class _Search:
     """Minimum-code canonical labeling by individualization-refinement.
 
-    Equal-code leaves yield automorphisms; at each tree node, siblings in
-    the same orbit under the already-discovered automorphisms that fix the
+    Each leaf's code is compared with the first leaf's and with the best
+    leaf's. An equal code gives an automorphism that maps this leaf's
+    path (the individualized vertices) onto the other leaf's path. It
+    fixes their common prefix of length k pointwise and sends this path's
+    level-k vertex to the other path's, whose subtree was explored
+    earlier, so the rest of the current level-k subtree holds only codes
+    already seen: the search jumps back to depth k and goes on with the
+    next sibling there (McKay 1981). At each tree node, siblings in the
+    same orbit under the discovered automorphisms that fix the
     individualized prefix pointwise are skipped.
     """
 
     def __init__(self, n: int, rows: Sequence[int]):
         self.n = n
         self.rows = rows
-        self.best_code: Optional[tuple[int, ...]] = None
+        self.first: Optional[tuple] = None  # (code, inverse labeling, path)
+        self.best: Optional[tuple] = None
         self.best_lab: Optional[list[int]] = None
-        self.best_inv: Optional[list[int]] = None
         self.gens: list[tuple[int, ...]] = []
 
     def run(self) -> tuple[int, ...]:
@@ -102,15 +114,16 @@ class _Search:
         assert self.best_lab is not None
         return tuple(self.best_lab)
 
-    def _descend(self, cells: list[list[int]], prefix: tuple[int, ...]) -> None:
+    def _descend(self, cells: list[list[int]], prefix: tuple[int, ...]) -> int:
+        """Search below the node `prefix`; return the depth to resume at."""
+        depth = len(prefix)
         target = None
         for i, cell in enumerate(cells):
             if len(cell) > 1:
                 target = i
                 break
         if target is None:
-            self._leaf(cells)
-            return
+            return self._leaf(cells, prefix)
         cell = cells[target]
         explored: list[int] = []
         find = None
@@ -127,27 +140,38 @@ class _Search:
                 + [[v], [u for u in cell if u != v]]
                 + cells[target + 1:]
             )
-            self._descend(_refine(self.n, self.rows, child), prefix + (v,))
+            resume = self._descend(_refine(self.n, self.rows, child), prefix + (v,))
+            if resume < depth:
+                return resume
             explored.append(v)
+        return depth - 1
 
-    def _leaf(self, cells: list[list[int]]) -> None:
+    def _leaf(self, cells: list[list[int]], path: tuple[int, ...]) -> int:
         n = self.n
         lab = [0] * n
         for i, cell in enumerate(cells):
             lab[cell[0]] = i
         code = _relabel_code(n, self.rows, lab)
-        if self.best_code is None or code < self.best_code:
-            self.best_code = code
-            self.best_lab = lab
+        for other in (self.first, self.best):
+            if other is not None and code == other[0]:
+                _, inv, other_path = other
+                perm = tuple(inv[lab[v]] for v in range(n))
+                if perm not in self.gens:
+                    self.gens.append(perm)
+                # perm fixes path[:k] and maps path[k] onto other_path[k]
+                k = 0
+                while path[k] == other_path[k]:
+                    k += 1
+                return k
+        if self.best is None or code < self.best[0]:
             inv = [0] * n
             for v in range(n):
                 inv[lab[v]] = v
-            self.best_inv = inv
-        elif code == self.best_code:
-            inv = self.best_inv
-            perm = tuple(inv[lab[v]] for v in range(n))
-            if any(perm[v] != v for v in range(n)) and perm not in self.gens:
-                self.gens.append(perm)
+            self.best = (code, inv, path)
+            self.best_lab = lab
+            if self.first is None:
+                self.first = self.best
+        return len(path) - 1
 
     def _orbit_find(self, prefix: tuple[int, ...]):
         fixing = [

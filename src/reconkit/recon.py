@@ -65,11 +65,12 @@ def _check_caps(g: Graph, kind: str) -> None:
 def _universe_is_singleton(g: Graph, kind: str) -> bool:
     # Empty collections identify only in a one-class universe: all graphs
     # of the order (vertex kind), or all graphs of the order and edge
-    # count (edge kind, singleton exactly at 0, 1, max-1, and max edges).
+    # count (edge kind, singleton exactly at 1, max-1 and max edges; an
+    # edgeless graph has no edge deck, and build_deck refuses it first).
     if kind == "vertex":
         return g.n <= 1
     full = comb(g.n, 2)
-    return g.m in {0, 1, full - 1, full}
+    return g.m in {1, full - 1, full}
 
 
 def identifies(g: Graph, s: Deck, kind: str) -> bool:

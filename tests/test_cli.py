@@ -14,6 +14,7 @@ from reconkit.graph import (
     empty_graph,
     graph6_decode,
     graph6_encode,
+    join,
     path_graph,
     union,
 )
@@ -101,6 +102,40 @@ def test_legit_two_card(capsys, monkeypatch):
     assert json.loads(out)["problem"] == "2-lvd_1"
 
 
+def test_two_card_star_deck_is_refused_after_cheap_certificates(
+    capsys, monkeypatch, tmp_path
+):
+    # reading the deck certifies P40 and K1,39, whose 39 leaves are twins;
+    # each search stays within its order, and then the deletion-set cap
+    # refuses the sum of C(40, s) for s = 1..20 before any walk
+    import reconkit.canon as canon
+
+    searches = []
+    run, leaf = canon._Search.run, canon._Search._leaf
+
+    def counting_run(self):
+        searches.append(0)
+        return run(self)
+
+    def counting_leaf(self, *args):
+        searches[-1] += 1
+        return leaf(self, *args)
+
+    monkeypatch.setattr(canon._Search, "run", counting_run)
+    monkeypatch.setattr(canon._Search, "_leaf", counting_leaf)
+    star = join([empty_graph(1), empty_graph(39)])
+    deck = tmp_path / "star.deck"
+    deck.write_text(
+        f"# kind=vertex c=20\n{graph6_encode(path_graph(40))}\n{graph6_encode(star)}\n"
+    )
+    canon.clear_certificate_cache()
+    code, out, err = run_cli(capsys, ["legit", "--two-card", str(deck)])
+    assert code == 3 and out == ""
+    assert err == "capacity error: 618679078297 deletion sets exceed the 100000 cap\n"
+    assert searches and max(searches) <= 40
+    assert sum(searches) <= 2 * 40
+
+
 # (deck file, extra flags, expected problem string): pure and sub mode
 # over vertex and edge decks, c = 1 and c = 2
 LEGIT_PROBLEMS = [
@@ -184,6 +219,16 @@ def test_rn_threshold_exit_codes(capsys, monkeypatch):
         stdin=g6 + "\n", monkeypatch=monkeypatch,
     )
     assert code == 1
+
+
+@pytest.mark.parametrize("quantifier", ["exists", "forall"])
+def test_rn_edge_kind_refuses_an_edgeless_graph(capsys, monkeypatch, quantifier):
+    code, out, err = run_cli(
+        capsys, ["rn", "--kind", "edge", "--quantifier", quantifier, "-"],
+        stdin="D??\n", monkeypatch=monkeypatch,
+    )
+    assert code == 2 and out == ""
+    assert "cannot delete 1 edges from 0 edges" in err
 
 
 def test_reduce_roundtrip(capsys, monkeypatch, tmp_path):

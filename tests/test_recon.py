@@ -56,6 +56,16 @@ def test_identifies_empty_subdeck():
     )
 
 
+@pytest.mark.parametrize("quantifier", ["exists", "forall"])
+def test_edgeless_graph_has_no_edge_deck(quantifier):
+    # build_deck refuses before any subdeck is looked at, so an edgeless
+    # graph never reaches the empty-subdeck rule
+    with pytest.raises(InputError, match="cannot delete 1 edges from 0 edges"):
+        recon_number(empty_graph(5), "edge", quantifier)
+    with pytest.raises(InputError, match="cannot delete 1 edges from 0 edges"):
+        identifies(empty_graph(5), Deck("edge", []), "edge")
+
+
 def test_recon_number_values():
     rn = recon_number(K3K1, "vertex", "exists")
     assert rn.value == 3
