@@ -33,6 +33,12 @@ rows are built only when a key hits a target card class.
 Pure vertex decks use Kelly's lemma: each edge of a preimage survives in
 C(n-2, c) of its cards, so the cards' edge counts fix |E(G)| and only
 extension patterns adding |E(G)| - |E(card_0)| edges are tried.
+
+Reconstruction numbers test many subdecks of one deck.  profile_identifies
+walks the one-vertex (one-edge) extensions of each card class once and
+reduces each extension to its coverage: per card class, how many of its
+cards fall in the class, up to the deck's count.  One walk serves every
+subdeck tested whose first card is of that class.
 """
 
 from __future__ import annotations
@@ -281,7 +287,6 @@ def _keyer(s: _Shape, kind: str, c: int) -> Callable[[tuple], int]:
 @dataclass
 class _CardClass:
     card: Graph
-    cert: bytes
     key: int
     degseq: tuple[int, ...]
     edges: int
@@ -301,17 +306,16 @@ class _DeckTargets:
         self.order = d.uniform_order()  # None when empty or mixed
         self.edges = d.uniform_edges()
         self.classes: list[_CardClass] = []
-        seen: dict[bytes, int] = {}
+        self.index: dict[bytes, int] = {}  # certificate -> class
         for cert, card in zip(d.certs, d.cards):
-            if cert in seen:
-                self.classes[seen[cert]].mult += 1
+            if cert in self.index:
+                self.classes[self.index[cert]].mult += 1
                 continue
-            seen[cert] = len(self.classes)
+            self.index[cert] = len(self.classes)
             degs = card.degrees()
             self.classes.append(
                 _CardClass(
                     card,
-                    cert,
                     sum(1 << _FIELD * r for r in degs),
                     tuple(sorted(degs)),
                     card.m,
@@ -382,25 +386,55 @@ def _sub_match(s: _Shape, t: _DeckTargets) -> bool:
     for drop in combinations(space, c):
         remaining -= 1
         hit = t.by_key.get(keyed(drop))
-        if hit:
-            cert = None
-            for idx in hit:
-                if not needed[idx]:
-                    continue
-                if cert is None:
-                    sub = card_rows(s.rows, drop)
-                    if _component_sizes(len(sub), sub) not in t.comp_whitelist:
-                        break
-                    cert = certificate_rows(len(sub), sub)
-                if cert == t.classes[idx].cert:
-                    needed[idx] -= 1
-                    total -= 1
-                    if not total:
-                        return True
-                    break
+        if hit and any(needed[idx] for idx in hit):
+            idx = t.index.get(_staged_cert(t, card_rows(s.rows, drop)))
+            if idx is not None and needed[idx]:
+                needed[idx] -= 1
+                total -= 1
+                if not total:
+                    return True
         if remaining < total:
             return False
     return False
+
+
+def _staged_cert(t: _DeckTargets, rows: list[int]) -> Optional[bytes]:
+    """The certificate of a deletion whose key hit a card class of t, or
+    None when its component sizes already rule out every card of t."""
+    if _component_sizes(len(rows), rows) not in t.comp_whitelist:
+        return None
+    return certificate_rows(len(rows), rows)
+
+
+def _coverage(s: _Shape, t: _DeckTargets, skip: int | tuple[int, int]) -> list[int]:
+    """Per card class of t, the single deletions of s whose card is in the
+    class, capped at its multiplicity.  The deletion `skip` (a vertex or an
+    edge) is known to give t's first class and is counted uncertified."""
+    mults = [cls.mult for cls in t.classes]
+    cov = [1] + [0] * (len(mults) - 1)
+    left = t.count - 1  # room under the caps
+    if not left:
+        return cov
+    if t.kind == "vertex":
+        eligible = 0  # a card's edge count forces the deleted vertex's degree
+        for edges in t.need_by_edges:
+            eligible |= s.degree_class(s.m - edges)
+        space = [(v,) for v in iter_bits(eligible & ~(1 << skip))]
+        card_rows = _delete_vertices_rows
+    else:
+        space = [(e,) for e in rows_edges(s.n, s.rows) if e != skip]
+        card_rows = _delete_edges_rows
+    keyed = _keyer(s, t.kind, 1)
+    for drop in space:
+        hit = t.by_key.get(keyed(drop))
+        if hit and any(cov[j] < mults[j] for j in hit):
+            j = t.index.get(_staged_cert(t, card_rows(s.rows, drop)))
+            if j is not None and cov[j] < mults[j]:
+                cov[j] += 1
+                left -= 1
+                if not left:
+                    break
+    return cov
 
 
 # ---------------------------------------------------------------------------
@@ -566,6 +600,86 @@ def enum_preimages(d: Deck, c: int, mode: str) -> PreimageSet:
     return PreimageSet(
         tuple(Graph(s.n, rows_edges(s.n, s.rows)) for _, s in found), mode
     )
+
+
+# --- identifying subdecks ----------------------------------------------------
+
+
+def _covers(v: Sequence[int], a: Sequence[int]) -> bool:
+    return all(x >= y for x, y in zip(v, a))
+
+
+class _Blockers:
+    """The graphs that keep subdecks of g's 1-deletion deck d from
+    identifying g, found lazily, one walk per card class.
+
+    A subdeck is a count profile a over d's card classes (certificate
+    order, multiplicities mu).  Let i be the first class with a_i > 0.
+    Every H whose deck contains the subdeck extends card i by one vertex
+    (one edge), so the subdeck identifies g iff no extension H of card i
+    that is not g has cov_H[j] >= a_j for every j >= i, where cov_H[j] =
+    min(mult of class j in H's deck, mu_j).  The deletion that undoes the
+    extension gives card i and is counted without a certificate; only an
+    H with cov_H = mu on j >= i and g's degree histogram can be g, so only
+    such an H is certified.  Class i's walk starts on first use and
+    resumes only until a tested profile is blocked or the walk ends; the
+    coverages found so far are kept as an antichain, so no class is
+    walked twice.
+    """
+
+    def __init__(self, g: Graph, d: Deck):
+        self.own = certificate_rows(g.n, g.rows)
+        self.own_key = _shape(g.n, g.rows).key
+        self.kind = d.kind
+        self.classes = _DeckTargets(d, 1).classes
+        self.walks: dict[int, tuple[Iterator[tuple[int, ...]], list]] = {}
+
+    def _walk(self, t: _DeckTargets) -> Iterator[tuple[int, ...]]:
+        """Coverage of each extension of t's first card that is not g."""
+        mults = [cls.mult for cls in t.classes]
+        card = t.classes[0].card
+        n0, base = card.n, card.rows
+        for s in _extensions(card, t.kind, 1):
+            if t.kind == "vertex":
+                skip = n0  # the new vertex
+            else:
+                u = next(v for v in range(n0) if s.rows[v] != base[v])
+                skip = (u, (s.rows[u] ^ base[u]).bit_length() - 1)
+            cov = _coverage(s, t, skip)
+            if not (
+                cov == mults
+                and s.key == self.own_key
+                and certificate_rows(s.n, s.rows) == self.own
+            ):
+                yield tuple(cov)
+
+    def identifies(self, profile: Sequence[int]) -> bool:
+        i = next(j for j, count in enumerate(profile) if count)
+        need = profile[i:]
+        if i not in self.walks:
+            # class i's targets are classes i, i+1, ...: d is certificate-sorted
+            suffix = [cls.card for cls in self.classes[i:] for _ in range(cls.mult)]
+            self.walks[i] = (self._walk(_DeckTargets(Deck(self.kind, suffix), 1)), [])
+        walk, found = self.walks[i]
+        if any(_covers(v, need) for v in found):
+            return False
+        for cov in walk:  # resumes where the last test stopped
+            if any(_covers(v, cov) for v in found):
+                continue
+            found[:] = [v for v in found if not _covers(cov, v)]
+            found.append(cov)
+            if _covers(cov, need):
+                return False
+        return True
+
+
+def profile_identifies(g: Graph, d: Deck) -> Callable[[Sequence[int]], bool]:
+    """For g and its full 1-deletion deck d (vertex or edge kind), a test
+    of nonempty count profiles over d's card classes, in certificate
+    order: does the subdeck with that many cards of each class identify g
+    among graphs of its order (and edge count, for edge decks)?  The tests
+    share one lazy walk per card class (see _Blockers)."""
+    return _Blockers(g, d).identifies
 
 
 # --- certifying front end ---------------------------------------------------

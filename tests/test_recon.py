@@ -1,10 +1,12 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
 from conftest import trees_of_order
 
+import reconkit.deciders as deciders
 from reconkit.canon import are_isomorphic, certificate
 from reconkit.deck import Deck, build_deck, deck_equal, endvertex_deck, subdeck_contained
 from reconkit.errors import CapacityError, InputError
@@ -192,3 +194,57 @@ def test_capacity_limits():
         recon_number(path_graph(14), "edge", "exists")
     with pytest.raises(CapacityError):
         recon_number(complete_graph(6), "edge", "exists")  # 15 edges > 12
+
+
+def _seeded_graph(seed, n, m):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return Graph(n, random.Random(seed).sample(pairs, m))
+
+
+@pytest.mark.parametrize("kind, g", [
+    ("vertex", _seeded_graph(9, 9, 18)),
+    ("edge", _seeded_graph(10, 7, 10)),
+])
+@pytest.mark.parametrize("quantifier", ["exists", "forall"])
+def test_one_walk_per_card_class(monkeypatch, kind, g, quantifier):
+    # work bound, no clock: a spy on the extension walk counts the walks
+    # each call starts and the graphs certified while an extension H of
+    # card class i is counted
+    deck = build_deck(g, kind, 1)
+    certs = list(dict.fromkeys(deck.certs))
+    mults = Counter(deck.certs)
+    degrees = [sorted(c.degrees()) for c in dict(zip(deck.certs, deck.cards)).values()]
+    real_extensions, real_cert = deciders._extensions, deciders.certificate_rows
+    starts, certified, current = [], [], []
+
+    def extensions(base, *args):
+        i = certs.index(certificate(base))
+        starts.append(i)
+        for h in real_extensions(base, *args):
+            current[:] = [(i, base, h)]
+            yield h
+
+    def certificate_rows(n, rows):
+        if current:
+            certified.append((*current[0], Graph(n, [
+                (u, v) for u in range(n) for v in range(u + 1, n) if rows[u] >> v & 1
+            ])))
+        return real_cert(n, rows)
+
+    monkeypatch.setattr(deciders, "_extensions", extensions)
+    monkeypatch.setattr(deciders, "certificate_rows", certificate_rows)
+    recon_number(g, kind, quantifier)
+    assert sorted(starts) == sorted(set(starts)), starts  # each class once
+    assert certified
+    for i, base, h, x in certified:
+        if x.m == g.m and x.n == g.n:
+            # H itself, certified only when it has g's degrees and its deck
+            # covers classes i, i+1, ...
+            have = Counter(build_deck(x, kind, 1).certs)
+            assert all(have[c] >= mults[c] for c in certs[i:])
+            assert sorted(x.degrees()) == sorted(g.degrees())
+        else:
+            # a card of H: never the one H was built from, and only when
+            # its degrees match a class the walk counts
+            assert x.rows != base.rows
+            assert sorted(x.degrees()) in degrees[i:]

@@ -1,0 +1,154 @@
+"""Reconstruction numbers from blocking profiles against the search they
+replaced, and the committed atlas of every graph on 2..7 vertices.
+
+`recon_oracle` keeps the one-search-per-profile code unchanged; values,
+witness certificates and counterexample certificates must agree exactly.
+"""
+
+import random
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+import recon_oracle as oracle
+
+from reconkit.deck import Deck, build_deck, endvertex_deck
+from reconkit.errors import InputError
+from reconkit.families import clique_union_pair
+from reconkit.graph import (
+    Graph,
+    complete_graph,
+    empty_graph,
+    enumerate_graphs,
+    graph6_decode,
+)
+from reconkit.recon import identifies, recon_number
+
+ATLAS = Path(__file__).parent / "data" / "recon_atlas.txt"
+
+
+def _random_graph(rng, n, p):
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+def _certs(deck):
+    return None if deck is None else deck.certs
+
+
+def _agree(g, kinds=("vertex", "edge")):
+    for kind in kinds:
+        if kind == "edge" and not 1 <= g.m <= oracle.EDGE_COUNT_CAP:
+            continue
+        for quantifier in ("exists", "forall"):
+            got = recon_number(g, kind, quantifier)
+            want = oracle.recon_number(g, kind, quantifier)
+            case = (g.n, g.edges, kind, quantifier)
+            assert got.value == want.value, case
+            assert _certs(got.witness) == _certs(want.witness), case
+            assert _certs(got.counterexample) == _certs(want.counterexample), case
+
+
+def test_every_graph_up_to_order_5():
+    for n in range(1, 6):
+        for g in enumerate_graphs(n):
+            _agree(g)
+
+
+def test_order_6_sample():
+    for g in random.Random(6).sample(enumerate_graphs(6), 12):
+        _agree(g)
+
+
+def test_random_vertex_graphs_orders_8_to_10():
+    rng = random.Random(810)
+    for n in (8, 9, 10):
+        _agree(_random_graph(rng, n, rng.choice((0.3, 0.5, 0.7))), ("vertex",))
+
+
+def test_random_edge_graphs_up_to_12_edges():
+    rng = random.Random(12)
+    graphs = []
+    while len(graphs) < 4:
+        g = _random_graph(rng, rng.randint(5, 9), 0.35)
+        if 1 <= g.m <= oracle.EDGE_COUNT_CAP:
+            graphs.append(g)
+    for g in graphs:
+        _agree(g, ("edge",))
+
+
+def test_clique_pairs():
+    for n in range(4, 9):
+        for g in clique_union_pair(n):
+            _agree(g, ("vertex",))
+
+
+def test_identifies_on_random_subdecks():
+    rng = random.Random(31)
+    for trial in range(24):
+        g = _random_graph(rng, 5 + trial % 4, rng.choice((0.3, 0.5, 0.7)))
+        for kind in ("vertex", "edge"):
+            if kind == "edge" and not 1 <= g.m <= oracle.EDGE_COUNT_CAP:
+                continue
+            full = build_deck(g, kind, 1)
+            for size in (1, rng.randint(1, len(full)), len(full)):
+                sub = Deck(kind, rng.sample(full.cards, size))
+                assert identifies(g, sub, kind) == oracle.identifies(g, sub, kind)
+        ends = endvertex_deck(g)
+        assert identifies(g, ends, "vertex") == oracle.identifies(g, ends, "vertex")
+
+
+def test_small_and_degenerate_cases():
+    # K1: the empty subdeck identifies; K2 and 2K1: not even the full deck
+    # does; K3: one class has its order and edge count; order 0 has no deck
+    for g in (empty_graph(1), complete_graph(2), empty_graph(2), complete_graph(3)):
+        _agree(g)
+    for rn in (recon_number, oracle.recon_number):
+        with pytest.raises(InputError, match="cannot delete 1 vertices from order 0"):
+            rn(Graph(0), "vertex", "exists")
+
+
+# ---------------------------------------------------------------------------
+# the atlas
+
+
+def _atlas():
+    with ATLAS.open() as fh:
+        header = fh.readline()
+        rows = [line.split() for line in fh if not line.startswith("#")]
+    return header, rows
+
+
+def _histogram(rows, column):
+    return Counter(row[column] for row in rows if row[column] != "-")
+
+
+def test_atlas_header_names_its_command():
+    header, rows = _atlas()
+    assert header == f"# written by: {oracle.ATLAS_COMMAND}\n"
+    assert len(rows) == sum(len(enumerate_graphs(n)) for n in oracle.ATLAS_ORDERS)
+
+
+def test_atlas_histograms():
+    # the n <= 7 histograms recorded before the walk replaced the searches
+    _, rows = _atlas()
+    assert _histogram(rows, 1) == {"3": 1240, "4": 7, "5": 2, "inf": 2}
+    assert _histogram(rows, 2) == {"3": 37, "4": 580, "5": 618, "6": 14, "inf": 2}
+    assert _histogram(rows, 3) == {"0": 12, "1": 26, "2": 883, "3": 54, "4": 7, "inf": 16}
+    assert _histogram(rows, 4) == {
+        "0": 12, "2": 32, "3": 146, "4": 302, "5": 362, "6": 102, "7": 20, "8": 6, "inf": 16,
+    }
+    # McKay (1997): every graph on 3..11 vertices is reconstructible, so
+    # only K2 and its complement have an infinite vertex number
+    infinite = {row[0] for row in rows if "inf" in row[1:3]}
+    assert infinite == {"A?", "A_"}
+
+
+def test_atlas_entries_recompute():
+    # every entry on n <= 6 and a seeded sample of n = 7
+    _, rows = _atlas()
+    graphs = [graph6_decode(row[0]) for row in rows]
+    small = [(g, row) for g, row in zip(graphs, rows) if g.n <= 6]
+    large = [(g, row) for g, row in zip(graphs, rows) if g.n == 7]
+    for g, row in small + random.Random(7).sample(large, 50):
+        assert oracle.atlas_line(g, recon_number).split() == row
