@@ -4,7 +4,9 @@ certificate(g) is a relabeling-invariant encoding with the defining
 property certificate(g) == certificate(h) iff g and h are isomorphic.
 Concretely it is the graph6 line of a canonical representative, found by
 individualization-refinement search with pruning by discovered
-automorphisms, assembled component by component. A leaf whose code
+automorphisms, assembled component by component. Components go through
+the same memo as whole graphs, so a labeled component that recurs across
+cards, candidates or deletions is searched once. A leaf whose code
 equals the first or the best leaf's code gives an automorphism, and the
 search jumps back to where the two leaves' paths part instead of
 walking the equivalent subtree: stars, complete bipartite graphs and
@@ -218,16 +220,19 @@ def _induced_rows(rows: Sequence[int], verts: list[int]) -> list[int]:
 def _labeling_rows(n: int, rows: Sequence[int]) -> tuple[int, ...]:
     """Canonical labeling (old -> new) of an arbitrary rows-graph.
 
-    Components are canonicalized independently, then laid out in order of
-    (component order, component certificate), which makes the assembled
-    labeled graph an isomorphism invariant of the whole graph.
+    A connected graph is searched directly. Otherwise each component is
+    canonicalized through the memo (a labeled component that recurs
+    across graphs is searched once), and the pieces are laid out in order
+    of (component order, component certificate), which makes the
+    assembled labeled graph an isomorphism invariant of the whole graph.
     """
+    comps = component_masks(n, rows)
+    if len(comps) == 1:
+        return _Search(n, rows).run()
     pieces = []
-    for comp in component_masks(n, rows):
+    for comp in comps:
         verts = list(iter_bits(comp))
-        sub = _induced_rows(rows, verts)
-        local = _Search(len(verts), sub).run()
-        key = graph6_encode_rows(len(verts), _relabel_code(len(verts), sub, local))
+        key, local = _canon_entry(len(verts), _induced_rows(rows, verts))
         pieces.append((len(verts), key, verts, local))
     pieces.sort(key=lambda p: (p[0], p[1]))
     lab = [0] * n

@@ -69,11 +69,13 @@ def _require_pair(g: Graph, h: Graph, kind: str, c: int) -> int:
     return g.n
 
 
-def _remove_one(cards: list[Graph], cert: bytes, what: str) -> list[Graph]:
-    for i, card in enumerate(cards):
-        if certificate(card) == cert:
-            return cards[:i] + cards[i + 1:]
-    raise InputError(f"{what}: expected card missing from the deck")
+def _remove_one(deck: Deck, card: Graph, what: str) -> list[Graph]:
+    """The deck's cards without one card isomorphic to `card`."""
+    try:
+        i = deck.certs.index(certificate(card))
+    except ValueError:
+        raise InputError(f"{what}: expected card missing from the deck") from None
+    return list(deck.cards[:i] + deck.cards[i + 1:])
 
 
 def gi_to_lvd(g: Graph, h: Graph, c: int) -> Deck:
@@ -84,9 +86,8 @@ def gi_to_lvd(g: Graph, h: Graph, c: int) -> Deck:
         raise InputError(f"deletion count must be >= 1, got {c}")
     n = _require_pair(g, h, "gi_to_lvd", c)
     big = union([g, empty_graph(c + 1)])
-    cards = list(build_deck(big, "vertex", c).cards)
     cards = _remove_one(
-        cards, certificate(union([g, empty_graph(1)])), "gi_to_lvd"
+        build_deck(big, "vertex", c), union([g, empty_graph(1)]), "gi_to_lvd"
     )
     cards.append(union([h, empty_graph(1)]))
     deck = Deck("vertex", cards)
@@ -102,9 +103,8 @@ def gi_to_led(g: Graph, h: Graph, c: int) -> Deck:
     n = _require_pair(g, h, "gi_to_led", c)
     ell = n + 1
     big = union([g, copies(complete_graph(2), c), complete_graph(ell)])
-    cards = list(build_deck(big, "edge", c).cards)
     pad = [empty_graph(2 * c), complete_graph(ell)]
-    cards = _remove_one(cards, certificate(union([g] + pad)), "gi_to_led")
+    cards = _remove_one(build_deck(big, "edge", c), union([g] + pad), "gi_to_led")
     cards.append(union([h] + pad))
     deck = Deck("edge", cards)
     assert len(deck) == comb(g.m + c + comb(ell, 2), c)

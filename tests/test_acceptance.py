@@ -11,7 +11,7 @@ from reconkit.verify import SWEEPS, run_sweep
 
 CRITERIA = [
     # (criterion, sweep name, scale notes)
-    (1, "deck-uniqueness", "1-vertex-decks differ across noniso graphs, n=3..6"),
+    (1, "deck-uniqueness", "1-vertex-decks differ across noniso graphs, n=3..7"),
     (2, "reduction-iff", "gadget decision == isomorphism, c in {1,2}, k in {2,3}"),
     (3, "edge-to-vertex-transfer", "hat/line-graph transfer, n<=4, c=1, k=2"),
     (4, "line-graph-deck-identity", "edge-deck through line graphs, n<=5, c in {1,2}"),

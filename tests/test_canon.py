@@ -17,6 +17,7 @@ from reconkit.errors import CapacityError
 from reconkit.graph import (
     Graph,
     complete_graph,
+    component_masks,
     copies,
     empty_graph,
     enumerate_graphs,
@@ -27,6 +28,7 @@ from reconkit.graph import (
     permute,
     union,
 )
+from reconkit.reductions import gi_to_led
 
 
 def test_certificate_basic():
@@ -322,3 +324,136 @@ def test_symmetric_certificate_bytes_are_pinned():
     assert digest.hexdigest() == (
         "1fb4579b5632dce66b2270646cf4efc7bea04319db20f0f9e764b1ca3692de5c"
     )
+
+
+def _count_searches(monkeypatch):
+    # how many canonical searches run from here on, starting from an
+    # empty cache
+    import reconkit.canon as canon
+
+    searches = [0]
+    run = canon._Search.run
+
+    def counting_run(self):
+        searches[0] += 1
+        return run(self)
+
+    monkeypatch.setattr(canon._Search, "run", counting_run)
+    clear_certificate_cache()
+    return searches
+
+
+def _labeled_components(g):
+    # each component as (order, rows over its vertices in increasing order)
+    out = set()
+    for comp in component_masks(g.n, g.rows):
+        verts = [v for v in range(g.n) if comp >> v & 1]
+        index = {v: i for i, v in enumerate(verts)}
+        rows = tuple(
+            sum(1 << index[u] for u in g.neighbors(v)) for v in verts
+        )
+        out.add((len(verts), rows))
+    return out
+
+
+def test_recurring_component_is_searched_once(monkeypatch):
+    perm = list(range(10))
+    random.Random(3).shuffle(perm)
+    p = permute(_petersen(), perm)
+    searches = _count_searches(monkeypatch)
+    cert = certificate(union([p, p]))
+    assert searches[0] == 1
+    assert cert == certificate(union([_petersen(), _petersen()]))
+
+
+def test_gadget_build_searches_each_labeled_component_once(monkeypatch):
+    g = path_graph(5)
+    h = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+    searches = _count_searches(monkeypatch)
+    deck = gi_to_led(g, h, 2)
+    components = set()
+    for card in deck.cards:
+        components |= _labeled_components(card)
+    assert searches[0] <= len(components)
+
+
+@pytest.mark.parametrize("limit", [1, 2, 3])
+def test_memo_survives_clears_between_component_and_whole(monkeypatch, limit):
+    # with a tiny cache limit the memo is cleared after a component's
+    # entry and before the whole graph's, or in between two components
+    import reconkit.canon as canon
+
+    suite = _symmetric_suite()
+    graphs = [
+        union([suite["petersen"], empty_graph(2), complete_graph(2), suite["petersen"]]),
+        union([complete_graph(2), suite["K5,20"], empty_graph(1), complete_graph(2)]),
+        union([empty_graph(3), suite["T9"], complete_graph(2)]),
+        union([suite["LLK5"], complete_graph(2), suite["K1+E20"], empty_graph(1)]),
+    ]
+    rng = random.Random(limit)
+    cases = []
+    for g in graphs:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        h = permute(g, perm)
+        clear_certificate_cache()
+        cases.append((g, h, certificate(h)))
+    monkeypatch.setattr(canon, "_CACHE_LIMIT", limit)
+    for g, h, want in cases:
+        clear_certificate_cache()
+        assert certificate(h) == want
+        assert permute(h, canonical_labeling(h)) == canonical_form(h)
+        mapping = find_isomorphism(h, g)
+        assert mapping is not None and sorted(mapping) == list(range(g.n))
+        for u, v in h.edges:
+            assert g.has_edge(mapping[u], mapping[v])
+
+
+def test_certificates_agree_with_networkx_on_unions():
+    # independent oracle: certificate equality iff networkx finds an
+    # isomorphism, on unions of 2-4 relabeled random components, paired
+    # with a relabeled copy or with a copy that has one edge moved
+    nx = pytest.importorskip("networkx")
+
+    def to_nx(g):
+        out = nx.Graph()
+        out.add_nodes_from(range(g.n))
+        out.add_edges_from(g.edges)
+        return out
+
+    def relabeled(g):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        return permute(g, perm)
+
+    def component():
+        n = rng.randint(1, 6)
+        edges = {(rng.randrange(v), v) for v in range(1, n)}  # spanning tree
+        edges |= {(u, v) for v in range(n) for u in range(v) if rng.random() < 0.3}
+        return Graph(n, edges)
+
+    def moved_edge(g):
+        non_edges = [
+            (u, v) for v in range(g.n) for u in range(v) if not g.has_edge(u, v)
+        ]
+        if not non_edges or not g.edges:
+            return g
+        drop = rng.choice(g.edges)
+        edges = [e for e in g.edges if e != drop] + [rng.choice(non_edges)]
+        return Graph(g.n, edges)
+
+    rng = random.Random(2024)
+    outcomes = {True: 0, False: 0}
+    for _ in range(300):
+        parts = [component() for _ in range(rng.randint(2, 4))]
+        g = relabeled(union([relabeled(p) for p in parts]))
+        others = [relabeled(p) for p in parts]
+        if rng.random() < 0.5:
+            i = rng.randrange(len(others))
+            others[i] = moved_edge(others[i])
+        rng.shuffle(others)
+        h = relabeled(union(others))
+        same = nx.is_isomorphic(to_nx(g), to_nx(h))
+        assert (certificate(g) == certificate(h)) == same
+        outcomes[same] += 1
+    assert min(outcomes.values()) >= 50, outcomes
