@@ -34,6 +34,12 @@ Pure vertex decks use Kelly's lemma: each edge of a preimage survives in
 C(n-2, c) of its cards, so the cards' edge counts fix |E(G)| and only
 extension patterns adding |E(G)| - |E(card_0)| edges are tried.
 
+Edge decks add c edges to the first card in c rounds.  Twins are swapped
+by an automorphism, so a round adds to each graph only one non-edge per
+pair of its twin classes (and one edge inside each open-twin class), and
+keeps one graph per labeled set of added edges: at most C(N, c) candidates
+for the card's N non-edges, the count EDGE_SEARCH_CANDIDATES_CAP bounds.
+
 Reconstruction numbers test many subdecks of one deck.  profile_identifies
 walks the one-vertex (one-edge) extensions of each card class once and
 reduces each extension to its coverage: per card class, how many of its
@@ -55,6 +61,7 @@ from .deck import DELETION_SETS_CAP, Deck, check_deletion_sets
 from .errors import CapacityError, InputError
 from .graph import (
     Graph,
+    _twin_classes,
     component_masks,
     delete_vertices,
     extend_rows,
@@ -109,12 +116,6 @@ def _delete_edges_rows(rows: Sequence[int], drop: Sequence[tuple[int, int]]) -> 
 
 def _component_sizes(n: int, rows: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted(comp.bit_count() for comp in component_masks(n, rows)))
-
-
-def _non_edges(n: int, rows: Sequence[int]) -> list[tuple[int, int]]:
-    return [
-        (u, v) for u in range(n) for v in range(u + 1, n) if not rows[u] >> v & 1
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -472,20 +473,14 @@ def subdeck_check(g: Graph, cards: Deck, c: int) -> bool:
 def _extensions(
     base: Graph, kind: str, c: int, size: Optional[int] = None
 ) -> Iterator[_Shape]:
-    """Every graph with base as a c-deletion card: c new vertices over each
-    attachment pattern (vertex kind; `size` fixes the number of added
-    edges) or c new edges (edge kind)."""
+    """Every graph with base as a c-deletion card, up to isomorphism: c new
+    vertices over each attachment pattern (vertex kind; `size` fixes the
+    number of added edges), or c new edges (edge kind, see
+    _edge_additions)."""
     n0, rows0 = base.n, base.rows
     card = _shape(n0, rows0)
     if kind == "edge":
-        for added in combinations(_non_edges(n0, rows0), c):
-            rows = list(rows0)
-            key = card.key
-            for u, v in added:
-                key += _DOWN[rows[u].bit_count() + 1] + _DOWN[rows[v].bit_count() + 1]
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-            yield _Shape(n0, rows, None, key, card.m + c)
+        yield from _edge_additions(card, c)
         return
     if c == 1:
         for attach in twin_patterns(n0, rows0, size):
@@ -510,6 +505,40 @@ def _extensions(
                 out[n0 + i] |= 1 << (n0 + j)
                 out[n0 + j] |= 1 << (n0 + i)
         yield _shape(n, out)
+
+
+def _edge_additions(card: _Shape, c: int) -> Iterator[_Shape]:
+    """The card plus c new edges, one edge per round.  A round adds to each
+    graph one non-edge per unordered pair of its twin classes, and one edge
+    inside each open-twin class of two or more vertices: twins are swapped
+    by an automorphism, so every one-edge addition is isomorphic to one of
+    these, and by induction every c-edge addition to one of the last
+    round's.  A round keeps one graph per labeled set of added edges (edge
+    (u, v) is bit u*n + v) and the last round is yielded as it grows, so no
+    card gets more than C(N, c) graphs for its N non-edges."""
+    n = card.n
+    frontier = [(0, card.rows, card.key)]
+    for r in range(c):
+        seen: set[int] = set()
+        grown = []
+        for added, rows, key in frontier:
+            classes = _twin_classes(n, rows)
+            pairs = [(a[0], a[1]) for a in classes if len(a) > 1]
+            pairs += [(a[0], b[0]) for j, b in enumerate(classes) for a in classes[:j]]
+            for u, v in pairs:
+                mask = added | 1 << (u * n + v)
+                if rows[u] >> v & 1 or mask in seen:
+                    continue
+                seen.add(mask)
+                out = list(rows)
+                out[u] |= 1 << v
+                out[v] |= 1 << u
+                key_out = key + _DOWN[out[u].bit_count()] + _DOWN[out[v].bit_count()]
+                if r == c - 1:
+                    yield _Shape(n, out, None, key_out, card.m + c)
+                else:
+                    grown.append((mask, out, key_out))
+        frontier = grown
 
 
 def _kelly_added_edges(d: Deck, c: int, n: int) -> Optional[int]:
@@ -569,7 +598,7 @@ def _search(
                 f"2^{bits} attachment patterns exceed the 2^{VERTEX_SEARCH_BITS_CAP} cap"
             )
     else:
-        added = comb(len(_non_edges(n0, base.rows)), c)
+        added = comb(n0 * (n0 - 1) // 2 - base.m, c)
         if added > EDGE_SEARCH_CANDIDATES_CAP:
             raise CapacityError(
                 f"{added} edge-addition candidates exceed "

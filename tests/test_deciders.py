@@ -1,12 +1,13 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
+from math import comb
 
 import pytest
 
 import preimage_oracle as oracle
 
 import reconkit.deciders as deciders
-from reconkit.canon import are_isomorphic, certificate
+from reconkit.canon import are_isomorphic, certificate, certificate_rows
 from reconkit.deck import (
     DELETION_SETS_CAP,
     Deck,
@@ -29,9 +30,13 @@ from reconkit.graph import (
     complete_graph,
     empty_graph,
     enumerate_graphs,
+    is_connected,
+    join,
     path_graph,
+    permute,
     union,
 )
+from reconkit.reductions import gi_to_kled, gi_to_led
 
 K2 = complete_graph(2)
 K3 = complete_graph(3)
@@ -415,3 +420,103 @@ def test_pure_vertex_search_uses_kellys_edge_count(monkeypatch):
     offered.clear()
     assert not legit_vertex(Deck("vertex", [K3, K3, K3, P3]), 1, "pure")
     assert offered == []
+
+
+def _random_graph(rng, n, p):
+    return Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+
+
+def _raw_edge_additions(base, c):
+    """Certificates of all C(N, c) additions of c of base's N non-edges,
+    and C(N, c)."""
+    non_edges = [e for e in combinations(range(base.n), 2) if e not in base.edges]
+    certs = {
+        certificate(Graph(base.n, base.edges + added))
+        for added in combinations(non_edges, c)
+    }
+    return certs, comb(len(non_edges), c)
+
+
+def test_edge_extensions_are_complete_up_to_isomorphism():
+    # one non-edge per pair of twin classes per round: every c-edge addition
+    # of the base is isomorphic to a candidate, and no labeled added-edge
+    # set is offered twice, so there are at most C(N, c) candidates
+    rng = random.Random(17)
+    bases = [
+        _random_graph(rng, n, p) for n in range(2, 9) for p in (0.25, 0.5, 0.75)
+    ]
+    twin_heavy = [
+        empty_graph(6),
+        join([empty_graph(2), empty_graph(3), empty_graph(2)]),
+        join([empty_graph(1), empty_graph(4)]),
+        union([K3, K3, K2, K1]),
+        union([complete_graph(4), K2, K2]),
+    ]
+    gadget = gi_to_kled(K2, K2, 1, 2).cards[0]  # K2 + (K4 - e) + K5
+    for base in bases + twin_heavy + [gadget]:
+        for c in (1, 2, 3):
+            if c == 3 and base.n > 6:
+                continue
+            want, raw = _raw_edge_additions(base, c)
+            got = list(deciders._extensions(base, "edge", c))
+            assert len(got) <= raw
+            assert {certificate_rows(s.n, s.rows) for s in got} == want
+            for s in got:
+                assert s.m == base.m + c
+                assert s.key == deciders._shape(s.n, s.rows).key
+
+
+def _connected(n):
+    return [g for g in enumerate_graphs(n) if is_connected(g)]
+
+
+def test_edge_search_matcher_calls_are_bounded(monkeypatch):
+    # work bound, no clock: the gadgets' cards have large twin classes, so
+    # few candidates reach the matcher (103,574 and 18,368 calls when every
+    # raw combination of non-edges was offered)
+    calls = [0]
+    real = deciders._sub_match
+
+    def spy(s, t):
+        calls[0] += 1
+        return real(s, t)
+
+    monkeypatch.setattr(deciders, "_sub_match", spy)
+    pairs = list(product(_connected(4), repeat=2))
+    for k in (2, 3):
+        for g, h in pairs:
+            assert legit_edge(gi_to_kled(g, h, 2, k), 2, "sub") == are_isomorphic(g, h)
+    assert calls[0] <= 10_000
+    calls[0] = 0
+    for g, h in pairs:
+        assert legit_edge(gi_to_led(g, h, 2), 2, "pure") == are_isomorphic(g, h)
+    assert calls[0] <= 2_000
+
+
+def _relabeled(deck, rng):
+    cards = []
+    for card in deck.cards:
+        perm = list(range(card.n))
+        rng.shuffle(perm)
+        cards.append(permute(card, perm))
+    return Deck(deck.kind, cards)
+
+
+def test_edge_search_answers_survive_relabeling():
+    # twin representatives depend on the labels of the first card, the
+    # answers must not
+    rng = random.Random(29)
+    conn = _connected(4)
+    pairs = [(conn[0], conn[0]), (conn[2], conn[2])]
+    pairs += rng.sample(list(product(conn, repeat=2)), 3)
+    decks = [(gi_to_kled(g, h, c, k), c) for c in (1, 2) for k in (2, 3) for g, h in pairs]
+    for _ in range(12):
+        g = _random_graph(rng, rng.randint(6, 8), rng.choice((0.3, 0.5)))
+        if 2 <= g.m <= 14:
+            full = build_deck(g, "edge", 1)
+            decks.append((Deck("edge", rng.sample(full.cards, rng.randint(1, min(3, len(full))))), 1))
+    for deck, c in decks:
+        moved = _relabeled(deck, rng)
+        want = [certificate(p) for p in enum_preimages(deck, c, "sub").preimages]
+        assert [certificate(p) for p in enum_preimages(moved, c, "sub").preimages] == want
+        assert legit_edge(moved, c, "sub") == legit_edge(deck, c, "sub") == bool(want)

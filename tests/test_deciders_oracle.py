@@ -179,6 +179,13 @@ def test_prefilter_certificate_calls_do_not_grow(monkeypatch):
     decks = [
         gi_to_klvd(g, h, 1, k) for k in (2, 3) for g, h in _pairs(5, 10, seed=50 + k)
     ]
+    # edge gadgets, with yes-instances (g = h), whose twin classes prune the
+    # edge additions offered to the matcher
+    edge_decks = []
+    for c, pairs in ((1, _pairs(4, 6, seed=54)), (2, _pairs(3) + _pairs(4, 2, seed=55))):
+        pairs += [(g, g) for g in _connected(4)[:3]]
+        edge_decks += [(gi_to_led(g, h, c), c, "pure") for g, h in pairs]
+        edge_decks += [(gi_to_kled(g, h, c, k), c, "sub") for k in (2, 3) for g, h in pairs]
     calls = {"new": 0, "oracle": 0}
 
     def counting(name, real):
@@ -192,5 +199,7 @@ def test_prefilter_certificate_calls_do_not_grow(monkeypatch):
     monkeypatch.setattr(oracle, "certificate_rows", counting("oracle", oracle.certificate_rows))
     for deck in decks:
         assert legit_vertex(deck, 1, "sub") == oracle.legit(deck, 1, "sub")
+    for deck, c, mode in edge_decks:
+        assert legit_edge(deck, c, mode) == oracle.legit(deck, c, mode)
     assert calls["oracle"] > 0
     assert calls["new"] <= calls["oracle"]
