@@ -39,6 +39,8 @@ by an automorphism, so a round adds to each graph only one non-edge per
 pair of its twin classes (and one edge inside each open-twin class), and
 keeps one graph per labeled set of added edges: at most C(N, c) candidates
 for the card's N non-edges, the count EDGE_SEARCH_CANDIDATES_CAP bounds.
+A middle round that would keep more than C(N, c) graphs (only when
+c > N/2) gives way to the C(N, c) raw additions.
 
 Reconstruction numbers test many subdecks of one deck.  profile_identifies
 walks the one-vertex (one-edge) extensions of each card class once and
@@ -515,8 +517,11 @@ def _edge_additions(card: _Shape, c: int) -> Iterator[_Shape]:
     these, and by induction every c-edge addition to one of the last
     round's.  A round keeps one graph per labeled set of added edges (edge
     (u, v) is bit u*n + v) and the last round is yielded as it grows, so no
-    card gets more than C(N, c) graphs for its N non-edges."""
+    card gets more than C(N, c) graphs for its N non-edges.  An earlier
+    round r can hold up to C(N, r) > C(N, c) graphs when c > N/2; once it
+    outgrows C(N, c), the raw additions are yielded instead."""
     n = card.n
+    limit = comb(n * (n - 1) // 2 - card.m, c)
     frontier = [(0, card.rows, card.key)]
     for r in range(c):
         seen: set[int] = set()
@@ -538,7 +543,26 @@ def _edge_additions(card: _Shape, c: int) -> Iterator[_Shape]:
                     yield _Shape(n, out, None, key_out, card.m + c)
                 else:
                     grown.append((mask, out, key_out))
+                    if len(grown) > limit:
+                        yield from _raw_edge_additions(card, c)
+                        return
         frontier = grown
+
+
+def _raw_edge_additions(card: _Shape, c: int) -> Iterator[_Shape]:
+    """The card plus each c of its non-edges."""
+    n, rows0 = card.n, card.rows
+    non_edges = [
+        (u, v) for u in range(n) for v in range(u + 1, n) if not rows0[u] >> v & 1
+    ]
+    for added in combinations(non_edges, c):
+        rows = list(rows0)
+        key = card.key
+        for u, v in added:
+            key += _DOWN[rows[u].bit_count() + 1] + _DOWN[rows[v].bit_count() + 1]
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        yield _Shape(n, rows, None, key, card.m + c)
 
 
 def _kelly_added_edges(d: Deck, c: int, n: int) -> Optional[int]:

@@ -466,6 +466,29 @@ def test_edge_extensions_are_complete_up_to_isomorphism():
                 assert s.key == deciders._shape(s.n, s.rows).key
 
 
+def test_edge_extensions_stay_within_raw_count_when_c_exceeds_half(monkeypatch):
+    # with c > N/2 a middle round can hold C(N, r) > C(N, c) labeled sets;
+    # the search then gives way to the raw additions, so no round holds
+    # more than C(N, c) graphs (496 here, against C(32, 16) ~ 6e8)
+    base = Graph(9, [(0, 1), (2, 3), (4, 5), (6, 7)])
+    c = 30
+    want, raw = _raw_edge_additions(base, c)
+    held = [0]
+    real = deciders._twin_classes
+
+    def spy(n, rows):
+        held[0] += 1
+        assert held[0] <= c * raw, "a round outgrew C(N, c)"
+        return real(n, rows)
+
+    monkeypatch.setattr(deciders, "_twin_classes", spy)
+    got = list(deciders._extensions(base, "edge", c))
+    assert len(got) <= raw == 496
+    assert {certificate_rows(s.n, s.rows) for s in got} == want
+    for s in got:
+        assert s.key == deciders._shape(s.n, s.rows).key
+
+
 def _connected(n):
     return [g for g in enumerate_graphs(n) if is_connected(g)]
 
