@@ -19,7 +19,8 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .errors import CapacityError
-from .graph import Graph, component_masks, graph6_decode, graph6_encode_rows, iter_bits
+from .graph import Graph, component_masks, graph6_decode, graph6_encode_rows
+from .graph import iter_bits, relabel_rows
 
 CERTIFICATE_ORDER_CAP = 64  # orders >= 64 are refused
 
@@ -67,19 +68,6 @@ def _refine(n: int, rows: Sequence[int], cells: list[list[int]]) -> list[list[in
 # ---------------------------------------------------------------------------
 # canonical labeling of one connected piece (works for any graph, but the
 # public entry points decompose into components first)
-
-
-def _relabel_code(n: int, rows: Sequence[int], lab: Sequence[int]) -> tuple[int, ...]:
-    new_rows = [0] * n
-    for v in range(n):
-        acc = 0
-        nb = rows[v]
-        while nb:
-            low = nb & -nb
-            acc |= 1 << lab[low.bit_length() - 1]
-            nb ^= low
-        new_rows[lab[v]] = acc
-    return tuple(new_rows)
 
 
 class _Search:
@@ -153,7 +141,7 @@ class _Search:
         lab = [0] * n
         for i, cell in enumerate(cells):
             lab[cell[0]] = i
-        code = _relabel_code(n, self.rows, lab)
+        code = relabel_rows(n, self.rows, lab)
         for other in (self.first, self.best):
             if other is not None and code == other[0]:
                 _, inv, other_path = other
@@ -244,12 +232,19 @@ def _labeling_rows(n: int, rows: Sequence[int]) -> tuple[int, ...]:
     return tuple(lab)
 
 
+def check_certificate_order(order: int, what: str = "order") -> None:
+    """Refuse an order certificates cannot reach.  Builders of large graphs
+    call it on the order they would build, before building anything."""
+    if order >= CERTIFICATE_ORDER_CAP:
+        raise CapacityError(
+            f"certificates are capped below order {CERTIFICATE_ORDER_CAP}, "
+            f"got {what} {order}"
+        )
+
+
 def _canon_entry(n: int, rows: Sequence[int]) -> tuple[bytes, bytes]:
     """(certificate, canonical labeling) of a rows-graph, memoized."""
-    if n >= CERTIFICATE_ORDER_CAP:
-        raise CapacityError(
-            f"certificates are capped below order {CERTIFICATE_ORDER_CAP}, got {n}"
-        )
+    check_certificate_order(n)
     mask = 0
     for v in range(n):
         mask = mask << n | rows[v]
@@ -258,7 +253,7 @@ def _canon_entry(n: int, rows: Sequence[int]) -> tuple[bytes, bytes]:
     if cached is not None:
         return cached
     lab = _labeling_rows(n, rows)
-    cert = graph6_encode_rows(n, _relabel_code(n, rows, lab)).encode("ascii")
+    cert = graph6_encode_rows(n, relabel_rows(n, rows, lab)).encode("ascii")
     entry = (cert, bytes(lab))
     if len(_CERT_CACHE) >= _CACHE_LIMIT:
         _CERT_CACHE.clear()

@@ -78,7 +78,10 @@ def _emit(text: str, out: Optional[str]) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {out}: {exc}") from exc
 
 
 def _print_decision(

@@ -65,7 +65,9 @@ from .graph import (
     Graph,
     _twin_classes,
     component_masks,
+    delete_edges_rows,
     delete_vertices,
+    delete_vertices_rows,
     extend_rows,
     iter_bits,
     rows_edges,
@@ -90,30 +92,6 @@ class PreimageSet:
 
     def __len__(self) -> int:
         return len(self.preimages)
-
-
-# ---------------------------------------------------------------------------
-# rows-level helpers (hot paths avoid building Graph objects)
-
-
-def _delete_vertices_rows(rows: Sequence[int], drop: Sequence[int]) -> list[int]:
-    out = list(rows)
-    for v in sorted(drop, reverse=True):
-        low = (1 << v) - 1
-        out = [
-            (r & low) | (r >> (v + 1)) << v
-            for u, r in enumerate(out)
-            if u != v
-        ]
-    return out
-
-
-def _delete_edges_rows(rows: Sequence[int], drop: Sequence[tuple[int, int]]) -> list[int]:
-    out = list(rows)
-    for u, v in drop:
-        out[u] &= ~(1 << v)
-        out[v] &= ~(1 << u)
-    return out
 
 
 def _component_sizes(n: int, rows: Sequence[int]) -> tuple[int, ...]:
@@ -372,7 +350,7 @@ def _sub_match(s: _Shape, t: _DeckTargets) -> bool:
             space: Sequence = list(iter_bits(eligible))
         else:
             space = range(n)
-        card_rows = _delete_vertices_rows
+        card_rows = delete_vertices_rows
     else:
         if t.order != n or t.edges != s.m - c or comb(s.m, c) < t.count:
             return False
@@ -381,7 +359,7 @@ def _sub_match(s: _Shape, t: _DeckTargets) -> bool:
             if not _edge_delta_feasible(cand_degseq, cls.degseq, c):
                 return False
         space = rows_edges(n, s.rows)
-        card_rows = _delete_edges_rows
+        card_rows = delete_edges_rows
     keyed = _keyer(s, t.kind, c)
     needed = [cls.mult for cls in t.classes]
     total = t.count
@@ -423,10 +401,10 @@ def _coverage(s: _Shape, t: _DeckTargets, skip: int | tuple[int, int]) -> list[i
         for edges in t.need_by_edges:
             eligible |= s.degree_class(s.m - edges)
         space = [(v,) for v in iter_bits(eligible & ~(1 << skip))]
-        card_rows = _delete_vertices_rows
+        card_rows = delete_vertices_rows
     else:
         space = [(e,) for e in rows_edges(s.n, s.rows) if e != skip]
-        card_rows = _delete_edges_rows
+        card_rows = delete_edges_rows
     keyed = _keyer(s, t.kind, 1)
     for drop in space:
         hit = t.by_key.get(keyed(drop))
@@ -650,9 +628,7 @@ def enum_preimages(d: Deck, c: int, mode: str) -> PreimageSet:
     """All preimages of d up to isomorphism (pure: deck equality; sub:
     containment), found by extending the first card every possible way."""
     found = sorted(_search_preimages(d, c, mode), key=lambda item: item[0])
-    return PreimageSet(
-        tuple(Graph(s.n, rows_edges(s.n, s.rows)) for _, s in found), mode
-    )
+    return PreimageSet(tuple(Graph._from_rows(s.n, s.rows) for _, s in found), mode)
 
 
 # --- identifying subdecks ----------------------------------------------------
@@ -763,7 +739,7 @@ class _Deletions:
         cert = self.certs.get(drop)
         if cert is None:
             s = self.shape
-            cert = certificate_rows(s.n - len(drop), _delete_vertices_rows(s.rows, drop))
+            cert = certificate_rows(s.n - len(drop), delete_vertices_rows(s.rows, drop))
             self.certs[drop] = cert
         return cert
 
@@ -800,14 +776,19 @@ def _glued(
     keep_b = [v for v in range(n) if v not in y]
     to_a = {v: keep_a[phi[i]] for i, v in enumerate(keep_b)}
     to_a.update((v, n + i) for i, v in enumerate(y))
-    glue = list(a.edges) + [
-        (to_a[u], to_a[v]) for u, v in b.edges if u in y or v in y
-    ]
+    glue = list(a.rows) + [0] * c
+    for u, v in b.edges:
+        if u in y or v in y:
+            glue[to_a[u]] |= 1 << to_a[v]
+            glue[to_a[v]] |= 1 << to_a[u]
     pairs = list(product(range(n, n + c), x))
     for choice in range(1 << len(pairs)):
-        yield Graph(
-            n + c, glue + [pair for i, pair in enumerate(pairs) if choice >> i & 1]
-        )
+        rows = list(glue)
+        for i, (w, v) in enumerate(pairs):
+            if choice >> i & 1:
+                rows[w] |= 1 << v
+                rows[v] |= 1 << w
+        yield Graph._from_rows(n + c, rows)
 
 
 def find_preimage(d: Deck, c: int, mode: str) -> Optional[Graph]:
@@ -847,7 +828,7 @@ def find_preimage(d: Deck, c: int, mode: str) -> Optional[Graph]:
     if found is None:
         return None
     s = found[1]
-    return Graph(s.n, rows_edges(s.n, s.rows))
+    return Graph._from_rows(s.n, s.rows)
 
 
 def legit_vertex(d: Deck, c: int, mode: str) -> bool:

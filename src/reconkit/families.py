@@ -14,9 +14,9 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Sequence
 
-from .canon import CERTIFICATE_ORDER_CAP
+from .canon import CERTIFICATE_ORDER_CAP, check_certificate_order
 from .deck import Deck
-from .errors import CapacityError, InputError
+from .errors import InputError
 from .graph import (
     Graph,
     complete_graph,
@@ -35,8 +35,7 @@ def clique_union_pair(n: int) -> tuple[Graph, Graph]:
     extra isolated vertex in each when n is odd."""
     if n < 4:
         raise InputError(f"the pair is defined for n >= 4, got {n}")
-    if n > FAMILY_ORDER_CAP:
-        raise CapacityError(f"order {n} exceeds the cap {FAMILY_ORDER_CAP}")
+    check_certificate_order(n)
     t = n // 2
     first = union([complete_graph(t + 1), complete_graph(t - 1)])
     second = copies(complete_graph(t), 2)
@@ -84,10 +83,7 @@ def many_preimage_deck(k: int, n: int) -> Deck:
     if k < 2 or n < 1:
         raise InputError(f"need k >= 2 and n >= 1, got k={k}, n={n}")
     order = (2 ** (k - 1) + 1) * n + k
-    if order > FAMILY_ORDER_CAP:
-        raise CapacityError(
-            f"card order {order} exceeds the cap {FAMILY_ORDER_CAP}"
-        )
+    check_certificate_order(order, "card order")
     selectors = tuple(range(n + 1, n + k))
     subsets = _selector_subsets(selectors, None)
     card = _selector_graph(n, k - 1, [subsets] * n)
@@ -105,10 +101,7 @@ def many_preimage_graphs(k: int, n: int) -> tuple[Graph, ...]:
     if k < 2 or n < 1:
         raise InputError(f"need k >= 2 and n >= 1, got k={k}, n={n}")
     order = (2 ** (k - 1) + 1) * n + k + 1
-    if order > FAMILY_ORDER_CAP:
-        raise CapacityError(
-            f"preimage order {order} exceeds the cap {FAMILY_ORDER_CAP}"
-        )
+    check_certificate_order(order, "preimage order")
     selectors = tuple(range(n + 1, n + k + 1))
     by_parity = {
         0: _selector_subsets(selectors, 1),  # odd sizes encode bit 0

@@ -1,13 +1,14 @@
 """Simple undirected graphs on vertices 0..n-1.
 
-Graphs are immutable after construction: edges are stored as sorted
-(min, max) pairs and adjacency is kept as per-vertex bitmasks, which is
-what every hot loop in the toolkit works on.
+A graph is immutable and stored as its order and adjacency bitmask rows,
+which is what every hot loop in the toolkit works on; `edges` is derived
+from the rows.  Only Graph(n, edges) and graph6_decode validate their
+input: every derived graph is built from rows by Graph._from_rows.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import product
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import CapacityError, Graph6ParseError, InputError
@@ -18,33 +19,42 @@ ENUMERATION_CAP = 7  # 1,044 classes; 8 has 12,346 (A000088), past desk scale
 class Graph:
     """Immutable simple graph: no self-loops, no duplicate edges."""
 
-    __slots__ = ("n", "edges", "rows", "_hash")
+    __slots__ = ("n", "rows", "m")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise InputError(f"vertex count must be >= 0, got {n}")
-        normalized = set()
+        rows = [0] * n
         for u, v in edges:
             if u == v:
                 raise InputError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"edge ({u},{v}) out of range for order {n}")
-            normalized.add((u, v) if u < v else (v, u))
-        rows = [0] * n
-        for u, v in normalized:
             rows[u] |= 1 << v
             rows[v] |= 1 << u
+        self._set_rows(n, rows)
+
+    @classmethod
+    def _from_rows(cls, n: int, rows: Sequence[int]) -> Graph:
+        """The graph with these adjacency rows, trusted as given: symmetric,
+        loop-free and within range."""
+        g = object.__new__(cls)
+        g._set_rows(n, rows)
+        return g
+
+    def _set_rows(self, n: int, rows: Sequence[int]) -> None:
+        rows = tuple(rows)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", tuple(sorted(normalized)))
-        object.__setattr__(self, "rows", tuple(rows))
-        object.__setattr__(self, "_hash", hash((n, self.edges)))
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "m", sum(map(int.bit_count, rows)) >> 1)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
     @property
-    def m(self) -> int:
-        return len(self.edges)
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Edges (u, v), u < v, in lexicographic order."""
+        return tuple(rows_edges(self.n, self.rows))
 
     def degree(self, v: int) -> int:
         return self.rows[v].bit_count()
@@ -64,11 +74,11 @@ class Graph:
         return (
             isinstance(other, Graph)
             and self.n == other.n
-            and self.edges == other.edges
+            and self.rows == other.rows
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.n, self.rows))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={list(self.edges)})"
@@ -125,6 +135,37 @@ def extend_rows(n: int, rows: Sequence[int], attach: int) -> list[int]:
     return [rows[u] | (attach >> u & 1) << n for u in range(n)] + [attach]
 
 
+def delete_vertices_rows(rows: Sequence[int], drop: Iterable[int]) -> list[int]:
+    """Rows without the vertices in drop; the rest keep their order."""
+    out = list(rows)
+    for v in sorted(drop, reverse=True):
+        low = (1 << v) - 1
+        out = [r & low | r >> v + 1 << v for u, r in enumerate(out) if u != v]
+    return out
+
+
+def delete_edges_rows(rows: Sequence[int], drop: Iterable[tuple[int, int]]) -> list[int]:
+    out = list(rows)
+    for u, v in drop:
+        out[u] &= ~(1 << v)
+        out[v] &= ~(1 << u)
+    return out
+
+
+def relabel_rows(n: int, rows: Sequence[int], lab: Sequence[int]) -> tuple[int, ...]:
+    """Rows of the graph with vertex v renamed lab[v]."""
+    new_rows = [0] * n
+    for v in range(n):
+        acc = 0
+        nb = rows[v]
+        while nb:
+            low = nb & -nb
+            acc |= 1 << lab[low.bit_length() - 1]
+            nb ^= low
+        new_rows[lab[v]] = acc
+    return tuple(new_rows)
+
+
 def _twin_classes(n: int, rows: Sequence[int]) -> list[list[int]]:
     closed: dict[int, list[int]] = {}
     for v in range(n):
@@ -177,7 +218,10 @@ def _sized_patterns(prefixes: list[list[int]], size: int) -> Iterator[int]:
 
 
 def complete_graph(n: int) -> Graph:
-    return Graph(n, combinations(range(n), 2))
+    if n < 0:
+        raise InputError(f"vertex count must be >= 0, got {n}")
+    full = (1 << n) - 1
+    return Graph._from_rows(n, [full ^ 1 << v for v in range(n)])
 
 
 def path_graph(n: int) -> Graph:
@@ -192,29 +236,24 @@ def union(parts: Sequence[Graph]) -> Graph:
     """Disjoint union; vertices of each part are relabeled consecutively."""
     if not parts:
         raise InputError("union of zero graphs")
-    edges = []
-    offset = 0
+    rows: list[int] = []
     for g in parts:
-        edges.extend((u + offset, v + offset) for u, v in g.edges)
-        offset += g.n
-    return Graph(offset, edges)
+        offset = len(rows)
+        rows.extend(r << offset for r in g.rows)
+    return Graph._from_rows(len(rows), rows)
 
 
 def join(parts: Sequence[Graph]) -> Graph:
     """Disjoint union plus every edge between vertices of distinct parts."""
     if not parts:
         raise InputError("join of zero graphs")
-    g = union(parts)
-    edges = list(g.edges)
-    spans = []
-    offset = 0
+    n = sum(p.n for p in parts)
+    rows: list[int] = []
     for p in parts:
-        spans.append(range(offset, offset + p.n))
-        offset += p.n
-    for i in range(len(spans)):
-        for j in range(i + 1, len(spans)):
-            edges.extend((u, v) for u in spans[i] for v in spans[j])
-    return Graph(g.n, edges)
+        offset = len(rows)
+        others = ((1 << n) - 1) ^ ((1 << p.n) - 1) << offset
+        rows.extend(r << offset | others for r in p.rows)
+    return Graph._from_rows(n, rows)
 
 
 def copies(g: Graph, count: int) -> Graph:
@@ -231,24 +270,22 @@ def copies(g: Graph, count: int) -> Graph:
 
 
 def complement(g: Graph) -> Graph:
-    present = set(g.edges)
-    return Graph(
-        g.n, (e for e in combinations(range(g.n), 2) if e not in present)
-    )
+    full = (1 << g.n) - 1
+    return Graph._from_rows(g.n, [full ^ r ^ 1 << v for v, r in enumerate(g.rows)])
 
 
 def line_graph(g: Graph) -> Graph:
     """One vertex per edge of g, in the canonical (lexicographic) edge order;
     adjacency means the two edges share exactly one endpoint."""
     edges = g.edges
-    out = []
-    for i in range(len(edges)):
-        a, b = edges[i]
-        for j in range(i + 1, len(edges)):
-            c, d = edges[j]
-            if len({a, b} & {c, d}) == 1:
-                out.append((i, j))
-    return Graph(len(edges), out)
+    incident = [0] * g.n  # per vertex of g, the mask of its edges
+    for i, (a, b) in enumerate(edges):
+        incident[a] |= 1 << i
+        incident[b] |= 1 << i
+    return Graph._from_rows(
+        len(edges),
+        [(incident[a] | incident[b]) ^ 1 << i for i, (a, b) in enumerate(edges)],
+    )
 
 
 def delete_vertices(g: Graph, s: Iterable[int]) -> Graph:
@@ -256,34 +293,22 @@ def delete_vertices(g: Graph, s: Iterable[int]) -> Graph:
     for v in drop:
         if not (0 <= v < g.n):
             raise InputError(f"vertex {v} out of range for order {g.n}")
-    keep = [v for v in range(g.n) if v not in drop]
-    relabel = {v: i for i, v in enumerate(keep)}
-    return Graph(
-        len(keep),
-        (
-            (relabel[u], relabel[v])
-            for u, v in g.edges
-            if u not in drop and v not in drop
-        ),
-    )
+    return Graph._from_rows(g.n - len(drop), delete_vertices_rows(g.rows, drop))
 
 
 def delete_edges(g: Graph, s: Iterable[tuple[int, int]]) -> Graph:
-    drop = set()
-    present = set(g.edges)
-    for u, v in s:
-        e = (u, v) if u < v else (v, u)
-        if e not in present:
-            raise InputError(f"edge {e} not in graph")
-        drop.add(e)
-    return Graph(g.n, present - drop)
+    drop = list(s)
+    for u, v in drop:
+        if not (0 <= u < g.n and 0 <= v < g.n and g.rows[u] >> v & 1):
+            raise InputError(f"edge {(min(u, v), max(u, v))} not in graph")
+    return Graph._from_rows(g.n, delete_edges_rows(g.rows, drop))
 
 
 def permute(g: Graph, perm: Sequence[int]) -> Graph:
     """Relabel vertices: new graph has edge (perm[u], perm[v]) per edge (u, v)."""
     if sorted(perm) != list(range(g.n)):
         raise InputError("perm must be a permutation of 0..n-1")
-    return Graph(g.n, ((perm[u], perm[v]) for u, v in g.edges))
+    return Graph._from_rows(g.n, relabel_rows(g.n, g.rows, perm))
 
 
 def is_connected(g: Graph) -> bool:
@@ -361,28 +386,22 @@ def graph6_decode(line: str) -> Graph:
         )
     if len(s) - pos > nchars:
         raise Graph6ParseError("trailing bytes after graph6 body", base + pos + nchars)
-    edges = []
-    bit = 0
+    rows = [0] * n
+    u, v = 0, 1  # the next bit is x(u, v), in column order x(0,1) x(0,2) x(1,2) ...
     for idx in range(pos, pos + nchars):
         group = ord(s[idx]) - 63
         for shift in range(5, -1, -1):
-            if bit >= nbits:
+            if v == n:
                 if group >> shift & 1:
                     raise Graph6ParseError("nonzero graph6 padding bits", base + idx)
                 continue
             if group >> shift & 1:
-                edges.append(_column_order_pair(bit))
-            bit += 1
-    return Graph(n, edges)
-
-
-def _column_order_pair(bit: int) -> tuple[int, int]:
-    # bit index -> (u, v) for the column-order triangle x(0,1) x(0,2) x(1,2) ...
-    v = 1
-    while v * (v - 1) // 2 + v <= bit:
-        v += 1
-    u = bit - v * (v - 1) // 2
-    return (u, v)
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+            u += 1
+            if u == v:
+                u, v = 0, v + 1
+    return Graph._from_rows(n, rows)
 
 
 # ---------------------------------------------------------------------------

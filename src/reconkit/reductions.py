@@ -19,8 +19,8 @@ from itertools import (
 from math import comb
 from typing import Optional
 
-from .canon import are_isomorphic, certificate
-from .deck import Deck, build_deck
+from .canon import are_isomorphic, certificate, check_certificate_order
+from .deck import Deck, build_deck, check_deletion_sets
 from .deciders import legit_edge, legit_vertex, subdeck_check
 from .errors import InputError
 from .graph import (
@@ -84,6 +84,7 @@ def gi_to_lvd(g: Graph, h: Graph, c: int) -> Deck:
     "h + isolated" card."""
     if c < 1:
         raise InputError(f"deletion count must be >= 1, got {c}")
+    check_deletion_sets(comb(g.n + c + 1, c))
     n = _require_pair(g, h, "gi_to_lvd", c)
     big = union([g, empty_graph(c + 1)])
     cards = _remove_one(
@@ -100,6 +101,7 @@ def gi_to_led(g: Graph, h: Graph, c: int) -> Deck:
     c-edge-deck of g + c disjoint edges + a large clique."""
     if c < 1:
         raise InputError(f"deletion count must be >= 1, got {c}")
+    check_certificate_order(2 * g.n + 2 * c + 1, "gi_to_led card order")
     n = _require_pair(g, h, "gi_to_led", c)
     ell = n + 1
     big = union([g, copies(complete_graph(2), c), complete_graph(ell)])
@@ -146,6 +148,7 @@ def gi_to_kedc(g: Graph, h: Graph, c: int, k: int) -> tuple[Graph, Deck]:
         raise InputError(f"deletion count must be >= 1, got {c}")
     if k < 2:
         raise InputError(f"card count must be >= 2, got {k}")
+    check_certificate_order(g.n + 2 * c, "gi_to_kedc card order")
     _require_pair(g, h, "gi_to_kedc", c)
     base = union([g, copies(complete_graph(2), c)])
     if comb(base.m, c) - 1 < k - 1:
@@ -172,6 +175,7 @@ def gi_to_klvd(g: Graph, h: Graph, c: int, k: int) -> Deck:
         raise InputError(f"deletion count must be >= 1, got {c}")
     if k < 2:
         raise InputError(f"card count must be >= 2, got {k}")
+    check_certificate_order(3 * g.n + 2 * k + 2 * c, "gi_to_klvd card order")
     n = _require_pair(g, h, "gi_to_klvd", c)
     ell = n + k
     g_card = union([complete_graph(ell), complete_graph(ell + 2 * c), g])
@@ -188,6 +192,7 @@ def gi_to_kled(g: Graph, h: Graph, c: int, k: int) -> Deck:
         raise InputError(f"deletion count must be >= 1, got {c}")
     if k < 2:
         raise InputError(f"card count must be >= 2, got {k}")
+    check_certificate_order(3 * g.n + 2 * k + 1, "gi_to_kled card order")
     n = _require_pair(g, h, "gi_to_kled", c)
     ell = n + k
     if k - 1 > comb(comb(ell, 2), c):

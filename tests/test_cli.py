@@ -398,6 +398,30 @@ def test_deletion_set_cap_exits_3(capsys, tmp_path):
         assert "deletion sets exceed" in err
 
 
+def test_reduce_refuses_an_oversized_gadget_with_exit_3(capsys, tmp_path):
+    gpath = tmp_path / "g.g6"
+    gpath.write_text(K3_LINE)
+    code, out, err = run_cli(
+        capsys,
+        ["reduce", "--kind", "gi-to-klvd", "--c", "1", "--k", "100000", str(gpath), str(gpath)],
+    )
+    assert code == 3 and out == ""
+    assert "capped below order 64, got gi_to_klvd card order" in err
+
+
+def test_write_error_is_input_error(capsys, tmp_path):
+    # --out names a directory: exit 2 with a message, not a traceback
+    gpath = tmp_path / "g.g6"
+    gpath.write_text(K3_LINE)
+    for args in (
+        ["deck", "--out", str(tmp_path), str(gpath)],
+        ["family", "clique-pair", "--n", "6", "--out", str(tmp_path)],
+    ):
+        code, out, err = run_cli(capsys, args)
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot write")
+
+
 @pytest.mark.parametrize(
     "args",
     [

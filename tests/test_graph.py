@@ -5,6 +5,7 @@ import pytest
 from conftest import all_labeled_graphs, brute_canonical_mask, brute_isomorphic
 
 from reconkit.canon import are_isomorphic, certificate
+from reconkit.deck import build_deck
 from reconkit.errors import CapacityError, Graph6ParseError, InputError
 from reconkit.graph import (
     Graph,
@@ -30,6 +31,7 @@ from reconkit.graph import (
     twin_patterns,
     union,
 )
+from reconkit.reductions import gi_to_kled
 
 
 def test_graph_validation():
@@ -41,6 +43,97 @@ def test_graph_validation():
         Graph(-1)
     # duplicates and orientation collapse to one canonical edge
     assert Graph(3, [(1, 0), (0, 1)]).edges == ((0, 1),)
+
+
+def _random_graph(rng, n, p):
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+def test_graph_is_immutable():
+    g = path_graph(3)
+    for name, value in (("n", 4), ("rows", (0, 0, 0)), ("m", 0), ("edges", ()), ("x", 1)):
+        with pytest.raises(AttributeError):
+            setattr(g, name, value)
+    assert g == path_graph(3)
+
+
+def test_repr_lists_the_edges():
+    assert repr(Graph(4, [(2, 3), (1, 0), (2, 1)])) == (
+        "Graph(n=4, edges=[(0, 1), (1, 2), (2, 3)])"
+    )
+    assert repr(empty_graph(2)) == "Graph(n=2, edges=[])"
+
+
+def test_edges_come_out_in_lexicographic_order():
+    assert Graph(4, [(3, 2), (0, 3), (1, 0), (3, 0)]).edges == ((0, 1), (0, 3), (2, 3))
+    rng = random.Random(3)
+    for _ in range(100):
+        g = _random_graph(rng, rng.randint(0, 12), 0.4)
+        assert list(g.edges) == sorted(g.edges)
+        assert all(u < v for u, v in g.edges) and g.m == len(g.edges)
+
+
+def test_derived_graphs_equal_their_validated_twins():
+    # each derived constructor builds rows without validation; its result
+    # must be ==, and hash-equal, to the graph validated from its edges
+    # (rows kept as a list would fail both)
+    rng = random.Random(8)
+    for _ in range(40):
+        g = _random_graph(rng, rng.randint(1, 7), 0.5)
+        h = _random_graph(rng, rng.randint(0, 5), 0.5)
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        derived = [
+            union([g, h, g]),
+            join([g, h]),
+            join([h, empty_graph(1), g]),
+            copies(h, 3),
+            complement(g),
+            line_graph(g),
+            delete_vertices(g, [v for v in range(g.n) if rng.random() < 0.4]),
+            delete_edges(g, [e for e in g.edges if rng.random() < 0.4]),
+            permute(g, perm),
+            complete_graph(g.n),
+            empty_graph(g.n),
+            graph6_decode(graph6_encode(g)),
+        ]
+        for d in derived:
+            twin = Graph(d.n, d.edges)
+            assert d == twin and hash(d) == hash(twin)
+            assert type(d.rows) is tuple and d.m == twin.m
+
+
+def test_derived_graphs_skip_the_validating_constructor(monkeypatch):
+    k6 = complete_graph(6)
+    k3 = complete_graph(3)
+    calls = []
+    validating = Graph.__init__
+
+    def counted(self, n, edges=()):
+        calls.append(n)
+        validating(self, n, edges)
+
+    monkeypatch.setattr(Graph, "__init__", counted)
+    assert [len(build_deck(k6, kind, 2)) for kind in ("vertex", "edge")] == [15, 105]
+    union([k6, k6])
+    complement(k6)
+    permute(k6, (5, 4, 3, 2, 1, 0))
+    gi_to_kled(k3, k3, 2, 2)
+    assert calls == []
+
+
+def test_out_of_range_arguments_are_refused_before_indexing():
+    # rows[-1] would read the last vertex, so range is checked first
+    g = complete_graph(4)
+    for bad in ((-1, 2), (0, 9), (2, -1), (1, 1)):
+        with pytest.raises(InputError):
+            delete_edges(g, [bad])
+    with pytest.raises(InputError):
+        delete_vertices(g, [-1])
+    with pytest.raises(InputError):
+        complete_graph(-1)
+    with pytest.raises(InputError):
+        empty_graph(-1)
 
 
 def test_combine():
@@ -239,10 +332,25 @@ def test_graph6_errors():
         graph6_decode("B")  # body too short for order 3
     with pytest.raises(Graph6ParseError):
         graph6_decode("Bww")  # trailing bytes
-    with pytest.raises(Graph6ParseError):
+    with pytest.raises(Graph6ParseError) as err:
         graph6_decode("A@")  # nonzero padding bit for order 2
+    assert err.value.offset == 1
     with pytest.raises(Graph6ParseError):
         graph6_decode("")
+
+
+def test_graph6_agrees_with_networkx():
+    # independent codec: both size forms (n <= 62 and the "~" form above)
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(6)
+    for n in list(range(0, 71)) * 3:
+        g = _random_graph(rng, n, rng.choice((0.1, 0.5, 0.9)))
+        other = nx.Graph()
+        other.add_nodes_from(range(n))
+        other.add_edges_from(g.edges)
+        line = nx.to_graph6_bytes(other, header=False).decode("ascii").rstrip("\n")
+        assert graph6_encode(g) == line
+        assert graph6_decode(line) == g
 
 
 def test_brute_iso_oracle_matches_engine_small():

@@ -159,6 +159,41 @@ def test_builders_admit_exactly_the_min_order(build, k, c):
     build(path_graph(low), path_graph(low), *args)
 
 
+@pytest.mark.parametrize(
+    "build, args",
+    [
+        (gi_to_lvd, (10**6,)),
+        (gi_to_led, (10**6,)),
+        (gi_to_kedc, (10**6, 2)),
+        (gi_to_klvd, (1, 10**6)),
+        (gi_to_kled, (1, 10**6)),
+    ],
+)
+def test_builders_refuse_oversized_parameters_before_building(monkeypatch, build, args):
+    # (n, c, k) fix the card order (the deletion sets, for gi_to_lvd), so
+    # the refusal comes before any part of the gadget is allocated
+    def refuse(*_):
+        raise AssertionError("a gadget part was built")
+
+    for name in ("union", "complete_graph", "empty_graph", "copies"):
+        monkeypatch.setattr(reductions, name, refuse)
+    with pytest.raises(CapacityError):
+        build(K3, K3, *args)
+
+
+def test_builder_card_order_boundaries():
+    # K3 cards: gi_to_klvd 3n+2k+2c, gi_to_kled 3n+2k+1, gi_to_kedc n+2c,
+    # each certifiable below order 64
+    for build, order in ((gi_to_klvd, 63), (gi_to_kled, 62)):
+        assert build(K3, K3, 1, 26).card_order == order
+        with pytest.raises(CapacityError):
+            build(K3, K3, 1, 27)
+    graph, deck = gi_to_kedc(K3, K3, 30, 2)
+    assert graph.n == deck.card_order == 63
+    with pytest.raises(CapacityError):
+        gi_to_kedc(K3, K3, 31, 2)
+
+
 @pytest.mark.parametrize("c", [1, 2])
 @pytest.mark.parametrize(
     "kind, k",
