@@ -30,9 +30,16 @@ Adding a vertex over an attachment set A moves A up one class, so each
 extension of the first card derives its classes from the card's.  Card
 rows are built only when a key hits a target card class.
 
+Vertex decks add c vertices to the first card, one per round, over
+twin_patterns (twins are swapped by an automorphism).  Each of the first
+c - 1 rounds keeps one graph per certificate (graph.extension_classes);
+the last is streamed to the matcher.  Round r keeps at most the
+2^(r*n' + C(r,2)) raw patterns of r vertices, so the raw count of c
+vertices, which VERTEX_SEARCH_BITS_CAP bounds, bounds every round.
+
 Pure vertex decks use Kelly's lemma: each edge of a preimage survives in
-C(n-2, c) of its cards, so the cards' edge counts fix |E(G)| and only
-extension patterns adding |E(G)| - |E(card_0)| edges are tried.
+C(n-2, c) of its cards, so the cards' edge counts fix |E(G)| and the last
+round tries only attachment sets that bring |E(card_0)| up to |E(G)|.
 
 Edge decks add c edges to the first card in c rounds.  Twins are swapped
 by an automorphism, so a round adds to each graph only one non-edge per
@@ -56,7 +63,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import combinations, product
 from math import comb
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .canon import certificate_rows, find_isomorphism
 from .deck import DELETION_SETS_CAP, Deck, check_deletion_sets
@@ -69,12 +76,13 @@ from .graph import (
     delete_vertices,
     delete_vertices_rows,
     extend_rows,
+    extension_classes,
     iter_bits,
     rows_edges,
     twin_patterns,
 )
 
-VERTEX_SEARCH_BITS_CAP = 24  # 2^(c*n' + C(c,2)) candidate patterns at most
+VERTEX_SEARCH_BITS_CAP = 24  # 2^(c*n' + C(c,2)) raw attachment patterns at most
 EDGE_SEARCH_CANDIDATES_CAP = 10**6
 _FIELD = 6  # bits per degree in a packed histogram: degree r counts 1 << 6r
 # key change when a vertex of degree d loses one edge, for d < 64 (edge-kind
@@ -453,38 +461,23 @@ def subdeck_check(g: Graph, cards: Deck, c: int) -> bool:
 def _extensions(
     base: Graph, kind: str, c: int, size: Optional[int] = None
 ) -> Iterator[_Shape]:
-    """Every graph with base as a c-deletion card, up to isomorphism: c new
-    vertices over each attachment pattern (vertex kind; `size` fixes the
-    number of added edges), or c new edges (edge kind, see
-    _edge_additions)."""
-    n0, rows0 = base.n, base.rows
-    card = _shape(n0, rows0)
+    """Every graph with base as a c-deletion card, up to isomorphism: c
+    vertex rounds, complete since a graph minus its last added vertex has
+    base as a (c-1)-deletion card (`size` fixes the added edges), or c
+    edge rounds (see _edge_additions)."""
     if kind == "edge":
-        yield from _edge_additions(card, c)
+        yield from _edge_additions(_shape(base.n, base.rows), c)
         return
-    if c == 1:
-        for attach in twin_patterns(n0, rows0, size):
+    n = base.n
+    graphs: Iterable[Sequence[int]] = [base.rows]
+    for _ in range(c - 1):
+        graphs = extension_classes(n, graphs).values()
+        n += 1
+    for rows in graphs:
+        card = _shape(n, rows)
+        left = None if size is None else size - (card.m - base.m)
+        for attach in twin_patterns(n, rows, left):
             yield _Extension(card, attach)
-        return
-    n = n0 + c
-    full = (1 << n0) - 1
-    pair_bits = [(i, j) for i in range(c) for j in range(i + 1, c)]
-    bits = c * n0 + len(pair_bits)
-    for pattern in range(1 << bits):
-        if size is not None and pattern.bit_count() != size:
-            continue
-        out = list(rows0) + [0] * c
-        for i in range(c):
-            attach = pattern >> (i * n0) & full
-            out[n0 + i] = attach
-            for u in iter_bits(attach):
-                out[u] |= 1 << (n0 + i)
-        links = pattern >> (c * n0)
-        for b, (i, j) in enumerate(pair_bits):
-            if links >> b & 1:
-                out[n0 + i] |= 1 << (n0 + j)
-                out[n0 + j] |= 1 << (n0 + i)
-        yield _shape(n, out)
 
 
 def _edge_additions(card: _Shape, c: int) -> Iterator[_Shape]:

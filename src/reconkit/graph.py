@@ -411,15 +411,28 @@ def graph6_decode(line: str) -> Graph:
 _ENUM_CACHE: dict[int, tuple[Graph, ...]] = {0: (Graph(0),)}
 
 
+def extension_classes(n: int, graphs: Iterable[Sequence[int]]) -> dict[bytes, list[int]]:
+    """Every one-vertex extension of the given rows-graphs on n vertices up
+    to isomorphism, attachment sets over `twin_patterns`: certificate ->
+    rows of the first extension found with it."""
+    from .canon import certificate_rows
+
+    found: dict[bytes, list[int]] = {}
+    for rows in graphs:
+        for attach in twin_patterns(n, rows, None):
+            out = extend_rows(n, rows, attach)
+            found.setdefault(certificate_rows(n + 1, out), out)
+    return found
+
+
 def enumerate_graphs(n: int) -> tuple[Graph, ...]:
     """One canonical representative per isomorphism class on n vertices.
 
     Every graph on n >= 1 vertices is G - v plus the vertex v, with G a
     graph on n - 1 vertices.  So the classes on n vertices are the
-    one-vertex extensions of the classes on n - 1, over every attachment
-    set up to twins (`twin_patterns`), kept once per certificate.  The
-    representative is the decoded certificate (what `canonical_form`
-    returns), and the output is sorted by certificate.  Capped at n = 7.
+    `extension_classes` of the classes on n - 1.  The representative is
+    the decoded certificate (what `canonical_form` returns), and the
+    output is sorted by certificate.  Capped at n = 7.
     """
     if n > ENUMERATION_CAP:
         raise CapacityError(
@@ -428,13 +441,6 @@ def enumerate_graphs(n: int) -> tuple[Graph, ...]:
     if n < 0:
         raise InputError(f"vertex count must be >= 0, got {n}")
     if n not in _ENUM_CACHE:
-        from .canon import certificate_rows
-
-        n0 = n - 1
-        found = {
-            certificate_rows(n, extend_rows(n0, g.rows, attach))
-            for g in enumerate_graphs(n0)
-            for attach in twin_patterns(n0, g.rows, None)
-        }
+        found = extension_classes(n - 1, (g.rows for g in enumerate_graphs(n - 1)))
         _ENUM_CACHE[n] = tuple(graph6_decode(c.decode("ascii")) for c in sorted(found))
     return _ENUM_CACHE[n]

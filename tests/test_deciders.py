@@ -1,5 +1,5 @@
 import random
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from math import comb
 
 import pytest
@@ -359,6 +359,22 @@ def test_preimage_search_caps_at_their_boundaries():
     assert len(enum_preimages(Deck("vertex", [empty_graph(24)] * 2), 1, "sub")) == 2
     with pytest.raises(CapacityError):
         enum_preimages(Deck("vertex", [empty_graph(25)] * 2), 1, "sub")
+    # c = 2: 2^(2*11 + 1) = 2^23 patterns pass, 2^(2*12 + 1) do not.  With
+    # S = {0, 1} and T the deleted pairs, every edge meets both: T = {2, 3}
+    # leaves the edges between S and T, T = {0, 2} those at 0 and (1, 2)
+    deck = Deck("vertex", [empty_graph(11)] * 2)
+    found = enum_preimages(deck, 2, "sub")
+    slots = [[(0, 2), (0, 3), (1, 2), (1, 3)], [(0, v) for v in range(1, 13)] + [(1, 2)]]
+    want = {
+        certificate(Graph(13, [e for e, on in zip(edges, bits) if on]))
+        for edges in slots
+        for bits in product((0, 1), repeat=len(edges))
+    }
+    assert len(found) == len(want) == 45
+    assert {certificate(g) for g in found.preimages} == want
+    assert all(subdeck_check(g, deck, 2) for g in found.preimages)
+    with pytest.raises(CapacityError):
+        enum_preimages(Deck("vertex", [empty_graph(12)] * 2), 2, "sub")
     # edge search: C(C(53, 2), 2) = 948,753 candidates, C(C(54, 2), 2) =
     # 1,023,165 past the 10^6 cap
     assert legit_edge(Deck("edge", [empty_graph(53)]), 2, "sub")
@@ -464,6 +480,70 @@ def test_edge_extensions_are_complete_up_to_isomorphism():
             for s in got:
                 assert s.m == base.m + c
                 assert s.key == deciders._shape(s.n, s.rows).key
+
+
+def _raw_vertex_extensions(base, c):
+    """Certificates of the graphs from the raw attachment patterns of c new
+    vertices, by number of added edges, and the 2^(c*n' + C(c,2)) raw
+    count.  Renaming the new vertices in order of their attachment sets is
+    an isomorphism, so only nondecreasing tuples of those sets are built."""
+    n0, n = base.n, base.n + c
+    links = list(combinations(range(n0, n), 2))
+    by_size = {}
+    for masks in combinations_with_replacement(range(1 << n0), c):
+        attached = [(u, n0 + i) for i, mask in enumerate(masks) for u in range(n0) if mask >> u & 1]
+        for bits in product((0, 1), repeat=len(links)):
+            added = attached + [e for e, on in zip(links, bits) if on]
+            g = Graph(n, base.edges + tuple(added))
+            by_size.setdefault(len(added), set()).add(certificate(g))
+    return by_size, 2 ** (c * n0 + len(links))
+
+
+def test_vertex_extensions_are_complete_up_to_isomorphism():
+    # c - 1 rounds keep one graph per class, the last one is streamed over
+    # twin patterns: every raw pattern's graph is isomorphic to a candidate,
+    # and with `size` set exactly the raw patterns adding that many edges
+    rng = random.Random(31)
+    bases = [_random_graph(rng, n, p) for n in range(1, 5) for p in (0.3, 0.7)]
+    bases += [empty_graph(3), P3, empty_graph(4), complete_graph(4), STAR, union([K2, K2])]
+    bases.append(join([empty_graph(2), empty_graph(2)]))
+    for base in bases:
+        for c in (2, 3):
+            if c == 3 and base.n == 4 and base not in (STAR, empty_graph(4)):
+                continue  # 2^15 raw patterns each
+            by_size, raw = _raw_vertex_extensions(base, c)
+            got = list(deciders._extensions(base, "vertex", c))
+            assert len(got) <= raw
+            assert {certificate_rows(s.n, s.rows) for s in got} == set().union(*by_size.values())
+            for s in got:
+                shape = deciders._shape(s.n, s.rows)
+                assert (s.m, s.key) == (shape.m, shape.key)
+            for size in range(-1, max(by_size) + 2):
+                certs = set()
+                for s in deciders._extensions(base, "vertex", c, size):
+                    assert s.m == base.m + size
+                    certs.add(certificate_rows(s.n, s.rows))
+                assert certs == by_size.get(size, set())
+
+
+def test_vertex_search_matcher_calls_are_bounded(monkeypatch):
+    # work bound, no clock: the rounds before the last keep one graph per
+    # class, so CT (K3 + K1) offers 2,940 candidates at c = 3 and 140 at
+    # c = 2, where the raw patterns were 32,768 and 512
+    calls = [0]
+    real = deciders._sub_match
+
+    def spy(s, t):
+        calls[0] += 1
+        return real(s, t)
+
+    monkeypatch.setattr(deciders, "_sub_match", spy)
+    deck = Deck("vertex", [union([K3, K1])])
+    assert len(enum_preimages(deck, 2, "sub")) == 71
+    assert calls[0] <= 256
+    calls[0] = 0
+    assert len(enum_preimages(deck, 3, "sub")) == 742
+    assert calls[0] <= 4_000
 
 
 def test_edge_extensions_stay_within_raw_count_when_c_exceeds_half(monkeypatch):

@@ -138,14 +138,18 @@ def test_random_subdecks_orders_6_to_8():
 
 
 def test_vertex_c2_and_c3_subdecks():
+    # c = 3 runs two kept rounds; on 3-vertex cards the oracle walks
+    # 2^(3*3 + 3) = 4,096 raw patterns per deck
     rng = random.Random(23)
-    for n, c in ((5, 2), (5, 3), (6, 2)):
+    for n, c, k in ((5, 2, 2), (5, 3, 2), (6, 2, 2), (6, 3, 3)):
         for g in rng.sample(enumerate_graphs(n), 3):
             full = build_deck(g, "vertex", c)
-            sub = Deck("vertex", rng.sample(full.cards, 2))
+            sub = Deck("vertex", rng.sample(full.cards, k))
             for p in _agree(sub, c, "sub"):
                 _agree_checks(p, sub, c)
                 _agree_checks(p, full, c)
+            if (n, c) == (5, 3):
+                _agree(full, c, "pure")
 
 
 def test_mixed_decks_from_different_graphs():

@@ -291,6 +291,29 @@ def test_enumeration_covers_random_labeled_graphs():
             assert certs.count(certificate(g)) == 1
 
 
+def test_enumeration_matches_the_networkx_atlas():
+    # independent check of the shared extension round: the Atlas of Graphs
+    # lists every class on 0..7 vertices once
+    nx = pytest.importorskip("networkx")
+    by_order = {}
+    for h in nx.graph_atlas_g():
+        by_order.setdefault(h.number_of_nodes(), []).append(h)
+    for n in range(0, 8):
+        theirs = {}  # sorted degree sequence -> atlas graphs not yet matched
+        for h in by_order[n]:
+            theirs.setdefault(tuple(sorted(d for _, d in h.degree())), []).append(h)
+        ours = enumerate_graphs(n)
+        assert len(ours) == len(by_order[n])
+        for g in ours:
+            mine = nx.Graph()
+            mine.add_nodes_from(range(n))
+            mine.add_edges_from(g.edges)
+            bucket = theirs.get(tuple(sorted(g.degrees())), [])
+            match = next((i for i, h in enumerate(bucket) if nx.is_isomorphic(mine, h)), None)
+            assert match is not None, graph6_encode(g)
+            del bucket[match]
+
+
 def test_enumeration_cap():
     with pytest.raises(CapacityError):
         enumerate_graphs(8)
