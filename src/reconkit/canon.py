@@ -12,6 +12,12 @@ search jumps back to where the two leaves' paths part instead of
 walking the equivalent subtree: stars, complete bipartite graphs and
 the line and rook graphs the tests pin take at most n leaves in every
 labeling tried.
+
+Refinement holds one bitmask per cell, so a vertex's neighbor count in
+a cell is one popcount, and each round re-splits only the non-singleton
+cells, in place. It yields the ordered partition that sorting every
+vertex by (cell, neighbor-cell counts) yields (see _refine), so
+certificates are the same bytes as with a neighbor-by-neighbor walk.
 """
 
 from __future__ import annotations
@@ -40,29 +46,50 @@ def clear_certificate_cache() -> None:
 def _refine(n: int, rows: Sequence[int], cells: list[list[int]]) -> list[list[int]]:
     """Refine an ordered partition to the coarsest stable one.
 
-    Cell order is driven purely by (color, neighbor-color profile)
-    signatures, so it is invariant under vertex relabeling.
+    Each round takes one bitmask per cell. A vertex's signature is the
+    tuple of (i, popcount(rows[v] & mask[i])) over the cells i it has
+    neighbors in, in cell order; the walk stops once its row is used up.
+    Every non-singleton cell is split in place into pieces sorted by
+    signature, all against the same round's masks, until a round splits
+    nothing. This is the order of sorting all vertices by (cell index,
+    sorted neighbor-cell counts): the cell index keeps each cell's pieces
+    where the cell was, a singleton cannot split, and the pieces keep
+    the cell's vertex order, ascending because the initial partition and
+    every child `_descend` builds are. So the ordered partition depends
+    only on the signatures and is invariant under vertex relabeling.
     """
     while True:
-        color = [0] * n
-        for i, cell in enumerate(cells):
+        masks = []
+        for cell in cells:
+            mask = 0
             for v in cell:
-                color[v] = i
-        groups: dict[tuple, list[int]] = {}
-        for v in range(n):
-            counts: dict[int, int] = {}
-            nb = rows[v]
-            while nb:
-                low = nb & -nb
-                c = color[low.bit_length() - 1]
-                counts[c] = counts.get(c, 0) + 1
-                nb ^= low
-            sig = (color[v], tuple(sorted(counts.items())))
-            groups.setdefault(sig, []).append(v)
-        new_cells = [groups[key] for key in sorted(groups)]
-        if len(new_cells) == len(cells):
-            return new_cells
-        cells = new_cells
+                mask |= 1 << v
+            masks.append(mask)
+        indexed = list(enumerate(masks))
+        out: list[list[int]] = []
+        for cell in cells:
+            if len(cell) == 1:
+                out.append(cell)
+                continue
+            groups: dict[tuple, list[int]] = {}
+            for v in cell:
+                row = rows[v]
+                sig = []
+                for i, mask in indexed:
+                    hit = row & mask
+                    if hit:
+                        sig.append((i, hit.bit_count()))
+                        row ^= hit
+                        if not row:
+                            break
+                groups.setdefault(tuple(sig), []).append(v)
+            if len(groups) == 1:
+                out.append(cell)
+            else:
+                out.extend(groups[key] for key in sorted(groups))
+        if len(out) == len(cells):
+            return out
+        cells = out
 
 
 # ---------------------------------------------------------------------------

@@ -339,7 +339,11 @@ def _sub_match(s: _Shape, t: _DeckTargets) -> bool:
     One pass over the deletion sets, counting hits per card class with
     early success and early exhaustion; certificates are computed only for
     deletions whose packed degree histogram and component size profile
-    already match a class.
+    already match a class.  A vertex candidate of the search (an
+    _Extension) is t's first card plus its top c vertices, and deleting
+    them gives the first card: it is counted as one hit on the first class
+    up front, and since it is the walk's last deletion, the exhaustion
+    check ends the walk before it is keyed.
     """
     c, n = t.c, s.n
     if t.kind == "vertex":
@@ -372,6 +376,12 @@ def _sub_match(s: _Shape, t: _DeckTargets) -> bool:
     needed = [cls.mult for cls in t.classes]
     total = t.count
     remaining = comb(len(space), c)
+    if isinstance(s, _Extension):
+        needed[0] -= 1
+        total -= 1
+        remaining -= 1
+        if not total:
+            return True
     for drop in combinations(space, c):
         remaining -= 1
         hit = t.by_key.get(keyed(drop))

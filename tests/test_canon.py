@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from canon_oracle import _refine as oracle_refine
 from conftest import all_labeled_graphs, brute_canonical_mask
 
 from reconkit.canon import (
@@ -16,9 +17,11 @@ from reconkit.canon import (
 from reconkit.errors import CapacityError
 from reconkit.graph import (
     Graph,
+    complement,
     complete_graph,
     component_masks,
     copies,
+    delete_edges,
     empty_graph,
     enumerate_graphs,
     graph6_decode,
@@ -457,3 +460,147 @@ def test_certificates_agree_with_networkx_on_unions():
         assert (certificate(g) == certificate(h)) == same
         outcomes[same] += 1
     assert min(outcomes.values()) >= 50, outcomes
+
+
+def _random_graph(rng, n, density):
+    return Graph(n, {(u, v) for v in range(n) for u in range(v) if rng.random() < density})
+
+
+def _relabeled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return permute(g, perm)
+
+
+def _hypercube(d):
+    n = 1 << d
+    return Graph(n, [(u, u ^ 1 << b) for u in range(n) for b in range(d) if u < u ^ 1 << b])
+
+
+def _paley(q):
+    squares = {x * x % q for x in range(1, q)}
+    return Graph(q, [(u, v) for u in range(q) for v in range(u + 1, q) if (v - u) % q in squares])
+
+
+def _buckyball():
+    # C60: one vertex per arc u->v of the icosahedron (apex 0, rings 1..5
+    # and 6..10, apex 11); u->v meets v->u and u->w for w adjacent to v
+    ico_edges = []
+    for i in range(1, 6):
+        j = i % 5 + 1
+        ico_edges += [(0, i), (i, j), (i, 5 + i), (i, 5 + j), (5 + i, 5 + j), (11, 5 + i)]
+    ico = Graph(12, ico_edges)
+    arcs = [(u, v) for u in range(12) for v in ico.neighbors(u)]
+    index = {arc: i for i, arc in enumerate(arcs)}
+    edges = set()
+    for u, v in arcs:
+        edges.add(tuple(sorted((index[(u, v)], index[(v, u)]))))
+        for w in ico.neighbors(u):
+            if ico.has_edge(v, w):
+                edges.add(tuple(sorted((index[(u, v)], index[(u, w)]))))
+    return Graph(60, edges)
+
+
+def _six_symmetric():
+    # Q5, Paley(29), Paley(37), the 6x6 rook graph, T(9) and C60
+    return [
+        _hypercube(5),
+        _paley(29),
+        _paley(37),
+        line_graph(join([empty_graph(6), empty_graph(6)])),
+        line_graph(complete_graph(9)),
+        _buckyball(),
+    ]
+
+
+def test_refine_matches_the_neighbor_walk_oracle(monkeypatch):
+    # every refinement the certificates of this corpus ask for, replayed
+    # through the former kernel: the ordered partitions must be identical
+    import reconkit.canon as canon
+
+    calls = []
+    refine = canon._refine
+
+    def spy(n, rows, cells):
+        cells_in = [list(cell) for cell in cells]
+        out = refine(n, rows, cells)
+        calls.append((n, tuple(rows), cells_in, [list(cell) for cell in out]))
+        return out
+
+    monkeypatch.setattr(canon, "_refine", spy)
+    rng = random.Random(85013)
+    corpus = [_relabeled(g, rng) for n in range(0, 8) for g in enumerate_graphs(n)]
+    corpus += [_relabeled(g, rng) for g in _six_symmetric()]
+    for n in range(5, 41):
+        for density in (0.1, 0.3, 0.5, 0.7, 0.95):
+            corpus.append(_random_graph(rng, n, density))
+    for n in (20, 29, 40):
+        corpus.append(_relabeled(delete_edges(complete_graph(n), [(0, 1)]), rng))
+    clear_certificate_cache()
+    for g in corpus:
+        certificate(g)
+    assert len(calls) > 5000
+    assert sum(len(out) - len(cells) for _, _, cells, out in calls) > 0
+    for n, rows, cells, out in calls:
+        assert oracle_refine(n, rows, cells) == out, (n, rows, cells)
+
+
+def _dense_graphs():
+    # complements of sparse random graphs, and K_n minus a matching
+    rng = random.Random(16)
+    for n in range(16, 41):
+        yield f"co-sparse{n}", complement(_random_graph(rng, n, 3 / n))
+    for n in (16, 20, 29, 40):
+        for k in (1, 2, n // 4, n // 2):
+            yield f"K{n}-M{k}", complement(Graph(n, [(2 * i, 2 * i + 1) for i in range(k)]))
+
+
+def test_dense_certificate_bytes_are_pinned():
+    # the two digests above barely reach dense refinement rounds. This one
+    # was recorded with the neighbor-walk kernel (tests/canon_oracle.py),
+    # before refinement went to cell bitmasks, by running this same loop:
+    # each graph as built, then one relabeling from random.Random(17)
+    rng = random.Random(17)
+    digest = hashlib.sha256()
+    for name, g in _dense_graphs():
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        for h in (g, permute(g, perm)):
+            digest.update(name.encode() + b" " + certificate(h) + b"\n")
+    assert digest.hexdigest() == (
+        "e4d8040e367d46182db153f64f956c05b6d686efede8d433e26d48436c8c1ad7"
+    )
+
+
+def test_relabeling_property():
+    # any graph up to order 40, any density: the certificate and the
+    # canonical form do not see the labeling, and find_isomorphism
+    # returns an edge bijection
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def labeled_pair(draw):
+        n = draw(st.integers(0, 40))
+        density = draw(st.floats(0.0, 1.0))
+        seed = draw(st.integers(0, 2**32 - 1))
+        rng = random.Random(seed)
+        g = _random_graph(rng, n, density)
+        perm = draw(st.permutations(range(n)))
+        return g, permute(g, perm)
+
+    @hypothesis.settings(
+        derandomize=True, deadline=None, database=None, max_examples=60
+    )
+    @hypothesis.given(labeled_pair())
+    def check(pair):
+        g, h = pair
+        assert certificate(h) == certificate(g)
+        assert canonical_form(h) == canonical_form(g)
+        mapping = find_isomorphism(g, h)
+        assert mapping is not None and sorted(mapping) == list(range(g.n))
+        assert sorted(
+            tuple(sorted((mapping[u], mapping[v]))) for u, v in g.edges
+        ) == list(h.edges)
+
+    check()

@@ -24,7 +24,7 @@ from reconkit.deciders import (
     two_lvd,
 )
 from reconkit.families import many_preimage_deck
-from reconkit.graph import Graph, enumerate_graphs, is_connected
+from reconkit.graph import Graph, empty_graph, enumerate_graphs, is_connected
 from reconkit.recon import identifies
 from reconkit.reductions import gi_to_kled, gi_to_klvd, gi_to_led, gi_to_lvd
 
@@ -150,6 +150,42 @@ def test_vertex_c2_and_c3_subdecks():
                 _agree_checks(p, full, c)
             if (n, c) == (5, 3):
                 _agree(full, c, "pure")
+
+
+def test_undone_deletion_is_counted_without_keying(monkeypatch):
+    # a vertex candidate is the first card plus its top c vertices, and
+    # deleting those gives the first card: it is counted up front and
+    # never keyed. One-card decks so key no deletion at all (E5, c = 3
+    # keyed 120,875 deletions in 3,052 matcher calls when it was walked
+    # last), and the walk stops sooner on decks of several cards
+    keyed = [0]
+    real = deciders._keyer
+
+    def keyer(s, kind, c):
+        key = real(s, kind, c)
+
+        def counted(drop):
+            keyed[0] += 1
+            return key(drop)
+
+        return counted
+
+    monkeypatch.setattr(deciders, "_keyer", keyer)
+    for n, count in ((5, 930), (6, 2121), (7, 4384)):
+        assert len(enum_preimages(Deck("vertex", [empty_graph(n)]), 3, "sub")) == count
+    assert keyed[0] == 0
+    _agree(Deck("vertex", [empty_graph(3)]), 3, "sub")
+    rng = random.Random(3)
+    decks = []
+    for n, c, k in ((6, 2, 2), (6, 2, 3), (7, 2, 3), (6, 3, 2), (5, 3, 3)):
+        g = _random_graph(rng, n, 0.45)
+        decks.append((Deck("vertex", rng.sample(build_deck(g, "vertex", c).cards, k)), c))
+    keyed[0] = 0
+    for deck, c in decks:
+        enum_preimages(deck, c, "sub")
+    assert keyed[0] <= 19_000  # 21,756 when the undone deletion was walked last
+    for deck, c in decks:
+        _agree(deck, c, "sub")
 
 
 def test_mixed_decks_from_different_graphs():
