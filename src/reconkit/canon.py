@@ -263,9 +263,11 @@ def check_certificate_order(order: int, what: str = "order") -> None:
     """Refuse an order certificates cannot reach.  Builders of large graphs
     call it on the order they would build, before building anything."""
     if order >= CERTIFICATE_ORDER_CAP:
+        # a huge order is named by its size: printing its digits may be refused
+        shown = order if order < 1 << 64 else f"of {order.bit_length()} bits"
         raise CapacityError(
             f"certificates are capped below order {CERTIFICATE_ORDER_CAP}, "
-            f"got {what} {order}"
+            f"got {what} {shown}"
         )
 
 

@@ -13,12 +13,21 @@ two cards cannot see, is a preimage once subdeck_check accepts it.  The
 front end needs no attachment-pattern cap, so it also answers decks past
 the search's; what it leaves open goes to the search.
 
-Deck checks and the search share one matcher, deck containment, which
-tests each deletion in three stages: the degree-class prefilter, the
-component-size profile, then exact certificates.  Pure mode (deck
-equality) is containment of a full-size deck: a multiset of C(n, c) cards
-(C(m, c) for edge decks) lies in the deck exactly when it equals it, so
-card counts are compared first and only equal sizes reach the matcher.
+Deck checks, the search and reconstruction numbers share one walk over a
+graph's c-deletions (_coverage): per card class of a deck, the deletions
+in the class, up to its multiplicity.  Each deletion is tested in three
+stages: the degree-class prefilter, the component-size profile, then
+exact certificates.  Containment is full coverage, and a containment walk
+gives up once the deletions left cannot reach it.  A search candidate
+carries the deletion that undoes it (`undo`): a vertex candidate's top c
+vertices, an edge candidate's c added edges.  It gives the first card, so
+it counts as a first-class hit without being keyed: vertex deletions are
+walked in lexicographic order and an edge candidate's added edges are
+listed last, so it is the walk's last deletion, which is skipped.  Pure
+mode (deck equality) is containment of a full-size deck: a multiset of
+C(n, c) cards (C(m, c) for edge decks) lies in the deck exactly when it
+equals it, so card counts are compared first and only equal sizes are
+walked.
 
 Degree-class prefilter: a graph is kept with its degree classes (degree r
 -> bitmask of the vertices of degree r) and its degree histogram packed
@@ -33,7 +42,7 @@ rows are built only when a key hits a target card class.
 Vertex decks add c vertices to the first card, one per round, over
 twin_patterns (twins are swapped by an automorphism).  Each of the first
 c - 1 rounds keeps one graph per certificate (graph.extension_classes);
-the last is streamed to the matcher.  Round r keeps at most the
+the last is streamed to the walk.  Round r keeps at most the
 2^(r*n' + C(r,2)) raw patterns of r vertices, so the raw count of c
 vertices, which VERTEX_SEARCH_BITS_CAP bounds, bounds every round.
 
@@ -51,9 +60,8 @@ c > N/2) gives way to the C(N, c) raw additions.
 
 Reconstruction numbers test many subdecks of one deck.  profile_identifies
 walks the one-vertex (one-edge) extensions of each card class once and
-reduces each extension to its coverage: per card class, how many of its
-cards fall in the class, up to the deck's count.  One walk serves every
-subdeck tested whose first card is of that class.
+reduces each extension to its coverage, which serves every subdeck tested
+whose first card is of that class.
 """
 
 from __future__ import annotations
@@ -61,7 +69,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from math import comb
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -113,9 +121,11 @@ def _component_sizes(n: int, rows: Sequence[int]) -> tuple[int, ...]:
 class _Shape:
     """A rows-graph with its degree classes (degree -> vertex mask), packed
     degree histogram `key` and edge count.  Edge-kind candidates carry no
-    classes: their deletion keys need only degrees."""
+    classes: their deletion keys need only degrees.  A search candidate's
+    `undo` is the c vertices or c edges whose deletion gives back the first
+    card; the graphs of deck checks have none."""
 
-    __slots__ = ("n", "rows", "classes", "key", "m")
+    __slots__ = ("n", "rows", "classes", "key", "m", "undo")
 
     def __init__(
         self,
@@ -124,12 +134,14 @@ class _Shape:
         classes: Optional[dict[int, int]],
         key: int,
         m: int,
+        undo: Optional[tuple] = None,
     ):
         self.n = n
         self.rows = rows
         self.classes = classes
         self.key = key
         self.m = m
+        self.undo = undo
 
     def degree_class(self, d: int) -> int:
         return self.classes.get(d, 0)
@@ -142,11 +154,12 @@ class _Extension(_Shape):
 
     __slots__ = ("card", "attach")
 
-    def __init__(self, card: _Shape, attach: int):
+    def __init__(self, card: _Shape, attach: int, undo: tuple[int, ...]):
         self.n = card.n + 1
         self.m = card.m + attach.bit_count()
         self.card = card
         self.attach = attach
+        self.undo = undo
 
     def degree_class(self, d: int) -> int:
         # attach's vertices move up one degree, w has degree |attach|
@@ -317,6 +330,7 @@ class _DeckTargets:
         for idx, cls in enumerate(self.classes):
             self.by_key.setdefault(cls.key, []).append(idx)
             self.need_by_edges[cls.edges] += cls.mult
+        self.mults = [cls.mult for cls in self.classes]
         self.comp_whitelist = {cls.comps for cls in self.classes}
 
 
@@ -333,107 +347,74 @@ def _edge_delta_feasible(
     return all(a - c <= b <= a for a, b in zip(cand_degseq, card_degseq))
 
 
-def _sub_match(s: _Shape, t: _DeckTargets) -> bool:
-    """Does the graph's deck contain the target multiset?
-
-    One pass over the deletion sets, counting hits per card class with
-    early success and early exhaustion; certificates are computed only for
-    deletions whose packed degree histogram and component size profile
-    already match a class.  A vertex candidate of the search (an
-    _Extension) is t's first card plus its top c vertices, and deleting
-    them gives the first card: it is counted as one hit on the first class
-    up front, and since it is the walk's last deletion, the exhaustion
-    check ends the walk before it is keyed.
-    """
-    c, n = t.c, s.n
+def _coverage(s: _Shape, t: _DeckTargets, exhaust: bool) -> list[int]:
+    """Per card class of t, the c-deletions of s whose card is in the class,
+    capped at its multiplicity, in one pass that stops once every cap is
+    reached.  s.undo is counted on the first class and never keyed.  With
+    `exhaust` the pass gives up as soon as the deletions left cannot fill
+    the caps, which is all that containment needs."""
+    c, n, mults = t.c, s.n, t.mults
+    cov = [0] * len(mults)
     if t.kind == "vertex":
-        if t.order != n - c or comb(n, c) < t.count:
-            return False
+        if t.order != n - c:
+            return cov
         if c == 1:
-            # the deleted vertex's degree is forced by the card edge count,
-            # so each degree class must be large enough to serve every card
-            # class that needs it
+            # the deleted vertex's degree is forced by the card edge count;
+            # for containment each degree class must be large enough to
+            # serve every card class that needs it
             eligible = 0
             for edges, need in t.need_by_edges.items():
                 mask = s.degree_class(s.m - edges)
-                if mask.bit_count() < need:
-                    return False
+                if exhaust and mask.bit_count() < need:
+                    return cov
                 eligible |= mask
             space: Sequence = list(iter_bits(eligible))
         else:
             space = range(n)
         card_rows = delete_vertices_rows
     else:
-        if t.order != n or t.edges != s.m - c or comb(s.m, c) < t.count:
-            return False
-        cand_degseq = sorted(r.bit_count() for r in s.rows)
-        for cls in t.classes:
-            if not _edge_delta_feasible(cand_degseq, cls.degseq, c):
-                return False
+        if t.order != n or t.edges != s.m - c:
+            return cov
+        if exhaust:
+            cand_degseq = sorted(r.bit_count() for r in s.rows)
+            for cls in t.classes:
+                if not _edge_delta_feasible(cand_degseq, cls.degseq, c):
+                    return cov
         space = rows_edges(n, s.rows)
+        if s.undo is not None:
+            space = [e for e in space if e not in s.undo] + list(s.undo)
         card_rows = delete_edges_rows
-    keyed = _keyer(s, t.kind, c)
-    needed = [cls.mult for cls in t.classes]
-    total = t.count
-    remaining = comb(len(space), c)
-    if isinstance(s, _Extension):
-        needed[0] -= 1
-        total -= 1
-        remaining -= 1
-        if not total:
-            return True
-    for drop in combinations(space, c):
-        remaining -= 1
-        hit = t.by_key.get(keyed(drop))
-        if hit and any(needed[idx] for idx in hit):
-            idx = t.index.get(_staged_cert(t, card_rows(s.rows, drop)))
-            if idx is not None and needed[idx]:
-                needed[idx] -= 1
-                total -= 1
-                if not total:
-                    return True
-        if remaining < total:
-            return False
-    return False
-
-
-def _staged_cert(t: _DeckTargets, rows: list[int]) -> Optional[bytes]:
-    """The certificate of a deletion whose key hit a card class of t, or
-    None when its component sizes already rule out every card of t."""
-    if _component_sizes(len(rows), rows) not in t.comp_whitelist:
-        return None
-    return certificate_rows(len(rows), rows)
-
-
-def _coverage(s: _Shape, t: _DeckTargets, skip: int | tuple[int, int]) -> list[int]:
-    """Per card class of t, the single deletions of s whose card is in the
-    class, capped at its multiplicity.  The deletion `skip` (a vertex or an
-    edge) is known to give t's first class and is counted uncertified."""
-    mults = [cls.mult for cls in t.classes]
-    cov = [1] + [0] * (len(mults) - 1)
-    left = t.count - 1  # room under the caps
-    if not left:
+    walked = comb(len(space), c)
+    left = t.count  # room under the caps
+    if s.undo is not None:
+        cov[0] = 1
+        left -= 1
+        walked -= 1
+    misses = walked - left if exhaust else walked  # deletions that may miss
+    if not left or misses < 0:
         return cov
-    if t.kind == "vertex":
-        eligible = 0  # a card's edge count forces the deleted vertex's degree
-        for edges in t.need_by_edges:
-            eligible |= s.degree_class(s.m - edges)
-        space = [(v,) for v in iter_bits(eligible & ~(1 << skip))]
-        card_rows = delete_vertices_rows
-    else:
-        space = [(e,) for e in rows_edges(s.n, s.rows) if e != skip]
-        card_rows = delete_edges_rows
-    keyed = _keyer(s, t.kind, 1)
-    for drop in space:
+    keyed = _keyer(s, t.kind, c)
+    for drop in islice(combinations(space, c), walked):
         hit = t.by_key.get(keyed(drop))
         if hit and any(cov[j] < mults[j] for j in hit):
-            j = t.index.get(_staged_cert(t, card_rows(s.rows, drop)))
-            if j is not None and cov[j] < mults[j]:
-                cov[j] += 1
-                left -= 1
-                if not left:
-                    break
+            rows = card_rows(s.rows, drop)
+            if _component_sizes(len(rows), rows) in t.comp_whitelist:
+                j = t.index.get(certificate_rows(len(rows), rows))
+                if j is not None and cov[j] < mults[j]:
+                    cov[j] += 1
+                    left -= 1
+                    if not left:
+                        break
+                    continue
+        misses -= 1
+        if misses < 0:
+            break
     return cov
+
+
+def _sub_match(s: _Shape, t: _DeckTargets) -> bool:
+    """Does the graph's deck contain the target multiset?"""
+    return _coverage(s, t, True) == t.mults
 
 
 # ---------------------------------------------------------------------------
@@ -483,11 +464,12 @@ def _extensions(
     for _ in range(c - 1):
         graphs = extension_classes(n, graphs).values()
         n += 1
+    undo = tuple(range(base.n, n + 1))
     for rows in graphs:
         card = _shape(n, rows)
         left = None if size is None else size - (card.m - base.m)
         for attach in twin_patterns(n, rows, left):
-            yield _Extension(card, attach)
+            yield _Extension(card, attach, undo)
 
 
 def _edge_additions(card: _Shape, c: int) -> Iterator[_Shape]:
@@ -521,7 +503,8 @@ def _edge_additions(card: _Shape, c: int) -> Iterator[_Shape]:
                 out[v] |= 1 << u
                 key_out = key + _DOWN[out[u].bit_count()] + _DOWN[out[v].bit_count()]
                 if r == c - 1:
-                    yield _Shape(n, out, None, key_out, card.m + c)
+                    undo = tuple(divmod(bit, n) for bit in iter_bits(mask))
+                    yield _Shape(n, out, None, key_out, card.m + c, undo)
                 else:
                     grown.append((mask, out, key_out))
                     if len(grown) > limit:
@@ -543,7 +526,7 @@ def _raw_edge_additions(card: _Shape, c: int) -> Iterator[_Shape]:
             key += _DOWN[rows[u].bit_count() + 1] + _DOWN[rows[v].bit_count() + 1]
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        yield _Shape(n, rows, None, key, card.m + c)
+        yield _Shape(n, rows, None, key, card.m + c, added)
 
 
 def _kelly_added_edges(d: Deck, c: int, n: int) -> Optional[int]:
@@ -617,7 +600,7 @@ def _search(
             size = _kelly_added_edges(d, c, n0 + c)
             if size is not None and size < 0:
                 return
-    check_deletion_sets(full_size)  # the matcher walks them per candidate
+    check_deletion_sets(full_size)  # the walk visits them per candidate
     seen: set[bytes] = set()
     for s in _extensions(base, t.kind, c, size):
         if _sub_match(s, t):
@@ -650,10 +633,11 @@ class _Blockers:
     Every H whose deck contains the subdeck extends card i by one vertex
     (one edge), so the subdeck identifies g iff no extension H of card i
     that is not g has cov_H[j] >= a_j for every j >= i, where cov_H[j] =
-    min(mult of class j in H's deck, mu_j).  The deletion that undoes the
-    extension gives card i and is counted without a certificate; only an
-    H with cov_H = mu on j >= i and g's degree histogram can be g, so only
-    such an H is certified.  Class i's walk starts on first use and
+    min(mult of class j in H's deck, mu_j), one _coverage walk of H.  The
+    deletion that undoes the extension, H's `undo` (its new vertex or
+    edge), gives card i and is counted without being keyed; only an H with
+    cov_H = mu on j >= i and g's degree histogram can be g, so only such
+    an H is certified.  Class i's walk starts on first use and
     resumes only until a tested profile is blocked or the walk ends; the
     coverages found so far are kept as an antichain, so no class is
     walked twice.
@@ -668,18 +652,10 @@ class _Blockers:
 
     def _walk(self, t: _DeckTargets) -> Iterator[tuple[int, ...]]:
         """Coverage of each extension of t's first card that is not g."""
-        mults = [cls.mult for cls in t.classes]
-        card = t.classes[0].card
-        n0, base = card.n, card.rows
-        for s in _extensions(card, t.kind, 1):
-            if t.kind == "vertex":
-                skip = n0  # the new vertex
-            else:
-                u = next(v for v in range(n0) if s.rows[v] != base[v])
-                skip = (u, (s.rows[u] ^ base[u]).bit_length() - 1)
-            cov = _coverage(s, t, skip)
+        for s in _extensions(t.classes[0].card, t.kind, 1):
+            cov = _coverage(s, t, False)
             if not (
-                cov == mults
+                cov == t.mults
                 and s.key == self.own_key
                 and certificate_rows(s.n, s.rows) == self.own
             ):
@@ -766,6 +742,19 @@ def _agreement(
     return None
 
 
+def _pair_test(cards: Sequence[Graph], c: int) -> Optional[list[_Deletions]]:
+    """The deletion views of same-order cards when every two of them have
+    isomorphic equal-size deletions of 1..c vertices, else None."""
+    n = cards[0].n
+    sizes = range(1, min(c, n) + 1)
+    check_deletion_sets(sum(comb(n, size) for size in sizes))
+    views = [_Deletions(card) for card in cards]
+    for a, b in combinations(views, 2):
+        if not any(_agreement(a, b, size) for size in sizes):
+            return None
+    return views
+
+
 def _glued(
     a: Graph, x: tuple[int, ...], b: Graph, y: tuple[int, ...]
 ) -> Iterator[Graph]:
@@ -811,15 +800,12 @@ def find_preimage(d: Deck, c: int, mode: str) -> Optional[Graph]:
         return None
     if t.kind == "vertex" and mode == "sub" and len(t.classes) > 1:
         n0 = t.order
-        sizes = range(1, min(c, n0) + 1)
-        check_deletion_sets(sum(comb(n0, size) for size in sizes))
-        views = [_Deletions(cls.card) for cls in t.classes]
-        for a, b in combinations(views, 2):
-            if not any(_agreement(a, b, size) for size in sizes):
-                return None
-        # the glued candidates' deck walks, within the deletion-set cap
-        glued_walk = (len(views) - 1) * 2 ** (c * c) * comb(n0 + c, c)
-        if c <= n0 and glued_walk <= DELETION_SETS_CAP:
+        views = _pair_test([cls.card for cls in t.classes], c)
+        if views is None:
+            return None
+        # the glued candidates' deck walks, (classes - 1) 2^(c*c) C(n0+c, c),
+        # within the deletion-set cap; counted only once c <= n0 holds
+        if c <= n0 and (len(views) - 1) * comb(n0 + c, c) << c * c <= DELETION_SETS_CAP:
             for b in views[1:]:
                 # an agreement at size s < c grows to size c, one vertex
                 # and its image at a time, so the pair test ensures one
@@ -855,7 +841,4 @@ def two_lvd(g1: Graph, g2: Graph, c: int) -> bool:
         raise InputError(f"orders differ: {g1.n} vs {g2.n}")
     if c < 1:
         raise InputError(f"deletion count must be >= 1, got {c}")
-    sizes = range(1, min(c, g1.n) + 1)
-    check_deletion_sets(sum(comb(g1.n, size) for size in sizes))
-    a, b = _Deletions(g1), _Deletions(g2)
-    return any(_agreement(a, b, size) for size in sizes)
+    return _pair_test([g1, g2], c) is not None

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .canon import CERTIFICATE_ORDER_CAP, check_certificate_order
 from .deck import Deck
-from .errors import InputError
+from .errors import CapacityError, InputError
 from .graph import (
     Graph,
     complete_graph,
@@ -78,12 +78,25 @@ def _selector_graph(
     return Graph(order, edges)
 
 
-def many_preimage_deck(k: int, n: int) -> Deck:
-    """k certificate-identical cards on (2^(k-1) + 1) n + k vertices."""
+def _selector_order(k: int, n: int, what: str, extra: int = 0) -> int:
+    """(2^(k-1) + 1) n + k + extra, checked against the certificate cap;
+    k > 7 alone passes it, so 2^(k-1) is built only for smaller k."""
     if k < 2 or n < 1:
         raise InputError(f"need k >= 2 and n >= 1, got k={k}, n={n}")
-    order = (2 ** (k - 1) + 1) * n + k
-    check_certificate_order(order, "card order")
+    bits = CERTIFICATE_ORDER_CAP.bit_length()
+    if k > bits:
+        raise CapacityError(
+            f"certificates are capped below order {CERTIFICATE_ORDER_CAP}, "
+            f"and k > {bits} gives a {what} above 2^{bits}"
+        )
+    order = (2 ** (k - 1) + 1) * n + k + extra
+    check_certificate_order(order, what)
+    return order
+
+
+def many_preimage_deck(k: int, n: int) -> Deck:
+    """k certificate-identical cards on (2^(k-1) + 1) n + k vertices."""
+    order = _selector_order(k, n, "card order")
     selectors = tuple(range(n + 1, n + k))
     subsets = _selector_subsets(selectors, None)
     card = _selector_graph(n, k - 1, [subsets] * n)
@@ -98,10 +111,7 @@ def many_preimage_graphs(k: int, n: int) -> tuple[Graph, ...]:
     all odd-size or all even-size selector subsets.  The list is ordered
     by the parity choice vector read as a binary number (odd = 0).
     """
-    if k < 2 or n < 1:
-        raise InputError(f"need k >= 2 and n >= 1, got k={k}, n={n}")
-    order = (2 ** (k - 1) + 1) * n + k + 1
-    check_certificate_order(order, "preimage order")
+    order = _selector_order(k, n, "preimage order", 1)
     selectors = tuple(range(n + 1, n + k + 1))
     by_parity = {
         0: _selector_subsets(selectors, 1),  # odd sizes encode bit 0

@@ -409,6 +409,22 @@ def test_reduce_refuses_an_oversized_gadget_with_exit_3(capsys, tmp_path):
     assert "capped below order 64, got gi_to_klvd card order" in err
 
 
+def test_huge_parameters_exit_3_with_a_short_message(capsys, tmp_path):
+    # orders past Python's 4,300-digit int-to-str limit are named by size
+    gpath = tmp_path / "g.g6"
+    gpath.write_text(K3_LINE)
+    huge = "9" * 4300
+    for args in (
+        ["family", "rich-deck", "--k", "20000", "--n", "1"],
+        ["family", "rich-deck", "--k", "14000", "--n", "1"],
+        ["reduce", "--kind", "gi-to-klvd", "--c", "1", "--k", huge, str(gpath), str(gpath)],
+        ["reduce", "--kind", "gi-to-kedc", "--c", huge, "--k", "2", str(gpath), str(gpath)],
+    ):
+        code, out, err = run_cli(capsys, args)
+        assert code == 3 and out == ""
+        assert "capped below order 64" in err and len(err) < 200, err[:200]
+
+
 def test_write_error_is_input_error(capsys, tmp_path):
     # --out names a directory: exit 2 with a message, not a traceback
     gpath = tmp_path / "g.g6"

@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from collections import Counter
 from itertools import combinations, combinations_with_replacement, product
 from math import comb
 
@@ -318,6 +320,20 @@ def test_front_end_answers_some_decks_past_the_search_cap(monkeypatch):
     assert not legit_vertex(padded(24), 1, "sub")
 
 
+def test_huge_deletion_count_is_refused_without_the_glue_bound():
+    # the front end bounds its glued walk by 2^(c*c) only once c <= n0
+    # holds; at c = 20,000 that number alone is 50 MB
+    deck = Deck("vertex", [K2, empty_graph(2)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            legit_vertex(deck, 20_000, "sub")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
 def test_deck_check_self_consistency():
     rng = random.Random(66)
     for n in range(0, 7):
@@ -623,3 +639,42 @@ def test_edge_search_answers_survive_relabeling():
         want = [certificate(p) for p in enum_preimages(deck, c, "sub").preimages]
         assert [certificate(p) for p in enum_preimages(moved, c, "sub").preimages] == want
         assert legit_edge(moved, c, "sub") == legit_edge(deck, c, "sub") == bool(want)
+
+
+def test_one_walk_matches_built_decks():
+    # the one deletion walk against decks built card by card: for every
+    # one-vertex (one-edge) extension of a card, _coverage's capped class
+    # counts; for those and sampled c = 2 extensions, _sub_match against
+    # subdeck_contained, with the undone deletion counted up front (undo
+    # set) and walked (undo None)
+    rng = random.Random(71)
+    outcomes = set()
+    for kind in ("vertex", "edge"):
+        for n in (5, 6, 7, 8):
+            pairs = list(combinations(range(n), 2))
+            g = Graph(n, rng.sample(pairs, rng.randint(3, len(pairs) - 3)))
+            for c in (1, 2):
+                full = build_deck(g, kind, c)
+                decks = [full] + [
+                    Deck(kind, rng.sample(full.cards, rng.randint(1, 4))) for _ in range(2)
+                ]
+                for deck in decks:
+                    t = deciders._DeckTargets(deck, c)
+                    certs = list(t.index)
+                    shapes = list(deciders._extensions(deck.cards[0], kind, c))
+                    if c == 2:
+                        shapes = rng.sample(shapes, min(12, len(shapes)))
+                    for s in shapes:
+                        h = Graph._from_rows(s.n, s.rows)
+                        have = build_deck(h, kind, c)
+                        if c == 1:
+                            built = Counter(have.certs)
+                            want = [min(m, built[x]) for m, x in zip(t.mults, certs)]
+                            assert deciders._coverage(s, t, False) == want
+                        want = subdeck_contained(deck, have)
+                        outcomes.add(want)
+                        assert deciders._sub_match(s, t) == want
+                        plain = deciders._shape(s.n, s.rows)
+                        assert plain.undo is None
+                        assert deciders._sub_match(plain, t) == want
+    assert outcomes == {True, False}

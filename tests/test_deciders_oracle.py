@@ -24,7 +24,7 @@ from reconkit.deciders import (
     two_lvd,
 )
 from reconkit.families import many_preimage_deck
-from reconkit.graph import Graph, empty_graph, enumerate_graphs, is_connected
+from reconkit.graph import Graph, empty_graph, enumerate_graphs, is_connected, path_graph
 from reconkit.recon import identifies
 from reconkit.reductions import gi_to_kled, gi_to_klvd, gi_to_led, gi_to_lvd
 
@@ -153,11 +153,14 @@ def test_vertex_c2_and_c3_subdecks():
 
 
 def test_undone_deletion_is_counted_without_keying(monkeypatch):
-    # a vertex candidate is the first card plus its top c vertices, and
+    # a candidate is the first card plus c vertices or c edges, and
     # deleting those gives the first card: it is counted up front and
     # never keyed. One-card decks so key no deletion at all (E5, c = 3
     # keyed 120,875 deletions in 3,052 matcher calls when it was walked
-    # last), and the walk stops sooner on decks of several cards
+    # last; the edge decks of P6 at c = 2 and 3 and of C8 plus two
+    # crossing diameters at c = 3 keyed 317, 1,752 and 118,212 when edge
+    # candidates did not carry their added edges), and the walk stops
+    # sooner on decks of several cards
     keyed = [0]
     real = deciders._keyer
 
@@ -173,8 +176,16 @@ def test_undone_deletion_is_counted_without_keying(monkeypatch):
     monkeypatch.setattr(deciders, "_keyer", keyer)
     for n, count in ((5, 930), (6, 2121), (7, 4384)):
         assert len(enum_preimages(Deck("vertex", [empty_graph(n)]), 3, "sub")) == count
+    p6 = path_graph(6)
+    c8 = Graph(8, [(i, (i + 1) % 8) for i in range(8)] + [(0, 4), (2, 6)])
+    edge_decks = ((Deck("edge", [p6]), 2, 14), (Deck("edge", [p6]), 3, 19),
+                  (Deck("edge", [c8]), 3, 105))
+    for deck, c, count in edge_decks:
+        assert len(enum_preimages(deck, c, "sub")) == count
     assert keyed[0] == 0
     _agree(Deck("vertex", [empty_graph(3)]), 3, "sub")
+    for deck, c, _ in edge_decks:
+        _agree(deck, c, "sub")
     rng = random.Random(3)
     decks = []
     for n, c, k in ((6, 2, 2), (6, 2, 3), (7, 2, 3), (6, 3, 2), (5, 3, 3)):

@@ -91,3 +91,22 @@ def test_is_clique_union():
     assert is_clique_union(empty_graph(4))
     assert is_clique_union(empty_graph(0))
     assert not is_clique_union(union([path_graph(3), complete_graph(3)]))
+
+
+def test_many_preimage_order_cap_from_k_and_n():
+    # card order (2^(k-1) + 1) n + k: 39 for k=6, n=1; 72 for k=7, n=1
+    # and for k=6, n=2
+    deck = many_preimage_deck(6, 1)
+    assert deck.card_order == 39
+    assert [p.n for p in many_preimage_graphs(6, 1)] == [40, 40]
+    for k, n in ((7, 1), (6, 2)):
+        with pytest.raises(CapacityError, match="card order 72"):
+            many_preimage_deck(k, n)
+        with pytest.raises(CapacityError):
+            many_preimage_graphs(k, n)
+    # refused from k alone: 2^(k-1) is never built, nor its digits printed
+    for k in (8, 14_000, 20_000, 10**12):
+        for build in (many_preimage_deck, many_preimage_graphs):
+            with pytest.raises(CapacityError) as exc:
+                build(k, 1)
+            assert len(str(exc.value)) < 120
