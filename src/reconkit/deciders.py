@@ -42,9 +42,14 @@ rows are built only when a key hits a target card class.
 Vertex decks add c vertices to the first card, one per round, over
 twin_patterns (twins are swapped by an automorphism).  Each of the first
 c - 1 rounds keeps one graph per certificate (graph.extension_classes);
-the last is streamed to the walk.  Round r keeps at most the
-2^(r*n' + C(r,2)) raw patterns of r vertices, so the raw count of c
-vertices, which VERTEX_SEARCH_BITS_CAP bounds, bounds every round.
+the last is streamed to the walk.  Unlike enumerate_graphs, the rounds
+take no canonical-deletion filter: they must reach every graph that has
+the first card as a card, and the card is fixed.  A graph in which no
+vertex of largest invariant leaves that card has no filtered extension
+(K3 + K1 over K3: deleting a triangle vertex leaves K2 + K1).  Round r
+keeps at most the 2^(r*n' + C(r,2)) raw patterns of r vertices, so the
+raw count of c vertices, which VERTEX_SEARCH_BITS_CAP bounds, bounds
+every round.
 
 Pure vertex decks use Kelly's lemma: each edge of a preimage survives in
 C(n-2, c) of its cards, so the cards' edge counts fix |E(G)| and the last

@@ -56,14 +56,23 @@ class CriterionResult:
         return f"{status} {self.name}: {self.detail} ({self.elapsed:.1f}s)"
 
 
+CLASS_COUNTS = {3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}  # A000088
+
+
 def check_deck_uniqueness() -> Verdict:
     """Nonisomorphic graphs on 3..7 vertices have different 1-vertex-decks
-    (all 1,044 classes on 7 vertices among them, McKay 1997)."""
+    (all 1,044 classes on 7 vertices among them, McKay 1997).  The class
+    counts are checked too: a lossy enumeration has fewer collisions."""
     collisions = 0  # pairs of classes with one deck
-    for n in (3, 4, 5, 6, 7):
-        decks = Counter(build_deck(g, "vertex", 1).certs for g in enumerate_graphs(n))
+    short = []
+    for n, want in CLASS_COUNTS.items():
+        graphs = enumerate_graphs(n)
+        if len(graphs) != want:
+            short.append(f"{len(graphs)} classes on {n} vertices, not {want}")
+        decks = Counter(build_deck(g, "vertex", 1).certs for g in graphs)
         collisions += sum(comb(k, 2) for k in decks.values())
-    return (not collisions, f"{collisions} deck collisions over n=3..7")
+    detail = f"{collisions} deck collisions over n=3..7"
+    return (not collisions and not short, "; ".join([detail] + short))
 
 
 REDUCTION_CELLS = (

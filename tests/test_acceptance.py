@@ -7,6 +7,7 @@ so the CLI `verify` subcommand runs the identical checks.
 
 import pytest
 
+import reconkit.verify as verify
 from reconkit.verify import SWEEPS, run_sweep
 
 CRITERIA = [
@@ -38,3 +39,13 @@ def test_acceptance_criterion(number, sweep, note):
 
 def test_every_sweep_is_covered():
     assert {name for _, name, _ in CRITERIA} == set(SWEEPS)
+
+
+def test_deck_uniqueness_fails_when_a_class_is_lost(monkeypatch):
+    # a lossy enumeration has no more deck collisions, so only the class
+    # counts (A000088) can catch it
+    real = verify.enumerate_graphs
+    monkeypatch.setattr(verify, "enumerate_graphs", lambda n: real(n)[1:] if n == 6 else real(n))
+    passed, detail = verify.check_deck_uniqueness()
+    assert not passed
+    assert "155 classes on 6 vertices, not 156" in detail

@@ -678,3 +678,38 @@ def test_one_walk_matches_built_decks():
                         assert plain.undo is None
                         assert deciders._sub_match(plain, t) == want
     assert outcomes == {True, False}
+
+
+def test_every_witness_has_its_deck():
+    # find_preimage's graph has the deck (subdeck_check in sub mode,
+    # deck_check in pure mode) and is among enum_preimages of it; None
+    # means the search finds no preimage either.  Decks of 1 and 2 cards
+    # and full decks of sampled graphs, and card pairs of two graphs
+    rng = random.Random(16)
+    cases = []
+    for _ in range(60):
+        n = rng.randint(2, 6)
+        g, other = (_random_graph(rng, n, rng.random()) for _ in range(2))
+        for kind, c in (("vertex", 1), ("vertex", 2), ("edge", 1)):
+            if n - c < 1 or (kind == "edge" and min(g.m, other.m) < c):
+                continue
+            full = build_deck(g, kind, c)
+            cases.append((full, c, "pure"))
+            cases += [
+                (Deck(kind, rng.sample(full.cards, k)), c, "sub") for k in (1, 2) if k <= len(full)
+            ]
+            if len(full) > 1:
+                mixed = [rng.choice(full.cards), rng.choice(build_deck(other, kind, c).cards)]
+                cases.append((Deck(kind, mixed), c, "sub"))
+    answers = Counter()
+    for deck, c, mode in cases:
+        witness = find_preimage(deck, c, mode)
+        certs = {certificate(p) for p in enum_preimages(deck, c, mode).preimages}
+        answers[witness is None] += 1
+        if witness is None:
+            assert not certs
+            continue
+        check = subdeck_check if mode == "sub" else deck_check
+        assert check(witness, deck, c)
+        assert certificate(witness) in certs
+    assert answers[True] and answers[False]

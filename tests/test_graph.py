@@ -4,8 +4,10 @@ import pytest
 
 from conftest import all_labeled_graphs, brute_canonical_mask, brute_isomorphic
 
+import reconkit.canon as canon
 from reconkit.canon import are_isomorphic, certificate
-from reconkit.deck import build_deck
+from reconkit.deciders import enum_preimages
+from reconkit.deck import Deck, build_deck
 from reconkit.errors import CapacityError, Graph6ParseError, InputError
 from reconkit.graph import (
     Graph,
@@ -18,6 +20,7 @@ from reconkit.graph import (
     empty_graph,
     enumerate_graphs,
     extend_rows,
+    extension_classes,
     graph6_decode,
     graph6_encode,
     graph6_encode_rows,
@@ -312,6 +315,40 @@ def test_enumeration_matches_the_networkx_atlas():
             match = next((i for i, h in enumerate(bucket) if nx.is_isomorphic(mine, h)), None)
             assert match is not None, graph6_encode(g)
             del bucket[match]
+
+
+def test_canonical_deletion_filter_keeps_every_class(monkeypatch):
+    # the filtered round finds the classes of the unfiltered one, and
+    # certifies 1,425 extensions on 7 vertices where it certified 6,412
+    calls = [0]
+    real = canon.certificate_rows
+
+    def spy(n, rows):
+        calls[0] += 1
+        return real(n, rows)
+
+    monkeypatch.setattr(canon, "certificate_rows", spy)
+    for n in range(1, 8):
+        base = [g.rows for g in enumerate_graphs(n - 1)]
+        calls[0] = 0
+        filtered = extension_classes(n - 1, base, canonical_deletion=True)
+        kept = calls[0]
+        calls[0] = 0
+        unfiltered = extension_classes(n - 1, base)
+        assert sorted(filtered) == sorted(unfiltered)
+        assert kept <= calls[0]
+    assert kept <= 1_425 and calls[0] == 6_412
+
+
+def test_search_rounds_are_not_filtered():
+    # K3 + K1's new vertex has degree 0 against K3's 2, so the filter would
+    # drop it; a preimage search extending a fixed card still needs it
+    k3 = complete_graph(3)
+    isolated = union([k3, empty_graph(1)])
+    assert certificate(isolated) in extension_classes(3, [k3.rows])
+    assert certificate(isolated) not in extension_classes(3, [k3.rows], canonical_deletion=True)
+    preimages = enum_preimages(Deck("vertex", [k3]), 2, "sub").preimages
+    assert certificate(union([k3, empty_graph(2)])) in {certificate(p) for p in preimages}
 
 
 def test_enumeration_cap():
