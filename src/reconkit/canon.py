@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .errors import CapacityError
+from .errors import CapacityError, _count_text
 from .graph import Graph, component_masks, graph6_decode, graph6_encode_rows
 from .graph import iter_bits, relabel_rows
 
@@ -263,11 +263,9 @@ def check_certificate_order(order: int, what: str = "order") -> None:
     """Refuse an order certificates cannot reach.  Builders of large graphs
     call it on the order they would build, before building anything."""
     if order >= CERTIFICATE_ORDER_CAP:
-        # a huge order is named by its size: printing its digits may be refused
-        shown = order if order < 1 << 64 else f"of {order.bit_length()} bits"
         raise CapacityError(
             f"certificates are capped below order {CERTIFICATE_ORDER_CAP}, "
-            f"got {what} {shown}"
+            f"got {what} {_count_text(order)}"
         )
 
 

@@ -35,9 +35,7 @@ into one int, a 6-bit field per degree (cards are below order 64, so a
 card's counts never carry).  Deleting a vertex set S turns the key into
 the card's from popcounts of the "adjacent to exactly j of S" masks
 against each class, with no sort; deleting c edges changes it in O(c).
-Adding a vertex over an attachment set A moves A up one class, so each
-extension of the first card derives its classes from the card's.  Card
-rows are built only when a key hits a target card class.
+Card rows are built only when a key hits a target card class.
 
 Vertex decks add c vertices to the first card, one per round, over
 twin_patterns (twins are swapped by an automorphism).  Each of the first
@@ -80,7 +78,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .canon import certificate_rows, find_isomorphism
 from .deck import DELETION_SETS_CAP, Deck, check_deletion_sets
-from .errors import CapacityError, InputError
+from .errors import CapacityError, InputError, _count_text
 from .graph import (
     Graph,
     _twin_classes,
@@ -125,10 +123,10 @@ def _component_sizes(n: int, rows: Sequence[int]) -> tuple[int, ...]:
 
 class _Shape:
     """A rows-graph with its degree classes (degree -> vertex mask), packed
-    degree histogram `key` and edge count.  Edge-kind candidates carry no
-    classes: their deletion keys need only degrees.  A search candidate's
-    `undo` is the c vertices or c edges whose deletion gives back the first
-    card; the graphs of deck checks have none."""
+    degree histogram `key` and edge count, built by _shape alone, so edge
+    candidates carry classes too.  A search candidate's `undo` is the c
+    vertices or c edges whose deletion gives back the first card; the
+    graphs of deck checks have none."""
 
     __slots__ = ("n", "rows", "classes", "key", "m", "undo")
 
@@ -136,10 +134,10 @@ class _Shape:
         self,
         n: int,
         rows: Sequence[int],
-        classes: Optional[dict[int, int]],
+        classes: dict[int, int],
         key: int,
         m: int,
-        undo: Optional[tuple] = None,
+        undo: Optional[tuple],
     ):
         self.n = n
         self.rows = rows
@@ -148,63 +146,16 @@ class _Shape:
         self.m = m
         self.undo = undo
 
-    def degree_class(self, d: int) -> int:
-        return self.classes.get(d, 0)
 
-
-class _Extension(_Shape):
-    """The card plus one vertex w over `attach`.  Degree classes are read
-    off the card's, and rows, classes and key are built on first use, so
-    a candidate that fails on class sizes costs a few mask operations."""
-
-    __slots__ = ("card", "attach")
-
-    def __init__(self, card: _Shape, attach: int, undo: tuple[int, ...]):
-        self.n = card.n + 1
-        self.m = card.m + attach.bit_count()
-        self.card = card
-        self.attach = attach
-        self.undo = undo
-
-    def degree_class(self, d: int) -> int:
-        # attach's vertices move up one degree, w has degree |attach|
-        classes, attach = self.card.classes, self.attach
-        mask = classes.get(d, 0) & ~attach | classes.get(d - 1, 0) & attach
-        return mask | 1 << self.card.n if attach.bit_count() == d else mask
-
-    def __getattr__(self, name: str):
-        # first read of rows, classes or key (unset slots) builds all three
-        if name not in ("rows", "classes", "key"):
-            raise AttributeError(name)
-        card, attach, n0 = self.card, self.attach, self.card.n
-        classes: dict[int, int] = {}
-        for d, mask in card.classes.items():
-            up = mask & attach
-            if up:
-                classes[d + 1] = classes.get(d + 1, 0) | up
-            if mask ^ up:
-                classes[d] = classes.get(d, 0) | mask ^ up
-        deg = attach.bit_count()
-        classes[deg] = classes.get(deg, 0) | 1 << n0
-        moved = _class_histogram(card.classes, attach)
-        self.classes = classes
-        self.key = card.key + (moved << _FIELD) - moved + (1 << _FIELD * deg)
-        self.rows = extend_rows(n0, card.rows, attach)
-        return getattr(self, name)
-
-
-def _shape(n: int, rows: Sequence[int]) -> _Shape:
+def _shape(n: int, rows: Sequence[int], undo: Optional[tuple] = None) -> _Shape:
     classes: dict[int, int] = {}
+    key = degrees = 0
     for v in range(n):
         d = rows[v].bit_count()
         classes[d] = classes.get(d, 0) | 1 << v
-    return _Shape(
-        n,
-        rows,
-        classes,
-        _class_histogram(classes, (1 << n) - 1),
-        sum(d * mask.bit_count() for d, mask in classes.items()) // 2,
-    )
+        key += 1 << _FIELD * d
+        degrees += d
+    return _Shape(n, rows, classes, key, degrees // 2, undo)
 
 
 def _class_histogram(classes: dict[int, int], within: int) -> int:
@@ -247,22 +198,15 @@ def _key_without_vertices(s: _Shape, drop: Sequence[int]) -> int:
 
 def _keyer(s: _Shape, kind: str, c: int) -> Callable[[tuple], int]:
     """drop -> packed histogram of s minus drop (c vertices or c edges)."""
-    if kind == "vertex" and c > 1:
-        return partial(_key_without_vertices, s)
     if kind == "vertex":
-        memo: dict[int, int] = {}  # closed twins are swapped by an automorphism
-
-        def vertex_keyed(drop: tuple[int]) -> int:
-            closed = s.rows[drop[0]] | 1 << drop[0]
-            if closed not in memo:
-                memo[closed] = _key_without_vertices(s, drop)
-            return memo[closed]
-
-        return vertex_keyed
+        return partial(_key_without_vertices, s)
     # an endpoint losing its (i+1)-th edge moves the key by _DOWN[d] >> 6i
     deg = [r.bit_count() for r in s.rows]
 
     def keyed(drop: tuple[tuple[int, int], ...]) -> int:
+        # the one- and two-edge paths pay: without them gadget-iff went from
+        # 1,329 to 1,238 items/s and its tail from 10.8 to 13.9 ms (medians
+        # of 4 alternating pairs, seed 5, 2 vCPU, CPython 3.11.7)
         if len(drop) == 1:
             (u, v), = drop
             return s.key - _DOWN[deg[u]] - _DOWN[deg[v]]
@@ -369,7 +313,7 @@ def _coverage(s: _Shape, t: _DeckTargets, exhaust: bool) -> list[int]:
             # serve every card class that needs it
             eligible = 0
             for edges, need in t.need_by_edges.items():
-                mask = s.degree_class(s.m - edges)
+                mask = s.classes.get(s.m - edges, 0)
                 if exhaust and mask.bit_count() < need:
                     return cov
                 eligible |= mask
@@ -403,6 +347,10 @@ def _coverage(s: _Shape, t: _DeckTargets, exhaust: bool) -> list[int]:
         hit = t.by_key.get(keyed(drop))
         if hit and any(cov[j] < mults[j] for j in hit):
             rows = card_rows(s.rows, drop)
+            # the component-size stage pays: it rejects 2,046 of the 5,198
+            # key hits of the reduction-iff sweep, which took 2.1-2.7 s
+            # without it against 1.3-1.7 s with it (3 alternating runs,
+            # 2 vCPU, CPython 3.11.7)
             if _component_sizes(len(rows), rows) in t.comp_whitelist:
                 j = t.index.get(certificate_rows(len(rows), rows))
                 if j is not None and cov[j] < mults[j]:
@@ -462,7 +410,7 @@ def _extensions(
     base as a (c-1)-deletion card (`size` fixes the added edges), or c
     edge rounds (see _edge_additions)."""
     if kind == "edge":
-        yield from _edge_additions(_shape(base.n, base.rows), c)
+        yield from _edge_additions(base, c)
         return
     n = base.n
     graphs: Iterable[Sequence[int]] = [base.rows]
@@ -471,13 +419,13 @@ def _extensions(
         n += 1
     undo = tuple(range(base.n, n + 1))
     for rows in graphs:
-        card = _shape(n, rows)
-        left = None if size is None else size - (card.m - base.m)
+        m = sum(map(int.bit_count, rows)) // 2
+        left = None if size is None else size - (m - base.m)
         for attach in twin_patterns(n, rows, left):
-            yield _Extension(card, attach, undo)
+            yield _shape(n + 1, extend_rows(n, rows, attach), undo)
 
 
-def _edge_additions(card: _Shape, c: int) -> Iterator[_Shape]:
+def _edge_additions(card: Graph, c: int) -> Iterator[_Shape]:
     """The card plus c new edges, one edge per round.  A round adds to each
     graph one non-edge per unordered pair of its twin classes, and one edge
     inside each open-twin class of two or more vertices: twins are swapped
@@ -490,11 +438,11 @@ def _edge_additions(card: _Shape, c: int) -> Iterator[_Shape]:
     outgrows C(N, c), the raw additions are yielded instead."""
     n = card.n
     limit = comb(n * (n - 1) // 2 - card.m, c)
-    frontier = [(0, card.rows, card.key)]
+    frontier = [(0, card.rows)]
     for r in range(c):
         seen: set[int] = set()
         grown = []
-        for added, rows, key in frontier:
+        for added, rows in frontier:
             classes = _twin_classes(n, rows)
             pairs = [(a[0], a[1]) for a in classes if len(a) > 1]
             pairs += [(a[0], b[0]) for j, b in enumerate(classes) for a in classes[:j]]
@@ -506,19 +454,17 @@ def _edge_additions(card: _Shape, c: int) -> Iterator[_Shape]:
                 out = list(rows)
                 out[u] |= 1 << v
                 out[v] |= 1 << u
-                key_out = key + _DOWN[out[u].bit_count()] + _DOWN[out[v].bit_count()]
                 if r == c - 1:
-                    undo = tuple(divmod(bit, n) for bit in iter_bits(mask))
-                    yield _Shape(n, out, None, key_out, card.m + c, undo)
+                    yield _shape(n, out, tuple(divmod(bit, n) for bit in iter_bits(mask)))
                 else:
-                    grown.append((mask, out, key_out))
+                    grown.append((mask, out))
                     if len(grown) > limit:
                         yield from _raw_edge_additions(card, c)
                         return
         frontier = grown
 
 
-def _raw_edge_additions(card: _Shape, c: int) -> Iterator[_Shape]:
+def _raw_edge_additions(card: Graph, c: int) -> Iterator[_Shape]:
     """The card plus each c of its non-edges."""
     n, rows0 = card.n, card.rows
     non_edges = [
@@ -526,12 +472,10 @@ def _raw_edge_additions(card: _Shape, c: int) -> Iterator[_Shape]:
     ]
     for added in combinations(non_edges, c):
         rows = list(rows0)
-        key = card.key
         for u, v in added:
-            key += _DOWN[rows[u].bit_count() + 1] + _DOWN[rows[v].bit_count() + 1]
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        yield _Shape(n, rows, None, key, card.m + c, added)
+        yield _shape(n, rows, added)
 
 
 def _kelly_added_edges(d: Deck, c: int, n: int) -> Optional[int]:
@@ -588,7 +532,8 @@ def _search(
         bits = c * n0 + c * (c - 1) // 2
         if bits > VERTEX_SEARCH_BITS_CAP:
             raise CapacityError(
-                f"2^{bits} attachment patterns exceed the 2^{VERTEX_SEARCH_BITS_CAP} cap"
+                f"2^{_count_text(bits)} attachment patterns exceed "
+                f"the 2^{VERTEX_SEARCH_BITS_CAP} cap"
             )
     else:
         added = comb(n0 * (n0 - 1) // 2 - base.m, c)
@@ -701,13 +646,12 @@ def profile_identifies(g: Graph, d: Deck) -> Callable[[Sequence[int]], bool]:
 class _Deletions:
     """A card's deletions of `size` vertices, one per twin-class profile
     (twins are swapped by an automorphism), indexed by packed degree
-    histogram; certificates are computed on a key hit and kept."""
+    histogram; certificates are computed on a key hit."""
 
     def __init__(self, card: Graph):
         self.card = card
         self.shape = _shape(card.n, card.rows)
         self.by_size: dict[int, dict[int, list[tuple[int, ...]]]] = {}
-        self.certs: dict[tuple[int, ...], bytes] = {}
 
     def keyed(self, size: int) -> dict[int, list[tuple[int, ...]]]:
         table = self.by_size.get(size)
@@ -720,12 +664,8 @@ class _Deletions:
         return table
 
     def cert(self, drop: tuple[int, ...]) -> bytes:
-        cert = self.certs.get(drop)
-        if cert is None:
-            s = self.shape
-            cert = certificate_rows(s.n - len(drop), delete_vertices_rows(s.rows, drop))
-            self.certs[drop] = cert
-        return cert
+        s = self.shape
+        return certificate_rows(s.n - len(drop), delete_vertices_rows(s.rows, drop))
 
 
 def _agreement(

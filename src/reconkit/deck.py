@@ -14,7 +14,7 @@ from math import comb
 from typing import Iterable, Optional, Sequence
 
 from .canon import certificate
-from .errors import CapacityError, InputError
+from .errors import CapacityError, InputError, _count_text
 from .graph import Graph, delete_edges, delete_vertices, graph6_decode, graph6_encode
 
 DECK_KINDS = ("vertex", "edge", "endvertex")
@@ -83,7 +83,7 @@ def check_deletion_sets(count: int) -> None:
     hours rather than fail."""
     if count > DELETION_SETS_CAP:
         raise CapacityError(
-            f"{count} deletion sets exceed the {DELETION_SETS_CAP} cap"
+            f"{_count_text(count)} deletion sets exceed the {DELETION_SETS_CAP} cap"
         )
 
 
@@ -169,8 +169,13 @@ def deck_from_text(
                 match = _META_RE.search(line)
                 if match:
                     meta_kind = match.group(1)
-                    if match.group(2) is not None:
-                        meta_c = int(match.group(2))
+                    digits = match.group(2)
+                    try:
+                        meta_c = None if digits is None else int(digits)
+                    except ValueError:  # past Python's int-from-string limit
+                        raise InputError(
+                            f"{source}:{lineno}: c= has too many digits ({len(digits)})"
+                        ) from None
             continue
         try:
             cards.append(graph6_decode(line))

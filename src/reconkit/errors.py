@@ -16,6 +16,12 @@ class CapacityError(ReconError):
     """Input exceeds a documented size cap for an exact computation."""
 
 
+def _count_text(count: int) -> str:
+    """A count for a message: its digits, or its bit length once the count
+    passes 2^64, since Python refuses to print ints past 4,300 digits."""
+    return str(count) if count < 1 << 64 else f"({count.bit_length()}-bit number)"
+
+
 class Graph6ParseError(InputError):
     """Malformed graph6 text; `offset` is the byte position of the problem."""
 

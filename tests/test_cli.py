@@ -266,12 +266,14 @@ def test_family_subcommands(capsys, monkeypatch, tmp_path):
 
 
 def test_error_exit_codes(capsys, monkeypatch, tmp_path):
-    # malformed deck file: exit 2, diagnostic names file and line
+    # malformed deck file, or a c= past the 4,300-digit int-from-string
+    # limit: exit 2, diagnostic names file and line
     bad = tmp_path / "bad.g6"
-    bad.write_text("Bw\nB\x02w\n")
-    code, _, err = run_cli(capsys, ["legit", str(bad)])
-    assert code == 2
-    assert "bad.g6:2" in err
+    for text in ("Bw\nB\x02w\n", "Bw\n# kind=vertex c=" + "9" * 4301 + "\n"):
+        bad.write_text(text)
+        code, _, err = run_cli(capsys, ["legit", str(bad)])
+        assert code == 2
+        assert "bad.g6:2" in err and "Traceback" not in err
 
     # capacity: exit 3
     big = graph6_encode(complete_graph(40))
@@ -423,6 +425,25 @@ def test_huge_parameters_exit_3_with_a_short_message(capsys, tmp_path):
         code, out, err = run_cli(capsys, args)
         assert code == 3 and out == ""
         assert "capped below order 64" in err and len(err) < 200, err[:200]
+    # counts past that limit in the search and deletion-set caps
+    ppath = tmp_path / "p3.g6"
+    ppath.write_text("Bg\n")
+    c = "9" * 4000
+    for args in (
+        ["legit", "--c", c, str(gpath)],
+        ["legit", "--mode", "sub", "--c", c, str(gpath)],
+        ["legit", "--kind", "edge", "--mode", "sub", "--c", c, str(ppath)],
+        ["preimages", "--c", c, str(gpath)],
+        ["preimages", "--mode", "sub", "--c", c, str(gpath)],
+        ["preimages", "--kind", "edge", "--mode", "sub", "--c", c, str(ppath)],
+    ):
+        code, out, err = run_cli(capsys, args)
+        assert code == 3 and out == ""
+        assert len(err) < 200 and "Traceback" not in err, err[:200]
+    # a pure one-card edge deck is decided at once: a full c-edge deck has
+    # C(m + c, c) cards, so no graph has this one
+    code, out, err = run_cli(capsys, ["legit", "--kind", "edge", "--c", c, str(ppath)])
+    assert (code, out, err) == (1, "no\n", "")
 
 
 def test_write_error_is_input_error(capsys, tmp_path):

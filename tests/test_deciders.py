@@ -1,7 +1,7 @@
 import random
 import tracemalloc
 from collections import Counter
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, islice, product
 from math import comb
 
 import pytest
@@ -30,6 +30,8 @@ from reconkit.errors import CapacityError, InputError
 from reconkit.graph import (
     Graph,
     complete_graph,
+    delete_edges_rows,
+    delete_vertices_rows,
     empty_graph,
     enumerate_graphs,
     is_connected,
@@ -496,6 +498,8 @@ def test_edge_extensions_are_complete_up_to_isomorphism():
             for s in got:
                 assert s.m == base.m + c
                 assert s.key == deciders._shape(s.n, s.rows).key
+                undone = delete_edges_rows(s.rows, s.undo)
+                assert certificate_rows(base.n, undone) == certificate(base)
 
 
 def _raw_vertex_extensions(base, c):
@@ -524,7 +528,7 @@ def test_vertex_extensions_are_complete_up_to_isomorphism():
     bases += [empty_graph(3), P3, empty_graph(4), complete_graph(4), STAR, union([K2, K2])]
     bases.append(join([empty_graph(2), empty_graph(2)]))
     for base in bases:
-        for c in (2, 3):
+        for c in (1, 2, 3):
             if c == 3 and base.n == 4 and base not in (STAR, empty_graph(4)):
                 continue  # 2^15 raw patterns each
             by_size, raw = _raw_vertex_extensions(base, c)
@@ -534,12 +538,40 @@ def test_vertex_extensions_are_complete_up_to_isomorphism():
             for s in got:
                 shape = deciders._shape(s.n, s.rows)
                 assert (s.m, s.key) == (shape.m, shape.key)
+                undone = delete_vertices_rows(s.rows, s.undo)
+                assert certificate_rows(base.n, undone) == certificate(base)
             for size in range(-1, max(by_size) + 2):
                 certs = set()
                 for s in deciders._extensions(base, "vertex", c, size):
                     assert s.m == base.m + size
                     certs.add(certificate_rows(s.n, s.rows))
                 assert certs == by_size.get(size, set())
+
+
+def test_deletion_keys_match_the_cards():
+    # the keyer against the packed histogram of each card built in full:
+    # every vertex and edge deletion of c = 1..3 elements (at most 3,000 a
+    # graph and c), on seeded random graphs and twin-heavy ones
+    rng = random.Random(23)
+    graphs = [_random_graph(rng, n, p) for n in range(2, 11) for p in (0.2, 0.5, 0.8)]
+    graphs += [complete_graph(n) for n in (2, 5, 8)]
+    graphs += [union([K3, K3, K2, K1]), union([complete_graph(4)] * 3)]
+    graphs += [join([empty_graph(a), empty_graph(b)])
+               for a, b in ((1, 5), (3, 3), (4, 6))]
+    checked = set()
+    for g in graphs:
+        s = deciders._shape(g.n, g.rows)
+        for kind, elements, card_rows in (
+            ("vertex", range(g.n), delete_vertices_rows),
+            ("edge", g.edges, delete_edges_rows),
+        ):
+            for c in (1, 2, 3):
+                keyed = deciders._keyer(s, kind, c)
+                for drop in islice(combinations(elements, c), 3_000):
+                    rows = card_rows(g.rows, drop)
+                    assert keyed(drop) == deciders._shape(len(rows), rows).key
+                    checked.add((kind, c))
+    assert len(checked) == 6
 
 
 def test_vertex_search_matcher_calls_are_bounded(monkeypatch):

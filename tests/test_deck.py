@@ -153,9 +153,11 @@ def test_deck_file_roundtrip():
 
 
 def test_deck_file_errors_name_line():
-    with pytest.raises(InputError) as err:
-        deck_from_text("Bw\nB$$\n", source="cards.g6")
-    assert "cards.g6:2" in str(err.value)
+    # a c= past Python's 4,300-digit int-from-string limit is an input error
+    for text in ("Bw\nB$$\n", "Bw\n# kind=vertex c=" + "9" * 4301 + "\n"):
+        with pytest.raises(InputError) as err:
+            deck_from_text(text, source="cards.g6")
+        assert "cards.g6:2" in str(err.value)
 
 
 def test_deck_file_comments_ignored():
