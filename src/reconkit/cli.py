@@ -3,6 +3,13 @@
 Decision subcommands exit 0 for yes and 1 for no; malformed input or
 usage exits 2; capacity refusals exit 3.  Graphs travel as graph6 lines,
 decks as graph6 files with '#' comments ("-" reads stdin).
+
+Each handler imports the layers it runs, and the module itself imports
+only ``errors``: every call starts a fresh interpreter, so a layer that
+is loaded but not run is paid for on every call.  ``deck`` loads
+graph/canon/deck, the deck problems add deciders, ``rn`` adds recon
+once its graph has parsed, ``reduce`` loads reductions, ``family``
+families and ``verify`` verify.
 """
 
 from __future__ import annotations
@@ -12,24 +19,13 @@ import json
 import sys
 from pathlib import Path
 from time import perf_counter
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .deck import Deck, build_deck, deck_from_text, deck_to_text, endvertex_deck
-from .deciders import enum_preimages, find_preimage, subdeck_check, two_lvd
-from .deciders import deck_check as run_deck_check
 from .errors import CapacityError, InputError
-from .families import clique_union_pair, many_preimage_deck, many_preimage_graphs
-from .graph import Graph, graph6_decode, graph6_encode
-from .recon import recon_number
-from .reductions import (
-    gi_to_kedc,
-    gi_to_kled,
-    gi_to_klvd,
-    gi_to_led,
-    gi_to_lvd,
-    kedc_to_kvdc,
-)
-from .verify import SWEEPS, run_all, run_sweep
+
+if TYPE_CHECKING:
+    from .deck import Deck
+    from .graph import Graph
 
 
 def _read_text(path: str) -> tuple[str, str]:
@@ -44,6 +40,8 @@ def _read_text(path: str) -> tuple[str, str]:
 
 
 def _read_graph(path: str) -> Graph:
+    from .graph import graph6_decode
+
     text, name = _read_text(path)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -57,6 +55,8 @@ def _read_graph(path: str) -> Graph:
 
 
 def _read_deck(path: str, kind: Optional[str]) -> tuple[Deck, Optional[int]]:
+    from .deck import deck_from_text
+
     text, name = _read_text(path)
     return deck_from_text(text, kind=kind, source=name)
 
@@ -87,6 +87,8 @@ def _emit(text: str, out: Optional[str]) -> None:
 def _print_decision(
     args, problem: str, answer: bool, witness: list[Graph], started: float
 ) -> int:
+    from .graph import graph6_encode
+
     if args.json:
         print(
             json.dumps(
@@ -110,6 +112,8 @@ def _print_decision(
 
 
 def _cmd_deck(args) -> int:
+    from .deck import build_deck, deck_to_text, endvertex_deck
+
     g = _read_graph(args.graph)
     if args.kind == "endvertex":
         deck = endvertex_deck(g)
@@ -122,6 +126,8 @@ def _cmd_deck(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .deciders import deck_check, subdeck_check
+
     started = perf_counter()
     g = _read_graph(args.graph)
     deck, c = _read_deck_and_c(args)
@@ -129,12 +135,14 @@ def _cmd_check(args) -> int:
         answer = subdeck_check(g, deck, c)
         problem = f"{len(deck)}-{deck.kind[0]}dc_{c}"
     else:
-        answer = run_deck_check(g, deck, c)
+        answer = deck_check(g, deck, c)
         problem = f"{deck.kind[0]}dc_{c}"
     return _print_decision(args, problem, answer, [], started)
 
 
 def _cmd_legit(args) -> int:
+    from .deciders import find_preimage, two_lvd
+
     started = perf_counter()
     deck, c = _read_deck_and_c(args)
     if args.two_card:
@@ -153,6 +161,8 @@ def _cmd_legit(args) -> int:
 
 
 def _cmd_preimages(args) -> int:
+    from .deciders import enum_preimages
+
     started = perf_counter()
     deck, c = _read_deck_and_c(args)
     found = enum_preimages(deck, c, args.mode)
@@ -182,6 +192,10 @@ def _cmd_preimages(args) -> int:
 def _cmd_rn(args) -> int:
     started = perf_counter()
     g = _read_graph(args.graph)
+    # imported after the read, so malformed input exits before the search layers load
+    from .graph import graph6_encode
+    from .recon import recon_number
+
     result = recon_number(g, args.kind, args.quantifier)
     value = "inf" if not result.finite else int(result.value)
     payload = {
@@ -207,25 +221,31 @@ def _cmd_rn(args) -> int:
     return 0
 
 
+# builder name in reductions, needs --k, returns (graph, deck)
 _REDUCE_BUILDERS = {
-    "gi-to-lvd": (gi_to_lvd, False, False),
-    "gi-to-led": (gi_to_led, False, False),
-    "gi-to-kedc": (gi_to_kedc, True, True),
-    "gi-to-klvd": (gi_to_klvd, True, False),
-    "gi-to-kled": (gi_to_kled, True, False),
+    "gi-to-lvd": ("gi_to_lvd", False, False),
+    "gi-to-led": ("gi_to_led", False, False),
+    "gi-to-kedc": ("gi_to_kedc", True, True),
+    "gi-to-klvd": ("gi_to_klvd", True, False),
+    "gi-to-kled": ("gi_to_kled", True, False),
 }
 
 
 def _cmd_reduce(args) -> int:
+    from . import reductions
+    from .deck import deck_to_text
+    from .graph import graph6_encode
+
     meta = [f"reduction={args.kind} c={args.c}"]
     if args.kind == "kedc-to-kvdc":
         g = _read_graph(args.source)
         cards, meta_c = _read_deck(args.target, "edge")
-        image_graph, image_deck = kedc_to_kvdc(g, cards, args.c)
+        image_graph, image_deck = reductions.kedc_to_kvdc(g, cards, args.c)
         meta.append(f"graph={graph6_encode(image_graph)}")
         _emit(deck_to_text(image_deck, c=args.c, comments=meta), args.out)
         return 0
-    builder, needs_k, is_instance = _REDUCE_BUILDERS[args.kind]
+    name, needs_k, is_instance = _REDUCE_BUILDERS[args.kind]
+    builder = getattr(reductions, name)
     g = _read_graph(args.source)
     h = _read_graph(args.target)
     if needs_k:
@@ -245,6 +265,10 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_family(args) -> int:
+    from .deck import deck_to_text
+    from .families import clique_union_pair, many_preimage_deck, many_preimage_graphs
+    from .graph import graph6_encode
+
     if args.family == "clique-pair":
         first, second = clique_union_pair(args.n)
         text = (
@@ -269,6 +293,8 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_all, run_sweep
+
     if args.sweep == "all":
         results = run_all(args.n_max)
     else:
@@ -360,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=_cmd_family)
 
     p = sub.add_parser("verify", help="run named verification sweeps")
-    p.add_argument("sweep", choices=tuple(SWEEPS) + ("all",))
+    p.add_argument("sweep", help="a sweep name, or all")
     p.add_argument("--n-max", type=int, default=None)
     p.set_defaults(func=_cmd_verify)
 

@@ -196,7 +196,7 @@ def _key_without_vertices(s: _Shape, drop: Sequence[int]) -> int:
     return key
 
 
-def _keyer(s: _Shape, kind: str, c: int) -> Callable[[tuple], int]:
+def _keyer(s: _Shape, kind: str) -> Callable[[tuple], int]:
     """drop -> packed histogram of s minus drop (c vertices or c edges)."""
     if kind == "vertex":
         return partial(_key_without_vertices, s)
@@ -342,7 +342,7 @@ def _coverage(s: _Shape, t: _DeckTargets, exhaust: bool) -> list[int]:
     misses = walked - left if exhaust else walked  # deletions that may miss
     if not left or misses < 0:
         return cov
-    keyed = _keyer(s, t.kind, c)
+    keyed = _keyer(s, t.kind)
     for drop in islice(combinations(space, c), walked):
         hit = t.by_key.get(keyed(drop))
         if hit and any(cov[j] < mults[j] for j in hit):

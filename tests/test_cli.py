@@ -311,6 +311,84 @@ def test_cli_import_leaves_pool_machinery_out():
     assert out.strip() == "[]"
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def cold_call(args: list[str], cwd: Path) -> tuple[int, str, str, set[str]]:
+    """One CLI call in a fresh interpreter: exit code, stdout, stderr and
+    the reconkit modules it loaded."""
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); from reconkit.cli import main; "
+        "code = main(sys.argv[2:]); "
+        "print(code, *sorted(m for m in sys.modules if m.startswith('reconkit.')), "
+        "file=sys.stderr)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, str(SRC), *args],
+        cwd=cwd, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr  # nonzero only if main raised
+    *err, last = proc.stderr.splitlines()
+    code, *modules = last.split()
+    return int(code), proc.stdout, "\n".join(err), {m[len("reconkit."):] for m in modules}
+
+
+def test_cli_import_loads_only_errors():
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import reconkit.cli; "
+        "print(*sorted(m for m in sys.modules if m.startswith('reconkit')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe, str(SRC)],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.split() == ["reconkit", "reconkit.cli", "reconkit.errors"]
+
+
+SEARCH_LAYERS = {"deciders", "recon", "reductions", "families"}
+
+
+@pytest.mark.parametrize(
+    "args, code, unloaded",
+    [
+        (["deck", "k3.g6"], 0, SEARCH_LAYERS),
+        (["check", "k3.g6", "k2x3.deck"], 0, SEARCH_LAYERS - {"deciders"}),
+        (["legit", "k2x3.deck"], 0, SEARCH_LAYERS - {"deciders"}),
+        (["preimages", "--count-only", "k2x3.deck"], 0, SEARCH_LAYERS - {"deciders"}),
+        (["rn", "--kind", "vertex", "--quantifier", "exists", "k3.g6"], 0,
+         {"reductions", "families"}),
+        (["rn", "--kind", "vertex", "--quantifier", "exists", "bad.g6"], 2,
+         {"recon", "deciders"}),
+        (["reduce", "--kind", "gi-to-lvd", "--c", "1", "k3.g6", "k3.g6"], 0,
+         {"recon", "families"}),
+        (["family", "clique-pair", "--n", "4"], 0, {"deciders", "recon", "reductions"}),
+        (["family", "rich-deck", "--k", "2", "--n", "1"], 0,
+         {"deciders", "recon", "reductions"}),
+    ],
+    ids=["deck", "check", "legit", "preimages", "rn", "rn-malformed", "reduce",
+         "clique-pair", "rich-deck"],
+)
+def test_each_subcommand_loads_only_its_layers(tmp_path, args, code, unloaded):
+    (tmp_path / "k3.g6").write_text(K3_LINE)
+    (tmp_path / "k2x3.deck").write_text(DECK_K2X3)
+    (tmp_path / "bad.g6").write_text("!!\n")
+    got, out, err, loaded = cold_call(args, tmp_path)
+    assert got == code, err
+    assert not loaded & (unloaded | {"verify"})
+
+
+def test_verify_names_the_sweeps_of_an_unknown_one(tmp_path):
+    import reconkit.verify as verify
+
+    code, out, err, _ = cold_call(["verify", "bogus"], tmp_path)
+    assert code == 2 and out == ""
+    assert "unknown sweep 'bogus'" in err and "Traceback" not in err
+    assert all(name in err for name in verify.SWEEPS)
+    code, out, _, loaded = cold_call(["verify", "graph6"], tmp_path)
+    assert code == 0 and out.startswith("PASS graph6: ")
+    assert "verify" in loaded
+
+
 def test_missing_c_is_input_error(capsys, monkeypatch):
     code, _, err = run_cli(
         capsys, ["legit", "-"], stdin="A_\nA_\nA_\n", monkeypatch=monkeypatch

@@ -566,7 +566,7 @@ def test_deletion_keys_match_the_cards():
             ("edge", g.edges, delete_edges_rows),
         ):
             for c in (1, 2, 3):
-                keyed = deciders._keyer(s, kind, c)
+                keyed = deciders._keyer(s, kind)
                 for drop in islice(combinations(elements, c), 3_000):
                     rows = card_rows(g.rows, drop)
                     assert keyed(drop) == deciders._shape(len(rows), rows).key

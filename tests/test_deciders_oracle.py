@@ -164,8 +164,8 @@ def test_undone_deletion_is_counted_without_keying(monkeypatch):
     keyed = [0]
     real = deciders._keyer
 
-    def keyer(s, kind, c):
-        key = real(s, kind, c)
+    def keyer(s, kind):
+        key = real(s, kind)
 
         def counted(drop):
             keyed[0] += 1
