@@ -16,7 +16,7 @@ the search's; what it leaves open goes to the search.
 Deck checks, the search and reconstruction numbers share one walk over a
 graph's c-deletions (_coverage): per card class of a deck, the deletions
 in the class, up to its multiplicity.  Each deletion is tested in three
-stages: the degree-class prefilter, the component-size profile, then
+stages, in order: the degree-class prefilter, the degree profile, then
 exact certificates.  Containment is full coverage, and a containment walk
 gives up once the deletions left cannot reach it.  A search candidate
 carries the deletion that undoes it (`undo`): a vertex candidate's top c
@@ -35,7 +35,10 @@ into one int, a 6-bit field per degree (cards are below order 64, so a
 card's counts never carry).  Deleting a vertex set S turns the key into
 the card's from popcounts of the "adjacent to exactly j of S" masks
 against each class, with no sort; deleting c edges changes it in O(c).
-Card rows are built only when a key hits a target card class.
+Card rows are built only when a key hits a target card class.  Their
+degree profile (per vertex, its degree and the sum of its neighbours'
+degrees, sorted) must then be a card class's before a certificate is
+computed; the set of the classes' profiles is built on the first hit.
 
 Vertex decks add c vertices to the first card, one per round, over
 twin_patterns (twins are swapped by an automorphism).  Each of the first
@@ -82,7 +85,6 @@ from .errors import CapacityError, InputError, _count_text
 from .graph import (
     Graph,
     _twin_classes,
-    component_masks,
     delete_edges_rows,
     delete_vertices,
     delete_vertices_rows,
@@ -113,8 +115,20 @@ class PreimageSet:
         return len(self.preimages)
 
 
-def _component_sizes(n: int, rows: Sequence[int]) -> tuple[int, ...]:
-    return tuple(sorted(comp.bit_count() for comp in component_masks(n, rows)))
+def _degree_profile(rows: Sequence[int]) -> tuple[int, ...]:
+    """Sorted per-vertex degree << 12 | sum of its neighbours' degrees, an
+    isomorphism invariant (below order 64 a sum is at most 63 * 63 < 4096)."""
+    deg = [r.bit_count() for r in rows]
+    out = []
+    for r, d in zip(rows, deg):
+        total = 0
+        while r:
+            low = r & -r
+            total += deg[low.bit_length() - 1]
+            r ^= low
+        out.append(d << 12 | total)
+    out.sort()
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +255,6 @@ class _CardClass:
     key: int
     degseq: tuple[int, ...]
     edges: int
-    comps: tuple[int, ...]
     mult: int
 
 
@@ -270,7 +283,6 @@ class _DeckTargets:
                     sum(1 << _FIELD * r for r in degs),
                     tuple(sorted(degs)),
                     card.m,
-                    _component_sizes(card.n, card.rows),
                     1,
                 )
             )
@@ -280,7 +292,7 @@ class _DeckTargets:
             self.by_key.setdefault(cls.key, []).append(idx)
             self.need_by_edges[cls.edges] += cls.mult
         self.mults = [cls.mult for cls in self.classes]
-        self.comp_whitelist = {cls.comps for cls in self.classes}
+        self.profiles: Optional[set[tuple[int, ...]]] = None  # on the first key hit
 
 
 def _edge_delta_feasible(
@@ -343,15 +355,20 @@ def _coverage(s: _Shape, t: _DeckTargets, exhaust: bool) -> list[int]:
     if not left or misses < 0:
         return cov
     keyed = _keyer(s, t.kind)
+    profiles = t.profiles
     for drop in islice(combinations(space, c), walked):
         hit = t.by_key.get(keyed(drop))
         if hit and any(cov[j] < mults[j] for j in hit):
             rows = card_rows(s.rows, drop)
-            # the component-size stage pays: it rejects 2,046 of the 5,198
-            # key hits of the reduction-iff sweep, which took 2.1-2.7 s
-            # without it against 1.3-1.7 s with it (3 alternating runs,
-            # 2 vCPU, CPython 3.11.7)
-            if _component_sizes(len(rows), rows) in t.comp_whitelist:
+            if profiles is None:
+                profiles = t.profiles = {
+                    _degree_profile(cls.card.rows) for cls in t.classes
+                }
+            # the profile stage rejects 7,386 of the 10,541 key hits of a
+            # seed-1 recon-enum pass and 2,280 of the 5,198 of the
+            # reduction-iff sweep; a component-size stage behind it
+            # rejected none of either, so there is none
+            if _degree_profile(rows) in profiles:
                 j = t.index.get(certificate_rows(len(rows), rows))
                 if j is not None and cov[j] < mults[j]:
                     cov[j] += 1

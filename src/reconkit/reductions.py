@@ -21,7 +21,6 @@ from typing import Optional
 
 from .canon import are_isomorphic, certificate, check_certificate_order
 from .deck import Deck, build_deck, check_deletion_sets
-from .deciders import legit_edge, legit_vertex, subdeck_check
 from .errors import InputError
 from .graph import (
     Graph,
@@ -253,6 +252,7 @@ def verify_reduction(
         )
     if kind == "kedc_to_kvdc":
         return _verify_transfer(n_max, c, k or 2)
+    from .deciders import legit_edge, legit_vertex, subdeck_check
     needs_k = kind in ("gi_to_kedc", "gi_to_klvd", "gi_to_kled")
     if needs_k and k is None:
         raise InputError(f"{kind} requires k")
@@ -290,6 +290,7 @@ def _verify_transfer(n_max: int, c: int, k: int) -> ReductionReport:
     """Membership transfer of kedc_to_kvdc: the k-EDC answer on <g, cards>
     must equal the k-VDC answer on the line-graph image, for card multisets
     drawn from true edge-cards and same-shape non-cards alike."""
+    from .deciders import subdeck_check
 
     def check(g: Graph, cards: Deck) -> Optional[str]:
         source = subdeck_check(g, cards, c)

@@ -360,7 +360,7 @@ SEARCH_LAYERS = {"deciders", "recon", "reductions", "families"}
         (["rn", "--kind", "vertex", "--quantifier", "exists", "bad.g6"], 2,
          {"recon", "deciders"}),
         (["reduce", "--kind", "gi-to-lvd", "--c", "1", "k3.g6", "k3.g6"], 0,
-         {"recon", "families"}),
+         {"deciders", "recon", "families"}),
         (["family", "clique-pair", "--n", "4"], 0, {"deciders", "recon", "reductions"}),
         (["family", "rich-deck", "--k", "2", "--n", "1"], 0,
          {"deciders", "recon", "reductions"}),

@@ -574,6 +574,33 @@ def test_deletion_keys_match_the_cards():
     assert len(checked) == 6
 
 
+def test_degree_profile_is_an_isomorphism_invariant():
+    # the profile stage may reject only a card of no target class: the
+    # profile is equal under relabeling, on seeded random graphs of every
+    # order the walk meets, and one per certificate class over every vertex
+    # and edge card of the n <= 7 catalog
+    profile = deciders._degree_profile
+    assert profile(P3.rows) == (1 << 12 | 2, 1 << 12 | 2, 2 << 12 | 2)
+    # equal degree sequences, told apart by the neighbour sums
+    assert profile(path_graph(5).rows) != profile(union([K3, K2]).rows)
+    rng = random.Random(41)
+    for n in range(64):
+        for p in (0.1, 0.5, 0.9):
+            g = _random_graph(rng, n, p)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            assert profile(permute(g, perm).rows) == profile(g.rows), (n, p)
+    by_class: dict[bytes, set] = {}
+    for n in range(1, 8):
+        for g in enumerate_graphs(n):
+            cards = [delete_vertices_rows(g.rows, (v,)) for v in range(g.n)]
+            cards += [delete_edges_rows(g.rows, (e,)) for e in g.edges]
+            for rows in cards:
+                cert = certificate_rows(len(rows), rows)
+                by_class.setdefault(cert, set()).add(profile(rows))
+    assert all(len(profiles) == 1 for profiles in by_class.values())
+
+
 def test_vertex_search_matcher_calls_are_bounded(monkeypatch):
     # work bound, no clock: the rounds before the last keep one graph per
     # class, so CT (K3 + K1) offers 2,940 candidates at c = 3 and 140 at

@@ -13,6 +13,7 @@ import pytest
 
 import recon_oracle as oracle
 
+import reconkit.deciders as deciders
 from reconkit.deck import Deck, build_deck, endvertex_deck
 from reconkit.errors import InputError
 from reconkit.families import clique_union_pair
@@ -75,6 +76,40 @@ def test_random_edge_graphs_up_to_12_edges():
             graphs.append(g)
     for g in graphs:
         _agree(g, ("edge",))
+
+
+@pytest.mark.parametrize("kind, orders, fewest_edges, bound", [
+    ("vertex", range(6, 10), 1, 3_000),
+    ("edge", range(5, 8), 4, 1_100),
+])
+def test_walk_certificates_are_bounded(monkeypatch, kind, orders, fewest_edges, bound):
+    # work bound, no clock: the degree-profile stage keeps cards of no
+    # target class from being certified; these 14 graphs made 5,042
+    # vertex and 1,269 edge certificate calls without it, 2,665 and 821
+    # with it
+    rng = random.Random(19)
+    graphs = []
+    for _ in range(14):
+        n = rng.choice(orders)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        top = len(pairs) if kind == "vertex" else min(len(pairs), oracle.EDGE_COUNT_CAP)
+        graphs.append(Graph(n, rng.sample(pairs, rng.randint(fewest_edges, top))))
+    calls = [0]
+    real = deciders.certificate_rows
+
+    def spy(n, rows):
+        calls[0] += 1
+        return real(n, rows)
+
+    monkeypatch.setattr(deciders, "certificate_rows", spy)
+    got = [recon_number(g, kind, q) for g in graphs for q in ("exists", "forall")]
+    assert calls[0] <= bound
+    monkeypatch.undo()  # the oracle's searches are not counted
+    want = [oracle.recon_number(g, kind, q) for g in graphs for q in ("exists", "forall")]
+    for a, b in zip(got, want):
+        assert a.value == b.value
+        assert _certs(a.witness) == _certs(b.witness)
+        assert _certs(a.counterexample) == _certs(b.counterexample)
 
 
 def test_clique_pairs():

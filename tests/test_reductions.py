@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+import reconkit.deciders as deciders
 import reconkit.reductions as reductions
 from reconkit.canon import are_isomorphic, certificate
 from reconkit.deck import Deck, build_deck, deck_to_text
@@ -233,13 +234,13 @@ def test_klvd_c2_k3_cell_is_checked_in_full(monkeypatch):
     # order-22 cards, past the preimage search cap: the pair test refutes
     # the 32 nonisomorphic pairs and a glued witness confirms the 8 others
     answers = []
-    real = reductions.legit_vertex
+    real = deciders.legit_vertex
 
     def spy(deck, c, mode):
         answers.append(real(deck, c, mode))
         return answers[-1]
 
-    monkeypatch.setattr(reductions, "legit_vertex", spy)
+    monkeypatch.setattr(deciders, "legit_vertex", spy)
     report = verify_reduction("gi_to_klvd", 4, 2, 3)
     assert report.ok and report.checked == 40
     assert Counter(answers) == {True: 8, False: 32}
@@ -249,7 +250,7 @@ def test_capacity_refusal_inside_a_sweep_propagates(monkeypatch):
     def refuse(deck, c, mode):
         raise CapacityError("over the cap")
 
-    monkeypatch.setattr(reductions, "legit_vertex", refuse)
+    monkeypatch.setattr(deciders, "legit_vertex", refuse)
     with pytest.raises(CapacityError):
         verify_reduction("gi_to_klvd", 3, 1, 2)
 
