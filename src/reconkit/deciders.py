@@ -249,49 +249,34 @@ def _keyer(s: _Shape, kind: str) -> Callable[[tuple], int]:
 # precomputed view of the deck being matched against
 
 
-@dataclass
-class _CardClass:
-    card: Graph
-    key: int
-    degseq: tuple[int, ...]
-    edges: int
-    mult: int
-
-
 class _DeckTargets:
-    def __init__(self, d: Deck, c: int):
+    """The card classes of d from class `first` on, in certificate order,
+    as parallel lists (one card, multiplicity, sorted degree sequence per
+    class) with `index` from certificate to position; `order` and `edges`
+    are d's uniform card shape."""
+
+    def __init__(self, d: Deck, c: int, first: int = 0):
         if d.kind not in ("vertex", "edge"):
             raise InputError(f"deck kind must be vertex or edge, got {d.kind!r}")
         if c < 1:
             raise InputError(f"deletion count must be >= 1, got {c}")
         self.kind = d.kind
         self.c = c
-        self.count = len(d)
         self.order = d.uniform_order()  # None when empty or mixed
         self.edges = d.uniform_edges()
-        self.classes: list[_CardClass] = []
-        self.index: dict[bytes, int] = {}  # certificate -> class
-        for cert, card in zip(d.certs, d.cards):
-            if cert in self.index:
-                self.classes[self.index[cert]].mult += 1
-                continue
-            self.index[cert] = len(self.classes)
-            degs = card.degrees()
-            self.classes.append(
-                _CardClass(
-                    card,
-                    sum(1 << _FIELD * r for r in degs),
-                    tuple(sorted(degs)),
-                    card.m,
-                    1,
-                )
-            )
+        classes = d.classes()[first:]
+        self.cards = [cards[0] for _, cards in classes]
+        self.mults = [len(cards) for _, cards in classes]
+        self.count = sum(self.mults)
+        self.index = {cert: j for j, (cert, _) in enumerate(classes)}
+        self.degseqs: list[tuple[int, ...]] = []
         self.by_key: dict[int, list[int]] = {}
         self.need_by_edges: Counter = Counter()
-        for idx, cls in enumerate(self.classes):
-            self.by_key.setdefault(cls.key, []).append(idx)
-            self.need_by_edges[cls.edges] += cls.mult
-        self.mults = [cls.mult for cls in self.classes]
+        for j, card in enumerate(self.cards):
+            degs = card.degrees()
+            self.degseqs.append(tuple(sorted(degs)))
+            self.by_key.setdefault(sum(1 << _FIELD * r for r in degs), []).append(j)
+            self.need_by_edges[card.m] += self.mults[j]
         self.profiles: Optional[set[tuple[int, ...]]] = None  # on the first key hit
 
 
@@ -338,8 +323,8 @@ def _coverage(s: _Shape, t: _DeckTargets, exhaust: bool) -> list[int]:
             return cov
         if exhaust:
             cand_degseq = sorted(r.bit_count() for r in s.rows)
-            for cls in t.classes:
-                if not _edge_delta_feasible(cand_degseq, cls.degseq, c):
+            for degseq in t.degseqs:
+                if not _edge_delta_feasible(cand_degseq, degseq, c):
                     return cov
         space = rows_edges(n, s.rows)
         if s.undo is not None:
@@ -361,9 +346,7 @@ def _coverage(s: _Shape, t: _DeckTargets, exhaust: bool) -> list[int]:
         if hit and any(cov[j] < mults[j] for j in hit):
             rows = card_rows(s.rows, drop)
             if profiles is None:
-                profiles = t.profiles = {
-                    _degree_profile(cls.card.rows) for cls in t.classes
-                }
+                profiles = t.profiles = {_degree_profile(card.rows) for card in t.cards}
             # the profile stage rejects 7,386 of the 10,541 key hits of a
             # seed-1 recon-enum pass and 2,280 of the 5,198 of the
             # reduction-iff sweep; a component-size stage behind it
@@ -604,22 +587,22 @@ class _Blockers:
     deletion that undoes the extension, H's `undo` (its new vertex or
     edge), gives card i and is counted without being keyed; only an H with
     cov_H = mu on j >= i and g's degree histogram can be g, so only such
-    an H is certified.  Class i's walk starts on first use and
-    resumes only until a tested profile is blocked or the walk ends; the
-    coverages found so far are kept as an antichain, so no class is
-    walked twice.
+    an H is certified.  Class i's walk starts on first use, against the
+    targets of d's classes from i on (a slice of d's class table, so no
+    deck is rebuilt), and resumes only until a tested profile is blocked
+    or the walk ends; the coverages found so far are kept as an
+    antichain, so no class is walked twice.
     """
 
     def __init__(self, g: Graph, d: Deck):
         self.own = certificate_rows(g.n, g.rows)
         self.own_key = _shape(g.n, g.rows).key
-        self.kind = d.kind
-        self.classes = _DeckTargets(d, 1).classes
+        self.deck = d
         self.walks: dict[int, tuple[Iterator[tuple[int, ...]], list]] = {}
 
     def _walk(self, t: _DeckTargets) -> Iterator[tuple[int, ...]]:
         """Coverage of each extension of t's first card that is not g."""
-        for s in _extensions(t.classes[0].card, t.kind, 1):
+        for s in _extensions(t.cards[0], t.kind, 1):
             cov = _coverage(s, t, False)
             if not (
                 cov == t.mults
@@ -632,9 +615,7 @@ class _Blockers:
         i = next(j for j, count in enumerate(profile) if count)
         need = profile[i:]
         if i not in self.walks:
-            # class i's targets are classes i, i+1, ...: d is certificate-sorted
-            suffix = [cls.card for cls in self.classes[i:] for _ in range(cls.mult)]
-            self.walks[i] = (self._walk(_DeckTargets(Deck(self.kind, suffix), 1)), [])
+            self.walks[i] = (self._walk(_DeckTargets(self.deck, 1, i)), [])
         walk, found = self.walks[i]
         if any(_covers(v, need) for v in found):
             return False
@@ -760,9 +741,9 @@ def find_preimage(d: Deck, c: int, mode: str) -> Optional[Graph]:
     t = _targets(d, c, mode)
     if t is None:
         return None
-    if t.kind == "vertex" and mode == "sub" and len(t.classes) > 1:
+    if t.kind == "vertex" and mode == "sub" and len(t.cards) > 1:
         n0 = t.order
-        views = _pair_test([cls.card for cls in t.classes], c)
+        views = _pair_test(t.cards, c)
         if views is None:
             return None
         # the glued candidates' deck walks, (classes - 1) 2^(c*c) C(n0+c, c),

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, groupby
 from math import comb
 from typing import Iterable, Optional, Sequence
 
@@ -76,6 +76,13 @@ class Deck:
     def cert_counter(self) -> Counter:
         return Counter(self.certs)
 
+    def classes(self) -> list[tuple[bytes, tuple[Graph, ...]]]:
+        """(certificate, cards) per isomorphism class, in certificate order,
+        the cards in deck order: the certificates are sorted, so each class
+        is a contiguous run."""
+        runs = groupby(zip(self.certs, self.cards), key=lambda t: t[0])
+        return [(cert, tuple(card for _, card in run)) for cert, run in runs]
+
 
 def check_deletion_sets(count: int) -> None:
     """Refuse a walk over more than DELETION_SETS_CAP deletion sets before
@@ -123,9 +130,7 @@ def deck_equal(d1: Deck, d2: Deck) -> bool:
 def subdeck_contained(small: Deck, big: Deck) -> bool:
     if small.kind != big.kind:
         raise InputError(f"deck kinds differ: {small.kind} vs {big.kind}")
-    need = Counter(small.certs)
-    have = Counter(big.certs)
-    return all(have[cert] >= count for cert, count in need.items())
+    return Counter(small.certs) <= Counter(big.certs)
 
 
 # ---------------------------------------------------------------------------

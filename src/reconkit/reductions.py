@@ -311,13 +311,7 @@ def _verify_transfer(n_max: int, c: int, k: int) -> ReductionReport:
             if g.m < c:
                 continue
             deck = build_deck(g, "edge", c)
-            pool: list[Graph] = []
-            seen = set()
-            for card in deck.cards:
-                cert = certificate(card)
-                if cert not in seen:
-                    seen.add(cert)
-                    pool.append(card)
+            pool = [cards[0] for _, cards in deck.classes()]
             deck_certs = set(deck.certs)
             non_cards = [
                 other

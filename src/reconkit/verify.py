@@ -97,11 +97,11 @@ REDUCTION_CELLS = (
 
 def check_reduction_iff(n_max: int = 5) -> Verdict:
     """Target decision == are_isomorphic for every gadget, over connected
-    pairs up to order 4 (order 5 for the c=1 cells)."""
+    pairs up to order n_max (at most 4 for the c=2 cells)."""
     violations = []
     checked = 0
     for kind, c, k in REDUCTION_CELLS:
-        cell_max = min(n_max, 4 if c > 1 else 5)
+        cell_max = min(n_max, 4) if c > 1 else n_max
         report = verify_reduction(kind, cell_max, c, k)
         checked += report.checked
         violations.extend(
@@ -116,7 +116,7 @@ TRANSFER_CELL = ("kedc_to_kvdc", 1, 2)
 def check_edge_to_vertex_transfer(n_max: int = 4) -> Verdict:
     """k-EDC answers survive the hat/line-graph transfer to k-VDC."""
     kind, c, k = TRANSFER_CELL
-    report = verify_reduction(kind, min(n_max, 4), c, k)
+    report = verify_reduction(kind, n_max, c, k)
     return (
         report.ok,
         f"{report.checked} instances, {len(report.violations)} violations",
@@ -291,10 +291,11 @@ SWEEPS: dict[str, Callable[..., Verdict]] = {
     "iso-engine": check_iso_engine,
     "graph6": check_graph6,
 }
-# the sweeps that take n_max, with the (kind, c, k) cells each one runs
+# the sweeps that take n_max: the (kind, c, k) cells each one runs, and the
+# largest order it sweeps (verify_reduction refuses any n_max above 5)
 SCALED_SWEEPS = {
-    "reduction-iff": REDUCTION_CELLS,
-    "edge-to-vertex-transfer": (TRANSFER_CELL,),
+    "reduction-iff": (REDUCTION_CELLS, 5),
+    "edge-to-vertex-transfer": ((TRANSFER_CELL,), 4),
 }
 
 
@@ -303,9 +304,12 @@ def _check_n_max(names: Iterable[str], n_max: Optional[int]) -> None:
     if n_max is None:
         return
     for name in names:
-        floor = max(_min_order(kind, c) for kind, c, _k in SCALED_SWEEPS[name])
-        if n_max < floor:
-            raise InputError(f"n_max for {name} must be >= {floor}, got {n_max}")
+        cells, top = SCALED_SWEEPS[name]
+        floor = max(_min_order(kind, c) for kind, c, _k in cells)
+        if not floor <= n_max <= top:
+            raise InputError(
+                f"n_max for {name} must be between {floor} and {top}, got {n_max}"
+            )
 
 
 def run_sweep(name: str, n_max: Optional[int] = None) -> CriterionResult:

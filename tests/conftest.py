@@ -42,6 +42,11 @@ def all_labeled_graphs(n: int):
         yield Graph(n, (pairs[b] for b in range(len(pairs)) if mask >> b & 1))
 
 
+def random_graph(rng, n: int, p: float) -> Graph:
+    """Each pair u < v, in lexicographic order, an edge with probability p."""
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
 def trees_of_order(n: int) -> list[Graph]:
     """All trees on n vertices, by leaf extension above the catalog cap."""
     if n <= 7:

@@ -546,6 +546,9 @@ def test_write_error_is_input_error(capsys, tmp_path):
         ["verify", "edge-to-vertex-transfer", "--n-max", "1"],  # floor 2
         ["verify", "all", "--n-max", "1"],
         ["verify", "all", "--n-max", "2"],  # floor 3, from reduction-iff
+        ["verify", "reduction-iff", "--n-max", "6"],  # top 5
+        ["verify", "edge-to-vertex-transfer", "--n-max", "5"],  # top 4
+        ["verify", "all", "--n-max", "5"],  # top 4, from edge-to-vertex-transfer
         ["verify", "graph6", "--n-max", "2"],  # graph6 has no scale
     ],
 )
@@ -563,6 +566,16 @@ def test_verify_runs_at_the_n_max_floor(capsys, sweep, floor):
     code, out, _ = run_cli(capsys, ["verify", sweep, "--n-max", str(floor)])
     assert code == 0 and out.startswith(f"PASS {sweep}: ")
     assert not out.split(": ")[1].startswith("0 instances")
+
+
+@pytest.mark.parametrize(
+    "sweep, top, instances",
+    [("reduction-iff", 5, 4172), ("edge-to-vertex-transfer", 4, 32)],
+)
+def test_verify_runs_at_the_n_max_top(capsys, sweep, top, instances):
+    # the top is the scale the sweep runs at by default
+    code, out, _ = run_cli(capsys, ["verify", sweep, "--n-max", str(top)])
+    assert code == 0 and out.startswith(f"PASS {sweep}: {instances} instances, ")
 
 
 def stub_sweeps(monkeypatch) -> list:
@@ -594,6 +607,12 @@ def test_verify_floor_is_checked_before_any_sweep_starts(monkeypatch):
         verify.run_sweep("reduction-iff", 2)
     with pytest.raises(InputError):
         verify.run_sweep("edge-to-vertex-transfer", 1)
+    with pytest.raises(InputError):
+        verify.run_all(5)
+    with pytest.raises(InputError):
+        verify.run_sweep("reduction-iff", 6)
+    with pytest.raises(InputError):
+        verify.run_sweep("edge-to-vertex-transfer", 5)
     assert calls == []
     verify.run_sweep("reduction-iff", 3)
     verify.run_sweep("edge-to-vertex-transfer", 2)

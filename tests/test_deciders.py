@@ -7,6 +7,7 @@ from math import comb
 import pytest
 
 import preimage_oracle as oracle
+from conftest import random_graph
 
 import reconkit.deciders as deciders
 from reconkit.canon import are_isomorphic, certificate, certificate_rows
@@ -40,6 +41,7 @@ from reconkit.graph import (
     permute,
     union,
 )
+from reconkit.recon import recon_number
 from reconkit.reductions import gi_to_kled, gi_to_led
 
 K2 = complete_graph(2)
@@ -456,10 +458,6 @@ def test_pure_vertex_search_uses_kellys_edge_count(monkeypatch):
     assert offered == []
 
 
-def _random_graph(rng, n, p):
-    return Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
-
-
 def _raw_edge_additions(base, c):
     """Certificates of all C(N, c) additions of c of base's N non-edges,
     and C(N, c)."""
@@ -477,7 +475,7 @@ def test_edge_extensions_are_complete_up_to_isomorphism():
     # set is offered twice, so there are at most C(N, c) candidates
     rng = random.Random(17)
     bases = [
-        _random_graph(rng, n, p) for n in range(2, 9) for p in (0.25, 0.5, 0.75)
+        random_graph(rng, n, p) for n in range(2, 9) for p in (0.25, 0.5, 0.75)
     ]
     twin_heavy = [
         empty_graph(6),
@@ -524,7 +522,7 @@ def test_vertex_extensions_are_complete_up_to_isomorphism():
     # twin patterns: every raw pattern's graph is isomorphic to a candidate,
     # and with `size` set exactly the raw patterns adding that many edges
     rng = random.Random(31)
-    bases = [_random_graph(rng, n, p) for n in range(1, 5) for p in (0.3, 0.7)]
+    bases = [random_graph(rng, n, p) for n in range(1, 5) for p in (0.3, 0.7)]
     bases += [empty_graph(3), P3, empty_graph(4), complete_graph(4), STAR, union([K2, K2])]
     bases.append(join([empty_graph(2), empty_graph(2)]))
     for base in bases:
@@ -553,7 +551,7 @@ def test_deletion_keys_match_the_cards():
     # every vertex and edge deletion of c = 1..3 elements (at most 3,000 a
     # graph and c), on seeded random graphs and twin-heavy ones
     rng = random.Random(23)
-    graphs = [_random_graph(rng, n, p) for n in range(2, 11) for p in (0.2, 0.5, 0.8)]
+    graphs = [random_graph(rng, n, p) for n in range(2, 11) for p in (0.2, 0.5, 0.8)]
     graphs += [complete_graph(n) for n in (2, 5, 8)]
     graphs += [union([K3, K3, K2, K1]), union([complete_graph(4)] * 3)]
     graphs += [join([empty_graph(a), empty_graph(b)])
@@ -586,7 +584,7 @@ def test_degree_profile_is_an_isomorphism_invariant():
     rng = random.Random(41)
     for n in range(64):
         for p in (0.1, 0.5, 0.9):
-            g = _random_graph(rng, n, p)
+            g = random_graph(rng, n, p)
             perm = list(range(n))
             rng.shuffle(perm)
             assert profile(permute(g, perm).rows) == profile(g.rows), (n, p)
@@ -689,7 +687,7 @@ def test_edge_search_answers_survive_relabeling():
     pairs += rng.sample(list(product(conn, repeat=2)), 3)
     decks = [(gi_to_kled(g, h, c, k), c) for c in (1, 2) for k in (2, 3) for g, h in pairs]
     for _ in range(12):
-        g = _random_graph(rng, rng.randint(6, 8), rng.choice((0.3, 0.5)))
+        g = random_graph(rng, rng.randint(6, 8), rng.choice((0.3, 0.5)))
         if 2 <= g.m <= 14:
             full = build_deck(g, "edge", 1)
             decks.append((Deck("edge", rng.sample(full.cards, rng.randint(1, min(3, len(full))))), 1))
@@ -700,12 +698,52 @@ def test_edge_search_answers_survive_relabeling():
         assert legit_edge(moved, c, "sub") == legit_edge(deck, c, "sub") == bool(want)
 
 
+def test_answers_are_relabeling_invariant():
+    # every decider, find_preimage and recon_number answer alike on a graph
+    # and a relabeling of it, and on a deck and one of relabeled cards, whose
+    # first card (the search's base) has other labels; seeded graphs on 5-7
+    # vertices, c = 1 and 2, vertex and edge decks, pure and sub modes
+    rng = random.Random(47)
+    outcomes = set()
+    for _ in range(6):
+        n = rng.randint(5, 7)
+        g, other = (random_graph(rng, n, rng.choice((0.3, 0.5, 0.7))) for _ in range(2))
+        moved, other_moved = (permute(x, rng.sample(range(n), n)) for x in (g, other))
+        for kind in ("vertex", "edge"):
+            if kind == "edge" and not 1 <= g.m <= 12:
+                continue
+            for q in ("exists", "forall"):
+                assert recon_number(moved, kind, q).value == recon_number(g, kind, q).value
+            for c in (1, 2):
+                if kind == "edge" and c > min(g.m, other.m):
+                    continue
+                full = build_deck(g, kind, c)
+                sub = Deck(kind, rng.sample(full.cards, min(2, len(full))))
+                mixed = Deck(kind, full.cards[:1] + build_deck(other, kind, c).cards[-1:])
+                for deck, mode in ((full, "pure"), (sub, "sub"), (mixed, "sub")):
+                    relabeled = _relabeled(deck, rng)
+                    check = deck_check if mode == "pure" else subdeck_check
+                    for x, y in ((g, moved), (other, other_moved)):
+                        answer = check(x, deck, c)
+                        assert check(y, relabeled, c) == answer
+                        outcomes.add((mode, answer))
+                    found = find_preimage(deck, c, mode) is not None
+                    assert (find_preimage(relabeled, c, mode) is not None) == found
+                    count = len(enum_preimages(deck, c, mode))
+                    assert len(enum_preimages(relabeled, c, mode)) == count
+                    outcomes.add((mode, found, count > 0))
+    assert {("pure", True), ("pure", False), ("sub", True), ("sub", False)} <= outcomes
+    assert {("sub", True, True), ("sub", False, False)} <= outcomes
+
+
 def test_one_walk_matches_built_decks():
     # the one deletion walk against decks built card by card: for every
     # one-vertex (one-edge) extension of a card, _coverage's capped class
     # counts; for those and sampled c = 2 extensions, _sub_match against
     # subdeck_contained, with the undone deletion counted up front (undo
-    # set) and walked (undo None)
+    # set) and walked (undo None); and the targets of a full deck's
+    # classes i, i+1, ... (a slice of its class table) against those of a
+    # deck built from the cards of those classes
     rng = random.Random(71)
     outcomes = set()
     for kind in ("vertex", "edge"):
@@ -714,6 +752,13 @@ def test_one_walk_matches_built_decks():
             g = Graph(n, rng.sample(pairs, rng.randint(3, len(pairs) - 3)))
             for c in (1, 2):
                 full = build_deck(g, kind, c)
+                runs = full.classes()
+                for i in range(len(runs)):
+                    got = deciders._DeckTargets(full, c, i)
+                    suffix = Deck(kind, [card for _, cards in runs[i:] for card in cards])
+                    built = deciders._DeckTargets(suffix, c)
+                    for name in ("cards", "mults", "count", "index", "by_key", "need_by_edges"):
+                        assert getattr(got, name) == getattr(built, name), (i, name)
                 decks = [full] + [
                     Deck(kind, rng.sample(full.cards, rng.randint(1, 4))) for _ in range(2)
                 ]
@@ -748,7 +793,7 @@ def test_every_witness_has_its_deck():
     cases = []
     for _ in range(60):
         n = rng.randint(2, 6)
-        g, other = (_random_graph(rng, n, rng.random()) for _ in range(2))
+        g, other = (random_graph(rng, n, rng.random()) for _ in range(2))
         for kind, c in (("vertex", 1), ("vertex", 2), ("edge", 1)):
             if n - c < 1 or (kind == "edge" and min(g.m, other.m) < c):
                 continue

@@ -11,6 +11,7 @@ from itertools import combinations, product
 import pytest
 
 import preimage_oracle as oracle
+from conftest import random_graph
 
 import reconkit.deciders as deciders
 from reconkit.canon import certificate
@@ -42,10 +43,6 @@ def _pairs(n, sample=None, seed=0):
     return pairs
 
 
-def _random_graph(rng, n, p):
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
-
-
 def _agree(deck, c, mode):
     """enum_preimages and legit_* against the oracle; returns the oracle's
     preimages so callers can reuse them as deck-check inputs."""
@@ -69,7 +66,7 @@ def _agree_on_gadgets(decks, c, mode, rng):
         for g in _agree(deck, c, mode):
             _agree_checks(g, deck, c)
         order = deck.card_order + (c if deck.kind == "vertex" else 0)
-        _agree_checks(_random_graph(rng, order, 0.5), deck, c)
+        _agree_checks(random_graph(rng, order, 0.5), deck, c)
 
 
 def test_klvd_c1_every_order4_deck():
@@ -122,7 +119,7 @@ def test_random_subdecks_orders_6_to_8():
     rng = random.Random(68)
     for trial in range(24):
         n = 6 + trial % 3
-        g = _random_graph(rng, n, rng.choice((0.3, 0.5, 0.7)))
+        g = random_graph(rng, n, rng.choice((0.3, 0.5, 0.7)))
         for kind in ("vertex", "edge"):
             if kind == "edge" and not 1 <= g.m <= 12:
                 continue
@@ -189,7 +186,7 @@ def test_undone_deletion_is_counted_without_keying(monkeypatch):
     rng = random.Random(3)
     decks = []
     for n, c, k in ((6, 2, 2), (6, 2, 3), (7, 2, 3), (6, 3, 2), (5, 3, 3)):
-        g = _random_graph(rng, n, 0.45)
+        g = random_graph(rng, n, 0.45)
         decks.append((Deck("vertex", rng.sample(build_deck(g, "vertex", c).cards, k)), c))
     keyed[0] = 0
     for deck, c in decks:

@@ -4,6 +4,8 @@ from math import comb
 
 import pytest
 
+from conftest import random_graph
+
 from reconkit.canon import are_isomorphic, certificate
 from reconkit.deck import (
     Deck,
@@ -138,6 +140,24 @@ def test_line_graph_deck_identity_small():
 def test_cards_sorted_by_certificate():
     d = build_deck(path_graph(4), "vertex", 1)
     assert list(d.certs) == sorted(d.certs)
+
+
+def test_classes_are_certificate_runs():
+    # one (certificate, cards) run per class, in certificate order, whose
+    # lengths are the class counts; the cards keep deck order
+    rng = random.Random(43)
+    decks = [Deck("vertex", []), build_deck(path_graph(4), "vertex", 1)]
+    for _ in range(12):
+        g = random_graph(rng, rng.randint(3, 7), rng.choice((0.3, 0.5, 0.7)))
+        for kind, c in (("vertex", 1), ("vertex", 2), ("edge", 1), ("edge", 2)):
+            if c <= (g.n if kind == "vertex" else g.m):
+                full = build_deck(g, kind, c)
+                decks += [full, Deck(kind, rng.sample(full.cards, rng.randint(1, len(full))))]
+    for d in decks:
+        runs = d.classes()
+        assert [(cert, len(cards)) for cert, cards in runs] == list(Counter(d.certs).items())
+        assert [card for _, cards in runs for card in cards] == list(d.cards)
+        assert all(certificate(card) == cert for cert, cards in runs for card in cards)
 
 
 def test_deck_file_roundtrip():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import all_labeled_graphs, brute_canonical_mask, brute_isomorphic
+from conftest import all_labeled_graphs, brute_canonical_mask, brute_isomorphic, random_graph
 
 import reconkit.canon as canon
 from reconkit.canon import are_isomorphic, certificate
@@ -48,10 +48,6 @@ def test_graph_validation():
     assert Graph(3, [(1, 0), (0, 1)]).edges == ((0, 1),)
 
 
-def _random_graph(rng, n, p):
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
-
-
 def test_graph_is_immutable():
     g = path_graph(3)
     for name, value in (("n", 4), ("rows", (0, 0, 0)), ("m", 0), ("edges", ()), ("x", 1)):
@@ -71,7 +67,7 @@ def test_edges_come_out_in_lexicographic_order():
     assert Graph(4, [(3, 2), (0, 3), (1, 0), (3, 0)]).edges == ((0, 1), (0, 3), (2, 3))
     rng = random.Random(3)
     for _ in range(100):
-        g = _random_graph(rng, rng.randint(0, 12), 0.4)
+        g = random_graph(rng, rng.randint(0, 12), 0.4)
         assert list(g.edges) == sorted(g.edges)
         assert all(u < v for u, v in g.edges) and g.m == len(g.edges)
 
@@ -82,8 +78,8 @@ def test_derived_graphs_equal_their_validated_twins():
     # (rows kept as a list would fail both)
     rng = random.Random(8)
     for _ in range(40):
-        g = _random_graph(rng, rng.randint(1, 7), 0.5)
-        h = _random_graph(rng, rng.randint(0, 5), 0.5)
+        g = random_graph(rng, rng.randint(1, 7), 0.5)
+        h = random_graph(rng, rng.randint(0, 5), 0.5)
         perm = list(range(g.n))
         rng.shuffle(perm)
         derived = [
@@ -404,7 +400,7 @@ def test_graph6_agrees_with_networkx():
     nx = pytest.importorskip("networkx")
     rng = random.Random(6)
     for n in list(range(0, 71)) * 3:
-        g = _random_graph(rng, n, rng.choice((0.1, 0.5, 0.9)))
+        g = random_graph(rng, n, rng.choice((0.1, 0.5, 0.9)))
         other = nx.Graph()
         other.add_nodes_from(range(n))
         other.add_edges_from(g.edges)

@@ -248,3 +248,27 @@ def test_one_walk_per_card_class(monkeypatch, kind, g, quantifier):
             # its degrees match a class the walk counts
             assert x.rows != base.rows
             assert sorted(x.degrees()) in degrees[i:]
+
+
+@pytest.mark.parametrize("kind, g", [
+    ("vertex", _seeded_graph(9, 9, 18)),
+    ("edge", _seeded_graph(10, 7, 10)),
+])
+@pytest.mark.parametrize("quantifier", ["exists", "forall"])
+def test_recon_number_builds_only_its_own_decks(monkeypatch, kind, g, quantifier):
+    # work bound, no clock: the class walks slice the deck's class table,
+    # so the only decks a call builds are g's deck and its witness or
+    # counterexample subdeck
+    built = []
+    real = Deck.__init__
+
+    def spy(self, *args):
+        real(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(Deck, "__init__", spy)
+    got = recon_number(g, kind, quantifier)
+    monkeypatch.undo()
+    subdeck = got.witness if quantifier == "exists" else got.counterexample
+    assert subdeck is not None
+    assert built == [build_deck(g, kind, 1), subdeck] and built[1] is subdeck

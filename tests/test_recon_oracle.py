@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import recon_oracle as oracle
+from conftest import random_graph
 
 import reconkit.deciders as deciders
 from reconkit.deck import Deck, build_deck, endvertex_deck
@@ -27,10 +28,6 @@ from reconkit.graph import (
 from reconkit.recon import identifies, recon_number
 
 ATLAS = Path(__file__).parent / "data" / "recon_atlas.txt"
-
-
-def _random_graph(rng, n, p):
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
 
 
 def _certs(deck):
@@ -64,14 +61,14 @@ def test_order_6_sample():
 def test_random_vertex_graphs_orders_8_to_10():
     rng = random.Random(810)
     for n in (8, 9, 10):
-        _agree(_random_graph(rng, n, rng.choice((0.3, 0.5, 0.7))), ("vertex",))
+        _agree(random_graph(rng, n, rng.choice((0.3, 0.5, 0.7))), ("vertex",))
 
 
 def test_random_edge_graphs_up_to_12_edges():
     rng = random.Random(12)
     graphs = []
     while len(graphs) < 4:
-        g = _random_graph(rng, rng.randint(5, 9), 0.35)
+        g = random_graph(rng, rng.randint(5, 9), 0.35)
         if 1 <= g.m <= oracle.EDGE_COUNT_CAP:
             graphs.append(g)
     for g in graphs:
@@ -121,7 +118,7 @@ def test_clique_pairs():
 def test_identifies_on_random_subdecks():
     rng = random.Random(31)
     for trial in range(24):
-        g = _random_graph(rng, 5 + trial % 4, rng.choice((0.3, 0.5, 0.7)))
+        g = random_graph(rng, 5 + trial % 4, rng.choice((0.3, 0.5, 0.7)))
         for kind in ("vertex", "edge"):
             if kind == "edge" and not 1 <= g.m <= oracle.EDGE_COUNT_CAP:
                 continue
