@@ -64,16 +64,20 @@ _MODULE_EXPORTS = {
     ),
     "recon": ("ReconNumber", "identifies", "recon_number", "threshold"),
     "reductions": (
-        "ReductionReport",
         "gi_to_kedc",
         "gi_to_kled",
         "gi_to_klvd",
         "gi_to_led",
         "gi_to_lvd",
         "kedc_to_kvdc",
+    ),
+    "verify": (
+        "CriterionResult",
+        "ReductionReport",
+        "run_all",
+        "run_sweep",
         "verify_reduction",
     ),
-    "verify": ("CriterionResult", "run_all", "run_sweep"),
 }
 _HOME = {name: module for module, names in _MODULE_EXPORTS.items() for name in names}
 

@@ -296,9 +296,9 @@ def _cmd_verify(args) -> int:
     from .verify import run_all, run_sweep
 
     if args.sweep == "all":
-        results = run_all(args.n_max)
+        results = run_all()
     else:
-        results = [run_sweep(args.sweep, args.n_max)]
+        results = [run_sweep(args.sweep)]
     for res in results:
         print(res.line())
     return 0 if all(r.passed for r in results) else 1
@@ -387,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run named verification sweeps")
     p.add_argument("sweep", help="a sweep name, or all")
-    p.add_argument("--n-max", type=int, default=None)
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -1,25 +1,16 @@
 """Many-one reduction gadgets from isomorphism testing to deck problems.
 
 Each constructor produces the target-problem instance for a pair of
-connected graphs; verify_reduction sweeps instance families and checks
-that the target decision (via the brute-force deciders) matches
-are_isomorphic on the source pair.
+connected graphs.  The sweeps that check each target decision against
+are_isomorphic on the source pair live in `verify`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import (
-    combinations,
-    combinations_with_replacement,
-    islice,
-    product,
-    starmap,
-)
+from itertools import combinations, islice
 from math import comb
-from typing import Optional
 
-from .canon import are_isomorphic, certificate, check_certificate_order
+from .canon import certificate, check_certificate_order
 from .deck import Deck, build_deck, check_deletion_sets
 from .errors import InputError
 from .graph import (
@@ -28,8 +19,6 @@ from .graph import (
     copies,
     delete_edges,
     empty_graph,
-    enumerate_graphs,
-    graph6_encode,
     is_connected,
     join,
     line_graph,
@@ -208,118 +197,3 @@ def gi_to_kled(g: Graph, h: Graph, c: int, k: int) -> Deck:
     h_card = union([h, small, delete_edges(big, first_big_drop)])
     assert h_card.m == h.m + pad
     return Deck("edge", cards + [h_card])
-
-
-# ---------------------------------------------------------------------------
-# verification harness
-
-
-@dataclass(frozen=True)
-class ReductionReport:
-    kind: str
-    c: int
-    k: Optional[int]
-    n_max: int
-    checked: int
-    violations: tuple[str, ...] = field(default=())
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def _connected_upto(n: int) -> list[Graph]:
-    return [g for g in enumerate_graphs(n) if is_connected(g)]
-
-
-def verify_reduction(
-    kind: str,
-    n_max: int,
-    c: int,
-    k: Optional[int] = None,
-) -> ReductionReport:
-    """Sweep every admissible instance family up to n_max and check that
-    the target decision equals are_isomorphic; violations are reported,
-    and a capacity refusal propagates."""
-    if kind not in REDUCTION_KINDS:
-        raise InputError(f"unknown reduction kind {kind!r}")
-    if n_max > 5:
-        raise InputError(f"verification sweeps are capped at n_max = 5, got {n_max}")
-    if n_max < _min_order(kind, c):
-        # no instance below the minimum order: the sweep would pass vacuously
-        raise InputError(
-            f"{kind} with c={c} needs n_max >= {_min_order(kind, c)}, got {n_max}"
-        )
-    if kind == "kedc_to_kvdc":
-        return _verify_transfer(n_max, c, k or 2)
-    from .deciders import legit_edge, legit_vertex, subdeck_check
-    needs_k = kind in ("gi_to_kedc", "gi_to_klvd", "gi_to_kled")
-    if needs_k and k is None:
-        raise InputError(f"{kind} requires k")
-    use_k = k if needs_k else None
-
-    def decide(g: Graph, h: Graph) -> bool:
-        if kind == "gi_to_lvd":
-            return legit_vertex(gi_to_lvd(g, h, c), c, "pure")
-        if kind == "gi_to_led":
-            return legit_edge(gi_to_led(g, h, c), c, "pure")
-        if kind == "gi_to_kedc":
-            graph, deck = gi_to_kedc(g, h, c, use_k)
-            return subdeck_check(graph, deck, c)
-        if kind == "gi_to_kled":
-            return legit_edge(gi_to_kled(g, h, c, use_k), c, "sub")
-        return legit_vertex(gi_to_klvd(g, h, c, use_k), c, "sub")
-
-    violations: list[str] = []
-    checked = 0
-    for n in range(_min_order(kind, c), n_max + 1):
-        conn = _connected_upto(n)
-        for g, h in product(conn, conn):
-            got = decide(g, h)
-            checked += 1
-            want = are_isomorphic(g, h)
-            if got != want:
-                violations.append(
-                    f"n={n} g={graph6_encode(g)} h={graph6_encode(h)} "
-                    f"expected={want} got={got}"
-                )
-    return ReductionReport(kind, c, use_k, n_max, checked, tuple(violations))
-
-
-def _verify_transfer(n_max: int, c: int, k: int) -> ReductionReport:
-    """Membership transfer of kedc_to_kvdc: the k-EDC answer on <g, cards>
-    must equal the k-VDC answer on the line-graph image, for card multisets
-    drawn from true edge-cards and same-shape non-cards alike."""
-    from .deciders import subdeck_check
-
-    def check(g: Graph, cards: Deck) -> Optional[str]:
-        source = subdeck_check(g, cards, c)
-        graph_im, cards_im = kedc_to_kvdc(g, cards, c)
-        image = subdeck_check(graph_im, cards_im, c)
-        if source != image:
-            return (
-                f"g={graph6_encode(g)} cards="
-                + ",".join(graph6_encode(x) for x in cards.cards)
-                + f" source={source} image={image}"
-            )
-        return None
-
-    instances = []
-    for n in range(c + 1, n_max + 1):
-        same_order = enumerate_graphs(n)
-        for g in same_order:
-            if g.m < c:
-                continue
-            deck = build_deck(g, "edge", c)
-            pool = [cards[0] for _, cards in deck.classes()]
-            deck_certs = set(deck.certs)
-            non_cards = [
-                other
-                for other in same_order
-                if other.m == g.m - c and certificate(other) not in deck_certs
-            ]
-            pool.extend(non_cards[:3])
-            for chosen in combinations_with_replacement(pool, k):
-                instances.append((g, Deck("edge", chosen)))
-    violations = tuple(v for v in starmap(check, instances) if v is not None)
-    return ReductionReport("kedc_to_kvdc", c, k, n_max, len(instances), violations)

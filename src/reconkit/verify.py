@@ -1,24 +1,32 @@
 """Named verification sweeps; the full battery is the acceptance suite.
 
 Every sweep cross-checks a construction against an independent brute-force
-route and returns a (passed, detail) verdict; run_sweep names and times it
-as a CriterionResult, so the CLI and the test suite share one
-implementation.
+route at one fixed scale and returns a (passed, detail) verdict; run_sweep
+names and times it as a CriterionResult, so the CLI and the test suite
+share one implementation.  The reduction harness (verify_reduction) lives
+here too: it checks each gadget of `reductions` against are_isomorphic
+over every connected source pair up to a given order.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
-from itertools import combinations
+from dataclasses import dataclass, field
+from itertools import combinations, combinations_with_replacement, product, starmap
 from math import comb
 from time import perf_counter
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from .canon import are_isomorphic, certificate
 from .deck import Deck, build_deck, deck_equal, subdeck_contained
-from .deciders import _search_preimages, two_lvd
+from .deciders import (
+    _search_preimages,
+    legit_edge,
+    legit_vertex,
+    subdeck_check,
+    two_lvd,
+)
 from .errors import InputError
 from .families import (
     clique_union_pair,
@@ -38,7 +46,16 @@ from .graph import (
     permute,
 )
 from .recon import recon_number
-from .reductions import _min_order, verify_reduction
+from .reductions import (
+    REDUCTION_KINDS,
+    _min_order,
+    gi_to_kedc,
+    gi_to_kled,
+    gi_to_klvd,
+    gi_to_led,
+    gi_to_lvd,
+    kedc_to_kvdc,
+)
 
 
 Verdict = tuple[bool, str]  # (passed, detail) of one sweep
@@ -54,6 +71,123 @@ class CriterionResult:
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return f"{status} {self.name}: {self.detail} ({self.elapsed:.1f}s)"
+
+
+# ---------------------------------------------------------------------------
+# reduction harness
+
+
+@dataclass(frozen=True)
+class ReductionReport:
+    kind: str
+    c: int
+    k: Optional[int]
+    n_max: int
+    checked: int
+    violations: tuple[str, ...] = field(default=())
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+
+def _connected_upto(n: int) -> list[Graph]:
+    return [g for g in enumerate_graphs(n) if is_connected(g)]
+
+
+def verify_reduction(
+    kind: str,
+    n_max: int,
+    c: int,
+    k: Optional[int] = None,
+) -> ReductionReport:
+    """Sweep every admissible instance family up to n_max and check that
+    the target decision equals are_isomorphic; violations are reported,
+    and a capacity refusal propagates."""
+    if kind not in REDUCTION_KINDS:
+        raise InputError(f"unknown reduction kind {kind!r}")
+    if n_max > 5:
+        raise InputError(f"verification sweeps are capped at n_max = 5, got {n_max}")
+    if n_max < _min_order(kind, c):
+        # no instance below the minimum order: the sweep would pass vacuously
+        raise InputError(
+            f"{kind} with c={c} needs n_max >= {_min_order(kind, c)}, got {n_max}"
+        )
+    if kind == "kedc_to_kvdc":
+        return _verify_transfer(n_max, c, k or 2)
+    needs_k = kind in ("gi_to_kedc", "gi_to_klvd", "gi_to_kled")
+    if needs_k and k is None:
+        raise InputError(f"{kind} requires k")
+    use_k = k if needs_k else None
+
+    def decide(g: Graph, h: Graph) -> bool:
+        if kind == "gi_to_lvd":
+            return legit_vertex(gi_to_lvd(g, h, c), c, "pure")
+        if kind == "gi_to_led":
+            return legit_edge(gi_to_led(g, h, c), c, "pure")
+        if kind == "gi_to_kedc":
+            graph, deck = gi_to_kedc(g, h, c, use_k)
+            return subdeck_check(graph, deck, c)
+        if kind == "gi_to_kled":
+            return legit_edge(gi_to_kled(g, h, c, use_k), c, "sub")
+        return legit_vertex(gi_to_klvd(g, h, c, use_k), c, "sub")
+
+    violations: list[str] = []
+    checked = 0
+    for n in range(_min_order(kind, c), n_max + 1):
+        conn = _connected_upto(n)
+        for g, h in product(conn, conn):
+            got = decide(g, h)
+            checked += 1
+            want = are_isomorphic(g, h)
+            if got != want:
+                violations.append(
+                    f"n={n} g={graph6_encode(g)} h={graph6_encode(h)} "
+                    f"expected={want} got={got}"
+                )
+    return ReductionReport(kind, c, use_k, n_max, checked, tuple(violations))
+
+
+def _verify_transfer(n_max: int, c: int, k: int) -> ReductionReport:
+    """Membership transfer of kedc_to_kvdc: the k-EDC answer on <g, cards>
+    must equal the k-VDC answer on the line-graph image, for card multisets
+    drawn from true edge-cards and same-shape non-cards alike."""
+
+    def check(g: Graph, cards: Deck) -> Optional[str]:
+        source = subdeck_check(g, cards, c)
+        graph_im, cards_im = kedc_to_kvdc(g, cards, c)
+        image = subdeck_check(graph_im, cards_im, c)
+        if source != image:
+            return (
+                f"g={graph6_encode(g)} cards="
+                + ",".join(graph6_encode(x) for x in cards.cards)
+                + f" source={source} image={image}"
+            )
+        return None
+
+    instances = []
+    for n in range(c + 1, n_max + 1):
+        same_order = enumerate_graphs(n)
+        for g in same_order:
+            if g.m < c:
+                continue
+            deck = build_deck(g, "edge", c)
+            pool = [cards[0] for _, cards in deck.classes()]
+            deck_certs = set(deck.certs)
+            non_cards = [
+                other
+                for other in same_order
+                if other.m == g.m - c and certificate(other) not in deck_certs
+            ]
+            pool.extend(non_cards[:3])
+            for chosen in combinations_with_replacement(pool, k):
+                instances.append((g, Deck("edge", chosen)))
+    violations = tuple(v for v in starmap(check, instances) if v is not None)
+    return ReductionReport("kedc_to_kvdc", c, k, n_max, len(instances), violations)
+
+
+# ---------------------------------------------------------------------------
+# sweeps
 
 
 CLASS_COUNTS = {3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}  # A000088
@@ -95,14 +229,13 @@ REDUCTION_CELLS = (
 )
 
 
-def check_reduction_iff(n_max: int = 5) -> Verdict:
+def check_reduction_iff() -> Verdict:
     """Target decision == are_isomorphic for every gadget, over connected
-    pairs up to order n_max (at most 4 for the c=2 cells)."""
+    pairs up to order 5 (4 for the c=2 cells)."""
     violations = []
     checked = 0
     for kind, c, k in REDUCTION_CELLS:
-        cell_max = min(n_max, 4) if c > 1 else n_max
-        report = verify_reduction(kind, cell_max, c, k)
+        report = verify_reduction(kind, 5 if c == 1 else 4, c, k)
         checked += report.checked
         violations.extend(
             f"{kind} c={c} k={k}: {v}" for v in report.violations
@@ -110,13 +243,10 @@ def check_reduction_iff(n_max: int = 5) -> Verdict:
     return (not violations, f"{checked} instances, {len(violations)} violations")
 
 
-TRANSFER_CELL = ("kedc_to_kvdc", 1, 2)
-
-
-def check_edge_to_vertex_transfer(n_max: int = 4) -> Verdict:
-    """k-EDC answers survive the hat/line-graph transfer to k-VDC."""
-    kind, c, k = TRANSFER_CELL
-    report = verify_reduction(kind, n_max, c, k)
+def check_edge_to_vertex_transfer() -> Verdict:
+    """k-EDC answers (k=2, c=1) survive the hat/line-graph transfer to
+    k-VDC, over every graph up to order 4."""
+    report = verify_reduction("kedc_to_kvdc", 4, 1, 2)
     return (
         report.ok,
         f"{report.checked} instances, {len(report.violations)} violations",
@@ -237,10 +367,10 @@ def check_whitney() -> Verdict:
     )
 
 
-def check_iso_engine(seed: int = 0x5EED) -> Verdict:
+def check_iso_engine() -> Verdict:
     """Certificates are invariant under 100 random relabelings per graph
     (n <= 6) and pairwise distinct across the order-5 catalog."""
-    rng = random.Random(seed)
+    rng = random.Random(0x5EED)
     bad = 0
     for n in range(0, 7):
         for g in enumerate_graphs(n):
@@ -278,7 +408,7 @@ def check_graph6() -> Verdict:
     )
 
 
-SWEEPS: dict[str, Callable[..., Verdict]] = {
+SWEEPS: dict[str, Callable[[], Verdict]] = {
     "deck-uniqueness": check_deck_uniqueness,
     "reduction-iff": check_reduction_iff,
     "edge-to-vertex-transfer": check_edge_to_vertex_transfer,
@@ -291,47 +421,18 @@ SWEEPS: dict[str, Callable[..., Verdict]] = {
     "iso-engine": check_iso_engine,
     "graph6": check_graph6,
 }
-# the sweeps that take n_max: the (kind, c, k) cells each one runs, and the
-# largest order it sweeps (verify_reduction refuses any n_max above 5)
-SCALED_SWEEPS = {
-    "reduction-iff": (REDUCTION_CELLS, 5),
-    "edge-to-vertex-transfer": ((TRANSFER_CELL,), 4),
-}
 
 
-def _check_n_max(names: Iterable[str], n_max: Optional[int]) -> None:
-    # a cell below its minimum order has no instance and would pass vacuously
-    if n_max is None:
-        return
-    for name in names:
-        cells, top = SCALED_SWEEPS[name]
-        floor = max(_min_order(kind, c) for kind, c, _k in cells)
-        if not floor <= n_max <= top:
-            raise InputError(
-                f"n_max for {name} must be between {floor} and {top}, got {n_max}"
-            )
-
-
-def run_sweep(name: str, n_max: Optional[int] = None) -> CriterionResult:
+def run_sweep(name: str) -> CriterionResult:
     if name not in SWEEPS:
         raise InputError(
             f"unknown sweep {name!r}; choose from {', '.join(sorted(SWEEPS))}"
         )
-    if n_max is not None and name not in SCALED_SWEEPS:
-        raise InputError(
-            f"sweep {name!r} has no scale; n_max applies to "
-            + " and ".join(SCALED_SWEEPS)
-        )
-    _check_n_max((name,), n_max)
-    fn = SWEEPS[name]
     started = perf_counter()
-    passed, detail = fn() if n_max is None else fn(n_max)
+    passed, detail = SWEEPS[name]()
     return CriterionResult(name, passed, detail, perf_counter() - started)
 
 
-def run_all(n_max: Optional[int] = None) -> list[CriterionResult]:
-    """Every sweep; n_max scales the sweeps that take one."""
-    _check_n_max(SCALED_SWEEPS, n_max)
-    return [
-        run_sweep(name, n_max if name in SCALED_SWEEPS else None) for name in SWEEPS
-    ]
+def run_all() -> list[CriterionResult]:
+    """Every sweep, in SWEEPS order."""
+    return [run_sweep(name) for name in SWEEPS]

@@ -1,4 +1,5 @@
 import json
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -6,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from reconkit.canon import certificate
-from reconkit.cli import main
+from reconkit.cli import build_parser, main
 from reconkit.deciders import subdeck_check
 from reconkit.deck import Deck, deck_from_text
 from reconkit.graph import (
@@ -316,12 +317,12 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 def cold_call(args: list[str], cwd: Path) -> tuple[int, str, str, set[str]]:
     """One CLI call in a fresh interpreter: exit code, stdout, stderr and
-    the reconkit modules it loaded."""
+    the modules it loaded beyond a bare interpreter's, reconkit's named
+    without their package prefix."""
     probe = (
-        "import sys; sys.path.insert(0, sys.argv[1]); from reconkit.cli import main; "
-        "code = main(sys.argv[2:]); "
-        "print(code, *sorted(m for m in sys.modules if m.startswith('reconkit.')), "
-        "file=sys.stderr)"
+        "import sys; bare = set(sys.modules); sys.path.insert(0, sys.argv[1]); "
+        "from reconkit.cli import main; code = main(sys.argv[2:]); "
+        "print(code, *sorted(set(sys.modules) - bare), file=sys.stderr)"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe, str(SRC), *args],
@@ -330,7 +331,8 @@ def cold_call(args: list[str], cwd: Path) -> tuple[int, str, str, set[str]]:
     assert proc.returncode == 0, proc.stderr  # nonzero only if main raised
     *err, last = proc.stderr.splitlines()
     code, *modules = last.split()
-    return int(code), proc.stdout, "\n".join(err), {m[len("reconkit."):] for m in modules}
+    loaded = {m.removeprefix("reconkit.") for m in modules}
+    return int(code), proc.stdout, "\n".join(err), loaded
 
 
 def test_cli_import_loads_only_errors():
@@ -360,7 +362,7 @@ SEARCH_LAYERS = {"deciders", "recon", "reductions", "families"}
         (["rn", "--kind", "vertex", "--quantifier", "exists", "bad.g6"], 2,
          {"recon", "deciders"}),
         (["reduce", "--kind", "gi-to-lvd", "--c", "1", "k3.g6", "k3.g6"], 0,
-         {"deciders", "recon", "families"}),
+         {"deciders", "recon", "families", "dataclasses", "inspect"}),
         (["family", "clique-pair", "--n", "4"], 0, {"deciders", "recon", "reductions"}),
         (["family", "rich-deck", "--k", "2", "--n", "1"], 0,
          {"deciders", "recon", "reductions"}),
@@ -537,94 +539,31 @@ def test_write_error_is_input_error(capsys, tmp_path):
         assert err.startswith("error: cannot write")
 
 
-@pytest.mark.parametrize(
-    "args",
-    [
-        ["verify", "reduction-iff", "--n-max", "0"],
-        ["verify", "reduction-iff", "--n-max", "2"],  # floor 3
-        ["verify", "edge-to-vertex-transfer", "--n-max", "-3"],
-        ["verify", "edge-to-vertex-transfer", "--n-max", "1"],  # floor 2
-        ["verify", "all", "--n-max", "1"],
-        ["verify", "all", "--n-max", "2"],  # floor 3, from reduction-iff
-        ["verify", "reduction-iff", "--n-max", "6"],  # top 5
-        ["verify", "edge-to-vertex-transfer", "--n-max", "5"],  # top 4
-        ["verify", "all", "--n-max", "5"],  # top 4, from edge-to-vertex-transfer
-        ["verify", "graph6", "--n-max", "2"],  # graph6 has no scale
-    ],
-)
-def test_verify_refuses_vacuous_or_ignored_n_max(capsys, args):
-    code, out, err = run_cli(capsys, args)
-    assert code == 2 and out == ""
-    assert "n_max" in err
+def test_verify_runs_each_scaled_sweep_at_its_one_scale(capsys):
+    # reduction-iff sweeps orders up to 5 (4 for its c=2 cells) and
+    # edge-to-vertex-transfer up to 4; no flag changes either
+    for sweep, instances in (("reduction-iff", 4172), ("edge-to-vertex-transfer", 32)):
+        code, out, _ = run_cli(capsys, ["verify", sweep])
+        assert code == 0 and out.startswith(f"PASS {sweep}: {instances} instances, ")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "all", "--n-max", "3"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
-@pytest.mark.parametrize(
-    "sweep, floor", [("reduction-iff", 3), ("edge-to-vertex-transfer", 2)]
-)
-def test_verify_runs_at_the_n_max_floor(capsys, sweep, floor):
-    # every cell of the sweep has an instance at its floor
-    code, out, _ = run_cli(capsys, ["verify", sweep, "--n-max", str(floor)])
-    assert code == 0 and out.startswith(f"PASS {sweep}: ")
-    assert not out.split(": ")[1].startswith("0 instances")
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-@pytest.mark.parametrize(
-    "sweep, top, instances",
-    [("reduction-iff", 5, 4172), ("edge-to-vertex-transfer", 4, 32)],
-)
-def test_verify_runs_at_the_n_max_top(capsys, sweep, top, instances):
-    # the top is the scale the sweep runs at by default
-    code, out, _ = run_cli(capsys, ["verify", sweep, "--n-max", str(top)])
-    assert code == 0 and out.startswith(f"PASS {sweep}: {instances} instances, ")
-
-
-def stub_sweeps(monkeypatch) -> list:
-    """Replace every sweep by a stub; returns the (name, args) of each call."""
-    import reconkit.verify as verify
-
-    calls = []
-
-    def stub(name):
-        def sweep(*args):
-            calls.append((name, args))
-            return True, "stub"
-
-        return sweep
-
-    for name in list(verify.SWEEPS):
-        monkeypatch.setitem(verify.SWEEPS, name, stub(name))
-    return calls
-
-
-def test_verify_floor_is_checked_before_any_sweep_starts(monkeypatch):
-    import reconkit.verify as verify
-    from reconkit.errors import InputError
-
-    calls = stub_sweeps(monkeypatch)
-    with pytest.raises(InputError):
-        verify.run_all(2)
-    with pytest.raises(InputError):
-        verify.run_sweep("reduction-iff", 2)
-    with pytest.raises(InputError):
-        verify.run_sweep("edge-to-vertex-transfer", 1)
-    with pytest.raises(InputError):
-        verify.run_all(5)
-    with pytest.raises(InputError):
-        verify.run_sweep("reduction-iff", 6)
-    with pytest.raises(InputError):
-        verify.run_sweep("edge-to-vertex-transfer", 5)
-    assert calls == []
-    verify.run_sweep("reduction-iff", 3)
-    verify.run_sweep("edge-to-vertex-transfer", 2)
-    assert calls == [("reduction-iff", (3,)), ("edge-to-vertex-transfer", (2,))]
-
-
-def test_verify_all_passes_n_max_to_scaled_sweeps_only(capsys, monkeypatch):
-    import reconkit.verify as verify
-
-    calls = stub_sweeps(monkeypatch)
-    code, out, _ = run_cli(capsys, ["verify", "all", "--n-max", "3"])
-    assert code == 0 and len(out.splitlines()) == len(verify.SWEEPS)
-    assert calls == [
-        (name, (3,) if name in verify.SCALED_SWEEPS else ()) for name in verify.SWEEPS
-    ]
+def test_readme_commands_parse():
+    # every `reconkit ...` line inside a fenced block of the README
+    parser, fenced, parsed = build_parser(), False, 0
+    for line in README.read_text().splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+        elif fenced and line.startswith("reconkit "):
+            try:
+                parser.parse_args(shlex.split(line, comments=True)[1:])
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {line}")
+            parsed += 1
+    assert parsed >= 15

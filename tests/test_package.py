@@ -24,9 +24,9 @@ EXPORTS = {
     "empty_graph enumerate_graphs graph6_decode graph6_encode is_connected join "
     "line_graph path_graph permute union",
     "recon": "ReconNumber identifies recon_number threshold",
-    "reductions": "ReductionReport gi_to_kedc gi_to_kled gi_to_klvd gi_to_led "
-    "gi_to_lvd kedc_to_kvdc verify_reduction",
-    "verify": "CriterionResult run_all run_sweep",
+    "reductions": "gi_to_kedc gi_to_kled gi_to_klvd gi_to_led gi_to_lvd "
+    "kedc_to_kvdc",
+    "verify": "CriterionResult ReductionReport run_all run_sweep verify_reduction",
 }
 HOMES = [(name, module) for module, names in EXPORTS.items() for name in names.split()]
 

@@ -5,6 +5,7 @@ import pytest
 
 import reconkit.deciders as deciders
 import reconkit.reductions as reductions
+import reconkit.verify as verify
 from reconkit.canon import are_isomorphic, certificate
 from reconkit.deck import Deck, build_deck, deck_to_text
 from reconkit.deciders import legit_vertex, subdeck_check
@@ -27,8 +28,8 @@ from reconkit.reductions import (
     gi_to_led,
     gi_to_lvd,
     kedc_to_kvdc,
-    verify_reduction,
 )
+from reconkit.verify import verify_reduction
 
 K3 = complete_graph(3)
 P3 = path_graph(3)
@@ -240,7 +241,7 @@ def test_klvd_c2_k3_cell_is_checked_in_full(monkeypatch):
         answers.append(real(deck, c, mode))
         return answers[-1]
 
-    monkeypatch.setattr(deciders, "legit_vertex", spy)
+    monkeypatch.setattr(verify, "legit_vertex", spy)
     report = verify_reduction("gi_to_klvd", 4, 2, 3)
     assert report.ok and report.checked == 40
     assert Counter(answers) == {True: 8, False: 32}
@@ -250,7 +251,7 @@ def test_capacity_refusal_inside_a_sweep_propagates(monkeypatch):
     def refuse(deck, c, mode):
         raise CapacityError("over the cap")
 
-    monkeypatch.setattr(deciders, "legit_vertex", refuse)
+    monkeypatch.setattr(verify, "legit_vertex", refuse)
     with pytest.raises(CapacityError):
         verify_reduction("gi_to_klvd", 3, 1, 2)
 
