@@ -539,16 +539,32 @@ def test_write_error_is_input_error(capsys, tmp_path):
         assert err.startswith("error: cannot write")
 
 
-def test_verify_runs_each_scaled_sweep_at_its_one_scale(capsys):
-    # reduction-iff sweeps orders up to 5 (4 for its c=2 cells) and
-    # edge-to-vertex-transfer up to 4; no flag changes either
-    for sweep, instances in (("reduction-iff", 4172), ("edge-to-vertex-transfer", 32)):
-        code, out, _ = run_cli(capsys, ["verify", sweep])
-        assert code == 0 and out.startswith(f"PASS {sweep}: {instances} instances, ")
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "all", "--n-max", "3"])
-    assert exc.value.code == 2
-    assert capsys.readouterr().out == ""
+@pytest.mark.parametrize(
+    "sweep, top, instances",
+    [("reduction-iff", 5, 4172), ("edge-to-vertex-transfer", 4, 32)],
+)
+def test_verify_runs_at_the_n_max_top(capsys, monkeypatch, sweep, top, instances):
+    # a scaled sweep runs at one scale, the top of its order range:
+    # reduction-iff to order 5 (4 for its c=2 cells), edge-to-vertex-transfer
+    # to 4; there is no --n-max to change it
+    import reconkit.verify as verify
+
+    orders = []
+    real = verify.verify_reduction
+
+    def spy(kind, n_max, *args):
+        orders.append(n_max)
+        return real(kind, n_max, *args)
+
+    monkeypatch.setattr(verify, "verify_reduction", spy)
+    code, out, _ = run_cli(capsys, ["verify", sweep])
+    assert code == 0 and out.startswith(f"PASS {sweep}: {instances} instances, ")
+    assert max(orders) == top
+    for name in (sweep, "all"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", name, "--n-max", str(top)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
