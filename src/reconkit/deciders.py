@@ -10,8 +10,8 @@ equal size 1..c; a pair without one refutes the deck (the test two_lvd
 makes).  Yes: the first card, glued to c new vertices through each other
 class's first c-vertex agreement, over the 2^(c*c) choices of edges the
 two cards cannot see, is a preimage once subdeck_check accepts it.  The
-front end needs no attachment-pattern cap, so it also answers decks past
-the search's; what it leaves open goes to the search.
+front end is not charged to the search's budget, so it also answers some
+decks the search would refuse; what it leaves open goes to the search.
 
 Deck checks, the search and reconstruction numbers share one walk over a
 graph's c-deletions (_coverage): per card class of a deck, the deletions
@@ -47,10 +47,7 @@ the last is streamed to the walk.  Unlike enumerate_graphs, the rounds
 take no canonical-deletion filter: they must reach every graph that has
 the first card as a card, and the card is fixed.  A graph in which no
 vertex of largest invariant leaves that card has no filtered extension
-(K3 + K1 over K3: deleting a triangle vertex leaves K2 + K1).  Round r
-keeps at most the 2^(r*n' + C(r,2)) raw patterns of r vertices, so the
-raw count of c vertices, which VERTEX_SEARCH_BITS_CAP bounds, bounds
-every round.
+(K3 + K1 over K3: deleting a triangle vertex leaves K2 + K1).
 
 Pure vertex decks use Kelly's lemma: each edge of a preimage survives in
 C(n-2, c) of its cards, so the cards' edge counts fix |E(G)| and the last
@@ -59,10 +56,13 @@ round tries only attachment sets that bring |E(card_0)| up to |E(G)|.
 Edge decks add c edges to the first card in c rounds.  Twins are swapped
 by an automorphism, so a round adds to each graph only one non-edge per
 pair of its twin classes (and one edge inside each open-twin class), and
-keeps one graph per labeled set of added edges: at most C(N, c) candidates
-for the card's N non-edges, the count EDGE_SEARCH_CANDIDATES_CAP bounds.
-A middle round that would keep more than C(N, c) graphs (only when
-c > N/2) gives way to the C(N, c) raw additions.
+keeps one graph per labeled set of added edges.
+
+The search is charged one unit per graph a middle round builds (a vertex
+round's twin patterns, charged before it starts), per last-round
+candidate, per deletion a candidate's walk keys and per certificate of a
+match, and refused past SEARCH_BUDGET units; its order is fixed, so a
+refusal is too.  Deck checks, recon walks and the front end are uncharged.
 
 Reconstruction numbers test many subdecks of one deck.  profile_identifies
 walks the one-vertex (one-edge) extensions of each card class once and
@@ -76,7 +76,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations, islice, product
-from math import comb
+from math import comb, prod
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .canon import certificate_rows, find_isomorphism
@@ -95,8 +95,8 @@ from .graph import (
     twin_patterns,
 )
 
-VERTEX_SEARCH_BITS_CAP = 24  # 2^(c*n' + C(c,2)) raw attachment patterns at most
-EDGE_SEARCH_CANDIDATES_CAP = 10**6
+SEARCH_BUDGET = 10**5  # units of preimage-search work (see the module docstring)
+VERTEX_SEARCH_BITS_CAP = 24  # read only by perfbench/workloads.py, not the search
 _FIELD = 6  # bits per degree in a packed histogram: degree r counts 1 << 6r
 # key change when a vertex of degree d loses one edge, for d < 64 (edge-kind
 # candidates have the cards' order, which is below 64)
@@ -278,6 +278,7 @@ class _DeckTargets:
             self.by_key.setdefault(sum(1 << _FIELD * r for r in degs), []).append(j)
             self.need_by_edges[card.m] += self.mults[j]
         self.profiles: Optional[set[tuple[int, ...]]] = None  # on the first key hit
+        self.spent = 0  # deletions the walks keyed, plus a search's other charges
 
 
 def _edge_delta_feasible(
@@ -339,6 +340,7 @@ def _coverage(s: _Shape, t: _DeckTargets, exhaust: bool) -> list[int]:
     misses = walked - left if exhaust else walked  # deletions that may miss
     if not left or misses < 0:
         return cov
+    start = left + misses  # each deletion keyed takes one from left or misses
     keyed = _keyer(s, t.kind)
     profiles = t.profiles
     for drop in islice(combinations(space, c), walked):
@@ -362,6 +364,7 @@ def _coverage(s: _Shape, t: _DeckTargets, exhaust: bool) -> list[int]:
         misses -= 1
         if misses < 0:
             break
+    t.spent += start - left - misses
     return cov
 
 
@@ -403,18 +406,20 @@ def subdeck_check(g: Graph, cards: Deck, c: int) -> bool:
 
 
 def _extensions(
-    base: Graph, kind: str, c: int, size: Optional[int] = None
+    base: Graph, kind: str, c: int, size: Optional[int] = None,
+    charge: Callable[[int], None] = lambda units: None,
 ) -> Iterator[_Shape]:
     """Every graph with base as a c-deletion card, up to isomorphism: c
     vertex rounds, complete since a graph minus its last added vertex has
     base as a (c-1)-deletion card (`size` fixes the added edges), or c
     edge rounds (see _edge_additions)."""
     if kind == "edge":
-        yield from _edge_additions(base, c)
+        yield from _edge_additions(base, c, charge)
         return
     n = base.n
     graphs: Iterable[Sequence[int]] = [base.rows]
     for _ in range(c - 1):
+        charge(sum(prod(len(tw) + 1 for tw in _twin_classes(n, rows)) for rows in graphs))
         graphs = extension_classes(n, graphs).values()
         n += 1
     undo = tuple(range(base.n, n + 1))
@@ -425,19 +430,16 @@ def _extensions(
             yield _shape(n + 1, extend_rows(n, rows, attach), undo)
 
 
-def _edge_additions(card: Graph, c: int) -> Iterator[_Shape]:
+def _edge_additions(card: Graph, c: int, charge: Callable) -> Iterator[_Shape]:
     """The card plus c new edges, one edge per round.  A round adds to each
     graph one non-edge per unordered pair of its twin classes, and one edge
     inside each open-twin class of two or more vertices: twins are swapped
     by an automorphism, so every one-edge addition is isomorphic to one of
     these, and by induction every c-edge addition to one of the last
     round's.  A round keeps one graph per labeled set of added edges (edge
-    (u, v) is bit u*n + v) and the last round is yielded as it grows, so no
-    card gets more than C(N, c) graphs for its N non-edges.  An earlier
-    round r can hold up to C(N, r) > C(N, c) graphs when c > N/2; once it
-    outgrows C(N, c), the raw additions are yielded instead."""
+    (u, v) is bit u*n + v), each charged, and the last round is yielded as
+    it grows."""
     n = card.n
-    limit = comb(n * (n - 1) // 2 - card.m, c)
     frontier = [(0, card.rows)]
     for r in range(c):
         seen: set[int] = set()
@@ -457,25 +459,9 @@ def _edge_additions(card: Graph, c: int) -> Iterator[_Shape]:
                 if r == c - 1:
                     yield _shape(n, out, tuple(divmod(bit, n) for bit in iter_bits(mask)))
                 else:
+                    charge(1)
                     grown.append((mask, out))
-                    if len(grown) > limit:
-                        yield from _raw_edge_additions(card, c)
-                        return
         frontier = grown
-
-
-def _raw_edge_additions(card: Graph, c: int) -> Iterator[_Shape]:
-    """The card plus each c of its non-edges."""
-    n, rows0 = card.n, card.rows
-    non_edges = [
-        (u, v) for u in range(n) for v in range(u + 1, n) if not rows0[u] >> v & 1
-    ]
-    for added in combinations(non_edges, c):
-        rows = list(rows0)
-        for u, v in added:
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-        yield _shape(n, rows, added)
 
 
 def _kelly_added_edges(d: Deck, c: int, n: int) -> Optional[int]:
@@ -526,22 +512,7 @@ def _search(
 ) -> Iterator[tuple[bytes, _Shape]]:
     """_search_preimages on validated targets."""
     n0 = t.order
-    base = d.cards[0]
     size = None
-    if t.kind == "vertex":
-        bits = c * n0 + c * (c - 1) // 2
-        if bits > VERTEX_SEARCH_BITS_CAP:
-            raise CapacityError(
-                f"2^{_count_text(bits)} attachment patterns exceed "
-                f"the 2^{VERTEX_SEARCH_BITS_CAP} cap"
-            )
-    else:
-        added = comb(n0 * (n0 - 1) // 2 - base.m, c)
-        if added > EDGE_SEARCH_CANDIDATES_CAP:
-            raise CapacityError(
-                f"{added} edge-addition candidates exceed "
-                f"the {EDGE_SEARCH_CANDIDATES_CAP} cap"
-            )
     full_size = _full_size(t, c)
     if mode == "pure":
         if len(d) != full_size:
@@ -551,9 +522,20 @@ def _search(
             if size is not None and size < 0:
                 return
     check_deletion_sets(full_size)  # the walk visits them per candidate
+
+    def charge(units: int) -> None:
+        t.spent += units
+        if t.spent > SEARCH_BUDGET:
+            raise CapacityError(
+                f"preimage search work passed its budget of {SEARCH_BUDGET} units "
+                f"(at {_count_text(t.spent)})"
+            )
+
     seen: set[bytes] = set()
-    for s in _extensions(base, t.kind, c, size):
-        if _sub_match(s, t):
+    for s in _extensions(d.cards[0], t.kind, c, size, charge):
+        matched = _sub_match(s, t)  # adds the deletions its walk keyed
+        charge(1 + matched)  # the candidate, and the certificate of a match
+        if matched:
             cert = certificate_rows(s.n, s.rows)
             if cert not in seen:
                 seen.add(cert)
@@ -736,7 +718,7 @@ def find_preimage(d: Deck, c: int, mode: str) -> Optional[Graph]:
     card classes agree; when a pair has none, the answer is no.  Otherwise
     the first card is glued to each other class's first c-vertex
     agreement, and a glued graph that subdeck_check accepts is returned.
-    Only then does the exhaustive search decide, under its caps.
+    Only then does the exhaustive search decide, under its budget.
     """
     t = _targets(d, c, mode)
     if t is None:

@@ -34,7 +34,17 @@ class Deck:
     def __init__(self, kind: str, cards: Iterable[Graph]):
         if kind not in DECK_KINDS:
             raise InputError(f"unknown deck kind {kind!r}")
-        tagged = sorted(((certificate(c), c) for c in cards), key=lambda t: t[0])
+        self._set(kind, sorted(((certificate(c), c) for c in cards), key=lambda t: t[0]))
+
+    @classmethod
+    def _from_sorted(cls, kind: str, tagged: list[tuple[bytes, Graph]]) -> Deck:
+        """The deck of these (certificate, card) pairs, trusted as given:
+        each certificate is its card's, in sorted order."""
+        d = object.__new__(cls)
+        d._set(kind, tagged)
+        return d
+
+    def _set(self, kind: str, tagged: list[tuple[bytes, Graph]]) -> None:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "cards", tuple(c for _, c in tagged))
         object.__setattr__(self, "certs", tuple(t for t, _ in tagged))

@@ -137,18 +137,21 @@ def recon_number(g: Graph, kind: str, quantifier: str) -> ReconNumber:
     deck = build_deck(g, kind, 1)
     # subsets with equal class counts identify (or not) together, so only
     # count profiles are tested
-    class_cards = [cards for _, cards in deck.classes()]
-    mults = [len(cards) for cards in class_cards]
+    classes = deck.classes()
+    mults = [len(cards) for _, cards in classes]
     nonempty = profile_identifies(g, deck)
 
     def identified(profile: tuple[int, ...]) -> bool:
         return nonempty(profile) if any(profile) else _universe_is_singleton(g, kind)
 
     def subdeck_for(profile: tuple[int, ...]) -> Deck:
-        chosen: list[Graph] = []
-        for count, cards in zip(profile, class_cards):
-            chosen.extend(cards[:count])
-        return Deck(kind, chosen)
+        # the first cards of each class run, so still certificate-sorted
+        tagged = [
+            (cert, card)
+            for count, (cert, cards) in zip(profile, classes)
+            for card in cards[:count]
+        ]
+        return Deck._from_sorted(kind, tagged)
 
     if quantifier == "exists":
         for size in range(len(deck) + 1):

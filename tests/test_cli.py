@@ -505,25 +505,48 @@ def test_huge_parameters_exit_3_with_a_short_message(capsys, tmp_path):
         code, out, err = run_cli(capsys, args)
         assert code == 3 and out == ""
         assert "capped below order 64" in err and len(err) < 200, err[:200]
-    # counts past that limit in the search and deletion-set caps
+    # counts past that limit in the deletion-set cap
     ppath = tmp_path / "p3.g6"
     ppath.write_text("Bg\n")
     c = "9" * 4000
     for args in (
-        ["legit", "--c", c, str(gpath)],
         ["legit", "--mode", "sub", "--c", c, str(gpath)],
         ["legit", "--kind", "edge", "--mode", "sub", "--c", c, str(ppath)],
-        ["preimages", "--c", c, str(gpath)],
         ["preimages", "--mode", "sub", "--c", c, str(gpath)],
         ["preimages", "--kind", "edge", "--mode", "sub", "--c", c, str(ppath)],
     ):
         code, out, err = run_cli(capsys, args)
         assert code == 3 and out == ""
         assert len(err) < 200 and "Traceback" not in err, err[:200]
-    # a pure one-card edge deck is decided at once: a full c-edge deck has
-    # C(m + c, c) cards, so no graph has this one
-    code, out, err = run_cli(capsys, ["legit", "--kind", "edge", "--c", c, str(ppath)])
-    assert (code, out, err) == (1, "no\n", "")
+    # a pure one-card deck is decided at once: a full c-deck has C(n + c, c)
+    # cards (C(m + c, c) for edges), so no graph has this one
+    for args in (
+        ["legit", "--c", c, str(gpath)],
+        ["legit", "--kind", "edge", "--c", c, str(ppath)],
+        ["preimages", "--c", c, str(gpath)],
+    ):
+        code, out, err = run_cli(capsys, args)
+        assert (code, out.split()[0], err) == (1, "no", ""), args
+
+
+def test_search_budget_refusal_exits_3_with_one_line(capsys, monkeypatch, tmp_path):
+    # one P7 card at c = 3: its first round extends P7 over 128 twin
+    # patterns, its second would extend those classes over 17,920, past a
+    # budget of 1,000; the refusal is one short line that names the budget
+    import reconkit.deciders as deciders
+
+    refused = "capacity error: preimage search work passed its budget of {} units (at {})\n"
+    monkeypatch.setattr(deciders, "SEARCH_BUDGET", 1_000)
+    gpath = tmp_path / "p7.g6"
+    gpath.write_text(graph6_encode(path_graph(7)) + "\n")
+    code, out, err = run_cli(capsys, ["preimages", "--mode", "sub", "--c", "3", str(gpath)])
+    assert (code, out, err) == (3, "", refused.format(1000, 18048))
+    # at the default budget one P9 card is refused the same way: its second
+    # round alone would extend its classes over 275,968 patterns
+    monkeypatch.undo()
+    gpath.write_text(graph6_encode(path_graph(9)) + "\n")
+    code, out, err = run_cli(capsys, ["preimages", "--mode", "sub", "--c", "3", str(gpath)])
+    assert (code, out, err) == (3, "", refused.format(100000, 276480))
 
 
 def test_write_error_is_input_error(capsys, tmp_path):

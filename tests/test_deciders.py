@@ -125,12 +125,11 @@ def test_enum_preimages_modes_and_errors():
     with pytest.raises(InputError):
         # more cards than the full deck could hold
         enum_preimages(Deck("vertex", [K2] * 7), 1, "sub")
-    with pytest.raises(CapacityError):
-        enum_preimages(Deck("vertex", [empty_graph(30)] * 2), 1, "sub")
-    big_card = empty_graph(20)
-    with pytest.raises(CapacityError):
-        # 2^(2*20+1) attachment patterns
-        enum_preimages(Deck("vertex", [big_card] * 3), 2, "sub")
+    # order-30 cards: 31 candidates, E31 and K2 + E29
+    assert len(enum_preimages(Deck("vertex", [empty_graph(30)] * 2), 1, "sub")) == 2
+    with pytest.raises(CapacityError, match="budget"):
+        # the last round passes the search budget
+        enum_preimages(Deck("vertex", [empty_graph(20)] * 3), 2, "sub")
 
 
 def test_preimages_verify_their_relation():
@@ -294,7 +293,8 @@ def test_front_end_witnesses_pass_subdeck_check():
 
 
 def test_front_end_answers_some_decks_past_the_search_cap(monkeypatch):
-    # order-25 cards: 2^25 attachment patterns, past the 2^24 search cap
+    # the front end is not charged to the search budget: with a budget of
+    # 10 units, it still refutes or confirms these order-25 decks
     e25, p3 = empty_graph(25), union([P3, empty_graph(22)])
     checked = []
     real = deciders.subdeck_check
@@ -304,6 +304,7 @@ def test_front_end_answers_some_decks_past_the_search_cap(monkeypatch):
         return checked[-1]
 
     monkeypatch.setattr(deciders, "subdeck_check", spy)
+    monkeypatch.setattr(deciders, "SEARCH_BUDGET", 10)
     # E25 - x and K25 - y are never isomorphic: refuted
     assert not legit_vertex(Deck("vertex", [e25, complete_graph(25)]), 1, "sub")
     assert checked == []
@@ -320,7 +321,9 @@ def test_front_end_answers_some_decks_past_the_search_cap(monkeypatch):
 
     with pytest.raises(CapacityError):
         legit_vertex(padded(25), 1, "sub")
-    # at order 24 the search answers: no preimage
+    # within the budget the search answers: 26 candidates, no preimage
+    monkeypatch.undo()
+    assert not legit_vertex(padded(25), 1, "sub")
     assert not legit_vertex(padded(24), 1, "sub")
 
 
@@ -374,32 +377,87 @@ def test_deck_check_rejects_on_card_count_before_matching(monkeypatch):
 
 
 def test_preimage_search_caps_at_their_boundaries():
-    # vertex search: 2^(c*n') patterns, n' = 24 at the 2^24 cap; the two
-    # preimages are E25 and K2 + E23
-    assert len(enum_preimages(Deck("vertex", [empty_graph(24)] * 2), 1, "sub")) == 2
-    with pytest.raises(CapacityError):
-        enum_preimages(Deck("vertex", [empty_graph(25)] * 2), 1, "sub")
-    # c = 2: 2^(2*11 + 1) = 2^23 patterns pass, 2^(2*12 + 1) do not.  With
+    # the search has no raw-count cap: the decks just inside and just past
+    # the former 2^24 attachment-pattern and 10^6 edge-addition caps all
+    # answer within the work budget.  c = 1: the preimages are E_{n'+1}
+    # and K2 + E_{n'-1}
+    for n in (24, 25):
+        assert len(enum_preimages(Deck("vertex", [empty_graph(n)] * 2), 1, "sub")) == 2
+    # c = 2, formerly 2^(2*11 + 1) patterns in and 2^(2*12 + 1) out.  With
     # S = {0, 1} and T the deleted pairs, every edge meets both: T = {2, 3}
     # leaves the edges between S and T, T = {0, 2} those at 0 and (1, 2)
-    deck = Deck("vertex", [empty_graph(11)] * 2)
-    found = enum_preimages(deck, 2, "sub")
-    slots = [[(0, 2), (0, 3), (1, 2), (1, 3)], [(0, v) for v in range(1, 13)] + [(1, 2)]]
-    want = {
-        certificate(Graph(13, [e for e, on in zip(edges, bits) if on]))
-        for edges in slots
-        for bits in product((0, 1), repeat=len(edges))
-    }
-    assert len(found) == len(want) == 45
-    assert {certificate(g) for g in found.preimages} == want
-    assert all(subdeck_check(g, deck, 2) for g in found.preimages)
-    with pytest.raises(CapacityError):
-        enum_preimages(Deck("vertex", [empty_graph(12)] * 2), 2, "sub")
-    # edge search: C(C(53, 2), 2) = 948,753 candidates, C(C(54, 2), 2) =
-    # 1,023,165 past the 10^6 cap
+    for n, count in ((11, 45), (12, 49)):
+        deck = Deck("vertex", [empty_graph(n)] * 2)
+        found = enum_preimages(deck, 2, "sub")
+        star = [(0, v) for v in range(1, n + 2)] + [(1, 2)]
+        slots = [[(0, 2), (0, 3), (1, 2), (1, 3)], star]
+        want = {
+            certificate(Graph(n + 2, [e for e, on in zip(edges, bits) if on]))
+            for edges in slots
+            for bits in product((0, 1), repeat=len(edges))
+        }
+        assert len(found) == len(want) == count
+        assert {certificate(g) for g in found.preimages} == want
+        assert all(subdeck_check(g, deck, 2) for g in found.preimages)
+    # edge search, formerly C(C(53, 2), 2) = 948,753 additions in and
+    # C(C(54, 2), 2) = 1,023,165 out: the twin rounds keep one graph and
+    # build two candidates, the first of which is a preimage
     assert legit_edge(Deck("edge", [empty_graph(53)]), 2, "sub")
+    assert legit_edge(Deck("edge", [empty_graph(54)]), 2, "sub")
+
+
+def test_search_budget_at_its_boundary(monkeypatch):
+    # an exact charge is accepted and one unit less refused, the same way
+    # each time.  CT + P4 at c = 2: 8 twin patterns of CT in the middle
+    # round, 140 candidates, 1,046 deletions keyed and 92 certificates of
+    # matches; two P6 edge cards at c = 2: 8 + 40 + 119 + 40
+    assert deciders.SEARCH_BUDGET == 10**5
+    ct = union([K3, K1])
+    cards = build_deck(path_graph(6), "edge", 2).cards[:2]
+    for deck, charge, count in (
+        (Deck("vertex", [ct, path_graph(4)]), 1_286, 44),
+        (Deck("edge", cards), 207, 13),
+    ):
+        monkeypatch.setattr(deciders, "SEARCH_BUDGET", charge)
+        assert len(enum_preimages(deck, 2, "sub")) == count
+        monkeypatch.setattr(deciders, "SEARCH_BUDGET", charge - 1)
+        messages = set()
+        for _ in range(2):
+            with pytest.raises(CapacityError) as exc:
+                enum_preimages(deck, 2, "sub")
+            messages.add(str(exc.value))
+        want = f"preimage search work passed its budget of {charge - 1} units (at {charge})"
+        assert messages == {want}
+
+
+def test_a_vertex_round_past_the_budget_is_refused_before_it_runs(monkeypatch):
+    # CT at c = 3: the first round extends CT over its 8 twin patterns, the
+    # second would extend those classes over 140; a budget of 147 refuses
+    # the second round before it certifies anything, so no candidate is
+    # built or matched
+    rounds, matched = [], []
+    real_round, real_match = deciders.extension_classes, deciders._sub_match
+
+    def round_spy(n, graphs):
+        rounds.append(n)
+        return real_round(n, graphs)
+
+    def match_spy(s, t):
+        matched.append(s)
+        return real_match(s, t)
+
+    monkeypatch.setattr(deciders, "extension_classes", round_spy)
+    monkeypatch.setattr(deciders, "_sub_match", match_spy)
+    monkeypatch.setattr(deciders, "SEARCH_BUDGET", 147)
+    with pytest.raises(CapacityError, match=r"budget of 147 units \(at 148\)"):
+        enum_preimages(Deck("vertex", [union([K3, K1])]), 3, "sub")
+    assert rounds == [4] and matched == []
+    # one unit more lets the second round run; the first candidates' charge
+    # then passes the budget
+    monkeypatch.setattr(deciders, "SEARCH_BUDGET", 148)
     with pytest.raises(CapacityError):
-        legit_edge(Deck("edge", [empty_graph(54)]), 2, "sub")
+        enum_preimages(Deck("vertex", [union([K3, K1])]), 3, "sub")
+    assert rounds == [4, 4, 5] and matched
 
 
 def _sparse_card(m):
@@ -619,27 +677,31 @@ def test_vertex_search_matcher_calls_are_bounded(monkeypatch):
     assert calls[0] <= 4_000
 
 
-def test_edge_extensions_stay_within_raw_count_when_c_exceeds_half(monkeypatch):
+def test_edge_rounds_stay_within_the_budget_when_c_exceeds_half(monkeypatch):
     # with c > N/2 a middle round can hold C(N, r) > C(N, c) labeled sets;
-    # the search then gives way to the raw additions, so no round holds
-    # more than C(N, c) graphs (496 here, against C(32, 16) ~ 6e8)
-    base = Graph(9, [(0, 1), (2, 3), (4, 5), (6, 7)])
-    c = 30
-    want, raw = _raw_edge_additions(base, c)
-    held = [0]
+    # every set a round keeps is charged, so no round holds more graphs than
+    # the budget, and the search answers with the raw additions' classes or
+    # refuses.  N = 8, c = 6: rounds of up to C(8, 4) = 70 sets, 28 raw
+    # additions; N = 32, c = 30: rounds of 10, 109, 1,094, 9,376 and
+    # 66,180 sets, and the next passes the budget (496 raw additions)
     real = deciders._twin_classes
+    held = [0]
 
     def spy(n, rows):
         held[0] += 1
-        assert held[0] <= c * raw, "a round outgrew C(N, c)"
+        assert held[0] <= deciders.SEARCH_BUDGET + 1, "a round outgrew the budget"
         return real(n, rows)
 
     monkeypatch.setattr(deciders, "_twin_classes", spy)
-    got = list(deciders._extensions(base, "edge", c))
-    assert len(got) <= raw == 496
-    assert {certificate_rows(s.n, s.rows) for s in got} == want
-    for s in got:
-        assert s.key == deciders._shape(s.n, s.rows).key
+    base = Graph(5, [(0, 1), (2, 3)])
+    want, raw = _raw_edge_additions(base, 6)
+    found = enum_preimages(Deck("edge", [base]), 6, "sub")
+    assert {certificate(g) for g in found.preimages} == want and raw == 28
+    held[0] = 0
+    base = Graph(9, [(0, 1), (2, 3), (4, 5), (6, 7)])
+    with pytest.raises(CapacityError, match="budget"):
+        enum_preimages(Deck("edge", [base]), 30, "sub")
+    assert held[0] > 1 + 10 + 109 + 1_094 + 9_376  # the sixth round was growing
 
 
 def _connected(n):

@@ -257,18 +257,33 @@ def test_one_walk_per_card_class(monkeypatch, kind, g, quantifier):
 @pytest.mark.parametrize("quantifier", ["exists", "forall"])
 def test_recon_number_builds_only_its_own_decks(monkeypatch, kind, g, quantifier):
     # work bound, no clock: the class walks slice the deck's class table,
-    # so the only decks a call builds are g's deck and its witness or
-    # counterexample subdeck
-    built = []
-    real = Deck.__init__
+    # and the witness or counterexample subdeck takes its cards and their
+    # certificates from that table, so a call builds only g's deck and
+    # certifies only that deck's cards
+    import reconkit.deck as deck_module
+
+    built, certified = [], []
+    real, real_cert = Deck.__init__, deck_module.certificate
 
     def spy(self, *args):
         real(self, *args)
         built.append(self)
 
+    def cert_spy(card):
+        certified.append(card)
+        return real_cert(card)
+
     monkeypatch.setattr(Deck, "__init__", spy)
+    monkeypatch.setattr(deck_module, "certificate", cert_spy)
     got = recon_number(g, kind, quantifier)
     monkeypatch.undo()
     subdeck = got.witness if quantifier == "exists" else got.counterexample
     assert subdeck is not None
-    assert built == [build_deck(g, kind, 1), subdeck] and built[1] is subdeck
+    full = build_deck(g, kind, 1)
+    assert built == [full]
+    assert Counter(map(certificate, certified)) == full.cert_counter()
+    assert len(certified) == len(full)
+    rebuilt = Deck(kind, subdeck.cards)
+    assert (subdeck.kind, subdeck.cards, subdeck.certs) == (kind, rebuilt.cards, rebuilt.certs)
+    assert subdeck == rebuilt and hash(subdeck) == hash(rebuilt)
+    assert subdeck_contained(subdeck, full)

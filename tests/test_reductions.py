@@ -232,8 +232,9 @@ def test_small_iff_sweeps():
 
 
 def test_klvd_c2_k3_cell_is_checked_in_full(monkeypatch):
-    # order-22 cards, past the preimage search cap: the pair test refutes
-    # the 32 nonisomorphic pairs and a glued witness confirms the 8 others
+    # order-22 cards, answered by the front end alone: the pair test
+    # refutes the 32 nonisomorphic pairs and a glued witness confirms the
+    # 8 others
     answers = []
     real = deciders.legit_vertex
 
