@@ -73,7 +73,6 @@ whose first card is of that class.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import partial
 from itertools import combinations, islice, product
 from math import comb, prod
@@ -103,16 +102,18 @@ _FIELD = 6  # bits per degree in a packed histogram: degree r counts 1 << 6r
 _DOWN = tuple((1 << _FIELD * d) - ((1 << _FIELD * d) >> _FIELD) for d in range(64))
 
 
-@dataclass(frozen=True)
-class PreimageSet:
+class PreimageSet(tuple):
     """Pairwise-nonisomorphic preimages of a deck (pure: deck equality,
-    sub: subdeck containment), certificate-sorted."""
+    sub: subdeck containment), certificate-sorted: a tuple of them."""
 
-    preimages: tuple[Graph, ...]
-    mode: str
+    __slots__ = ()
 
-    def __len__(self) -> int:
-        return len(self.preimages)
+    @property
+    def preimages(self) -> tuple[Graph, ...]:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"PreimageSet(preimages={tuple.__repr__(self)})"
 
 
 def _degree_profile(rows: Sequence[int]) -> tuple[int, ...]:
@@ -501,7 +502,8 @@ def _targets(d: Deck, c: int, mode: str) -> Optional[_DeckTargets]:
 
 def _search_preimages(d: Deck, c: int, mode: str) -> Iterator[tuple[bytes, _Shape]]:
     """Each preimage class of d once, as (certificate, shape), lazily: the
-    deck is validated and the caps are checked at the first step."""
+    deck is validated and the deletion-set cap is checked at the first step;
+    the budget is charged as the search runs."""
     t = _targets(d, c, mode)
     if t is not None:
         yield from _search(d, t, c, mode)
@@ -546,7 +548,7 @@ def enum_preimages(d: Deck, c: int, mode: str) -> PreimageSet:
     """All preimages of d up to isomorphism (pure: deck equality; sub:
     containment), found by extending the first card every possible way."""
     found = sorted(_search_preimages(d, c, mode), key=lambda item: item[0])
-    return PreimageSet(tuple(Graph._from_rows(s.n, s.rows) for _, s in found), mode)
+    return PreimageSet(Graph._from_rows(s.n, s.rows) for _, s in found)
 
 
 # --- identifying subdecks ----------------------------------------------------

@@ -20,9 +20,8 @@ both loops run out and the number is infinite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from math import comb
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .deck import Deck, build_deck, subdeck_contained
 from .deciders import profile_identifies
@@ -40,8 +39,7 @@ THRESHOLD_PROBLEMS = {
 }
 
 
-@dataclass(frozen=True)
-class ReconNumber:
+class ReconNumber(NamedTuple):
     """Value in the naturals plus infinity (math.inf), with an identifying
     witness subdeck for the existential numbers and a non-identifying
     counterexample subdeck (one card smaller) for the universal ones."""

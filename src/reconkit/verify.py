@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import combinations, combinations_with_replacement, product, starmap
 from math import comb
 from time import perf_counter
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .canon import are_isomorphic, certificate
 from .deck import Deck, build_deck, deck_equal, subdeck_contained
@@ -61,8 +60,7 @@ from .reductions import (
 Verdict = tuple[bool, str]  # (passed, detail) of one sweep
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(NamedTuple):
     name: str
     passed: bool
     detail: str
@@ -77,14 +75,9 @@ class CriterionResult:
 # reduction harness
 
 
-@dataclass(frozen=True)
-class ReductionReport:
-    kind: str
-    c: int
-    k: Optional[int]
-    n_max: int
+class ReductionReport(NamedTuple):
     checked: int
-    violations: tuple[str, ...] = field(default=())
+    violations: tuple[str, ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -118,7 +111,6 @@ def verify_reduction(
     needs_k = kind in ("gi_to_kedc", "gi_to_klvd", "gi_to_kled")
     if needs_k and k is None:
         raise InputError(f"{kind} requires k")
-    use_k = k if needs_k else None
 
     def decide(g: Graph, h: Graph) -> bool:
         if kind == "gi_to_lvd":
@@ -126,11 +118,11 @@ def verify_reduction(
         if kind == "gi_to_led":
             return legit_edge(gi_to_led(g, h, c), c, "pure")
         if kind == "gi_to_kedc":
-            graph, deck = gi_to_kedc(g, h, c, use_k)
+            graph, deck = gi_to_kedc(g, h, c, k)
             return subdeck_check(graph, deck, c)
         if kind == "gi_to_kled":
-            return legit_edge(gi_to_kled(g, h, c, use_k), c, "sub")
-        return legit_vertex(gi_to_klvd(g, h, c, use_k), c, "sub")
+            return legit_edge(gi_to_kled(g, h, c, k), c, "sub")
+        return legit_vertex(gi_to_klvd(g, h, c, k), c, "sub")
 
     violations: list[str] = []
     checked = 0
@@ -145,7 +137,7 @@ def verify_reduction(
                     f"n={n} g={graph6_encode(g)} h={graph6_encode(h)} "
                     f"expected={want} got={got}"
                 )
-    return ReductionReport(kind, c, use_k, n_max, checked, tuple(violations))
+    return ReductionReport(checked, tuple(violations))
 
 
 def _verify_transfer(n_max: int, c: int, k: int) -> ReductionReport:
@@ -183,7 +175,7 @@ def _verify_transfer(n_max: int, c: int, k: int) -> ReductionReport:
             for chosen in combinations_with_replacement(pool, k):
                 instances.append((g, Deck("edge", chosen)))
     violations = tuple(v for v in starmap(check, instances) if v is not None)
-    return ReductionReport("kedc_to_kvdc", c, k, n_max, len(instances), violations)
+    return ReductionReport(len(instances), violations)
 
 
 # ---------------------------------------------------------------------------

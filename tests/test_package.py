@@ -68,3 +68,45 @@ def test_bare_import_loads_no_layer_until_one_is_used():
         capture_output=True, text=True, check=True,
     ).stdout
     assert out.splitlines() == ["reconkit", "reconkit.graph True"]
+
+
+def test_result_types_keep_their_contract():
+    # the fields callers read, equality, immutability and repr of the four results
+    import math
+
+    from reconkit import (
+        CriterionResult,
+        Deck,
+        ReconNumber,
+        ReductionReport,
+        complete_graph,
+        enum_preimages,
+    )
+
+    assert ReconNumber._fields == ("value", "witness", "counterexample")
+    assert ReconNumber._field_defaults == {"witness": None, "counterexample": None}
+    assert CriterionResult._fields == ("name", "passed", "detail", "elapsed")
+    assert CriterionResult._field_defaults == {}
+    assert ReductionReport._fields == ("checked", "violations")
+    assert ReductionReport._field_defaults == {"violations": ()}
+
+    deck = Deck("vertex", [complete_graph(2)])
+    found = enum_preimages(deck, 1, "sub")  # K2 + K1, P3 and K3
+    rn = ReconNumber(3, witness=deck)
+    result = CriterionResult("graph6", True, "ok", 0.5)
+    report = ReductionReport(4)
+    assert rn == ReconNumber(3, deck, None)
+    assert result == CriterionResult("graph6", True, "ok", 0.5)
+    assert report == ReductionReport(4, ()) and report.ok
+    assert not ReductionReport(4, ("n=3 g=Bw h=Bw expected=True got=False",)).ok
+    assert found == enum_preimages(deck, 1, "sub")
+    for value, field in [(rn, "value"), (result, "name"), (report, "checked"),
+                         (found, "preimages")]:
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        assert repr(value).startswith(f"{type(value).__name__}({field}=")
+    assert rn.finite and not ReconNumber(math.inf).finite
+    assert len(found) == len(list(found)) == len(found.preimages) == 3
+    assert found.preimages == tuple(found)
+    assert result.line() == "PASS graph6: ok (0.5s)"
+    assert result._replace(passed=False).line() == "FAIL graph6: ok (0.5s)"
