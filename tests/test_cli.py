@@ -9,7 +9,7 @@ import pytest
 from reconkit.canon import certificate
 from reconkit.cli import build_parser, main
 from reconkit.deciders import subdeck_check
-from reconkit.deck import Deck, deck_from_text
+from reconkit.deck import Deck, build_deck, deck_from_text, deck_to_text
 from reconkit.graph import (
     complete_graph,
     empty_graph,
@@ -379,7 +379,17 @@ def test_each_subcommand_loads_only_its_layers(tmp_path, args, code, unloaded):
     (tmp_path / "bad.g6").write_text("!!\n")
     got, out, err, loaded = cold_call(args, tmp_path)
     assert got == code, err
-    assert not loaded & (unloaded | {"verify"} | NEVER_LOADED)
+    # json is loaded by --json calls only
+    assert not loaded & (unloaded | {"verify", "json"} | NEVER_LOADED)
+
+
+def test_a_json_call_loads_json(tmp_path):
+    (tmp_path / "k3.g6").write_text(K3_LINE)
+    (tmp_path / "k2x3.deck").write_text(DECK_K2X3)
+    code, out, err, loaded = cold_call(["check", "--json", "k3.g6", "k2x3.deck"], tmp_path)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["answer"] is True
+    assert "json" in loaded and not loaded & (SEARCH_LAYERS - {"deciders"})
 
 
 def test_verify_names_the_sweeps_of_an_unknown_one(tmp_path):
@@ -409,6 +419,101 @@ def test_preimages_count(capsys, monkeypatch):
     )
     assert code == 0
     assert out.strip() == "1"
+
+
+def test_preimages_count_only_json(capsys, monkeypatch):
+    # one preimage (K3), then a pure deck one card short of C(2 + 1, 1): none
+    for deck, count, code in ((DECK_K2X3, 1, 0), ("# kind=vertex c=1\nA_\nA_\n", 0, 1)):
+        got, out, err = run_cli(
+            capsys, ["preimages", "--count-only", "--json", "-"],
+            stdin=deck, monkeypatch=monkeypatch,
+        )
+        payload = json.loads(out)
+        assert (got, err) == (code, "")
+        assert list(payload) == ["problem", "count", "elapsed_ms"]
+        assert payload["problem"] == "preimages-vertex-pure"
+        assert payload["count"] == count and isinstance(payload["elapsed_ms"], int)
+
+
+def test_reduce_instance_writes_its_graph_line(capsys, tmp_path):
+    from reconkit.reductions import gi_to_kedc
+
+    gpath = tmp_path / "g.g6"
+    gpath.write_text(K3_LINE)
+    code, out, err = run_cli(
+        capsys,
+        ["reduce", "--kind", "gi-to-kedc", "--c", "1", "--k", "2", str(gpath), str(gpath)],
+    )
+    graph, deck = gi_to_kedc(complete_graph(3), complete_graph(3), 1, 2)
+    meta = ["reduction=gi-to-kedc c=1 k=2", f"graph={graph6_encode(graph)}"]
+    assert (code, err) == (0, "")
+    assert out == deck_to_text(deck, c=1, comments=meta)
+
+
+def test_reduce_kedc_to_kvdc_writes_the_line_graph_instance(capsys, tmp_path):
+    from reconkit.reductions import kedc_to_kvdc
+
+    k3 = complete_graph(3)
+    gpath = tmp_path / "g.g6"
+    gpath.write_text(K3_LINE)
+    dpath = tmp_path / "cards.deck"
+    dpath.write_text(deck_to_text(build_deck(k3, "edge", 1), c=1))
+    code, out, err = run_cli(
+        capsys, ["reduce", "--kind", "kedc-to-kvdc", "--c", "1", str(gpath), str(dpath)]
+    )
+    graph, deck = kedc_to_kvdc(k3, build_deck(k3, "edge", 1), 1)
+    meta = ["reduction=kedc-to-kvdc c=1", f"graph={graph6_encode(graph)}"]
+    assert (code, err) == (0, "")
+    assert out == deck_to_text(deck, c=1, comments=meta)
+
+
+@pytest.mark.parametrize("kind", ["gi-to-kedc", "gi-to-klvd", "gi-to-kled"])
+def test_reduce_k_gadget_without_k_is_input_error(capsys, tmp_path, kind):
+    gpath = tmp_path / "g.g6"
+    gpath.write_text(K3_LINE)
+    code, out, err = run_cli(
+        capsys, ["reduce", "--kind", kind, "--c", "1", str(gpath), str(gpath)]
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: {kind} requires --k\n"
+
+
+def test_reduce_choices_are_the_reduction_kinds():
+    # the parser keeps its own copy, so parsing loads no reductions
+    from reconkit.reductions import REDUCTION_KINDS
+
+    def action(parser, dest):
+        return next(a for a in parser._actions if a.dest == dest)
+
+    reduce = action(build_parser(), "command").choices["reduce"]
+    choices = action(reduce, "kind").choices
+    assert sorted(choices) == sorted(k.replace("_", "-") for k in REDUCTION_KINDS)
+
+
+def test_unreadable_input_is_input_error(capsys, tmp_path):
+    missing = str(tmp_path / "missing.g6")
+    for args in (
+        ["deck", missing],
+        ["legit", "--c", "1", missing],
+        ["rn", "--kind", "vertex", "--quantifier", "exists", missing],
+        ["reduce", "--kind", "gi-to-lvd", "--c", "1", missing, missing],
+    ):
+        code, out, err = run_cli(capsys, args)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {missing}: ")
+
+
+def test_verify_all_prints_every_sweep_in_order(capsys, monkeypatch):
+    # stubbed sweeps, in an order that is not alphabetical: one fails, so exit 1
+    import reconkit.verify as verify
+
+    sweeps = {"zeta": lambda: (True, "fine"), "alpha": lambda: (False, "broken")}
+    monkeypatch.setattr(verify, "SWEEPS", sweeps)
+    code, out, err = run_cli(capsys, ["verify", "all"])
+    lines = out.splitlines()
+    assert (code, err, len(lines)) == (1, "", 2)
+    assert lines[0].startswith("PASS zeta: fine (")
+    assert lines[1].startswith("FAIL alpha: broken (")
 
 
 def test_rich_deck_preimages_contain_deck_via_cli(capsys, monkeypatch, tmp_path):

@@ -110,3 +110,85 @@ def test_result_types_keep_their_contract():
     assert found.preimages == tuple(found)
     assert result.line() == "PASS graph6: ok (0.5s)"
     assert result._replace(passed=False).line() == "FAIL graph6: ok (0.5s)"
+
+
+def _guard_calls():
+    from reconkit import (
+        Deck,
+        Graph,
+        build_deck,
+        complete_graph,
+        copies,
+        gi_to_kedc,
+        gi_to_kled,
+        gi_to_klvd,
+        gi_to_led,
+        gi_to_lvd,
+        graph6_decode,
+        graph6_encode,
+        identifies,
+        kedc_to_kvdc,
+        path_graph,
+        recon_number,
+        subdeck_check,
+    )
+    from reconkit.errors import CapacityError, InputError
+
+    k3 = complete_graph(3)
+    edge_cards = build_deck(k3, "edge", 1)
+    builders = [gi_to_lvd, gi_to_led, gi_to_kedc, gi_to_klvd, gi_to_kled]
+    calls = [
+        ("edge deck c > m", lambda: subdeck_check(path_graph(3), edge_cards, 3),
+         InputError, "cannot delete 3 edges from 2 edges"),
+        ("unknown deck kind", lambda: Deck("bogus", []), InputError, "unknown deck kind"),
+        ("build_deck c < 0", lambda: build_deck(k3, "vertex", -1), InputError, ">= 0"),
+        ("build_deck endvertex", lambda: build_deck(k3, "endvertex", 1), InputError,
+         "must be vertex or edge"),
+        ("rn kind", lambda: recon_number(k3, "bogus", "exists"), InputError,
+         "kind must be vertex or edge"),
+        ("rn quantifier", lambda: recon_number(k3, "vertex", "bogus"), InputError,
+         "quantifier must be exists or forall"),
+        ("identifies kind", lambda: identifies(k3, build_deck(k3, "vertex", 1), "edge"),
+         InputError, "expected an edge subdeck"),
+        ("kedc_to_kvdc c < 1", lambda: kedc_to_kvdc(k3, edge_cards, 0), InputError,
+         "deletion count must be >= 1"),
+        ("kedc_to_kvdc vertex deck",
+         lambda: kedc_to_kvdc(k3, build_deck(k3, "vertex", 1), 1), InputError,
+         "needs edge cards"),
+        ("kedc_to_kvdc empty deck", lambda: kedc_to_kvdc(k3, Deck("edge", []), 1),
+         InputError, "at least one card"),
+        ("kedc_to_kvdc n <= c", lambda: kedc_to_kvdc(k3, edge_cards, 3), InputError,
+         "order must exceed c=3"),
+        ("copies -1", lambda: copies(k3, -1), InputError, "copy count"),
+        ("has_edge", lambda: k3.has_edge(0, 3), InputError, "out of range"),
+        ("graph6 encode", lambda: graph6_encode(Graph(258048)), CapacityError,
+         "n <= 258047"),
+        ("graph6 decode", lambda: graph6_decode("~~?@??"), CapacityError,
+         "above 258047"),
+    ]
+    for build in builders:
+        k = (2,) if build in (gi_to_kedc, gi_to_klvd, gi_to_kled) else ()
+        calls.append((f"{build.__name__} c < 1", lambda b=build, k=k: b(k3, k3, 0, *k),
+                      InputError, "deletion count must be >= 1"))
+        if k:
+            calls.append((f"{build.__name__} k < 2", lambda b=build: b(k3, k3, 1, 1),
+                          InputError, "card count must be >= 2"))
+    return calls
+
+
+GUARDS = _guard_calls()
+
+
+@pytest.mark.parametrize(
+    "call, error, message", [g[1:] for g in GUARDS], ids=[g[0] for g in GUARDS]
+)
+def test_input_guards_raise_a_reconkit_error(call, error, message):
+    # the CLI maps InputError to exit 2 and CapacityError to exit 3
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_zero_copies_is_the_empty_graph():
+    from reconkit import complete_graph, copies, empty_graph
+
+    assert copies(complete_graph(3), 0) == empty_graph(0)

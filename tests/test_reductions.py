@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -13,6 +14,8 @@ from reconkit.errors import CapacityError, InputError
 from reconkit.graph import (
     Graph,
     complete_graph,
+    copies,
+    delete_edges,
     empty_graph,
     enumerate_graphs,
     is_connected,
@@ -63,6 +66,24 @@ def test_gi_to_kedc_shape():
     assert g.n == 3 + 2
     assert subdeck_check(*gi_to_kedc(K3, K3, 1, 2), 1)
     assert not subdeck_check(g, deck, 1)
+
+
+@pytest.mark.parametrize("c", [1, 2, 3])
+def test_gi_to_kedc_takes_the_first_cards_in_deletion_order(c):
+    # the one card of g + c K2 isomorphic to g + 2c isolated vertices
+    # deletes all c added edges, the last c-set; every other card keeps a
+    # K2 component, which a connected g of order >= 3 has none of, and the
+    # builder's k <= C(m, c) stops before that last card
+    for n in (3, 4, 5):
+        for g in (x for x in enumerate_graphs(n) if is_connected(x)):
+            base = union([g, copies(complete_graph(2), c)])
+            isolated = certificate(union([g, empty_graph(2 * c)]))
+            cards = [delete_edges(base, drop) for drop in combinations(base.edges, c)]
+            assert [certificate(x) == isolated for x in cards].index(True) == len(cards) - 1
+            for k in (2, len(cards)):
+                graph, deck = gi_to_kedc(g, g, c, k)
+                want = Deck("edge", [union([g, empty_graph(2 * c)])] + cards[:k - 1])
+                assert graph == base and deck == want
 
 
 def test_gi_to_klvd_shape():
