@@ -9,13 +9,12 @@ only ``errors``: every call starts a fresh interpreter, so a layer that
 is loaded but not run is paid for on every call.  ``deck`` loads
 graph/canon/deck, the deck problems add deciders, ``rn`` adds recon
 once its graph has parsed, ``reduce`` loads reductions, ``family``
-families and ``verify`` verify.
+families and ``verify`` verify.  Only ``--json`` output loads ``json``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from time import perf_counter
@@ -70,10 +69,6 @@ def _read_deck_and_c(args) -> tuple[Deck, int]:
     return deck, c
 
 
-def _elapsed_ms(started: float) -> int:
-    return int((perf_counter() - started) * 1000)
-
-
 def _emit(text: str, out: Optional[str]) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
@@ -84,27 +79,30 @@ def _emit(text: str, out: Optional[str]) -> None:
             raise InputError(f"cannot write {out}: {exc}") from exc
 
 
-def _print_decision(
-    args, problem: str, answer: bool, witness: list[Graph], started: float
-) -> int:
+def _answer(args, started: float, payload: dict, text: str, code: int) -> int:
+    """Print the answer, as one JSON object ending in elapsed_ms under
+    --json, else as text, and return the exit code."""
+    if args.json:
+        import json
+
+        payload["elapsed_ms"] = int((perf_counter() - started) * 1000)
+        print(json.dumps(payload))
+    else:
+        print(text)
+    return code
+
+
+def _decision(
+    problem: str, answer: bool, witness: list[Graph]
+) -> tuple[dict, str, int]:
+    """A decision's payload, text and exit code: yes (0) or no (1), then
+    the witness graphs."""
     from .graph import graph6_encode
 
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "problem": problem,
-                    "answer": answer,
-                    "witness": [graph6_encode(g) for g in witness],
-                    "elapsed_ms": _elapsed_ms(started),
-                }
-            )
-        )
-    else:
-        print("yes" if answer else "no")
-        for g in witness:
-            print(graph6_encode(g))
-    return 0 if answer else 1
+    lines = [graph6_encode(g) for g in witness]
+    payload = {"problem": problem, "answer": answer, "witness": lines}
+    text = "\n".join(["yes" if answer else "no", *lines])
+    return payload, text, 0 if answer else 1
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +135,7 @@ def _cmd_check(args) -> int:
     else:
         answer = deck_check(g, deck, c)
         problem = f"{deck.kind[0]}dc_{c}"
-    return _print_decision(args, problem, answer, [], started)
+    return _answer(args, started, *_decision(problem, answer, []))
 
 
 def _cmd_legit(args) -> int:
@@ -149,7 +147,7 @@ def _cmd_legit(args) -> int:
         if deck.kind != "vertex" or len(deck) != 2:
             raise InputError("--two-card needs a vertex deck with exactly 2 cards")
         answer = two_lvd(deck.cards[0], deck.cards[1], c)
-        return _print_decision(args, f"2-lvd_{c}", answer, [], started)
+        return _answer(args, started, *_decision(f"2-lvd_{c}", answer, []))
     if deck.kind not in ("vertex", "edge"):
         raise InputError("legitimacy needs a vertex or edge deck")
     witness = find_preimage(deck, c, args.mode)
@@ -157,7 +155,7 @@ def _cmd_legit(args) -> int:
     if args.mode == "sub":
         problem = f"{len(deck)}-{problem}"
     found = [] if witness is None else [witness]
-    return _print_decision(args, problem, bool(found), found, started)
+    return _answer(args, started, *_decision(problem, bool(found), found))
 
 
 def _cmd_preimages(args) -> int:
@@ -166,27 +164,11 @@ def _cmd_preimages(args) -> int:
     started = perf_counter()
     deck, c = _read_deck_and_c(args)
     found = enum_preimages(deck, c, args.mode)
+    problem = f"preimages-{deck.kind}-{args.mode}"
     if args.count_only:
-        if args.json:
-            print(
-                json.dumps(
-                    {
-                        "problem": f"preimages-{deck.kind}-{args.mode}",
-                        "count": len(found),
-                        "elapsed_ms": _elapsed_ms(started),
-                    }
-                )
-            )
-        else:
-            print(len(found))
-        return 0 if len(found) else 1
-    return _print_decision(
-        args,
-        f"preimages-{deck.kind}-{args.mode}",
-        len(found) > 0,
-        list(found.preimages),
-        started,
-    )
+        payload = {"problem": problem, "count": len(found)}
+        return _answer(args, started, payload, str(len(found)), 0 if found else 1)
+    return _answer(args, started, *_decision(problem, bool(found), list(found)))
 
 
 def _cmd_rn(args) -> int:
@@ -198,37 +180,17 @@ def _cmd_rn(args) -> int:
 
     result = recon_number(g, args.kind, args.quantifier)
     value = "inf" if not result.finite else int(result.value)
-    payload = {
-        "problem": f"{'v' if args.kind == 'vertex' else 'e'}rn-{args.quantifier}",
-        "value": value,
-        "elapsed_ms": _elapsed_ms(started),
-    }
-    if result.witness is not None:
-        payload["witness"] = [graph6_encode(x) for x in result.witness.cards]
-    if result.counterexample is not None:
-        payload["counterexample"] = [
-            graph6_encode(x) for x in result.counterexample.cards
-        ]
-    if args.threshold is not None:
-        answer = result.value <= args.threshold
-        payload["answer"] = answer
-        print(json.dumps(payload) if args.json else ("yes" if answer else "no"))
-        return 0 if answer else 1
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        print(value)
-    return 0
-
-
-# builder name in reductions, needs --k, returns (graph, deck)
-_REDUCE_BUILDERS = {
-    "gi-to-lvd": ("gi_to_lvd", False, False),
-    "gi-to-led": ("gi_to_led", False, False),
-    "gi-to-kedc": ("gi_to_kedc", True, True),
-    "gi-to-klvd": ("gi_to_klvd", True, False),
-    "gi-to-kled": ("gi_to_kled", True, False),
-}
+    payload = {"problem": f"{args.kind[0]}rn-{args.quantifier}", "value": value}
+    for key in ("witness", "counterexample"):
+        cards = getattr(result, key)
+        if cards is not None:
+            payload[key] = [graph6_encode(x) for x in cards.cards]
+    if args.threshold is None:
+        return _answer(args, started, payload, str(value), 0)
+    payload["answer"] = answer = result.value <= args.threshold
+    return _answer(
+        args, started, payload, "yes" if answer else "no", 0 if answer else 1
+    )
 
 
 def _cmd_reduce(args) -> int:
@@ -236,31 +198,25 @@ def _cmd_reduce(args) -> int:
     from .deck import deck_to_text
     from .graph import graph6_encode
 
+    name = args.kind.replace("-", "_")
     meta = [f"reduction={args.kind} c={args.c}"]
-    if args.kind == "kedc-to-kvdc":
-        g = _read_graph(args.source)
-        cards, meta_c = _read_deck(args.target, "edge")
-        image_graph, image_deck = reductions.kedc_to_kvdc(g, cards, args.c)
-        meta.append(f"graph={graph6_encode(image_graph)}")
-        _emit(deck_to_text(image_deck, c=args.c, comments=meta), args.out)
-        return 0
-    name, needs_k, is_instance = _REDUCE_BUILDERS[args.kind]
-    builder = getattr(reductions, name)
     g = _read_graph(args.source)
-    h = _read_graph(args.target)
-    if needs_k:
-        if args.k is None:
-            raise InputError(f"{args.kind} requires --k")
-        meta[0] += f" k={args.k}"
-        out = builder(g, h, args.c, args.k)
+    if name == "kedc_to_kvdc":
+        cards, _ = _read_deck(args.target, "edge")
+        out = reductions.kedc_to_kvdc(g, cards, args.c)
     else:
-        out = builder(g, h, args.c)
-    if is_instance:
-        graph, deck = out
+        h = _read_graph(args.target)
+        k = ()
+        if name in reductions.TAKES_K:
+            if args.k is None:
+                raise InputError(f"{args.kind} requires --k")
+            meta[0] += f" k={args.k}"
+            k = (args.k,)
+        out = getattr(reductions, name)(g, h, args.c, *k)
+    if isinstance(out, tuple):  # an instance: the graph to check, then its cards
+        graph, out = out
         meta.append(f"graph={graph6_encode(graph)}")
-    else:
-        deck = out
-    _emit(deck_to_text(deck, c=args.c, comments=meta), args.out)
+    _emit(deck_to_text(out, c=args.c, comments=meta), args.out)
     return 0
 
 
@@ -270,15 +226,9 @@ def _cmd_family(args) -> int:
     from .graph import graph6_encode
 
     if args.family == "clique-pair":
-        first, second = clique_union_pair(args.n)
-        text = (
-            f"# clique-union pair n={args.n}\n"
-            + graph6_encode(first)
-            + "\n"
-            + graph6_encode(second)
-            + "\n"
-        )
-        _emit(text, args.out)
+        lines = [f"# clique-union pair n={args.n}"]
+        lines.extend(graph6_encode(g) for g in clique_union_pair(args.n))
+        _emit("\n".join(lines) + "\n", args.out)
         return 0
     deck = many_preimage_deck(args.k, args.n)
     _emit(
@@ -363,7 +313,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--kind",
         required=True,
-        choices=tuple(_REDUCE_BUILDERS) + ("kedc-to-kvdc",),
+        # reductions.REDUCTION_KINDS, dashed: parsing does not load reductions
+        choices=(
+            "gi-to-lvd", "gi-to-led", "gi-to-kedc", "gi-to-klvd", "gi-to-kled",
+            "kedc-to-kvdc",
+        ),
     )
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--k", type=int)

@@ -287,11 +287,8 @@ def _edge_delta_feasible(
 ) -> bool:
     """Necessary condition for c edge deletions to turn the candidate
     degree sequence into the card's: per-vertex drops are between 0 and c
-    and total 2c, so the sorted sequences are pointwise within [a-c, a]."""
-    if len(cand_degseq) != len(card_degseq):
-        return False
-    if sum(cand_degseq) - sum(card_degseq) != 2 * c:
-        return False
+    and total 2c, so the sorted sequences are pointwise within [a-c, a].
+    The caller has matched the orders and the edge counts."""
     return all(a - c <= b <= a for a, b in zip(cand_degseq, card_degseq))
 
 

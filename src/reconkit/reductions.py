@@ -33,6 +33,7 @@ REDUCTION_KINDS = (
     "gi_to_klvd",
     "gi_to_kled",
 )
+TAKES_K = ("gi_to_kedc", "gi_to_klvd", "gi_to_kled")  # the k-card gadgets
 
 
 def _min_order(kind: str, c: int) -> int:
@@ -141,17 +142,12 @@ def gi_to_kedc(g: Graph, h: Graph, c: int, k: int) -> tuple[Graph, Deck]:
     base = union([g, copies(complete_graph(2), c)])
     if comb(base.m, c) - 1 < k - 1:
         raise InputError("gi_to_kedc: not enough cards after the removal")
-    removed = certificate(union([g, empty_graph(2 * c)]))
-    chosen: list[Graph] = []
-    skipped = False
-    for drop in combinations(base.edges, c):
-        card = delete_edges(base, drop)
-        if not skipped and certificate(card) == removed:
-            skipped = True
-            continue
-        chosen.append(card)
-        if len(chosen) == k - 1:
-            break
+    # only the last c-set, all c added edges, gives g + 2c isolated vertices:
+    # every other card keeps a K2 component, which a connected g of order
+    # >= 3 has none of, and k - 1 < C(m, c) stops before that set
+    chosen = [
+        delete_edges(base, drop) for drop in islice(combinations(base.edges, c), k - 1)
+    ]
     deck = Deck("edge", [union([h, empty_graph(2 * c)])] + chosen)
     assert len(deck) == k
     return base, deck

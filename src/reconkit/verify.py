@@ -47,6 +47,7 @@ from .graph import (
 from .recon import recon_number
 from .reductions import (
     REDUCTION_KINDS,
+    TAKES_K,
     _min_order,
     gi_to_kedc,
     gi_to_kled,
@@ -108,8 +109,7 @@ def verify_reduction(
         )
     if kind == "kedc_to_kvdc":
         return _verify_transfer(n_max, c, k or 2)
-    needs_k = kind in ("gi_to_kedc", "gi_to_klvd", "gi_to_kled")
-    if needs_k and k is None:
+    if kind in TAKES_K and k is None:
         raise InputError(f"{kind} requires k")
 
     def decide(g: Graph, h: Graph) -> bool:

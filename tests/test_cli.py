@@ -454,14 +454,15 @@ def test_reduce_kedc_to_kvdc_writes_the_line_graph_instance(capsys, tmp_path):
     from reconkit.reductions import kedc_to_kvdc
 
     k3 = complete_graph(3)
+    cards = build_deck(k3, "edge", 1)
     gpath = tmp_path / "g.g6"
     gpath.write_text(K3_LINE)
     dpath = tmp_path / "cards.deck"
-    dpath.write_text(deck_to_text(build_deck(k3, "edge", 1), c=1))
+    dpath.write_text(deck_to_text(cards, c=1))
     code, out, err = run_cli(
         capsys, ["reduce", "--kind", "kedc-to-kvdc", "--c", "1", str(gpath), str(dpath)]
     )
-    graph, deck = kedc_to_kvdc(k3, build_deck(k3, "edge", 1), 1)
+    graph, deck = kedc_to_kvdc(k3, cards, 1)
     meta = ["reduction=kedc-to-kvdc c=1", f"graph={graph6_encode(graph)}"]
     assert (code, err) == (0, "")
     assert out == deck_to_text(deck, c=1, comments=meta)
