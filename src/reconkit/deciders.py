@@ -27,7 +27,10 @@ listed last, so it is the walk's last deletion, which is skipped.  Pure
 mode (deck equality) is containment of a full-size deck: a multiset of
 C(n, c) cards (C(m, c) for edge decks) lies in the deck exactly when it
 equals it, so card counts are compared first and only equal sizes are
-walked.
+walked.  An edge walk takes a key hit through the later stages once per
+twin orbit (graph.twin_orbits), every deletion still keyed and charged; a
+vertex walk would save 4% (recon-enum's walked graphs have 149,295
+vertices in 143,377 twin classes), so it has no memo.
 
 Degree-class prefilter: a graph is kept with its degree classes (degree r
 -> bitmask of the vertices of degree r) and its degree histogram packed
@@ -91,6 +94,7 @@ from .graph import (
     extension_classes,
     iter_bits,
     rows_edges,
+    twin_orbits,
     twin_patterns,
 )
 
@@ -292,6 +296,18 @@ def _edge_delta_feasible(
     return all(a - c <= b <= a for a, b in zip(cand_degseq, card_degseq))
 
 
+def _card_class(t: _DeckTargets, rows: list[int]) -> Optional[int]:
+    """The card class of t that a deletion's card rows fall in, or None."""
+    if t.profiles is None:
+        t.profiles = {_degree_profile(card.rows) for card in t.cards}
+    # the profile stage rejects 7,386 of the 10,541 key hits of a seed-1
+    # recon-enum pass and 2,280 of the 5,198 of the reduction-iff sweep; a
+    # component-size stage behind it rejected none of either, so there is none
+    if _degree_profile(rows) in t.profiles:
+        return t.index.get(certificate_rows(len(rows), rows))
+    return None
+
+
 def _coverage(s: _Shape, t: _DeckTargets, exhaust: bool) -> list[int]:
     """Per card class of t, the c-deletions of s whose card is in the class,
     capped at its multiplicity, in one pass that stops once every cap is
@@ -340,25 +356,25 @@ def _coverage(s: _Shape, t: _DeckTargets, exhaust: bool) -> list[int]:
         return cov
     start = left + misses  # each deletion keyed takes one from left or misses
     keyed = _keyer(s, t.kind)
-    profiles = t.profiles
+    orbit = None  # an edge walk's orbit keyer, and key -> card class, from its first hit
     for drop in islice(combinations(space, c), walked):
         hit = t.by_key.get(keyed(drop))
         if hit and any(cov[j] < mults[j] for j in hit):
-            rows = card_rows(s.rows, drop)
-            if profiles is None:
-                profiles = t.profiles = {_degree_profile(card.rows) for card in t.cards}
-            # the profile stage rejects 7,386 of the 10,541 key hits of a
-            # seed-1 recon-enum pass and 2,280 of the 5,198 of the
-            # reduction-iff sweep; a component-size stage behind it
-            # rejected none of either, so there is none
-            if _degree_profile(rows) in profiles:
-                j = t.index.get(certificate_rows(len(rows), rows))
-                if j is not None and cov[j] < mults[j]:
-                    cov[j] += 1
-                    left -= 1
-                    if not left:
-                        break
-                    continue
+            if t.kind == "vertex":
+                j = _card_class(t, card_rows(s.rows, drop))
+            else:
+                if orbit is None:
+                    orbit, memo = twin_orbits(n, s.rows), {}
+                key = orbit(drop)
+                if key not in memo:
+                    memo[key] = _card_class(t, card_rows(s.rows, drop))
+                j = memo[key]
+            if j is not None and cov[j] < mults[j]:
+                cov[j] += 1
+                left -= 1
+                if not left:
+                    break
+                continue
         misses -= 1
         if misses < 0:
             break

@@ -3,6 +3,14 @@
 Cards are stored in certificate-sorted order, so multiset equivalence and
 containment reduce to comparing sorted certificate tuples; the one-to-one
 card matching is implied by certificate exactness.
+
+build_deck certifies one card per twin orbit (graph.twin_orbits): c
+vertices key to their sorted twin classes, c edges to their endpoints'
+twin classes and the pattern of shared endpoints.  Equal keys give a
+class-preserving bijection of the two sets' vertices, and a permutation
+inside twin classes is an automorphism, so the two cards are isomorphic.
+The gadgets of `reductions` pad with cliques, isolated vertices and
+disjoint edges, so their cards fall into few orbits (K8: 378 into 4).
 """
 
 from __future__ import annotations
@@ -15,7 +23,8 @@ from typing import Iterable, Optional, Sequence
 
 from .canon import certificate
 from .errors import CapacityError, InputError, _count_text
-from .graph import Graph, delete_edges, delete_vertices, graph6_decode, graph6_encode
+from .graph import Graph, delete_edges_rows, delete_vertices, delete_vertices_rows
+from .graph import graph6_decode, graph6_encode, twin_orbits
 
 DECK_KINDS = ("vertex", "edge", "endvertex")
 DELETION_SETS_CAP = 10**5  # deletion sets one deck build or check may walk
@@ -112,15 +121,27 @@ def build_deck(g: Graph, kind: str, c: int) -> Deck:
         if c > g.n:
             raise InputError(f"cannot delete {c} vertices from order {g.n}")
         check_deletion_sets(comb(g.n, c))
-        cards = [delete_vertices(g, s) for s in combinations(range(g.n), c)]
+        sets, card_rows = combinations(range(g.n), c), delete_vertices_rows
     elif kind == "edge":
         if c > g.m:
             raise InputError(f"cannot delete {c} edges from {g.m} edges")
         check_deletion_sets(comb(g.m, c))
-        cards = [delete_edges(g, s) for s in combinations(g.edges, c)]
+        sets, card_rows = combinations(g.edges, c), delete_edges_rows
     else:
         raise InputError(f"build_deck kind must be vertex or edge, got {kind!r}")
-    return Deck(kind, cards)
+    orbit = twin_orbits(g.n, g.rows)
+    certs: dict[tuple, bytes] = {}  # one certificate per twin orbit
+    tagged = []
+    for drop in sets:
+        rows = card_rows(g.rows, drop)
+        card = Graph._from_rows(len(rows), rows)
+        key = orbit(drop)
+        cert = certs.get(key)
+        if cert is None:
+            cert = certs[key] = certificate(card)
+        tagged.append((cert, card))
+    tagged.sort(key=lambda t: t[0])
+    return Deck._from_sorted(kind, tagged)
 
 
 def endvertex_deck(g: Graph) -> Deck:

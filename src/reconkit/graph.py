@@ -9,7 +9,7 @@ input: every derived graph is built from rows by Graph._from_rows.
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import CapacityError, Graph6ParseError, InputError
 
@@ -166,18 +166,41 @@ def relabel_rows(n: int, rows: Sequence[int], lab: Sequence[int]) -> tuple[int, 
     return tuple(new_rows)
 
 
-def _twin_classes(n: int, rows: Sequence[int]) -> list[list[int]]:
-    closed: dict[int, list[int]] = {}
+def _twin_labels(n: int, rows: Sequence[int]) -> list[int]:
+    """Per vertex, its closed neighbourhood mask if another vertex shares it,
+    else its open one.  Equal labels are exactly twins: no open neighbourhood
+    holds its vertex, and a vertex with a closed twin has no open twin."""
+    closed: dict[int, int] = {}
     for v in range(n):
-        closed.setdefault(rows[v] | 1 << v, []).append(v)
-    classes = [vs for vs in closed.values() if len(vs) > 1]
-    open_: dict[int, list[int]] = {}
-    for vs in closed.values():
-        if len(vs) == 1:
-            open_.setdefault(rows[vs[0]], []).append(vs[0])
-    classes.extend(open_.values())
-    classes.sort(key=lambda vs: vs[0])
-    return classes
+        mask = rows[v] | 1 << v
+        closed[mask] = closed.get(mask, 0) + 1
+    return [r | 1 << v if closed[r | 1 << v] > 1 else r for v, r in enumerate(rows)]
+
+
+def _twin_classes(n: int, rows: Sequence[int]) -> list[list[int]]:
+    """The twin classes, each in vertex order, by first vertex."""
+    classes: dict[int, list[int]] = {}
+    for v, label in enumerate(_twin_labels(n, rows)):
+        classes.setdefault(label, []).append(v)
+    return list(classes.values())
+
+
+def twin_orbits(n: int, rows: Sequence[int]) -> Callable[[tuple], tuple]:
+    """deletion set -> a key only sets in one orbit of the twin
+    transpositions share: c vertices key to their sorted twin labels, c
+    edges (in the order given) to their endpoints' labels and each
+    endpoint's first position among them.  Equal keys give a class-
+    preserving bijection of the sets' vertices, which a permutation inside
+    twin classes, an automorphism, extends.  Twin-free graphs key sets apart."""
+    cls = _twin_labels(n, rows)
+
+    def key(drop: tuple) -> tuple:
+        if drop and type(drop[0]) is tuple:
+            ends = [v for edge in drop for v in edge]
+            return tuple([cls[v] for v in ends] + [ends.index(v) for v in ends])
+        return tuple(sorted([cls[v] for v in drop]))
+
+    return key
 
 
 def twin_patterns(n: int, rows: Sequence[int], size: Optional[int]) -> Iterator[int]:

@@ -7,6 +7,7 @@ are_isomorphic on the source pair live in `verify`.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import combinations, islice
 from math import comb
 
@@ -58,13 +59,15 @@ def _require_pair(g: Graph, h: Graph, kind: str, c: int) -> int:
     return g.n
 
 
-def _remove_one(deck: Deck, card: Graph, what: str) -> list[Graph]:
-    """The deck's cards without one card isomorphic to `card`."""
-    try:
-        i = deck.certs.index(certificate(card))
-    except ValueError:
-        raise InputError(f"{what}: expected card missing from the deck") from None
-    return list(deck.cards[:i] + deck.cards[i + 1:])
+def _swap(deck: Deck, out: Graph, into: Graph) -> Deck:
+    """The deck with its first card isomorphic to `out` replaced by `into`,
+    placed after every card of its certificate, where Deck(kind, cards +
+    [into]) would sort it: no card is certified again."""
+    tagged = list(zip(deck.certs, deck.cards))
+    del tagged[deck.certs.index(certificate(out))]
+    cert = certificate(into)
+    tagged.insert(bisect_right(tagged, cert, key=lambda t: t[0]), (cert, into))
+    return Deck._from_sorted(deck.kind, tagged)
 
 
 def gi_to_lvd(g: Graph, h: Graph, c: int) -> Deck:
@@ -76,11 +79,9 @@ def gi_to_lvd(g: Graph, h: Graph, c: int) -> Deck:
     check_deletion_sets(comb(g.n + c + 1, c))
     n = _require_pair(g, h, "gi_to_lvd", c)
     big = union([g, empty_graph(c + 1)])
-    cards = _remove_one(
-        build_deck(big, "vertex", c), union([g, empty_graph(1)]), "gi_to_lvd"
+    deck = _swap(
+        build_deck(big, "vertex", c), union([g, empty_graph(1)]), union([h, empty_graph(1)])
     )
-    cards.append(union([h, empty_graph(1)]))
-    deck = Deck("vertex", cards)
     assert len(deck) == comb(n + c + 1, c)
     return deck
 
@@ -95,9 +96,7 @@ def gi_to_led(g: Graph, h: Graph, c: int) -> Deck:
     ell = n + 1
     big = union([g, copies(complete_graph(2), c), complete_graph(ell)])
     pad = [empty_graph(2 * c), complete_graph(ell)]
-    cards = _remove_one(build_deck(big, "edge", c), union([g] + pad), "gi_to_led")
-    cards.append(union([h] + pad))
-    deck = Deck("edge", cards)
+    deck = _swap(build_deck(big, "edge", c), union([g] + pad), union([h] + pad))
     assert len(deck) == comb(g.m + c + comb(ell, 2), c)
     return deck
 

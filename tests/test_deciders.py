@@ -731,6 +731,25 @@ def test_edge_search_matcher_calls_are_bounded(monkeypatch):
     assert calls[0] <= 2_000
 
 
+def test_edge_walks_certify_one_card_per_twin_orbit(monkeypatch):
+    # work bound, no clock: an edge walk certifies one card per twin orbit
+    # of its key hits; the 36 order-4 LED_2 gadget searches made 739
+    # certificate_rows calls when every key hit was certified, and 100
+    # with the orbit memo
+    calls = [0]
+    real = deciders.certificate_rows
+
+    def spy(n, rows):
+        calls[0] += 1
+        return real(n, rows)
+
+    decks = [(gi_to_led(g, h, 2), are_isomorphic(g, h)) for g, h in product(_connected(4), repeat=2)]
+    monkeypatch.setattr(deciders, "certificate_rows", spy)
+    for deck, want in decks:
+        assert legit_edge(deck, 2, "pure") == want
+    assert calls[0] <= 100
+
+
 def _relabeled(deck, rng):
     cards = []
     for card in deck.cards:

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -18,13 +19,20 @@ from reconkit.deck import (
 )
 from reconkit.errors import InputError
 from reconkit.graph import (
+    Graph,
+    _twin_classes,
     complete_graph,
     copies,
+    delete_edges,
+    delete_vertices,
     empty_graph,
     enumerate_graphs,
+    extend_rows,
+    join,
     line_graph,
     path_graph,
     permute,
+    twin_orbits,
     union,
 )
 
@@ -55,6 +63,90 @@ def test_build_deck_counts():
         build_deck(complete_graph(3), "vertex", 4)
     with pytest.raises(InputError):
         build_deck(path_graph(3), "edge", 3)
+
+
+def _twin_heavy_graphs():
+    """K_n, E_n, K_{a,b}, stars, the padded graphs that gi_to_lvd and
+    gi_to_led build decks of, and seeded random graphs with planted twins."""
+    out = [complete_graph(n) for n in range(1, 8)] + [empty_graph(n) for n in range(1, 8)]
+    out += [join([empty_graph(a), empty_graph(b)]) for a, b in ((2, 2), (2, 3), (3, 3), (2, 5))]
+    out += [join([empty_graph(1), empty_graph(k)]) for k in (2, 4, 8)]
+    for g in (complete_graph(3), path_graph(4), join([empty_graph(1), empty_graph(3)])):
+        for c in (1, 2):
+            out.append(union([g, empty_graph(c + 1)]))
+            out.append(union([g, copies(complete_graph(2), c), complete_graph(g.n + 1)]))
+    rng = random.Random(25)
+    for _ in range(12):
+        g = random_graph(rng, rng.randint(3, 6), 0.5)
+        for _ in range(rng.randint(1, 3)):
+            v = rng.randrange(g.n)
+            attach = g.rows[v] | rng.randint(0, 1) << v  # an open or a closed twin of v
+            g = Graph._from_rows(g.n + 1, extend_rows(g.n, g.rows, attach))
+        out.append(g)
+    return out
+
+
+def test_build_deck_matches_certifying_every_card():
+    # slow oracle: Deck(kind, cards) certifies each card; build_deck
+    # certifies one per twin orbit and must give the same bytes
+    for g in _twin_heavy_graphs():
+        for kind, size, delete in (
+            ("vertex", g.n, delete_vertices),
+            ("edge", g.m, delete_edges),
+        ):
+            items = range(g.n) if kind == "vertex" else g.edges
+            for c in range(1, min(3, size) + 1):
+                got = build_deck(g, kind, c)
+                want = Deck(kind, [delete(g, drop) for drop in combinations(items, c)])
+                assert (got.kind, got.cards, got.certs, hash(got)) == (
+                    want.kind, want.cards, want.certs, hash(want)
+                )
+
+
+def test_equal_twin_orbit_keys_give_isomorphic_cards():
+    # on every graph of order <= 5, also relabeled, deletion sets that share
+    # a key have isomorphic cards, by an isomorphism test independent of
+    # canon; a twin-free graph keys every set apart
+    nx = pytest.importorskip("networkx")
+
+    def nx_graph(g):
+        out = nx.Graph()
+        out.add_nodes_from(range(g.n))
+        out.add_edges_from(g.edges)
+        return out
+
+    rng = random.Random(5)
+    for n in range(1, 6):
+        for rep in enumerate_graphs(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            for g in (rep, permute(rep, perm)):
+                key = twin_orbits(g.n, g.rows)
+                twin_free = len(_twin_classes(g.n, g.rows)) == g.n
+                for items, delete in ((range(g.n), delete_vertices), (g.edges, delete_edges)):
+                    for c in range(1, min(3, len(items)) + 1):
+                        first = {}
+                        for drop in combinations(items, c):
+                            card = nx_graph(delete(g, drop))
+                            assert nx.is_isomorphic(first.setdefault(key(drop), card), card)
+                        if twin_free:
+                            assert len(first) == comb(len(items), c)
+
+
+def test_build_deck_certifies_one_card_per_twin_orbit(monkeypatch):
+    # work bound: K8's 378 two-edge deletions (u, v) < (x, y) key to 4
+    # patterns (disjoint, u = x, v = x or v = y), and K_{1,9}'s 45
+    # two-vertex deletions to 2 (two leaves, or the centre and a leaf)
+    import reconkit.deck as deck_module
+
+    calls = []
+    real = deck_module.certificate
+    monkeypatch.setattr(deck_module, "certificate", lambda g: calls.append(g) or real(g))
+    assert len(build_deck(complete_graph(8), "edge", 2)) == 378
+    assert len(calls) <= 4
+    calls.clear()
+    assert len(build_deck(join([empty_graph(1), empty_graph(9)]), "vertex", 2)) == 45
+    assert len(calls) <= 2
 
 
 def test_endvertex_deck():

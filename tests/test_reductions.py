@@ -1,5 +1,6 @@
+import random
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -21,6 +22,7 @@ from reconkit.graph import (
     is_connected,
     line_graph,
     path_graph,
+    permute,
     union,
 )
 from reconkit.reductions import (
@@ -58,6 +60,34 @@ def test_gi_to_led_card_count():
         deck = gi_to_led(g, h, c)
         ell = 5
         assert len(deck) == comb(g.m + c + comb(ell, 2), c)
+    # over the reduction-iff range, both gadgets swap h's card into the
+    # sorted deck where certifying every card of the swapped deck puts it;
+    # a relabeled copy of g as h lands among cards of its own certificate
+    rng = random.Random(24)
+    for n, c in ((3, 1), (4, 1), (5, 1), (4, 2)):
+        conn = [x for x in enumerate_graphs(n) if is_connected(x)]
+        relabeled = [(g, permute(g, rng.sample(range(n), n))) for g in conn]
+        for g, h in list(product(conn, repeat=2)) + relabeled:
+            for deck, want in (
+                (gi_to_lvd(g, h, c), _rebuilt(g, h, c, "vertex")),
+                (gi_to_led(g, h, c), _rebuilt(g, h, c, "edge")),
+            ):
+                assert (deck.kind, deck.cards, deck.certs) == (want.kind, want.cards, want.certs)
+
+
+def _rebuilt(g, h, c, kind):
+    """gi_to_lvd (vertex) or gi_to_led (edge) by certifying every card: the
+    padded graph's cards without the first card of g's padded class, plus
+    h's padded card last, sorted by Deck."""
+    if kind == "vertex":
+        big, pad = union([g, empty_graph(c + 1)]), [empty_graph(1)]
+    else:
+        pad = [empty_graph(2 * c), complete_graph(g.n + 1)]
+        big = union([g, copies(complete_graph(2), c), complete_graph(g.n + 1)])
+    cards = list(build_deck(big, kind, c).cards)
+    drop = certificate(union([g] + pad))
+    del cards[[certificate(x) for x in cards].index(drop)]
+    return Deck(kind, cards + [union([h] + pad)])
 
 
 def test_gi_to_kedc_shape():
