@@ -300,8 +300,8 @@ def _card_class(t: _DeckTargets, rows: list[int]) -> Optional[int]:
     """The card class of t that a deletion's card rows fall in, or None."""
     if t.profiles is None:
         t.profiles = {_degree_profile(card.rows) for card in t.cards}
-    # the profile stage rejects 7,386 of the 10,541 key hits of a seed-1
-    # recon-enum pass and 2,280 of the 5,198 of the reduction-iff sweep; a
+    # the profile stage rejects 4,901 of the 7,130 key hits of a seed-1
+    # recon-enum pass and 98 of the 1,850 of the reduction-iff sweep; a
     # component-size stage behind it rejected none of either, so there is none
     if _degree_profile(rows) in t.profiles:
         return t.index.get(certificate_rows(len(rows), rows))

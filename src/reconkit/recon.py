@@ -15,6 +15,13 @@ deciders.profile_identifies, which shares one lazy walk of each card
 class's extensions among all the profiles of a call.  Identification is
 monotone under adding cards, so when the full deck does not identify,
 both loops run out and the number is infinite.
+
+No collection of at most two vertex cards identifies a graph g on n >= 3
+vertices (Harary & Plantholt): the cards come from some u != v, and
+toggling the pair uv gives h with h - u = g - u and h - v = g - v but
+one edge more or less, so h is not g.  Both vertex loops start at size 3,
+and `identifies` answers such collections without a walk; the edge
+numbers have no such bound.
 """
 
 from __future__ import annotations
@@ -88,7 +95,8 @@ def identifies(g: Graph, s: Deck, kind: str) -> bool:
     is read as a count profile over g's card classes, and the one-vertex
     (one-edge) extensions of its first card in certificate order are
     walked until one that is not g contains s, or none is left
-    (deciders.profile_identifies).
+    (deciders.profile_identifies).  A vertex subdeck of at most two cards
+    of a graph on n >= 3 vertices never identifies (module docstring).
     """
     _check_caps(g, kind)
     if kind == "vertex":
@@ -102,6 +110,8 @@ def identifies(g: Graph, s: Deck, kind: str) -> bool:
     deck = build_deck(g, kind, 1)
     if not subdeck_contained(query, deck):
         raise InputError("the given cards are not a subdeck of g's deck")
+    if kind == "vertex" and g.n >= 3 and len(query) <= 2:
+        return False
     if len(query) == 0:
         return _universe_is_singleton(g, kind)
     counts = query.cert_counter()
@@ -128,7 +138,9 @@ def _profiles(mults: list[int], size: int) -> Iterator[tuple[int, ...]]:
 def recon_number(g: Graph, kind: str, quantifier: str) -> ReconNumber:
     """Minimum subdeck size that identifies g: for SOME size-m multisubset
     of the 1-deletion deck (exists) or for EVERY one (forall); math.inf
-    when even the full deck does not identify."""
+    when even the full deck does not identify.  Vertex numbers of graphs
+    on n >= 3 vertices are at least 3 (module docstring), so their search
+    starts at size 3."""
     if quantifier not in ("exists", "forall"):
         raise InputError(f"quantifier must be exists or forall, got {quantifier!r}")
     _check_caps(g, kind)
@@ -151,14 +163,16 @@ def recon_number(g: Graph, kind: str, quantifier: str) -> ReconNumber:
         ]
         return Deck._from_sorted(kind, tagged)
 
+    # sizes 0-2 all fail, so value 3's counterexample is the first size-2 one
+    start = 3 if kind == "vertex" and g.n >= 3 else 0
     if quantifier == "exists":
-        for size in range(len(deck) + 1):
+        for size in range(start, len(deck) + 1):
             for profile in _profiles(mults, size):
                 if identified(profile):
                     return ReconNumber(size, witness=subdeck_for(profile))
         return ReconNumber(math.inf)
-    last_failure: Optional[tuple[int, ...]] = None
-    for size in range(len(deck) + 1):
+    last_failure = next(_profiles(mults, 2)) if start else None
+    for size in range(start, len(deck) + 1):
         failure = next((p for p in _profiles(mults, size) if not identified(p)), None)
         if failure is None:
             counterexample = subdeck_for(last_failure) if size >= 2 else None

@@ -10,6 +10,7 @@ import reconkit.deciders as deciders
 from reconkit.canon import are_isomorphic, certificate
 from reconkit.deck import Deck, build_deck, deck_equal, endvertex_deck, subdeck_contained
 from reconkit.errors import CapacityError, InputError
+from reconkit.families import clique_union_pair
 from reconkit.graph import (
     Graph,
     complete_graph,
@@ -18,6 +19,7 @@ from reconkit.graph import (
     delete_vertices,
     empty_graph,
     enumerate_graphs,
+    graph6_decode,
     iter_bits,
     path_graph,
     union,
@@ -194,6 +196,88 @@ def test_capacity_limits():
         recon_number(path_graph(14), "edge", "exists")
     with pytest.raises(CapacityError):
         recon_number(complete_graph(6), "edge", "exists")  # 15 edges > 12
+
+
+def test_toggling_a_pair_keeps_both_cards():
+    # the bound behind the vertex search's start at size 3, checked with
+    # labeled cards alone: toggling the pair uv of g gives h with g's cards
+    # at u and at v and one edge more or less, so h is not g; any one or
+    # two vertex cards of g come from some such pair
+    for n in range(3, 7):
+        for g in enumerate_graphs(n):
+            edges = set(g.edges)
+            for u in range(n):
+                for v in range(u + 1, n):
+                    h = Graph(n, edges ^ {(u, v)})
+                    assert abs(h.m - g.m) == 1
+                    assert delete_vertices(h, [u]) == delete_vertices(g, [u])
+                    assert delete_vertices(h, [v]) == delete_vertices(g, [v])
+
+
+# atlas rows (graph6: vertex exists, vertex forall), one per value
+ATLAS_VERTEX_VALUES = {
+    "B?": (3, 3), "C`": (4, 4), "DAK": (3, 5), "Es\\o": (5, 5), "EAlw": (3, 6),
+}
+
+
+def _walked_sizes(monkeypatch):
+    # the sizes of the profiles recon hands to the class walks
+    import reconkit.recon as recon_module
+
+    sizes = []
+    real = recon_module.profile_identifies
+
+    def spy(g, d):
+        test = real(g, d)
+
+        def counted(profile):
+            sizes.append(sum(profile))
+            return test(profile)
+
+        return counted
+
+    monkeypatch.setattr(recon_module, "profile_identifies", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("quantifier", ["exists", "forall"])
+def test_vertex_search_starts_at_three_cards(monkeypatch, quantifier):
+    # work bound, no clock: no vertex profile of fewer than 3 cards of a
+    # graph on n >= 3 vertices reaches a walk, and the values stay the
+    # atlas's
+    sizes = _walked_sizes(monkeypatch)
+    column = 0 if quantifier == "exists" else 1
+    for code, values in ATLAS_VERTEX_VALUES.items():
+        g = graph6_decode(code)
+        assert recon_number(g, "vertex", quantifier).value == values[column], code
+    for g in clique_union_pair(8):
+        assert recon_number(g, "vertex", quantifier).value >= 3
+    assert sizes and min(sizes) >= 3
+
+
+def test_identifies_answers_two_vertex_cards_without_a_walk(monkeypatch):
+    import reconkit.recon as recon_module
+
+    def refuse(*args):
+        raise AssertionError("a walk was started")
+
+    monkeypatch.setattr(recon_module, "profile_identifies", refuse)
+    g = Graph(5, [(0, 1), (1, 2), (2, 3), (2, 4)])  # a tree with 3 leaves
+    full = build_deck(g, "vertex", 1)
+    for cards in (full.cards[:1], full.cards[:2], full.cards[-2:]):
+        assert not identifies(g, Deck("vertex", cards), "vertex")
+    ends = endvertex_deck(g)
+    assert len(ends) == 3
+    for size in (1, 2):
+        assert not identifies(g, Deck("endvertex", ends.cards[:size]), "vertex")
+    # the guards still come first
+    with pytest.raises(InputError):
+        identifies(g, Deck("vertex", [complete_graph(4)]), "vertex")
+    with pytest.raises(InputError):
+        identifies(g, Deck("edge", build_deck(g, "edge", 1).cards[:2]), "vertex")
+    # and the rest still walks
+    with pytest.raises(AssertionError, match="walk"):
+        identifies(g, Deck("vertex", full.cards[:3]), "vertex")
 
 
 def _seeded_graph(seed, n, m):

@@ -76,14 +76,14 @@ def test_random_edge_graphs_up_to_12_edges():
 
 
 @pytest.mark.parametrize("kind, orders, fewest_edges, bound", [
-    ("vertex", range(6, 10), 1, 3_000),
+    ("vertex", range(6, 10), 1, 2_200),
     ("edge", range(5, 8), 4, 1_100),
 ])
 def test_walk_certificates_are_bounded(monkeypatch, kind, orders, fewest_edges, bound):
     # work bound, no clock: the degree-profile stage keeps cards of no
-    # target class from being certified; these 14 graphs made 5,042
-    # vertex and 1,269 edge certificate calls without it, 2,665 and 821
-    # with it
+    # target class from being certified, and no vertex profile below 3
+    # cards is walked; these 14 graphs make 3,509 vertex and 1,124 edge
+    # certificate calls without the stage, 1,927 and 708 with it
     rng = random.Random(19)
     graphs = []
     for _ in range(14):
@@ -174,6 +174,19 @@ def test_atlas_histograms():
     # only K2 and its complement have an infinite vertex number
     infinite = {row[0] for row in rows if "inf" in row[1:3]}
     assert infinite == {"A?", "A_"}
+
+
+def test_atlas_vertex_numbers_are_at_least_three():
+    # the atlas was written by the oracle, which walks every profile size:
+    # on n >= 3 vertices no vertex number is below 3 (Harary & Plantholt),
+    # while some edge number is 1, so the bound is vertex-only
+    _, rows = _atlas()
+    big = [row for row in rows if graph6_decode(row[0]).n >= 3]
+    assert len(big) == len(rows) - 2
+    for row in big:
+        for value in row[1:3]:
+            assert value == "inf" or int(value) >= 3, row
+    assert any(row[3] == "1" for row in rows)
 
 
 def test_atlas_entries_recompute():
