@@ -5,13 +5,17 @@ card, which is complete because every preimage contains the first card as
 a card.  Sub-mode vertex decks with two or more card classes first pass a
 certifying front end (find_preimage), in which each answer comes with
 what checks it.  No: two cards G - S and G - T of one graph share
-G - (S | T), so every pair of card classes has isomorphic deletions of
-equal size 1..c; a pair without one refutes the deck (the test two_lvd
-makes).  Yes: the first card, glued to c new vertices through each other
-class's first c-vertex agreement, over the 2^(c*c) choices of edges the
-two cards cannot see, is a preimage once subdeck_check accepts it.  The
-front end is not charged to the search's budget, so it also answers some
-decks the search would refuse; what it leaves open goes to the search.
+G - (S | T), so any two card classes agree on deletions of equal size
+1..c, and then on size min(c, n') (n' the card order): an agreement of
+s < n' vertices grows to s + 1 by deleting any further vertex and its
+image under the isomorphism.  The pair test (_pair_test, also two_lvd)
+walks that one size, C(n', min(c, n')) deletion sets per card; a pair
+without an agreement refutes the deck.  Yes: the first card, glued to c
+new vertices through its c-vertex agreement with each other class, over
+the 2^(c*c) choices of edges the two cards cannot see, is a preimage once
+subdeck_check accepts it.  The front end is not charged to the search's
+budget, so it also answers some decks the search would refuse; what it
+leaves open goes to the search.
 
 Deck checks, the search and reconstruction numbers share one walk over a
 graph's c-deletions (_coverage): per card class of a deck, the deletions
@@ -638,61 +642,56 @@ def profile_identifies(g: Graph, d: Deck) -> Callable[[Sequence[int]], bool]:
 # --- certifying front end ---------------------------------------------------
 
 
-class _Deletions:
-    """A card's deletions of `size` vertices, one per twin-class profile
-    (twins are swapped by an automorphism), indexed by packed degree
-    histogram; certificates are computed on a key hit."""
-
-    def __init__(self, card: Graph):
-        self.card = card
-        self.shape = _shape(card.n, card.rows)
-        self.by_size: dict[int, dict[int, list[tuple[int, ...]]]] = {}
-
-    def keyed(self, size: int) -> dict[int, list[tuple[int, ...]]]:
-        table = self.by_size.get(size)
-        if table is None:
-            table = self.by_size[size] = {}
-            s = self.shape
-            for mask in twin_patterns(s.n, s.rows, size):
-                drop = tuple(iter_bits(mask))
-                table.setdefault(_key_without_vertices(s, drop), []).append(drop)
-        return table
-
-    def cert(self, drop: tuple[int, ...]) -> bytes:
-        s = self.shape
-        return certificate_rows(s.n - len(drop), delete_vertices_rows(s.rows, drop))
+def _deletion_table(card: Graph, size: int) -> dict[int, list[tuple[int, ...]]]:
+    """The card's deletions of `size` vertices, one per twin-class profile
+    (twins are swapped by an automorphism), by packed degree histogram."""
+    s = _shape(card.n, card.rows)
+    table: dict[int, list[tuple[int, ...]]] = {}
+    for mask in twin_patterns(s.n, s.rows, size):
+        drop = tuple(iter_bits(mask))
+        table.setdefault(_key_without_vertices(s, drop), []).append(drop)
+    return table
 
 
-def _agreement(
-    a: _Deletions, b: _Deletions, size: int
-) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The first (X, Y) with |X| = |Y| = size and a - X isomorphic to b - Y."""
-    keys_a = a.keyed(size)
-    for key, drops_b in b.keyed(size).items():
-        drops_a = keys_a.get(key)
+def _agreement(a: Graph, table_a: dict, b: Graph, table_b: dict) -> Optional[tuple]:
+    """The first (X, Y) of the two tables with a - X isomorphic to b - Y;
+    certificates are computed on a key hit."""
+
+    def cert(g: Graph, drop: tuple[int, ...]) -> bytes:
+        return certificate_rows(g.n - len(drop), delete_vertices_rows(g.rows, drop))
+
+    for key, drops_b in table_b.items():
+        drops_a = table_a.get(key)
         if drops_a is None:
             continue
         certs: dict[bytes, tuple[int, ...]] = {}
         for x in drops_a:
-            certs.setdefault(a.cert(x), x)
+            certs.setdefault(cert(a, x), x)
         for y in drops_b:
-            x = certs.get(b.cert(y))
+            x = certs.get(cert(b, y))
             if x is not None:
                 return x, y
     return None
 
 
-def _pair_test(cards: Sequence[Graph], c: int) -> Optional[list[_Deletions]]:
-    """The deletion views of same-order cards when every two of them have
-    isomorphic equal-size deletions of 1..c vertices, else None."""
+def _pair_test(cards: Sequence[Graph], c: int) -> Optional[list[tuple]]:
+    """For same-order cards of which every two have isomorphic deletions
+    of min(c, n') vertices each, card 0's first such agreement (X, Y) with
+    each other card; else None."""
     n = cards[0].n
-    sizes = range(1, min(c, n) + 1)
-    check_deletion_sets(sum(comb(n, size) for size in sizes))
-    views = [_Deletions(card) for card in cards]
-    for a, b in combinations(views, 2):
-        if not any(_agreement(a, b, size) for size in sizes):
+    if not n:
+        return None  # an order-0 card has no deletion of 1..c vertices
+    size = min(c, n)
+    check_deletion_sets(comb(n, size))
+    tables = [_deletion_table(card, size) for card in cards]
+    found = []
+    for i, j in combinations(range(len(cards)), 2):
+        xy = _agreement(cards[i], tables[i], cards[j], tables[j])
+        if xy is None:
             return None
-    return views
+        if not i:
+            found.append(xy)
+    return found
 
 
 def _glued(
@@ -729,28 +728,27 @@ def find_preimage(d: Deck, c: int, mode: str) -> Optional[Graph]:
 
     Sub-mode vertex decks with two or more card classes first pass a
     certifying front end.  Two cards G - S and G - T of one graph share
-    G - (S | T), so some equal-size deletions (1..c vertices) of any two
-    card classes agree; when a pair has none, the answer is no.  Otherwise
-    the first card is glued to each other class's first c-vertex
-    agreement, and a glued graph that subdeck_check accepts is returned.
-    Only then does the exhaustive search decide, under its budget.
+    G - (S | T), so any two card classes have isomorphic deletions of
+    min(c, n') vertices each (C(n', min(c, n')) deletion sets per card);
+    when a pair has none, the answer is no.  When c <= n', the first card
+    is glued to each other class through their c-vertex agreement, and a
+    glued graph that subdeck_check accepts is returned.  Only then does
+    the exhaustive search decide, under its budget.
     """
     t = _targets(d, c, mode)
     if t is None:
         return None
     if t.kind == "vertex" and mode == "sub" and len(t.cards) > 1:
         n0 = t.order
-        views = _pair_test(t.cards, c)
-        if views is None:
+        agreements = _pair_test(t.cards, c)
+        if agreements is None:
             return None
         # the glued candidates' deck walks, (classes - 1) 2^(c*c) C(n0+c, c),
-        # within the deletion-set cap; counted only once c <= n0 holds
-        if c <= n0 and (len(views) - 1) * comb(n0 + c, c) << c * c <= DELETION_SETS_CAP:
-            for b in views[1:]:
-                # an agreement at size s < c grows to size c, one vertex
-                # and its image at a time, so the pair test ensures one
-                x, y = _agreement(views[0], b, c)
-                for g in _glued(views[0].card, x, b.card, y):
+        # within the deletion-set cap; counted only once c <= n0 holds, so
+        # that the agreements have c vertices
+        if c <= n0 and len(agreements) * comb(n0 + c, c) << c * c <= DELETION_SETS_CAP:
+            for b, (x, y) in zip(t.cards[1:], agreements):
+                for g in _glued(t.cards[0], x, b, y):
                     if subdeck_check(g, d, c):
                         return g
     found = next(_search(d, t, c, mode), None)
@@ -775,8 +773,8 @@ def legit_edge(d: Deck, c: int, mode: str) -> bool:
 
 
 def two_lvd(g1: Graph, g2: Graph, c: int) -> bool:
-    """Two-card legitimacy: some equal-size deletions (1..c vertices each)
-    leave isomorphic graphs."""
+    """Two-card legitimacy: some deletions of min(c, n) vertices each leave
+    isomorphic graphs, found over C(n, min(c, n)) deletion sets per card."""
     if g1.n != g2.n:
         raise InputError(f"orders differ: {g1.n} vs {g2.n}")
     if c < 1:

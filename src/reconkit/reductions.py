@@ -178,8 +178,6 @@ def gi_to_kled(g: Graph, h: Graph, c: int, k: int) -> Deck:
     check_certificate_order(3 * g.n + 2 * k + 1, "gi_to_kled card order")
     n = _require_pair(g, h, "gi_to_kled", c)
     ell = n + k
-    if k - 1 > comb(comb(ell, 2), c):
-        raise InputError("gi_to_kled: not enough edge subsets in the clique")
     small = complete_graph(ell)
     big = complete_graph(ell + 1)
     cards = [

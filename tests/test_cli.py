@@ -108,7 +108,7 @@ def test_two_card_star_deck_is_refused_after_cheap_certificates(
 ):
     # reading the deck certifies P40 and K1,39, whose 39 leaves are twins;
     # each search stays within its order, and then the deletion-set cap
-    # refuses the sum of C(40, s) for s = 1..20 before any walk
+    # refuses the pair test's C(40, 20) deletion sets before any walk
     import reconkit.canon as canon
 
     searches = []
@@ -132,7 +132,7 @@ def test_two_card_star_deck_is_refused_after_cheap_certificates(
     canon.clear_certificate_cache()
     code, out, err = run_cli(capsys, ["legit", "--two-card", str(deck)])
     assert code == 3 and out == ""
-    assert err == "capacity error: 618679078297 deletion sets exceed the 100000 cap\n"
+    assert err == "capacity error: 137846528820 deletion sets exceed the 100000 cap\n"
     assert searches and max(searches) <= 40
     assert sum(searches) <= 2 * 40
 
@@ -466,6 +466,22 @@ def test_reduce_kedc_to_kvdc_writes_the_line_graph_instance(capsys, tmp_path):
     meta = ["reduction=kedc-to-kvdc c=1", f"graph={graph6_encode(graph)}"]
     assert (code, err) == (0, "")
     assert out == deck_to_text(deck, c=1, comments=meta)
+
+
+def test_reduce_kedc_with_more_cards_than_the_removal_leaves_exits_2(capsys, tmp_path):
+    from reconkit.reductions import gi_to_kedc
+
+    gpath = tmp_path / "p3.g6"
+    gpath.write_text(graph6_encode(path_graph(3)) + "\n")
+    args = ["reduce", "--kind", "gi-to-kedc", "--c", "1", str(gpath), str(gpath)]
+    code, out, err = run_cli(capsys, args + ["--k", "3"])
+    graph, deck = gi_to_kedc(path_graph(3), path_graph(3), 1, 3)
+    meta = ["reduction=gi-to-kedc c=1 k=3", f"graph={graph6_encode(graph)}"]
+    assert (code, err) == (0, "")
+    assert out == deck_to_text(deck, c=1, comments=meta) and len(deck) == 3
+    code, out, err = run_cli(capsys, args + ["--k", "4"])
+    assert (code, out) == (2, "")
+    assert err == "error: gi_to_kedc: not enough cards after the removal\n"
 
 
 @pytest.mark.parametrize("kind", ["gi-to-kedc", "gi-to-klvd", "gi-to-kled"])

@@ -253,6 +253,61 @@ def test_two_lvd_agrees_with_search_order5_sample():
             )
 
 
+def test_equal_size_agreements_grow_to_size_min_c_n():
+    # brute force, without deciders: two graphs of order n with isomorphic
+    # deletions of s < n vertices each also have them at s + 1, so some
+    # size 1..c agrees exactly when size min(c, n), the pair test's, does
+    answers = set()
+    for n in (3, 4, 5):
+        decks = [
+            [
+                {
+                    certificate_rows(n - s, delete_vertices_rows(g.rows, drop))
+                    for drop in combinations(range(n), s)
+                }
+                for s in range(n + 1)
+            ]
+            for g in enumerate_graphs(n)
+        ]
+        for a, b in combinations_with_replacement(decks, 2):
+            agree = [bool(a[s] & b[s]) for s in range(1, n + 1)]
+            assert agree == sorted(agree)
+            for c in (1, 2, 3):
+                some = any(agree[:c])
+                assert some == agree[min(c, n) - 1]
+                answers.add(some)
+    assert answers == {True, False}
+
+
+def test_pair_test_walks_one_deletion_size(monkeypatch):
+    # at c = 2 each card class gets one table, of its 2-vertex deletions,
+    # even where 1-vertex deletions already agree, and the front end glues
+    # from the pair test's agreements without the exhaustive search
+    sizes = []
+    real = deciders.twin_patterns
+
+    def spy(n, rows, size):
+        sizes.append(size)
+        return real(n, rows, size)
+
+    def fail(d, t, c, mode):
+        raise AssertionError("exhaustive search entered")
+
+    monkeypatch.setattr(deciders, "twin_patterns", spy)
+    monkeypatch.setattr(deciders, "_search", fail)
+    deck = Deck("vertex", [empty_graph(3), K2K1, P3])  # three cards of P5
+    witness = find_preimage(deck, 2, "sub")
+    assert sizes == [2, 2, 2]
+    assert witness is not None and subdeck_check(witness, deck, 2)
+    sizes.clear()
+    refuted = Deck("vertex", [complete_graph(4), empty_graph(4)])  # K2 vs E2
+    assert find_preimage(refuted, 2, "sub") is None
+    assert sizes == [2, 2]
+    sizes.clear()
+    assert two_lvd(path_graph(4), complete_graph(4), 2)
+    assert sizes == [2, 2]
+
+
 def test_front_end_refutes_on_a_later_card_pair(monkeypatch):
     # card 0, K2 + E2, shares a card with K1,3 and with K3 + K1, which share
     # none with each other: only that later pair refutes the deck, and it
@@ -471,8 +526,8 @@ def test_deletion_set_cap_at_its_boundary():
     assert DELETION_SETS_CAP == 10**5
     # C(40, 4) = 91,390 deletion sets; the first one already matches
     assert subdeck_check(empty_graph(40), Deck("vertex", [empty_graph(36)]), 4)
-    # 39 + C(39, 2) + C(39, 3) + C(39, 4) = 92,170 deletion sets per graph
-    assert two_lvd(empty_graph(39), empty_graph(39), 4)
+    # the pair test walks one size: C(40, 4) = 91,390 deletion sets per graph
+    assert two_lvd(empty_graph(40), empty_graph(40), 4)
     # each candidate's deck: C(445 + 2, 2) = 99,681 edge pairs
     assert legit_edge(Deck("edge", [_sparse_card(445)]), 2, "sub")
 
@@ -484,8 +539,8 @@ def test_deletion_set_cap_refuses_just_past_it():
         build_deck(empty_graph(41), "vertex", 4)
     with pytest.raises(CapacityError):  # C(C(31, 2), 2) = 107,880
         build_deck(complete_graph(31), "edge", 2)
-    with pytest.raises(CapacityError):  # 40 + 780 + 9,880 + 91,390 = 102,090
-        two_lvd(empty_graph(40), empty_graph(40), 4)
+    with pytest.raises(CapacityError):  # C(41, 4) = 101,270
+        two_lvd(empty_graph(41), empty_graph(41), 4)
     with pytest.raises(CapacityError):  # C(446 + 2, 2) = 100,128
         legit_edge(Deck("edge", [_sparse_card(446)]), 2, "sub")
 

@@ -116,6 +116,15 @@ def test_gi_to_kedc_takes_the_first_cards_in_deletion_order(c):
                 assert graph == base and deck == want
 
 
+def test_gi_to_kedc_refuses_more_cards_than_the_removal_leaves():
+    # P3 + K2 has three one-edge cards; the last, P3 + 2 K1, is the removed
+    # one, so two true cards fit beside it and a third does not
+    graph, deck = gi_to_kedc(P3, P3, 1, 3)
+    assert len(deck) == 3
+    with pytest.raises(InputError, match="not enough cards after the removal"):
+        gi_to_kedc(P3, P3, 1, 4)
+
+
 def test_gi_to_klvd_shape():
     deck = gi_to_klvd(K3, P3, 1, 2)
     ell = 3 + 2
@@ -194,6 +203,8 @@ def test_precondition_errors():
         verify_reduction("gi_to_lvd", 0, 1)  # no instance below order 3
     with pytest.raises(InputError):
         verify_reduction("gi_to_klvd", -5, 1, 2)
+    with pytest.raises(InputError, match="gi_to_klvd requires k"):
+        verify_reduction("gi_to_klvd", 4, 1)
 
 
 @pytest.mark.parametrize("c", [1, 2])
@@ -306,6 +317,30 @@ def test_capacity_refusal_inside_a_sweep_propagates(monkeypatch):
     monkeypatch.setattr(verify, "legit_vertex", refuse)
     with pytest.raises(CapacityError):
         verify_reduction("gi_to_klvd", 3, 1, 2)
+
+
+def test_verify_reports_each_wrong_decision(monkeypatch):
+    # a decider that always answers yes is wrong on the two ordered pairs
+    # of P3 and K3
+    monkeypatch.setattr(verify, "legit_vertex", lambda deck, c, mode: True)
+    report = verify_reduction("gi_to_lvd", 3, 1)
+    assert not report.ok and report.checked == 4
+    assert report.violations == (
+        "n=3 g=BW h=Bw expected=False got=True",
+        "n=3 g=Bw h=BW expected=False got=True",
+    )
+
+
+def test_verify_reports_each_wrong_transfer_image(monkeypatch):
+    # an image no vertex subdeck check accepts misses both true instances
+    image = (K3, Deck("vertex", [empty_graph(2)]))
+    monkeypatch.setattr(verify, "kedc_to_kvdc", lambda g, cards, c: image)
+    report = verify_reduction("kedc_to_kvdc", 3, 1, 2)
+    assert not report.ok and report.checked == 4
+    assert report.violations == (
+        "g=BW cards=BG,BG source=True image=False",
+        "g=Bw cards=BW,BW source=True image=False",
+    )
 
 
 def test_whitney_separation_on_connected_graphs():
