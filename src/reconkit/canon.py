@@ -9,9 +9,11 @@ the same memo as whole graphs, so a labeled component that recurs across
 cards, candidates or deletions is searched once. A leaf whose code
 equals the first or the best leaf's code gives an automorphism, and the
 search jumps back to where the two leaves' paths part instead of
-walking the equivalent subtree: stars, complete bipartite graphs and
-the line and rook graphs the tests pin take at most n leaves in every
-labeling tried.
+walking the equivalent subtree: the line and rook graphs the tests pin
+take at most n leaves in every labeling tried. A node whose non-singleton
+cells are all twin classes ends the search below it in one leaf (see
+_Search), so edgeless and complete graphs, stars and complete
+multipartite graphs whose parts differ in size take one leaf.
 
 Refinement holds one bitmask per cell, so a vertex's neighbor count in
 a cell is one popcount, and each round re-splits only the non-singleton
@@ -92,6 +94,16 @@ def _refine(n: int, rows: Sequence[int], cells: list[list[int]]) -> list[list[in
         cells = out
 
 
+def _twin_cell(rows: Sequence[int], cell: list[int]) -> bool:
+    """Whether the cell's vertices are pairwise twins: all with one open
+    neighbourhood, or all with one closed neighbourhood."""
+    first = cell[0]
+    if all(rows[v] == rows[first] for v in cell):
+        return True
+    closed = rows[first] | 1 << first
+    return all(rows[v] | 1 << v == closed for v in cell)
+
+
 # ---------------------------------------------------------------------------
 # canonical labeling of one connected piece (works for any graph, but the
 # public entry points decompose into components first)
@@ -110,6 +122,18 @@ class _Search:
     next sibling there (McKay 1981). At each tree node, siblings in the
     same orbit under the discovered automorphisms that fix the
     individualized prefix pointwise are skipped.
+
+    Twin cells end the search. Take a node whose every non-singleton
+    cell is one twin class: all of its vertices share one open
+    neighbourhood, or all share one closed neighbourhood. A vertex
+    outside such a cell sees all of it or none of it, so in the equitable
+    partition individualizing a vertex of the cell splits only that
+    vertex off, and every leaf below is the first one up to a permutation
+    inside the cells, an automorphism. That first leaf is built at once,
+    each twin cell split into singletons in vertex order, with the cells'
+    adjacent transpositions recorded as automorphisms. It is the leaf the
+    level-by-level search reaches first, so certificates and canonical
+    labelings keep their bytes.
     """
 
     def __init__(self, n: int, rows: Sequence[int]):
@@ -121,26 +145,30 @@ class _Search:
         self.gens: list[tuple[int, ...]] = []
 
     def run(self) -> tuple[int, ...]:
-        n = self.n
-        if n <= 1:
-            return tuple(range(n))
-        edge_count = sum(r.bit_count() for r in self.rows) // 2
-        if edge_count == 0 or edge_count == n * (n - 1) // 2:
-            return tuple(range(n))
-        self._descend(_refine(n, self.rows, [list(range(n))]), ())
+        self._descend(_refine(self.n, self.rows, [list(range(self.n))]), ())
         assert self.best_lab is not None
         return tuple(self.best_lab)
 
     def _descend(self, cells: list[list[int]], prefix: tuple[int, ...]) -> int:
         """Search below the node `prefix`; return the depth to resume at."""
         depth = len(prefix)
-        target = None
-        for i, cell in enumerate(cells):
-            if len(cell) > 1:
-                target = i
-                break
-        if target is None:
-            return self._leaf(cells, prefix)
+        if all(len(c) == 1 or _twin_cell(self.rows, c) for c in cells):
+            # a leaf, or twin cells only: the first leaf below at once
+            leaf: list[list[int]] = []
+            path = list(prefix)
+            for c in cells:
+                if len(c) == 1:
+                    leaf.append(c)
+                    continue
+                leaf += ([v] for v in c)
+                path += c[:-1]
+                for a, b in zip(c, c[1:]):
+                    swap = list(range(self.n))
+                    swap[a], swap[b] = b, a
+                    if tuple(swap) not in self.gens:
+                        self.gens.append(tuple(swap))
+            return min(self._leaf(leaf, tuple(path)), depth - 1)
+        target = next(i for i, c in enumerate(cells) if len(c) > 1)
         cell = cells[target]
         explored: list[int] = []
         find = None

@@ -279,9 +279,8 @@ def _symmetric_suite():
     }
 
 
-def test_search_leaves_stay_within_the_order(monkeypatch):
-    # the search work, not its time: each relabeling is certified from an
-    # empty cache in at most n leaves
+def _count_leaves(monkeypatch):
+    # how many leaves the canonical searches reach from here on
     import reconkit.canon as canon
 
     leaves = [0]
@@ -292,6 +291,13 @@ def test_search_leaves_stay_within_the_order(monkeypatch):
         return leaf(self, *args)
 
     monkeypatch.setattr(canon._Search, "_leaf", counting_leaf)
+    return leaves
+
+
+def test_search_leaves_stay_within_the_order(monkeypatch):
+    # the search work, not its time: each relabeling is certified from an
+    # empty cache in at most n leaves
+    leaves = _count_leaves(monkeypatch)
     rng = random.Random(5)
     for name, g in _symmetric_suite().items():
         want = certificate(g)
@@ -308,6 +314,78 @@ def test_search_leaves_stay_within_the_order(monkeypatch):
             assert mapping is not None and sorted(mapping) == list(range(g.n))
             for u, v in h.edges:
                 assert g.has_edge(mapping[u], mapping[v]), name
+
+
+def test_twin_cells_take_one_leaf(monkeypatch):
+    # from an empty cache, any labeling of a graph whose refined partition
+    # has only twin cells (K1's for E20) is certified in one leaf. K10,10
+    # and K3,3,3 are regular, so their first cell holds several twin
+    # classes, and a leaf per class finds the automorphisms between them
+    leaves = _count_leaves(monkeypatch)
+    rng = random.Random(28)
+    graphs = {
+        "E20": (empty_graph(20), 1),
+        "K20": (complete_graph(20), 1),
+        "2K10": (copies(complete_graph(10), 2), 1),
+        "K1,25": (join([empty_graph(1), empty_graph(25)]), 1),
+        "K5,20": (join([empty_graph(5), empty_graph(20)]), 1),
+        "K6,3,2,1": (join([empty_graph(s) for s in (6, 3, 2, 1)]), 1),
+        "K10,10": (join([empty_graph(10)] * 2), 3),
+        "K3,3,3": (join([empty_graph(3)] * 3), 5),
+    }
+    for name, (g, most) in graphs.items():
+        want = certificate(g)
+        for _ in range(10):
+            h = _relabeled(g, rng)
+            clear_certificate_cache()
+            leaves[0] = 0
+            assert certificate(h) == want, name
+            assert 1 <= leaves[0] <= most, (name, leaves[0])
+
+
+def _cograph(rng, n):
+    # one vertex, or the disjoint union or the join of two smaller cographs
+    if n == 1:
+        return empty_graph(1)
+    k = rng.randint(1, n - 1)
+    parts = [_cograph(rng, k), _cograph(rng, n - k)]
+    return union(parts) if rng.random() < 0.5 else join(parts)
+
+
+def _twin_heavy_graphs():
+    for n in range(8):
+        yield from enumerate_graphs(n)
+    for sizes in ((10, 10), (5, 20), (3, 3, 3), (2,) * 5, (6, 3, 2, 1)):
+        multipartite = join([empty_graph(s) for s in sizes])
+        yield multipartite
+        yield complement(multipartite)  # disjoint cliques
+    for n in (12, 20, 30):
+        yield empty_graph(n)
+        yield complete_graph(n)
+    rng = random.Random(29)
+    for n in range(2, 25):
+        for _ in range(13):
+            yield _cograph(rng, n)
+
+
+def test_twin_leaf_matches_the_full_search(monkeypatch):
+    # with no cell taken for a twin cell the search walks the tree level
+    # by level; the twin leaf must give the same bytes
+    import reconkit.canon as canon
+
+    rng = random.Random(30)
+    corpus = [_relabeled(g, rng) for g in _twin_heavy_graphs()]
+
+    def answers():
+        clear_certificate_cache()
+        return [(certificate(g), canonical_labeling(g)) for g in corpus]
+
+    twin_leaf = answers()
+    monkeypatch.setattr(canon, "_twin_cell", lambda rows, cell: False)
+    full_search = answers()
+    assert len(corpus) > 1500
+    for g, got, want in zip(corpus, twin_leaf, full_search):
+        assert got == want, g.rows
 
 
 def test_symmetric_certificate_bytes_are_pinned():
@@ -536,6 +614,9 @@ def test_refine_matches_the_neighbor_walk_oracle(monkeypatch):
             corpus.append(_random_graph(rng, n, density))
     for n in (20, 29, 40):
         corpus.append(_relabeled(delete_edges(complete_graph(n), [(0, 1)]), rng))
+    # a twin cell ends the search without refining, so the classes on 6
+    # and 7 vertices come twice more, relabeled anew
+    corpus += [_relabeled(g, rng) for _ in range(2) for n in (6, 7) for g in enumerate_graphs(n)]
     clear_certificate_cache()
     for g in corpus:
         certificate(g)
