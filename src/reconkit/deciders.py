@@ -17,11 +17,11 @@ subdeck_check accepts it.  The front end is not charged to the search's
 budget, so it also answers some decks the search would refuse; what it
 leaves open goes to the search.
 
-Deck checks, the search and reconstruction numbers share one walk over a
-graph's c-deletions (_coverage): per card class of a deck, the deletions
-in the class, up to its multiplicity.  Each deletion is tested in three
-stages, in order: the degree-class prefilter, the degree profile, then
-exact certificates.  Containment is full coverage, and a containment walk
+Deck checks, the search and edge reconstruction numbers share one walk
+over a graph's c-deletions (_coverage): per card class of a deck, the
+deletions in the class, up to its multiplicity.  Each deletion is tested
+in three stages, in order: the degree-class prefilter, the degree
+profile, then exact certificates.  Containment is full coverage, and a containment walk
 gives up once the deletions left cannot reach it.  A search candidate
 carries the deletion that undoes it (`undo`): a vertex candidate's top c
 vertices, an edge candidate's c added edges.  It gives the first card, so
@@ -34,7 +34,8 @@ equals it, so card counts are compared first and only equal sizes are
 walked.  An edge walk takes a key hit through the later stages once per
 twin orbit (graph.twin_orbits), every deletion still keyed and charged; a
 vertex walk would save 4% (recon-enum's walked graphs have 149,295
-vertices in 143,377 twin classes), so it has no memo.
+vertices in 143,377 twin classes), so the vertex walks of deck checks and
+the search have no memo.
 
 Degree-class prefilter: a graph is kept with its degree classes (degree r
 -> bitmask of the vertices of degree r) and its degree histogram packed
@@ -74,7 +75,18 @@ refusal is too.  Deck checks, recon walks and the front end are uncharged.
 Reconstruction numbers test many subdecks of one deck.  profile_identifies
 walks the one-vertex (one-edge) extensions of each card class once and
 reduces each extension to its coverage, which serves every subdeck tested
-whose first card is of that class.
+whose first card is of that class.  An edge class walk is _coverage over
+_extensions.  A vertex class walk visits only graphs H_A, the card C plus
+a vertex x joined to a set A, so it keys H_A - u, for u in C, from tables
+built once per class (_extension_tables): with a = A - u, the key is
+key(C - u) + the sum over w in a of 63 * 64^(w's degree in C - u) +
+64^|a|.  The sum is additive over the bits of a, so two half-width
+subset-sum tables per u give each deletion's key from two lookups and a
+popcount.  H_A - u and H_(A ^ {u}) - u are one labeled graph, so the card
+class of a key hit is memoised per walk by (u, a), which halves the
+certifying stages.  It is not a twin memo: it joins one labeled card
+reached from two extensions, where a twin memo joins isomorphic cards of
+one extension, and the walked graphs have too few twins for that to pay.
 """
 
 from __future__ import annotations
@@ -571,6 +583,34 @@ def enum_preimages(d: Deck, c: int, mode: str) -> PreimageSet:
 # --- identifying subdecks ----------------------------------------------------
 
 
+def _subset_sums(base: int, steps: Sequence[int]) -> list[int]:
+    """base plus the sum of the steps at the set bits of each index."""
+    sums = [base]
+    for step in steps:
+        sums += [total + step for total in sums]
+    return sums
+
+
+def _extension_tables(card: Graph) -> list[tuple[list[int], list[int]]]:
+    """Packed degree histograms of H_A - u, H_A the card plus a vertex x
+    joined to the vertex mask A: per card vertex u, then for no u (H_A
+    itself), a pair (lo, hi) of subset-sum tables over the low h =
+    ceil(n/2) and the high vertices, so that with a = A minus u the key is
+    lo[a mod 2^h] + hi[a >> h] + 64^|a|.  x has degree |a| and lifts each
+    vertex of a from its degree d in the card minus u to d + 1, which
+    moves it one 6-bit field up: 63 * 64^d."""
+    n, rows = card.n, card.rows
+    h = (n + 1) // 2
+    out = []
+    for u in range(n + 1):
+        gone = rows[u] if u < n else 0
+        deg = [r.bit_count() - (gone >> w & 1) for w, r in enumerate(rows)]
+        key = sum(1 << _FIELD * d for w, d in enumerate(deg) if w != u)
+        steps = [0 if w == u else 63 << _FIELD * d for w, d in enumerate(deg)]
+        out.append((_subset_sums(key, steps[:h]), _subset_sums(0, steps[h:])))
+    return out
+
+
 def _covers(v: Sequence[int], a: Sequence[int]) -> bool:
     return all(x >= y for x, y in zip(v, a))
 
@@ -584,15 +624,20 @@ class _Blockers:
     Every H whose deck contains the subdeck extends card i by one vertex
     (one edge), so the subdeck identifies g iff no extension H of card i
     that is not g has cov_H[j] >= a_j for every j >= i, where cov_H[j] =
-    min(mult of class j in H's deck, mu_j), one _coverage walk of H.  The
-    deletion that undoes the extension, H's `undo` (its new vertex or
-    edge), gives card i and is counted without being keyed; only an H with
-    cov_H = mu on j >= i and g's degree histogram can be g, so only such
-    an H is certified.  Class i's walk starts on first use, against the
-    targets of d's classes from i on (a slice of d's class table, so no
-    deck is rebuilt), and resumes only until a tested profile is blocked
-    or the walk ends; the coverages found so far are kept as an
-    antichain, so no class is walked twice.
+    min(mult of class j in H's deck, mu_j), one deletion walk of H.  The
+    deletion that undoes the extension (its new vertex or edge) gives
+    card i and is counted without being keyed; only an H with cov_H = mu
+    on j >= i and g's degree histogram can be g, so only such an H is
+    certified.  Edge extensions are walked by _coverage.  A vertex
+    extension H_A (card i plus a vertex joined to A) keys each H_A - u
+    from card i's tables (_extension_tables), and the class walk looks up
+    a key hit's card class once per (u, A - u): H_(A ^ {u}) - u is the
+    same labeled graph.  That memo is not a twin memo, which would join
+    isomorphic cards of one H (see the module docstring).  Class i's walk
+    starts on first use, against the targets of d's classes from i on (a
+    slice of d's class table, so no deck is rebuilt), and resumes only
+    until a tested profile is blocked or the walk ends; the coverages
+    found so far are kept as an antichain, so no class is walked twice.
     """
 
     def __init__(self, g: Graph, d: Deck):
@@ -603,12 +648,46 @@ class _Blockers:
 
     def _walk(self, t: _DeckTargets) -> Iterator[tuple[int, ...]]:
         """Coverage of each extension of t's first card that is not g."""
-        for s in _extensions(t.cards[0], t.kind, 1):
-            cov = _coverage(s, t, False)
+        card, mults = t.cards[0], t.mults
+        if t.kind == "edge":
+            for s in _extensions(card, "edge", 1):
+                cov = _coverage(s, t, False)
+                if not (
+                    cov == mults
+                    and s.key == self.own_key
+                    and certificate_rows(s.n, s.rows) == self.own
+                ):
+                    yield tuple(cov)
+            return
+        n, rows, by_key = card.n, card.rows, t.by_key
+        *tables, whole = _extension_tables(card)
+        h = (n + 1) // 2
+        low = (1 << h) - 1
+        memo: dict[int, Optional[int]] = {}  # u << n | a -> class of H_a - u
+        for attach in twin_patterns(n, rows, None):
+            cov = [1] + [0] * (len(mults) - 1)  # H - x is card i
+            left = t.count - 1
+            for u, (lo, hi) in enumerate(tables):
+                if not left:
+                    break
+                a = attach & ~(1 << u)
+                hit = by_key.get(lo[a & low] + hi[a >> h] + (1 << _FIELD * a.bit_count()))
+                if hit and any(cov[j] < mults[j] for j in hit):
+                    at = u << n | a
+                    if at not in memo:
+                        memo[at] = _card_class(
+                            t, delete_vertices_rows(extend_rows(n, rows, a), (u,))
+                        )
+                    j = memo[at]
+                    if j is not None and cov[j] < mults[j]:
+                        cov[j] += 1
+                        left -= 1
+            lo, hi = whole
             if not (
-                cov == t.mults
-                and s.key == self.own_key
-                and certificate_rows(s.n, s.rows) == self.own
+                cov == mults
+                and lo[attach & low] + hi[attach >> h]
+                + (1 << _FIELD * attach.bit_count()) == self.own_key
+                and certificate_rows(n + 1, extend_rows(n, rows, attach)) == self.own
             ):
                 yield tuple(cov)
 

@@ -35,10 +35,12 @@ from reconkit.graph import (
     delete_vertices_rows,
     empty_graph,
     enumerate_graphs,
+    extend_rows,
     is_connected,
     join,
     path_graph,
     permute,
+    twin_patterns,
     union,
 )
 from reconkit.recon import recon_number
@@ -918,6 +920,47 @@ def test_one_walk_matches_built_decks():
                         assert plain.undo is None
                         assert deciders._sub_match(plain, t) == want
     assert outcomes == {True, False}
+
+
+def test_vertex_class_walk_matches_the_generic_walk():
+    # the recon vertex walk keys each deletion from its card's tables; per
+    # card class i it yields exactly _coverage over _extensions of card i,
+    # in order, minus g, and each table key is _key_without_vertices of
+    # the built extension (entry n: the extension's own key)
+    rng = random.Random(29)
+    graphs = [g for n in range(3, 7) for g in enumerate_graphs(n)]
+    graphs += rng.sample(enumerate_graphs(7), 30)
+    for n in (8, 9, 10):
+        for _ in range(2):
+            g = random_graph(rng, n, rng.choice((0.3, 0.5, 0.7)))
+            perm = list(range(n))
+            rng.shuffle(perm)
+            graphs.append(permute(g, perm))
+    yielded = 0
+    for g in graphs:
+        d = build_deck(g, "vertex", 1)
+        own = certificate_rows(g.n, g.rows)
+        blockers = deciders._Blockers(g, d)
+        for i in range(len(d.classes())):
+            t = deciders._DeckTargets(d, 1, i)
+            want = []
+            for s in deciders._extensions(t.cards[0], "vertex", 1):
+                cov = deciders._coverage(s, t, False)
+                if not (cov == t.mults and certificate_rows(s.n, s.rows) == own):
+                    want.append(tuple(cov))
+            assert list(blockers._walk(deciders._DeckTargets(d, 1, i))) == want, (g, i)
+            yielded += len(want)
+            card = t.cards[0]
+            n = card.n
+            h = (n + 1) // 2
+            tables = deciders._extension_tables(card)
+            for attach in twin_patterns(n, card.rows, None):
+                s = deciders._shape(n + 1, extend_rows(n, card.rows, attach))
+                for u, (lo, hi) in enumerate(tables):
+                    a = attach & ~(1 << u)
+                    key = lo[a % (1 << h)] + hi[a >> h] + 64 ** a.bit_count()
+                    assert key == (deciders._key_without_vertices(s, (u,)) if u < n else s.key)
+    assert yielded > 5000
 
 
 def test_every_witness_has_its_deck():

@@ -22,6 +22,7 @@ from reconkit.graph import (
     graph6_decode,
     iter_bits,
     path_graph,
+    permute,
     union,
 )
 from reconkit.recon import identifies, recon_number, threshold
@@ -285,28 +286,39 @@ def _seeded_graph(seed, n, m):
     return Graph(n, random.Random(seed).sample(pairs, m))
 
 
+def _spy_class_walks(monkeypatch, current, start):
+    # wraps the vertex class walks: start(t) runs as a walk starts, and its
+    # value is put in current before each resumption, since walks interleave
+    real = deciders._Blockers._walk
+
+    def walk(self, t):
+        mark = start(t)
+        inner = real(self, t)
+        while True:
+            current[:] = [mark]
+            cov = next(inner, None)
+            if cov is None:
+                return
+            yield cov
+
+    monkeypatch.setattr(deciders._Blockers, "_walk", walk)
+
+
 @pytest.mark.parametrize("kind, g", [
     ("vertex", _seeded_graph(9, 9, 18)),
     ("edge", _seeded_graph(10, 7, 10)),
 ])
 @pytest.mark.parametrize("quantifier", ["exists", "forall"])
 def test_one_walk_per_card_class(monkeypatch, kind, g, quantifier):
-    # work bound, no clock: a spy on the extension walk counts the walks
-    # each call starts and the graphs certified while an extension H of
-    # card class i is counted
+    # work bound, no clock: a spy on the class walks (vertex) or the
+    # extension walk (edge) counts the walks each call starts and the
+    # graphs certified while card class i is walked
     deck = build_deck(g, kind, 1)
     certs = list(dict.fromkeys(deck.certs))
     mults = Counter(deck.certs)
     degrees = [sorted(c.degrees()) for c in dict(zip(deck.certs, deck.cards)).values()]
-    real_extensions, real_cert = deciders._extensions, deciders.certificate_rows
+    real_cert = deciders.certificate_rows
     starts, certified, current = [], [], []
-
-    def extensions(base, *args):
-        i = certs.index(certificate(base))
-        starts.append(i)
-        for h in real_extensions(base, *args):
-            current[:] = [(i, base, h)]
-            yield h
 
     def certificate_rows(n, rows):
         if current:
@@ -315,12 +327,29 @@ def test_one_walk_per_card_class(monkeypatch, kind, g, quantifier):
             ])))
         return real_cert(n, rows)
 
-    monkeypatch.setattr(deciders, "_extensions", extensions)
+    if kind == "vertex":
+
+        def start(t):
+            starts.append(certs.index(certificate(t.cards[0])))
+            return starts[-1], t.cards[0]
+
+        _spy_class_walks(monkeypatch, current, start)
+    else:
+        real_extensions = deciders._extensions
+
+        def extensions(base, *args):
+            i = certs.index(certificate(base))
+            starts.append(i)
+            for h in real_extensions(base, *args):
+                current[:] = [(i, base)]
+                yield h
+
+        monkeypatch.setattr(deciders, "_extensions", extensions)
     monkeypatch.setattr(deciders, "certificate_rows", certificate_rows)
     recon_number(g, kind, quantifier)
     assert sorted(starts) == sorted(set(starts)), starts  # each class once
     assert certified
-    for i, base, h, x in certified:
+    for i, base, x in certified:
         if x.m == g.m and x.n == g.n:
             # H itself, certified only when it has g's degrees and its deck
             # covers classes i, i+1, ...
@@ -332,6 +361,22 @@ def test_one_walk_per_card_class(monkeypatch, kind, g, quantifier):
             # its degrees match a class the walk counts
             assert x.rows != base.rows
             assert sorted(x.degrees()) in degrees[i:]
+
+
+def test_vertex_walk_certifies_no_card_twice(monkeypatch):
+    # work bound, no clock: H_A - u and H_(A^u) - u are one labeled graph,
+    # so a class walk looks up a key hit's card class once per (u, A - u)
+    seen, current, walks = [], [], []
+    real_class = deciders._card_class
+
+    def card_class(t, rows):
+        seen.append((current[0], tuple(rows)))
+        return real_class(t, rows)
+
+    _spy_class_walks(monkeypatch, current, lambda t: walks.append(t) or len(walks))
+    monkeypatch.setattr(deciders, "_card_class", card_class)
+    assert recon_number(_seeded_graph(9, 9, 18), "vertex", "forall").value == 3
+    assert seen and len(set(seen)) == len(seen)
 
 
 SPIDER = Graph(7, [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5), (4, 6)])  # twins 1, 2 and 5, 6
@@ -380,3 +425,34 @@ def test_recon_number_builds_only_its_own_decks(monkeypatch, kind, g, quantifier
     assert (subdeck.kind, subdeck.cards, subdeck.certs) == (kind, rebuilt.cards, rebuilt.certs)
     assert subdeck == rebuilt and hash(subdeck) == hash(rebuilt)
     assert subdeck_contained(subdeck, full)
+
+
+def test_recon_number_ignores_the_labeling():
+    # the walks visit extensions and deletions in label order, so a
+    # relabeled graph takes other paths to the same values and the same
+    # witness and counterexample card multisets
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def case(draw):
+        kind = draw(st.sampled_from(["vertex", "edge"]))
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+        n = rng.randint(5, 9)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        m = rng.randint(0, len(pairs)) if kind == "vertex" else rng.randint(1, min(12, len(pairs)))
+        return kind, Graph(n, rng.sample(pairs, m)), draw(st.permutations(range(n)))
+
+    @hypothesis.settings(derandomize=True, deadline=None, database=None, max_examples=40)
+    @hypothesis.given(case())
+    def check(drawn):
+        kind, g, perm = drawn
+        moved = permute(g, perm)
+        for quantifier in ("exists", "forall"):
+            a, b = recon_number(g, kind, quantifier), recon_number(moved, kind, quantifier)
+            assert a.value == b.value
+            for x, y in ((a.witness, b.witness), (a.counterexample, b.counterexample)):
+                assert (x is None) == (y is None)
+                assert x is None or x.certs == y.certs
+
+    check()
