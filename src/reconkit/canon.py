@@ -6,20 +6,14 @@ Concretely it is the graph6 line of a canonical representative, found by
 individualization-refinement search with pruning by discovered
 automorphisms, assembled component by component. Components go through
 the same memo as whole graphs, so a labeled component that recurs across
-cards, candidates or deletions is searched once. A leaf whose code
-equals the first or the best leaf's code gives an automorphism, and the
-search jumps back to where the two leaves' paths part instead of
-walking the equivalent subtree: the line and rook graphs the tests pin
-take at most n leaves in every labeling tried. A node whose non-singleton
-cells are all twin classes ends the search below it in one leaf (see
-_Search), so edgeless and complete graphs, stars and complete
-multipartite graphs whose parts differ in size take one leaf.
-
-Refinement holds one bitmask per cell, so a vertex's neighbor count in
-a cell is one popcount, and each round re-splits only the non-singleton
-cells, in place. It yields the ordered partition that sorting every
-vertex by (cell, neighbor-cell counts) yields (see _refine), so
-certificates are the same bytes as with a neighbor-by-neighbor walk.
+cards, candidates or deletions is searched once. An automorphism found
+at a leaf makes the search jump back (see _Search): the line and rook
+graphs the tests pin take at most n leaves in every labeling tried. A
+node whose non-singleton cells are all twin classes ends the search
+below it in one leaf, so edgeless and complete graphs, stars and
+complete multipartite graphs whose parts differ in size take one leaf.
+Refinement (_refine) holds one bitmask per cell, so a neighbor count is
+one popcount, and gives the certificates of a neighbor-by-neighbor walk.
 """
 
 from __future__ import annotations

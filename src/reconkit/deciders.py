@@ -9,11 +9,12 @@ G - (S | T), so any two card classes agree on deletions of equal size
 1..c, and then on size min(c, n') (n' the card order): an agreement of
 s < n' vertices grows to s + 1 by deleting any further vertex and its
 image under the isomorphism.  The pair test (_pair_test, also two_lvd)
-walks that one size, C(n', min(c, n')) deletion sets per card; a pair
-without an agreement refutes the deck.  Yes: the first card, glued to c
-new vertices through its c-vertex agreement with each other class, over
-the 2^(c*c) choices of edges the two cards cannot see, is a preimage once
-subdeck_check accepts it.  The front end is not charged to the search's
+walks that one size, C(n', min(c, n')) deletion sets per card, under the
+deletion-set cap and never more than the C(n'+c, c) the search needs; a
+pair without an agreement refutes the deck.  Yes: the first card, glued
+to c new vertices through its c-vertex agreement with each other class,
+over the 2^(c*c) choices of edges the two cards cannot see, is a preimage
+once subdeck_check accepts it.  The front end is not charged to the search's
 budget, so it also answers some decks the search would refuse; what it
 leaves open goes to the search.
 
@@ -71,22 +72,10 @@ round's twin patterns, charged before it starts), per last-round
 candidate, per deletion a candidate's walk keys and per certificate of a
 match, and refused past SEARCH_BUDGET units; its order is fixed, so a
 refusal is too.  Deck checks, recon walks and the front end are uncharged.
-
-Reconstruction numbers test many subdecks of one deck.  profile_identifies
-walks the one-vertex (one-edge) extensions of each card class once and
-reduces each extension to its coverage, which serves every subdeck tested
-whose first card is of that class.  An edge class walk is _coverage over
-_extensions.  A vertex class walk visits only graphs H_A, the card C plus
-a vertex x joined to a set A, so it keys H_A - u, for u in C, from tables
-built once per class (_extension_tables): with a = A - u, the key is
-key(C - u) + the sum over w in a of 63 * 64^(w's degree in C - u) +
-64^|a|.  The sum is additive over the bits of a, so two half-width
-subset-sum tables per u give each deletion's key from two lookups and a
-popcount.  H_A - u and H_(A ^ {u}) - u are one labeled graph, so the card
-class of a key hit is memoised per walk by (u, a), which halves the
-certifying stages.  It is not a twin memo: it joins one labeled card
-reached from two extensions, where a twin memo joins isomorphic cards of
-one extension, and the walked graphs have too few twins for that to pay.
+A unit costs from microseconds to tenths of a millisecond, the most when
+it certifies a graph with large twin classes: two E12 cards at c = 2
+answer in 0.4 s, one P7 card at c = 3 is refused after about 4 s, and one
+E20 card at c = 3 after 10 to 17 s (2 vCPU, CPython 3.11.7).
 """
 
 from __future__ import annotations
@@ -95,7 +84,7 @@ from collections import Counter
 from functools import partial
 from itertools import combinations, islice, product
 from math import comb, prod
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .canon import certificate_rows, find_isomorphism
 from .deck import DELETION_SETS_CAP, Deck, check_deletion_sets
@@ -156,30 +145,19 @@ def _degree_profile(rows: Sequence[int]) -> tuple[int, ...]:
 # degree-class kernel
 
 
-class _Shape:
+class _Shape(NamedTuple):
     """A rows-graph with its degree classes (degree -> vertex mask), packed
     degree histogram `key` and edge count, built by _shape alone, so edge
     candidates carry classes too.  A search candidate's `undo` is the c
     vertices or c edges whose deletion gives back the first card; the
     graphs of deck checks have none."""
 
-    __slots__ = ("n", "rows", "classes", "key", "m", "undo")
-
-    def __init__(
-        self,
-        n: int,
-        rows: Sequence[int],
-        classes: dict[int, int],
-        key: int,
-        m: int,
-        undo: Optional[tuple],
-    ):
-        self.n = n
-        self.rows = rows
-        self.classes = classes
-        self.key = key
-        self.m = m
-        self.undo = undo
+    n: int
+    rows: Sequence[int]
+    classes: dict[int, int]
+    key: int
+    m: int
+    undo: Optional[tuple]
 
 
 def _shape(n: int, rows: Sequence[int], undo: Optional[tuple] = None) -> _Shape:
@@ -418,7 +396,9 @@ def _check_targets(g: Graph, d: Deck, c: int) -> tuple[_DeckTargets, int]:
 
 
 def deck_check(g: Graph, d: Deck, c: int) -> bool:
-    """VDC_c / EDC_c: is d exactly the c-deletion deck of g?"""
+    """VDC_c / EDC_c: is d exactly the c-deletion deck of g?  It walks
+    only a deck that already has all C(n, c) (C(m, c)) cards, so it needs
+    no deletion-set cap."""
     t, deletions = _check_targets(g, d, c)
     return len(d) == deletions and _sub_match(_shape(g.n, g.rows), t)
 
@@ -592,13 +572,17 @@ def _subset_sums(base: int, steps: Sequence[int]) -> list[int]:
 
 
 def _extension_tables(card: Graph) -> list[tuple[list[int], list[int]]]:
-    """Packed degree histograms of H_A - u, H_A the card plus a vertex x
+    """Packed degree histograms of H_A - u, H_A the card C plus a vertex x
     joined to the vertex mask A: per card vertex u, then for no u (H_A
     itself), a pair (lo, hi) of subset-sum tables over the low h =
-    ceil(n/2) and the high vertices, so that with a = A minus u the key is
-    lo[a mod 2^h] + hi[a >> h] + 64^|a|.  x has degree |a| and lifts each
-    vertex of a from its degree d in the card minus u to d + 1, which
-    moves it one 6-bit field up: 63 * 64^d."""
+    ceil(n/2) and the high vertices.  With a = A minus u, the key is
+
+        key(C - u) + sum over w in a of 63 * 64^(w's degree in C - u) + 64^|a|
+        = lo[a mod 2^h] + hi[a >> h] + 64^|a|:
+
+    x has degree |a| and lifts each vertex of a from its degree d in C - u
+    to d + 1, which moves it one 6-bit field up.  The sum is additive over
+    the bits of a, so the two half-width tables hold it."""
     n, rows = card.n, card.rows
     h = (n + 1) // 2
     out = []
@@ -630,14 +614,15 @@ class _Blockers:
     on j >= i and g's degree histogram can be g, so only such an H is
     certified.  Edge extensions are walked by _coverage.  A vertex
     extension H_A (card i plus a vertex joined to A) keys each H_A - u
-    from card i's tables (_extension_tables), and the class walk looks up
-    a key hit's card class once per (u, A - u): H_(A ^ {u}) - u is the
-    same labeled graph.  That memo is not a twin memo, which would join
-    isomorphic cards of one H (see the module docstring).  Class i's walk
-    starts on first use, against the targets of d's classes from i on (a
-    slice of d's class table, so no deck is rebuilt), and resumes only
-    until a tested profile is blocked or the walk ends; the coverages
-    found so far are kept as an antichain, so no class is walked twice.
+    from two of card i's subset-sum tables (_extension_tables) and a
+    popcount.  H_(A ^ {u}) - u is the same labeled graph, so the walk
+    memoises a key hit's card class by (u, A - u), which halves the
+    certifying stages.  It is not a twin memo, which would join isomorphic
+    cards of one H (see the module docstring).  Class i's walk starts on
+    first use, against the targets of d's classes from i on (a slice of
+    d's class table, so no deck is rebuilt), and resumes only until a
+    tested profile is blocked or the walk ends; the coverages found so far
+    are kept as an antichain, so no class is walked twice.
     """
 
     def __init__(self, g: Graph, d: Deck):
@@ -803,17 +788,10 @@ def _glued(
 
 def find_preimage(d: Deck, c: int, mode: str) -> Optional[Graph]:
     """One preimage of d (pure: deck equality; sub: containment), or None
-    when no graph has d.
-
-    Sub-mode vertex decks with two or more card classes first pass a
-    certifying front end.  Two cards G - S and G - T of one graph share
-    G - (S | T), so any two card classes have isomorphic deletions of
-    min(c, n') vertices each (C(n', min(c, n')) deletion sets per card);
-    when a pair has none, the answer is no.  When c <= n', the first card
-    is glued to each other class through their c-vertex agreement, and a
-    glued graph that subdeck_check accepts is returned.  Only then does
-    the exhaustive search decide, under its budget.
-    """
+    when no graph has d.  Sub-mode vertex decks with two or more card
+    classes first pass the certifying front end (see the module
+    docstring); only then does the exhaustive search decide, under its
+    budget."""
     t = _targets(d, c, mode)
     if t is None:
         return None
@@ -824,7 +802,7 @@ def find_preimage(d: Deck, c: int, mode: str) -> Optional[Graph]:
             return None
         # the glued candidates' deck walks, (classes - 1) 2^(c*c) C(n0+c, c),
         # within the deletion-set cap; counted only once c <= n0 holds, so
-        # that the agreements have c vertices
+        # that the agreements have c vertices and a huge c costs nothing
         if c <= n0 and len(agreements) * comb(n0 + c, c) << c * c <= DELETION_SETS_CAP:
             for b, (x, y) in zip(t.cards[1:], agreements):
                 for g in _glued(t.cards[0], x, b, y):

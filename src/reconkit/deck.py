@@ -98,7 +98,8 @@ class Deck:
     def classes(self) -> list[tuple[bytes, tuple[Graph, ...]]]:
         """(certificate, cards) per isomorphism class, in certificate order,
         the cards in deck order: the certificates are sorted, so each class
-        is a contiguous run."""
+        is a contiguous run.  The deciders, recon and verify read decks
+        through this card-class table."""
         runs = groupby(zip(self.certs, self.cards), key=lambda t: t[0])
         return [(cert, tuple(card for _, card in run)) for cert, run in runs]
 
@@ -106,7 +107,9 @@ class Deck:
 def check_deletion_sets(count: int) -> None:
     """Refuse a walk over more than DELETION_SETS_CAP deletion sets before
     it starts: the walks are exhaustive, so past the cap they would run for
-    hours rather than fail."""
+    hours rather than fail.  build_deck (so also the gi_to_lvd and
+    gi_to_led gadgets), subdeck_check, the deck each preimage-search
+    candidate is matched against and the front end's pair test check it."""
     if count > DELETION_SETS_CAP:
         raise CapacityError(
             f"{_count_text(count)} deletion sets exceed the {DELETION_SETS_CAP} cap"

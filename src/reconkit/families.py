@@ -27,8 +27,6 @@ from .graph import (
     union,
 )
 
-FAMILY_ORDER_CAP = CERTIFICATE_ORDER_CAP - 1  # cards must be certifiable
-
 
 def clique_union_pair(n: int) -> tuple[Graph, Graph]:
     """The order-n pair (K_{t+1} u K_{t-1}, 2K_t), t = n // 2, with an
@@ -80,7 +78,8 @@ def _selector_graph(
 
 def _selector_order(k: int, n: int, what: str, extra: int = 0) -> int:
     """(2^(k-1) + 1) n + k + extra, checked against the certificate cap;
-    k > 7 alone passes it, so 2^(k-1) is built only for smaller k."""
+    k > 7 alone passes it, so 2^(k-1) is built only for smaller k, and the
+    message names an order past 2^7 by its bit count."""
     if k < 2 or n < 1:
         raise InputError(f"need k >= 2 and n >= 1, got k={k}, n={n}")
     bits = CERTIFICATE_ORDER_CAP.bit_length()

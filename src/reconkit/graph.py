@@ -4,6 +4,11 @@ A graph is immutable and stored as its order and adjacency bitmask rows,
 which is what every hot loop in the toolkit works on; `edges` is derived
 from the rows.  Only Graph(n, edges) and graph6_decode validate their
 input: every derived graph is built from rows by Graph._from_rows.
+
+The other modules share this rows kernel: delete_vertices_rows and
+delete_edges_rows are the one implementation of each deletion, behind
+delete_vertices/delete_edges, the decks and the preimage search, and
+relabel_rows is behind permute and the canonical search.
 """
 
 from __future__ import annotations

@@ -3,6 +3,11 @@
 Each constructor produces the target-problem instance for a pair of
 connected graphs.  The sweeps that check each target decision against
 are_isomorphic on the source pair live in `verify`.
+
+gi_to_led, gi_to_kedc, gi_to_klvd and gi_to_kled refuse, from (n, c, k)
+alone and before they build, a card order certificates cannot reach
+(check_certificate_order).  gi_to_lvd's cards have order n + 1, so
+build_deck refuses it on its C(n + c + 1, c) deletion sets instead.
 """
 
 from __future__ import annotations

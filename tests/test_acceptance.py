@@ -49,3 +49,61 @@ def test_deck_uniqueness_fails_when_a_class_is_lost(monkeypatch):
     passed, detail = verify.check_deck_uniqueness()
     assert not passed
     assert "155 classes on 6 vertices, not 156" in detail
+
+
+def _faults():
+    # (sweep, name `verify` imports, the faulty stand-in built from the real
+    # one, a phrase of the failure report)
+    from reconkit.deck import Deck
+    from reconkit.graph import complement, empty_graph, graph6_encode, union
+
+    return [
+        ("line-graph-deck-identity", "line_graph",
+         lambda real: lambda g: union([real(g), empty_graph(1)]), "identity failures"),
+        ("two-card-equivalence", "two_lvd",
+         lambda real: lambda g1, g2, c: True, "274 pairs, "),
+        ("rich-decks", "many_preimage_deck",
+         lambda real: lambda k, n: Deck("vertex", real(k, n).cards[1:]),
+         "(k=2,n=1): bad deck shape"),
+        ("rich-decks", "many_preimage_graphs",
+         lambda real: lambda k, n: real(k, n)[:1] * 2**n,
+         "(k=2,n=2): preimages not pairwise distinct"),
+        ("rich-decks", "many_preimage_graphs",
+         lambda real: lambda k, n: real(k, n)[1:], "(k=2,n=1): expected 2 preimages"),
+        ("rich-decks", "many_preimage_graphs",
+         lambda real: lambda k, n: tuple(map(complement, real(k, n))),
+         "(k=2,n=2): preimage misses the deck"),
+        ("clique-pair-numbers", "recon_number",
+         lambda real: lambda g, kind, q: real(g, kind, q)._replace(
+             value=real(g, kind, q).value + 1),
+         "n=4: exists 4 != 3; n=4: forall 5,5 != 4"),
+        ("clique-pair-numbers", "clique_union_pair",
+         lambda real: lambda n: (real(n)[0],) * 2, "n=4: shared cards 4 != 3"),
+        ("clique-union-propagation", "is_clique_union",
+         lambda real: lambda g: g.n == 4 or real(g), "counterexamples over n=5..7"),
+        ("whitney", "line_graph",
+         lambda real: lambda g: empty_graph(g.m), "collisions; triangle/star control ok"),
+        ("whitney", "are_isomorphic",
+         lambda real: lambda g, h: False, "0 collisions; triangle/star control BROKEN"),
+        ("iso-engine", "certificate",
+         lambda real: lambda g: graph6_encode(g).encode(),
+         "relabeling mismatches; order-5 certificates distinct"),
+        ("graph6", "graph6_decode",
+         lambda real: lambda line: complement(real(line)),
+         "round-trip failures; hand encodings ok"),
+    ]
+
+
+FAULTS = _faults()
+
+
+@pytest.mark.parametrize(
+    "sweep, name, fault, report", FAULTS, ids=[f"{f[0]}-{f[1]}" for f in FAULTS]
+)
+def test_sweep_fails_on_a_planted_fault(monkeypatch, sweep, name, fault, report):
+    # a sweep that cannot fail checks nothing: each one reports FAIL when a
+    # name it imports is replaced by a faulty stand-in
+    monkeypatch.setattr(verify, name, fault(getattr(verify, name)))
+    result = run_sweep(sweep)
+    assert not result.passed
+    assert report in result.detail

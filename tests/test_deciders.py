@@ -223,6 +223,8 @@ def test_legit_edge_pure_against_all_cards_route():
 
 def test_two_lvd_examples():
     assert two_lvd(K2, empty_graph(2), 1)
+    # two order-0 cards have no deletion of 1..c vertices to agree on
+    assert not any(two_lvd(Graph(0), Graph(0), c) for c in (1, 2))
     assert not two_lvd(K3, empty_graph(3), 1)
     assert two_lvd(K3, empty_graph(3), 2)
     with pytest.raises(InputError):
@@ -872,6 +874,52 @@ def test_answers_are_relabeling_invariant():
                     outcomes.add((mode, found, count > 0))
     assert {("pure", True), ("pure", False), ("sub", True), ("sub", False)} <= outcomes
     assert {("sub", True, True), ("sub", False, False)} <= outcomes
+
+
+def test_deck_answers_ignore_the_labeling():
+    # the seeded test above as a bounded fuzz on 5-9 vertices: the checks of
+    # g and of another graph, and the preimage decisions, on a full deck, a
+    # two-card subdeck and a mixed deck, each against relabeled cards
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def case(draw):
+        kind = draw(st.sampled_from(["vertex", "edge"]))
+        c = draw(st.sampled_from([1, 2]))
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+        n = rng.randint(5, 9)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        m = rng.randint(0, len(pairs)) if kind == "vertex" else rng.randint(c, min(12, len(pairs)))
+        g, other = (Graph(n, rng.sample(pairs, m)) for _ in range(2))
+        return kind, c, g, other, rng
+
+    outcomes = set()
+
+    @hypothesis.settings(derandomize=True, deadline=None, database=None, max_examples=30)
+    @hypothesis.given(case())
+    def check(drawn):
+        kind, c, g, other, rng = drawn
+        moved, other_moved = (permute(x, rng.sample(range(x.n), x.n)) for x in (g, other))
+        legit = legit_vertex if kind == "vertex" else legit_edge
+        full = build_deck(g, kind, c)
+        sub = Deck(kind, rng.sample(full.cards, 2))
+        mixed = Deck(kind, full.cards[:1] + build_deck(other, kind, c).cards[-1:])
+        for deck, mode in ((full, "pure"), (sub, "sub"), (mixed, "sub")):
+            relabeled = _relabeled(deck, rng)
+            decide = deck_check if mode == "pure" else subdeck_check
+            for x, y in ((g, moved), (other, other_moved)):
+                answer = decide(x, deck, c)
+                assert decide(y, relabeled, c) == answer
+                outcomes.add((mode, answer))
+            found = find_preimage(deck, c, mode) is not None
+            assert (find_preimage(relabeled, c, mode) is not None) == found
+            assert legit(deck, c, mode) == legit(relabeled, c, mode) == found
+            outcomes.add((kind, mode, found))
+
+    check()
+    assert {("pure", True), ("pure", False), ("sub", True), ("sub", False)} <= outcomes
+    assert {(kind, "sub", found) for kind in ("vertex", "edge") for found in (True, False)} <= outcomes
 
 
 def test_one_walk_matches_built_decks():

@@ -2,11 +2,10 @@ from collections import Counter
 
 import pytest
 
-from reconkit.canon import are_isomorphic, certificate
+from reconkit.canon import CERTIFICATE_ORDER_CAP, are_isomorphic, certificate
 from reconkit.deck import build_deck, subdeck_contained
 from reconkit.errors import CapacityError, InputError
 from reconkit.families import (
-    FAMILY_ORDER_CAP,
     clique_union_pair,
     is_clique_union,
     many_preimage_deck,
@@ -33,10 +32,10 @@ def test_clique_union_pair_small():
 
 
 def test_clique_union_pair_order_cap():
-    a, b = clique_union_pair(FAMILY_ORDER_CAP)
-    assert FAMILY_ORDER_CAP == 63 and a.n == b.n == 63
+    a, b = clique_union_pair(CERTIFICATE_ORDER_CAP - 1)
+    assert CERTIFICATE_ORDER_CAP - 1 == 63 and a.n == b.n == 63
     with pytest.raises(CapacityError):
-        clique_union_pair(FAMILY_ORDER_CAP + 1)
+        clique_union_pair(CERTIFICATE_ORDER_CAP)
 
 
 def test_clique_union_pair_shared_cards():

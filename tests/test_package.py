@@ -71,7 +71,8 @@ def test_bare_import_loads_no_layer_until_one_is_used():
 
 
 def test_result_types_keep_their_contract():
-    # the fields callers read, equality, immutability and repr of the four results
+    # the fields callers read, equality, immutability and repr of the four
+    # results, and the immutability and repr of a deck
     import math
 
     from reconkit import (
@@ -101,7 +102,7 @@ def test_result_types_keep_their_contract():
     assert not ReductionReport(4, ("n=3 g=Bw h=Bw expected=True got=False",)).ok
     assert found == enum_preimages(deck, 1, "sub")
     for value, field in [(rn, "value"), (result, "name"), (report, "checked"),
-                         (found, "preimages")]:
+                         (found, "preimages"), (deck, "kind")]:
         with pytest.raises(AttributeError):
             setattr(value, field, None)
         assert repr(value).startswith(f"{type(value).__name__}({field}=")
@@ -119,6 +120,7 @@ def _guard_calls():
         build_deck,
         complete_graph,
         copies,
+        deck_from_text,
         gi_to_kedc,
         gi_to_kled,
         gi_to_klvd,
@@ -141,6 +143,8 @@ def _guard_calls():
         ("edge deck c > m", lambda: subdeck_check(path_graph(3), edge_cards, 3),
          InputError, "cannot delete 3 edges from 2 edges"),
         ("unknown deck kind", lambda: Deck("bogus", []), InputError, "unknown deck kind"),
+        ("deck file kind", lambda: deck_from_text("Bw\n", kind="bogus", source="x.g6"),
+         InputError, "^x\\.g6: unknown deck kind 'bogus'$"),
         ("build_deck c < 0", lambda: build_deck(k3, "vertex", -1), InputError, ">= 0"),
         ("build_deck endvertex", lambda: build_deck(k3, "endvertex", 1), InputError,
          "must be vertex or edge"),
@@ -192,3 +196,21 @@ def test_zero_copies_is_the_empty_graph():
     from reconkit import complete_graph, copies, empty_graph
 
     assert copies(complete_graph(3), 0) == empty_graph(0)
+
+
+def test_readme_module_table_is_the_export_contract():
+    # one row per module of the package, naming every name it exports
+    import re
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    overview = readme.split("## Library overview", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in overview.splitlines():
+        row = re.match(r"\| `(\w+)` +\|(.*)\|$", line)
+        if row:
+            assert row[1] not in rows, f"two rows for {row[1]}"
+            rows[row[1]] = row[2]
+    assert sorted(rows) == sorted(reconkit._MODULE_EXPORTS)
+    for name in reconkit.__all__:
+        module = reconkit._HOME[name]
+        assert re.search(rf"`{name}[`(]", rows[module]), f"{name} not in the {module} row"
