@@ -32,11 +32,8 @@ listed last, so it is the walk's last deletion, which is skipped.  Pure
 mode (deck equality) is containment of a full-size deck: a multiset of
 C(n, c) cards (C(m, c) for edge decks) lies in the deck exactly when it
 equals it, so card counts are compared first and only equal sizes are
-walked.  An edge walk takes a key hit through the later stages once per
-twin orbit (graph.twin_orbits), every deletion still keyed and charged; a
-vertex walk would save 4% (recon-enum's walked graphs have 149,295
-vertices in 143,377 twin classes), so the vertex walks of deck checks and
-the search have no memo.
+walked.  A walk takes a key hit through the later stages once per twin
+orbit (graph.twin_orbits), every deletion still keyed and charged.
 
 Degree-class prefilter: a graph is kept with its degree classes (degree r
 -> bitmask of the vertices of degree r) and its degree histogram packed
@@ -350,19 +347,16 @@ def _coverage(s: _Shape, t: _DeckTargets, exhaust: bool) -> list[int]:
         return cov
     start = left + misses  # each deletion keyed takes one from left or misses
     keyed = _keyer(s, t.kind)
-    orbit = None  # an edge walk's orbit keyer, and key -> card class, from its first hit
+    orbit = None  # the orbit keyer, and key -> card class, from the first hit
     for drop in islice(combinations(space, c), walked):
         hit = t.by_key.get(keyed(drop))
         if hit and any(cov[j] < mults[j] for j in hit):
-            if t.kind == "vertex":
-                j = _card_class(t, card_rows(s.rows, drop))
-            else:
-                if orbit is None:
-                    orbit, memo = twin_orbits(n, s.rows), {}
-                key = orbit(drop)
-                if key not in memo:
-                    memo[key] = _card_class(t, card_rows(s.rows, drop))
-                j = memo[key]
+            if orbit is None:
+                orbit, memo = twin_orbits(n, s.rows), {}
+            key = orbit(drop)
+            if key not in memo:
+                memo[key] = _card_class(t, card_rows(s.rows, drop))
+            j = memo[key]
             if j is not None and cov[j] < mults[j]:
                 cov[j] += 1
                 left -= 1
@@ -617,12 +611,14 @@ class _Blockers:
     from two of card i's subset-sum tables (_extension_tables) and a
     popcount.  H_(A ^ {u}) - u is the same labeled graph, so the walk
     memoises a key hit's card class by (u, A - u), which halves the
-    certifying stages.  It is not a twin memo, which would join isomorphic
-    cards of one H (see the module docstring).  Class i's walk starts on
+    certifying stages; _coverage's twin memo would need each H's twin
+    classes, which the tables never build.  Class i's walk starts on
     first use, against the targets of d's classes from i on (a slice of
-    d's class table, so no deck is rebuilt), and resumes only until a
-    tested profile is blocked or the walk ends; the coverages found so far
-    are kept as an antichain, so no class is walked twice.
+    d's class table, so no deck is rebuilt).  `coverages(i)` yields the
+    coverages found so far, kept as an antichain, then resumes the walk,
+    so no class is walked twice and each consumer stops it where it has
+    its answer: `identifies` at the first coverage that covers a profile,
+    recon's universal number once no larger sum is possible.
     """
 
     def __init__(self, g: Graph, d: Deck):
@@ -676,31 +672,35 @@ class _Blockers:
             ):
                 yield tuple(cov)
 
-    def identifies(self, profile: Sequence[int]) -> bool:
-        i = next(j for j, count in enumerate(profile) if count)
-        need = profile[i:]
+    def coverages(self, i: int) -> Iterator[tuple[int, ...]]:
+        """Class i's walk as an antichain of coverages: those kept so far,
+        then each new one the walk finds, kept as it is yielded."""
         if i not in self.walks:
             self.walks[i] = (self._walk(_DeckTargets(self.deck, 1, i)), [])
         walk, found = self.walks[i]
-        if any(_covers(v, need) for v in found):
-            return False
-        for cov in walk:  # resumes where the last test stopped
+        yield from found
+        for cov in walk:  # resumes where the last consumer stopped
             if any(_covers(v, cov) for v in found):
                 continue
             found[:] = [v for v in found if not _covers(cov, v)]
             found.append(cov)
-            if _covers(cov, need):
-                return False
-        return True
+            yield cov
+
+    def identifies(self, profile: Sequence[int]) -> bool:
+        """No coverage of the profile's first class covers the profile."""
+        i = next(j for j, count in enumerate(profile) if count)
+        return not any(_covers(cov, profile[i:]) for cov in self.coverages(i))
 
 
-def profile_identifies(g: Graph, d: Deck) -> Callable[[Sequence[int]], bool]:
-    """For g and its full 1-deletion deck d (vertex or edge kind), a test
-    of nonempty count profiles over d's card classes, in certificate
-    order: does the subdeck with that many cards of each class identify g
-    among graphs of its order (and edge count, for edge decks)?  The tests
-    share one lazy walk per card class (see _Blockers)."""
-    return _Blockers(g, d).identifies
+def profile_identifies(g: Graph, d: Deck) -> _Blockers:
+    """The blockers of g's full 1-deletion deck d (vertex or edge kind),
+    over nonempty count profiles of d's card classes in certificate order:
+    `identifies(profile)` says whether the subdeck with that many cards of
+    each class identifies g among graphs of its order (and edge count, for
+    edge decks), and the largest sum `coverages(i)` yields is the most
+    cards of classes i, i+1, ... that an extension of card i other than g
+    shares with g.  Both share one lazy walk per card class (_Blockers)."""
+    return _Blockers(g, d)
 
 
 # --- certifying front end ---------------------------------------------------

@@ -7,21 +7,31 @@ the universal ones require every collection of that size to identify
 (Harary & Plantholt, J. Graph Theory 1985).
 
 Cards with one certificate are interchangeable, so a collection is a
-count profile over g's card classes.  Profiles are tried by size, and in
-lexicographic order within a size; the first that identifies is the
-existential witness, and the first that does not, one size below the
-universal number, its counterexample.  Each test asks
-deciders.profile_identifies, which shares one lazy walk of each card
-class's extensions among all the profiles of a call.  Identification is
-monotone under adding cards, so when the full deck does not identify,
-both loops run out and the number is infinite.
+count profile over g's card classes.  The existential number tries
+profiles by size, and in lexicographic order within a size; the first
+that identifies is its witness.  Identification is monotone under adding
+cards, so when the full deck does not identify, the number is infinite.
+
+Every collection of v cards identifies g exactly when no graph h not
+isomorphic to g in its universe shares v cards with g.  So the universal
+number is one more than the most cards g shares with such an h (Myrvold's
+adversary number), 0 in a one-class universe, where the empty collection
+identifies, and infinite when some h has g's whole deck.  An h sharing
+cards of g's classes i, i+1, ... and no earlier one extends card i, and
+the walk of card i's extensions counts them (deciders.profile_identifies
+gives its coverages).  The walks run in class order until the classes
+left hold no more cards than the most found.  The counterexample is the
+first profile one card below the value, in the order the existential
+search tries them, that does not identify.  The profile tests and
+coverages of a call share one lazy walk per card class.
 
 No collection of at most two vertex cards identifies a graph g on n >= 3
 vertices (Harary & Plantholt): the cards come from some u != v, and
 toggling the pair uv gives h with h - u = g - u and h - v = g - v but
-one edge more or less, so h is not g.  Both vertex loops start at size 3,
-and `identifies` answers such collections without a walk; the edge
-numbers have no such bound.
+one edge more or less, so h is not g.  So the existential vertex search
+starts at size 3, the universal one starts from two shared cards, and
+such collections are answered without a walk; the edge numbers have no
+such bound.
 """
 
 from __future__ import annotations
@@ -48,8 +58,10 @@ THRESHOLD_PROBLEMS = {
 
 class ReconNumber(NamedTuple):
     """Value in the naturals plus infinity (math.inf), with an identifying
-    witness subdeck for the existential numbers and a non-identifying
-    counterexample subdeck (one card smaller) for the universal ones."""
+    witness subdeck for the existential numbers and, for the universal
+    ones, a counterexample: the first subdeck one card smaller than the
+    value, in profile order, that does not identify (module docstring).
+    An infinite value has neither, nor has a universal 0."""
 
     value: float
     witness: Optional[Deck] = None
@@ -116,7 +128,7 @@ def identifies(g: Graph, s: Deck, kind: str) -> bool:
         return _universe_is_singleton(g, kind)
     counts = query.cert_counter()
     profile = [counts[cert] for cert, _ in deck.classes()]
-    return profile_identifies(g, deck)(profile)
+    return profile_identifies(g, deck).identifies(profile)
 
 
 def _profiles(mults: list[int], size: int) -> Iterator[tuple[int, ...]]:
@@ -138,9 +150,12 @@ def _profiles(mults: list[int], size: int) -> Iterator[tuple[int, ...]]:
 def recon_number(g: Graph, kind: str, quantifier: str) -> ReconNumber:
     """Minimum subdeck size that identifies g: for SOME size-m multisubset
     of the 1-deletion deck (exists) or for EVERY one (forall); math.inf
-    when even the full deck does not identify.  Vertex numbers of graphs
-    on n >= 3 vertices are at least 3 (module docstring), so their search
-    starts at size 3."""
+    when even the full deck does not identify.  The forall number is one
+    more than the most cards g shares with a graph of its universe that
+    is not g, found from the class walks' coverages, and its
+    counterexample is the first profile of that many cards that does not
+    identify.  Vertex numbers of graphs on n >= 3 vertices are at least 3
+    (module docstring)."""
     if quantifier not in ("exists", "forall"):
         raise InputError(f"quantifier must be exists or forall, got {quantifier!r}")
     _check_caps(g, kind)
@@ -149,10 +164,11 @@ def recon_number(g: Graph, kind: str, quantifier: str) -> ReconNumber:
     # count profiles are tested
     classes = deck.classes()
     mults = [len(cards) for _, cards in classes]
-    nonempty = profile_identifies(g, deck)
+    blockers = profile_identifies(g, deck)
+    start = 3 if kind == "vertex" and g.n >= 3 else 0  # the toggle (module docstring)
 
-    def identified(profile: tuple[int, ...]) -> bool:
-        return nonempty(profile) if any(profile) else _universe_is_singleton(g, kind)
+    def identified(p: tuple[int, ...]) -> bool:
+        return blockers.identifies(p) if any(p) else _universe_is_singleton(g, kind)
 
     def subdeck_for(profile: tuple[int, ...]) -> Deck:
         # the first cards of each class run, so still certificate-sorted
@@ -163,22 +179,26 @@ def recon_number(g: Graph, kind: str, quantifier: str) -> ReconNumber:
         ]
         return Deck._from_sorted(kind, tagged)
 
-    # sizes 0-2 all fail, so value 3's counterexample is the first size-2 one
-    start = 3 if kind == "vertex" and g.n >= 3 else 0
     if quantifier == "exists":
         for size in range(start, len(deck) + 1):
             for profile in _profiles(mults, size):
                 if identified(profile):
                     return ReconNumber(size, witness=subdeck_for(profile))
         return ReconNumber(math.inf)
-    last_failure = next(_profiles(mults, 2)) if start else None
-    for size in range(start, len(deck) + 1):
-        failure = next((p for p in _profiles(mults, size) if not identified(p)), None)
-        if failure is None:
-            counterexample = subdeck_for(last_failure) if size >= 2 else None
-            return ReconNumber(size, counterexample=counterexample)
-        last_failure = failure
-    return ReconNumber(math.inf)
+    shared = 2 if start else 0  # the toggle shares two vertex cards
+    for i in range(len(mults)):
+        rest = sum(mults[i:])  # walk i shares no more cards
+        for cov in blockers.coverages(i) if rest > shared else ():
+            shared = max(shared, sum(cov))
+            if shared == rest:
+                break
+    if shared == len(deck) or _universe_is_singleton(g, kind):
+        return ReconNumber(math.inf if shared else 0)  # a one-class universe shares none
+    # profiles below the toggle's bound are not tested
+    failure = next(
+        p for p in _profiles(mults, shared) if shared < start or not identified(p)
+    )
+    return ReconNumber(shared + 1, counterexample=subdeck_for(failure))
 
 
 def threshold(g: Graph, k: int, which: str) -> bool:

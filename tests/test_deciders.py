@@ -809,6 +809,24 @@ def test_edge_walks_certify_one_card_per_twin_orbit(monkeypatch):
     assert calls[0] <= 100
 
 
+def test_vertex_walks_classify_one_card_per_twin_orbit(monkeypatch):
+    # work bound, no clock: a vertex walk, too, takes one key hit per twin
+    # orbit through the card-class stages; K7's walk over the deck of seven
+    # K6 cards keys six deletions (the undone one is counted) and
+    # classifies one, where it classified all six without the memo
+    calls = [0]
+    real = deciders._card_class
+
+    def spy(t, rows):
+        calls[0] += 1
+        return real(t, rows)
+
+    monkeypatch.setattr(deciders, "_card_class", spy)
+    found = enum_preimages(Deck("vertex", [complete_graph(6)] * 7), 1, "pure")
+    assert [certificate(g) for g in found.preimages] == [certificate(complete_graph(7))]
+    assert calls[0] == 1
+
+
 def _relabeled(deck, rng):
     cards = []
     for card in deck.cards:

@@ -229,13 +229,15 @@ def _walked_sizes(monkeypatch):
     real = recon_module.profile_identifies
 
     def spy(g, d):
-        test = real(g, d)
+        blockers = real(g, d)
+        test = blockers.identifies
 
         def counted(profile):
             sizes.append(sum(profile))
             return test(profile)
 
-        return counted
+        blockers.identifies = counted
+        return blockers
 
     monkeypatch.setattr(recon_module, "profile_identifies", spy)
     return sizes
@@ -254,6 +256,24 @@ def test_vertex_search_starts_at_three_cards(monkeypatch, quantifier):
     for g in clique_union_pair(8):
         assert recon_number(g, "vertex", quantifier).value >= 3
     assert sizes and min(sizes) >= 3
+
+
+def test_universal_number_tests_profiles_of_one_size(monkeypatch):
+    # work bound, no clock: the universal value comes from the class walks'
+    # largest coverage sum, so profiles are tested only to pick the
+    # counterexample, one card below the value; D?K (value 5) had its
+    # profiles of 3, 4 and 5 cards tested when sizes were tried in turn
+    sizes = []
+    real = deciders._Blockers.identifies
+
+    def spy(self, profile):
+        sizes.append(sum(profile))
+        return real(self, profile)
+
+    monkeypatch.setattr(deciders._Blockers, "identifies", spy)
+    got = recon_number(graph6_decode("D?K"), "vertex", "forall")
+    assert got.value == 5 and len(got.counterexample) == 4
+    assert set(sizes) == {4}
 
 
 def test_identifies_answers_two_vertex_cards_without_a_walk(monkeypatch):

@@ -5,6 +5,7 @@ replaced, and the committed atlas of every graph on 2..7 vertices.
 witness certificates and counterexample certificates must agree exactly.
 """
 
+import math
 import random
 from collections import Counter
 from pathlib import Path
@@ -187,6 +188,40 @@ def test_atlas_vertex_numbers_are_at_least_three():
         for value in row[1:3]:
             assert value == "inf" or int(value) >= 3, row
     assert any(row[3] == "1" for row in rows)
+
+
+def test_atlas_universal_numbers_from_shared_cards():
+    # every forall cell without the class walks: one more than the most
+    # cards g's deck shares (a Counter intersection) with the deck of
+    # another graph of its universe (order n; edge count m too, for the
+    # edge kind), the sharing graphs found through an index from card
+    # certificate to decks; 0 in a one-graph universe, inf when another
+    # graph holds g's whole deck (Harary & Plantholt; Myrvold's adversary
+    # number)
+    _, rows = _atlas()
+    universes = {}
+    for row in rows:
+        g = graph6_decode(row[0])
+        for kind, column, universe in (("vertex", 2, g.n), ("edge", 4, (g.n, g.m))):
+            if row[column] != "-":
+                deck = Counter(build_deck(g, kind, 1).certs)
+                universes.setdefault((kind, universe), []).append((deck, row[column], row[0]))
+    checked = 0
+    for decks in universes.values():
+        index = {}
+        for j, (deck, _, _) in enumerate(decks):
+            for cert in deck:
+                index.setdefault(cert, set()).add(j)
+        for j, (deck, want, code) in enumerate(decks):
+            others = set().union(*(index[cert] for cert in deck)) - {j}
+            shared = max((sum((deck & decks[h][0]).values()) for h in others), default=0)
+            if len(decks) == 1:
+                value = 0
+            else:
+                value = math.inf if shared == sum(deck.values()) else shared + 1
+            assert str(value) == want, code
+            checked += 1
+    assert checked == 2_249
 
 
 def test_atlas_entries_recompute():
