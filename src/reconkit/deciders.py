@@ -347,16 +347,23 @@ def _coverage(s: _Shape, t: _DeckTargets, exhaust: bool) -> list[int]:
         return cov
     start = left + misses  # each deletion keyed takes one from left or misses
     keyed = _keyer(s, t.kind)
-    orbit = None  # the orbit keyer, and key -> card class, from the first hit
+    # the first hit is classified alone (most candidates hit once); from
+    # the second on, hits share a memo from twin-orbit key to card class
+    first = memo = None
     for drop in islice(combinations(space, c), walked):
         hit = t.by_key.get(keyed(drop))
         if hit and any(cov[j] < mults[j] for j in hit):
-            if orbit is None:
-                orbit, memo = twin_orbits(n, s.rows), {}
-            key = orbit(drop)
-            if key not in memo:
-                memo[key] = _card_class(t, card_rows(s.rows, drop))
-            j = memo[key]
+            if first is None:
+                j = _card_class(t, card_rows(s.rows, drop))
+                first = drop, j
+            else:
+                if memo is None:
+                    orbit = twin_orbits(n, s.rows)
+                    memo = {orbit(first[0]): first[1]}
+                key = orbit(drop)
+                if key not in memo:
+                    memo[key] = _card_class(t, card_rows(s.rows, drop))
+                j = memo[key]
             if j is not None and cov[j] < mults[j]:
                 cov[j] += 1
                 left -= 1

@@ -11,6 +11,22 @@ class-preserving bijection of the two sets' vertices, and a permutation
 inside twin classes is an automorphism, so the two cards are isomorphic.
 The gadgets of `reductions` pad with cliques, isolated vertices and
 disjoint edges, so their cards fall into few orbits (K8: 378 into 4).
+
+Where canon's memo holds g's canonical labeling (g was certified since
+the memo was last cleared), each orbit's card is certified as the same
+deletion from g's canonical form.  Those card rows depend only on g's
+class and the mapped set, so classes whose canonical forms share a
+labeled card, and every certified labeling of a twin-free g, share one
+memo entry (a catalog-canon pass: 6,607 canonical searches down to
+3,861).  Deck.cards still holds g's own deletions.  build_deck never
+certifies g for this, as a search of g pays back only through other
+classes' cards: certifying each connected g took the decks of `verify
+deck-uniqueness`, whose enumerated classes are their own canonical
+forms, from 1,862 searches to 2,468, and certifying the padded graphs
+of gi_to_lvd and gi_to_led, whose cards already share their untouched
+components through the component memo, made those gadget-iff items 5%
+slower.  A g past the certificate cap is never in the memo, so
+path_graph(64) still builds its 64 cards.
 """
 
 from __future__ import annotations
@@ -21,10 +37,10 @@ from itertools import combinations, groupby
 from math import comb
 from typing import Iterable, Optional, Sequence
 
-from .canon import certificate
+from .canon import _memoized_labeling, certificate, certificate_rows
 from .errors import CapacityError, InputError, _count_text
 from .graph import Graph, delete_edges_rows, delete_vertices, delete_vertices_rows
-from .graph import graph6_decode, graph6_encode, twin_orbits
+from .graph import graph6_decode, graph6_encode, relabel_rows, twin_orbits
 
 DECK_KINDS = ("vertex", "edge", "endvertex")
 DELETION_SETS_CAP = 10**5  # deletion sets one deck build or check may walk
@@ -117,7 +133,9 @@ def check_deletion_sets(count: int) -> None:
 
 
 def build_deck(g: Graph, kind: str, c: int) -> Deck:
-    """All cards obtained by deleting every c-subset of vertices or edges."""
+    """All cards obtained by deleting every c-subset of vertices or edges,
+    each twin orbit certified once, from g's canonical form if g is
+    already certified (see the module docstring)."""
     if c < 0:
         raise InputError(f"deletion count must be >= 0, got {c}")
     if kind == "vertex":
@@ -133,6 +151,11 @@ def build_deck(g: Graph, kind: str, c: int) -> Deck:
     else:
         raise InputError(f"build_deck kind must be vertex or edge, got {kind!r}")
     orbit = twin_orbits(g.n, g.rows)
+    lab = _memoized_labeling(g.n, g.rows)
+    if lab == bytes(range(g.n)):  # g is its own canonical form
+        lab = None
+    elif lab is not None:
+        base = relabel_rows(g.n, g.rows, lab)
     certs: dict[tuple, bytes] = {}  # one certificate per twin orbit
     tagged = []
     for drop in sets:
@@ -141,7 +164,12 @@ def build_deck(g: Graph, kind: str, c: int) -> Deck:
         key = orbit(drop)
         cert = certs.get(key)
         if cert is None:
-            cert = certs[key] = certificate(card)
+            if lab is not None:  # the same deletion from g's canonical form
+                moved = [lab[v] for v in drop] if kind == "vertex" else [
+                    (lab[u], lab[v]) for u, v in drop
+                ]
+                rows = card_rows(base, moved)
+            cert = certs[key] = certificate_rows(len(rows), rows)
         tagged.append((cert, card))
     tagged.sort(key=lambda t: t[0])
     return Deck._from_sorted(kind, tagged)

@@ -28,6 +28,7 @@ from reconkit.deciders import (
     two_lvd,
 )
 from reconkit.errors import CapacityError, InputError
+from reconkit.families import many_preimage_deck
 from reconkit.graph import (
     Graph,
     complete_graph,
@@ -825,6 +826,27 @@ def test_vertex_walks_classify_one_card_per_twin_orbit(monkeypatch):
     found = enum_preimages(Deck("vertex", [complete_graph(6)] * 7), 1, "pure")
     assert [certificate(g) for g in found.preimages] == [certificate(complete_graph(7))]
     assert calls[0] == 1
+
+
+def test_walks_key_twin_orbits_from_the_second_hit(monkeypatch):
+    # work bound, no clock: a walk classifies its first key hit alone, so
+    # only a candidate with a second hit builds its twin-orbit keyer; on
+    # the rich (2, 2) deck 93 candidates hit and 15 hit again
+    built, classified = [0], [0]
+    real_orbits, real_class = deciders.twin_orbits, deciders._card_class
+
+    def orbits_spy(n, rows):
+        built[0] += 1
+        return real_orbits(n, rows)
+
+    def class_spy(t, rows):
+        classified[0] += 1
+        return real_class(t, rows)
+
+    monkeypatch.setattr(deciders, "twin_orbits", orbits_spy)
+    monkeypatch.setattr(deciders, "_card_class", class_spy)
+    assert len(enum_preimages(many_preimage_deck(2, 2), 1, "sub")) == 28
+    assert (built[0], classified[0]) == (15, 108)
 
 
 def _relabeled(deck, rng):

@@ -7,7 +7,9 @@ import pytest
 
 from conftest import random_graph
 
-from reconkit.canon import are_isomorphic, certificate
+from reconkit.canon import _CERT_CACHE as canon_memo
+from reconkit.canon import CERTIFICATE_ORDER_CAP, are_isomorphic, certificate
+from reconkit.canon import clear_certificate_cache
 from reconkit.deck import (
     Deck,
     build_deck,
@@ -17,7 +19,7 @@ from reconkit.deck import (
     endvertex_deck,
     subdeck_contained,
 )
-from reconkit.errors import InputError
+from reconkit.errors import CapacityError, InputError
 from reconkit.graph import (
     Graph,
     _twin_classes,
@@ -28,6 +30,7 @@ from reconkit.graph import (
     empty_graph,
     enumerate_graphs,
     extend_rows,
+    is_connected,
     join,
     line_graph,
     path_graph,
@@ -86,21 +89,127 @@ def _twin_heavy_graphs():
     return out
 
 
-def test_build_deck_matches_certifying_every_card():
+def _matches_certifying_every_card(g, most_c):
     # slow oracle: Deck(kind, cards) certifies each card; build_deck
-    # certifies one per twin orbit and must give the same bytes
-    for g in _twin_heavy_graphs():
-        for kind, size, delete in (
-            ("vertex", g.n, delete_vertices),
-            ("edge", g.m, delete_edges),
-        ):
-            items = range(g.n) if kind == "vertex" else g.edges
-            for c in range(1, min(3, size) + 1):
-                got = build_deck(g, kind, c)
-                want = Deck(kind, [delete(g, drop) for drop in combinations(items, c)])
+    # certifies one per twin orbit, in g's own labeling or, once g is
+    # certified, as a deletion of g's canonical form, and must give the
+    # same bytes both ways. Returns the number of decks compared
+    decks = 0
+    for kind, items, delete in (
+        ("vertex", range(g.n), delete_vertices),
+        ("edge", g.edges, delete_edges),
+    ):
+        for c in range(1, min(most_c, len(items)) + 1):
+            clear_certificate_cache()
+            own = build_deck(g, kind, c)
+            certificate(g)
+            canonical = build_deck(g, kind, c)
+            want = Deck(kind, [delete(g, drop) for drop in combinations(items, c)])
+            for got in (own, canonical):
                 assert (got.kind, got.cards, got.certs, hash(got)) == (
                     want.kind, want.cards, want.certs, hash(want)
                 )
+            decks += 1
+    return decks
+
+
+def test_build_deck_matches_certifying_every_card():
+    for g in _twin_heavy_graphs():
+        _matches_certifying_every_card(g, 3)
+
+
+def test_relabeled_decks_match_certifying_every_card():
+    # a seeded relabeling of every class on 1-6 vertices, c = 1 and 2, and
+    # the disconnected graphs the gi_to_lvd and gi_to_led gadgets build
+    # decks of, for every connected source graph on 3 and 4 vertices
+    rng = random.Random(32)
+    decks = 0
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            decks += _matches_certifying_every_card(permute(g, perm), 2)
+    assert decks == 814
+    for n in (3, 4):
+        for g in filter(is_connected, enumerate_graphs(n)):
+            for c in (1, 2):
+                _matches_certifying_every_card(union([g, empty_graph(c + 1)]), c)
+                pad = [copies(complete_graph(2), c), complete_graph(n + 1)]
+                _matches_certifying_every_card(union([g] + pad), c)
+
+
+def test_build_deck_at_the_certificate_order_cap():
+    # g past the cap has no certificate, so its cards are certified as
+    # given: an order-64 path builds its deck of order-63 cards, and at
+    # order 65 the cards themselves reach the cap
+    d = build_deck(path_graph(CERTIFICATE_ORDER_CAP), "vertex", 1)
+    assert len(d) == 64 and len(set(d.certs)) == 32
+    with pytest.raises(CapacityError):
+        build_deck(path_graph(CERTIFICATE_ORDER_CAP + 1), "vertex", 1)
+
+
+def _count_searches(monkeypatch):
+    import reconkit.canon as canon
+
+    runs = [0]
+    run = canon._Search.run
+
+    def counting_run(self):
+        runs[0] += 1
+        return run(self)
+
+    monkeypatch.setattr(canon._Search, "run", counting_run)
+    return runs
+
+
+def test_certified_relabeling_builds_its_deck_without_search(monkeypatch):
+    # work bound: a certified graph's cards are certified as deletions of
+    # its canonical form, so once one labeling's deck is built, another
+    # certified labeling builds its deck with no search. The graphs are
+    # twin-free: a twin orbit is certified through its first set in the
+    # labeling's own order, which relabeling may change
+    runs = _count_searches(monkeypatch)
+    rng = random.Random(32)
+    graphs = [path_graph(7), union([path_graph(4), path_graph(5)])]
+    while len(graphs) < 9:
+        g = random_graph(rng, rng.randint(5, 9), 0.45)
+        if len(_twin_classes(g.n, g.rows)) == g.n:
+            graphs.append(g)
+    for g in graphs:
+        for kind, c in (("vertex", 1), ("vertex", 2), ("edge", 1), ("edge", 2)):
+            clear_certificate_cache()
+            certificate(g)
+            want = build_deck(g, kind, c)
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            h = permute(g, perm)
+            certificate(h)
+            runs[0] = 0
+            got = build_deck(h, kind, c)
+            assert runs[0] == 0, (g.rows, kind, c)
+            assert got == want
+
+
+def test_build_deck_never_certifies_the_graph():
+    # work bound: cards are certified from g's canonical form only where
+    # the memo already holds it, so a deck never pays a search of g: not
+    # of a padded gadget graph, whose cards share their untouched
+    # components through the component memo, nor of an enumerated class,
+    # which is its own canonical form
+    rng = random.Random(32)
+    graphs = _twin_heavy_graphs() + list(enumerate_graphs(6)[::8])
+    graphs += [union([random_graph(rng, 4, 0.6), random_graph(rng, 5, 0.5)]) for _ in range(6)]
+    for g in filter(lambda g: g.m >= 2, graphs):
+        for kind, c in (("vertex", 1), ("vertex", 2), ("edge", 1), ("edge", 2)):
+            clear_certificate_cache()
+            build_deck(g, kind, c)
+            assert not any(_is_order_and_size(key, g) for key in canon_memo), (g.rows, kind)
+
+
+def _is_order_and_size(key, g):
+    # whether a memo key (order, packed rows) has g's order and edge count
+    n, mask = key
+    return n == g.n and mask.bit_count() == 2 * g.m
 
 
 def test_equal_twin_orbit_keys_give_isomorphic_cards():
@@ -140,8 +249,10 @@ def test_build_deck_certifies_one_card_per_twin_orbit(monkeypatch):
     import reconkit.deck as deck_module
 
     calls = []
-    real = deck_module.certificate
-    monkeypatch.setattr(deck_module, "certificate", lambda g: calls.append(g) or real(g))
+    real = deck_module.certificate_rows
+    monkeypatch.setattr(
+        deck_module, "certificate_rows", lambda n, rows: calls.append(rows) or real(n, rows)
+    )
     assert len(build_deck(complete_graph(8), "edge", 2)) == 378
     assert len(calls) <= 4
     calls.clear()

@@ -419,18 +419,18 @@ def test_recon_number_builds_only_its_own_decks(monkeypatch, kind, g, quantifier
     import reconkit.recon as recon_module
 
     built, certified = [], []
-    real, real_cert = recon_module.build_deck, deck_module.certificate
+    real, real_cert = recon_module.build_deck, deck_module.certificate_rows
 
     def spy(*args):
         built.append(real(*args))
         return built[-1]
 
-    def cert_spy(card):
-        certified.append(card)
-        return real_cert(card)
+    def cert_spy(n, rows):
+        certified.append(Graph._from_rows(n, rows))
+        return real_cert(n, rows)
 
     monkeypatch.setattr(recon_module, "build_deck", spy)
-    monkeypatch.setattr(deck_module, "certificate", cert_spy)
+    monkeypatch.setattr(deck_module, "certificate_rows", cert_spy)
     got = recon_number(g, kind, quantifier)
     monkeypatch.undo()
     subdeck = got.witness if quantifier == "exists" else got.counterexample
