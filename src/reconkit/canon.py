@@ -14,6 +14,11 @@ below it in one leaf, so edgeless and complete graphs, stars and
 complete multipartite graphs whose parts differ in size take one leaf.
 Refinement (_refine) holds one bitmask per cell, so a neighbor count is
 one popcount, and gives the certificates of a neighbor-by-neighbor walk.
+It is incremental (McKay 1981; McKay & Piperno 2014). After a round each
+cell has uniform counts into every cell the round did not create, so the
+next round probes only the fresh pieces. And the round after
+individualizing a vertex v of an equitable partition splits each cell
+into v's neighbors and the rest, in that order, with no signature.
 """
 
 from __future__ import annotations
@@ -39,13 +44,19 @@ def clear_certificate_cache() -> None:
 # equitable refinement
 
 
-def _refine(n: int, rows: Sequence[int], cells: list[list[int]]) -> list[list[int]]:
-    """Refine an ordered partition to the coarsest stable one.
+def _refine(
+    n: int,
+    rows: Sequence[int],
+    cells: list[list[int]],
+    masks: list[int],
+    fresh: Optional[int] = None,
+) -> tuple[list[list[int]], list[int]]:
+    """Refine an ordered partition, with the bitmask of each cell in
+    `masks`, to the coarsest equitable one; return its cells and masks.
 
-    Each round takes one bitmask per cell. A vertex's signature is the
-    tuple of (i, popcount(rows[v] & mask[i])) over the cells i it has
-    neighbors in, in cell order; the walk stops once its row is used up.
-    Every non-singleton cell is split in place into pieces sorted by
+    A round gives each vertex of a non-singleton cell the signature
+    (i, popcount(rows[v] & masks[i])) over the cells i it has neighbors
+    in, in cell order, and splits the cell in place into pieces sorted by
     signature, all against the same round's masks, until a round splits
     nothing. This is the order of sorting all vertices by (cell index,
     sorted neighbor-cell counts): the cell index keeps each cell's pieces
@@ -53,39 +64,108 @@ def _refine(n: int, rows: Sequence[int], cells: list[list[int]]) -> list[list[in
     the cell's vertex order, ascending because the initial partition and
     every child `_descend` builds are. So the ordered partition depends
     only on the signatures and is invariant under vertex relabeling.
+
+    Fresh cells. After a round, every cell has uniform counts into every
+    cell the round started from, since its vertices shared a signature.
+    So the next round can split a cell only on its counts into the pieces
+    the round created, and it probes only those. It skips the largest
+    piece of each split cell: the count into it is the count into the
+    whole cell, uniform, minus the counts into the other pieces. A cell
+    whose probe counts agree keeps its place, and one whose counts differ
+    is signed in full as above, so its pieces come in the same order. A
+    round that splits nothing leaves nothing to probe: the partition is
+    equitable. The first round signs every cell; from the unit partition
+    the signatures are the degrees, isolated vertices first.
+
+    `fresh` = t says that `_descend` has just individualized v: cells[t]
+    is [v] and cells[t + 1] the rest of v's cell, in a partition that was
+    equitable before. Inside a cell the counts into every other cell are
+    then uniform, and so is the count into [v] and the rest together, so
+    only adjacency to v can differ. If it does, the cell's count into v's
+    old cell is positive: a neighbor of v signs (t, 1) where a
+    non-neighbor signs (t + 1, count), the rest of the signatures equal.
+    So the first round splits each cell into v's neighbors, then the
+    others, each in vertex order, with no signature, and probes the
+    smaller piece of each.
     """
-    while True:
-        masks = []
-        for cell in cells:
-            mask = 0
-            for v in cell:
-                mask |= 1 << v
-            masks.append(mask)
-        indexed = list(enumerate(masks))
+    probes = None  # the first round signs every cell
+    if fresh is not None:
+        adj = rows[cells[fresh][0]]
         out: list[list[int]] = []
-        for cell in cells:
-            if len(cell) == 1:
+        out_masks: list[int] = []
+        probes = []
+        for cell, mask in zip(cells, masks):
+            hit = mask & adj
+            if not hit or hit == mask:
                 out.append(cell)
+                out_masks.append(mask)
                 continue
-            groups: dict[tuple, list[int]] = {}
-            for v in cell:
-                row = rows[v]
-                sig = []
-                for i, mask in indexed:
-                    hit = row & mask
-                    if hit:
-                        sig.append((i, hit.bit_count()))
-                        row ^= hit
-                        if not row:
-                            break
-                groups.setdefault(tuple(sig), []).append(v)
+            near = [v for v in cell if adj >> v & 1]
+            far = [v for v in cell if not adj >> v & 1]
+            out += (near, far)
+            out_masks += (hit, mask ^ hit)
+            probes.append(hit if len(near) <= len(far) else mask ^ hit)
+        cells, masks = out, out_masks
+    while probes is None or probes:
+        indexed = None
+        out = []
+        out_masks = []
+        probes_next = []
+        for cell, mask in zip(cells, masks):
+            if len(cell) == 1 or probes and _uniform(rows, cell, probes):
+                out.append(cell)
+                out_masks.append(mask)
+                continue
+            groups: dict = {}
+            if len(masks) == 1:  # the unit partition: sort by degree
+                for v in cell:
+                    groups.setdefault(rows[v].bit_count(), []).append(v)
+            else:
+                if indexed is None:
+                    indexed = list(enumerate(masks))
+                for v in cell:
+                    row = rows[v]
+                    sig = []
+                    for i, other in indexed:
+                        hit = row & other
+                        if hit:
+                            sig.append((i, hit.bit_count()))
+                            row ^= hit
+                            if not row:
+                                break
+                    groups.setdefault(tuple(sig), []).append(v)
             if len(groups) == 1:
                 out.append(cell)
-            else:
-                out.extend(groups[key] for key in sorted(groups))
+                out_masks.append(mask)
+                continue
+            largest = 0  # probe every piece but the (first) largest
+            for key in sorted(groups):
+                piece = groups[key]
+                mask = 0
+                for v in piece:
+                    mask |= 1 << v
+                out.append(piece)
+                out_masks.append(mask)
+                if len(piece) > largest:
+                    largest = len(piece)
+                    skip = len(probes_next)
+                probes_next.append(mask)
+            del probes_next[skip]
         if len(out) == len(cells):
-            return out
-        cells = out
+            break
+        cells, masks, probes = out, out_masks, probes_next
+    return cells, masks
+
+
+def _uniform(rows: Sequence[int], cell: list[int], probes: list[int]) -> bool:
+    """Whether the cell's vertices have equal counts into every probed cell."""
+    first = rows[cell[0]]
+    for probe in probes:
+        count = (first & probe).bit_count()
+        for v in cell:
+            if (rows[v] & probe).bit_count() != count:
+                return False
+    return True
 
 
 def _twin_cell(rows: Sequence[int], cell: list[int]) -> bool:
@@ -141,12 +221,16 @@ class _Search:
         self.best_lab: Optional[list[int]] = None
         self.gens: list[tuple[int, ...]] = []
 
-    def run(self) -> tuple[int, ...]:
-        self._descend(_refine(self.n, self.rows, [list(range(self.n))]), ())
-        assert self.best_lab is not None
-        return tuple(self.best_lab)
+    def run(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The canonical labeling and the rows it relabels the graph to."""
+        n = self.n
+        self._descend(*_refine(n, self.rows, [list(range(n))], [(1 << n) - 1]), ())
+        assert self.best is not None and self.best_lab is not None
+        return tuple(self.best_lab), self.best[0]
 
-    def _descend(self, cells: list[list[int]], prefix: tuple[int, ...]) -> int:
+    def _descend(
+        self, cells: list[list[int]], masks: list[int], prefix: tuple[int, ...]
+    ) -> int:
         """Search below the node `prefix`; return the depth to resume at."""
         depth = len(prefix)
         if all(len(c) == 1 or _twin_cell(self.rows, c) for c in cells):
@@ -178,12 +262,15 @@ class _Search:
                     gens_seen = len(self.gens)
                 if find is not None and any(find(v) == find(u) for u in explored):
                     continue
+            bit = 1 << v
             child = (
                 cells[:target]
                 + [[v], [u for u in cell if u != v]]
                 + cells[target + 1:]
             )
-            resume = self._descend(_refine(self.n, self.rows, child), prefix + (v,))
+            child_masks = masks[:target] + [bit, masks[target] ^ bit] + masks[target + 1:]
+            refined = _refine(self.n, self.rows, child, child_masks, target)
+            resume = self._descend(*refined, prefix + (v,))
             if resume < depth:
                 return resume
             explored.append(v)
@@ -258,8 +345,11 @@ def _induced_rows(rows: Sequence[int], verts: list[int]) -> list[int]:
     return out
 
 
-def _labeling_rows(n: int, rows: Sequence[int]) -> tuple[int, ...]:
-    """Canonical labeling (old -> new) of an arbitrary rows-graph.
+def _labeling_rows(
+    n: int, rows: Sequence[int]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Canonical labeling (old -> new) of an arbitrary rows-graph, and the
+    rows of the canonical representative.
 
     A connected graph is searched directly. Otherwise each component is
     canonicalized through the memo (a labeled component that recurs
@@ -282,7 +372,7 @@ def _labeling_rows(n: int, rows: Sequence[int]) -> tuple[int, ...]:
         for i, v in enumerate(verts):
             lab[v] = offset + local[i]
         offset += nc
-    return tuple(lab)
+    return tuple(lab), relabel_rows(n, rows, lab)
 
 
 def check_certificate_order(order: int, what: str = "order") -> None:
@@ -315,8 +405,8 @@ def _canon_entry(n: int, rows: Sequence[int]) -> tuple[bytes, bytes]:
     cached = _CERT_CACHE.get(key)
     if cached is not None:
         return cached
-    lab = _labeling_rows(n, rows)
-    cert = graph6_encode_rows(n, relabel_rows(n, rows, lab)).encode("ascii")
+    lab, code = _labeling_rows(n, rows)
+    cert = graph6_encode_rows(n, code).encode("ascii")
     entry = (cert, bytes(lab))
     if len(_CERT_CACHE) >= _CACHE_LIMIT:
         _CERT_CACHE.clear()

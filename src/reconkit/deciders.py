@@ -71,8 +71,9 @@ match, and refused past SEARCH_BUDGET units; its order is fixed, so a
 refusal is too.  Deck checks, recon walks and the front end are uncharged.
 A unit costs from microseconds to tenths of a millisecond, the most when
 it certifies a graph with large twin classes: two E12 cards at c = 2
-answer in 0.4 s, one P7 card at c = 3 is refused after about 4 s, and one
-E20 card at c = 3 after 10 to 17 s (2 vCPU, CPython 3.11.7).
+answer in 0.3 s, one P7 card at c = 3 is refused after about 4 s, one E20
+card at c = 3 after about 10 s, and one K10,10 card at c = 3 after 17 to
+22 s (2 vCPU, CPython 3.11.7).
 """
 
 from __future__ import annotations

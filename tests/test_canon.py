@@ -601,11 +601,11 @@ def test_refine_matches_the_neighbor_walk_oracle(monkeypatch):
     calls = []
     refine = canon._refine
 
-    def spy(n, rows, cells):
+    def spy(n, rows, cells, masks, fresh=None):
         cells_in = [list(cell) for cell in cells]
-        out = refine(n, rows, cells)
+        out, out_masks = refine(n, rows, cells, masks, fresh)
         calls.append((n, tuple(rows), cells_in, [list(cell) for cell in out]))
-        return out
+        return out, out_masks
 
     monkeypatch.setattr(canon, "_refine", spy)
     rng = random.Random(85013)
@@ -626,6 +626,52 @@ def test_refine_matches_the_neighbor_walk_oracle(monkeypatch):
     assert sum(len(out) - len(cells) for _, _, cells, out in calls) > 0
     for n, rows, cells, out in calls:
         assert oracle_refine(n, rows, cells) == out, (n, rows, cells)
+
+
+def _random_partition(rng, n):
+    # an ordered partition of range(n) into ascending cells, cut from a
+    # shuffled vertex order at random places
+    verts = list(range(n))
+    rng.shuffle(verts)
+    cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1))) if n > 1 else []
+    bounds = [0] + cuts + [n]
+    return [sorted(verts[a:b]) for a, b in zip(bounds, bounds[1:]) if a < b]
+
+
+def test_refine_from_any_partition_matches_the_oracle():
+    # with no individualized cell _refine may assume nothing equitable,
+    # so its first round must sign every cell. Each stable result then
+    # gets one vertex individualized as _descend does, which takes the
+    # shortcut round
+    import reconkit.canon as canon
+
+    rng = random.Random(33)
+    splits = individualized = 0
+    for n in range(0, 41):
+        for density in (0.1, 0.3, 0.5, 0.7, 0.95):
+            g = _random_graph(rng, n, density)
+            unit = [list(range(n))] if n else []
+            for cells in [unit] + [_random_partition(rng, n) for _ in range(3)]:
+                want = oracle_refine(n, g.rows, cells)
+                masks = [sum(1 << v for v in cell) for cell in cells]
+                got, masks = canon._refine(n, g.rows, cells, masks)
+                assert got == want, (n, g.rows, cells)
+                assert masks == [sum(1 << v for v in cell) for cell in got]
+                splits += len(got) > len(cells)
+                wide = [t for t, cell in enumerate(got) if len(cell) > 1]
+                if not wide:
+                    continue
+                t = rng.choice(wide)
+                v = rng.choice(got[t])
+                bit = 1 << v
+                child = got[:t] + [[v], [u for u in got[t] if u != v]] + got[t + 1:]
+                child_masks = masks[:t] + [bit, masks[t] ^ bit] + masks[t + 1:]
+                want = oracle_refine(n, g.rows, child)
+                got, masks = canon._refine(n, g.rows, child, child_masks, t)
+                assert got == want, (n, g.rows, child)
+                assert masks == [sum(1 << v for v in cell) for cell in got]
+                individualized += 1
+    assert splits > 600 and individualized > 200, (splits, individualized)
 
 
 def _dense_graphs():
@@ -687,3 +733,34 @@ def test_relabeling_property():
         ) == list(h.edges)
 
     check()
+
+
+def test_canonical_labeling_bytes_are_pinned():
+    # find_isomorphism and the glued witnesses of deciders read canonical
+    # labelings, and a graph with automorphisms has several labelings onto
+    # its one canonical form, so the certificate digests cannot see them.
+    # This digest was recorded before refinement went incremental, by
+    # running this same loop: the three certificate digests' corpora,
+    # relabeled as there, then the six symmetric graphs as built and
+    # relabeled by random.Random(33)
+    graphs = []
+    rng = random.Random(7)
+    for n in range(0, 8):
+        graphs += [_relabeled(g, rng) for g in enumerate_graphs(n)]
+    rng = random.Random(12)
+    symmetric = dict(_symmetric_suite(), shrikhande=_shrikhande(), rook4=_rook_4x4())
+    for g in symmetric.values():
+        graphs += [g, _relabeled(g, rng)]
+    rng = random.Random(17)
+    for _, g in _dense_graphs():
+        graphs += [g, _relabeled(g, rng)]
+    rng = random.Random(33)
+    for g in _six_symmetric():
+        graphs += [g, _relabeled(g, rng)]
+    digest = hashlib.sha256()
+    for g in graphs:
+        digest.update(bytes(canonical_labeling(g)) + b"\n")
+    assert len(graphs) == 1253 + 22 + 82 + 12
+    assert digest.hexdigest() == (
+        "88325f98f49c7f8e0a6723b1d776aebc250dc8f8e1c9362ceef8e3223c04d78d"
+    )
