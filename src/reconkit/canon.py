@@ -195,7 +195,11 @@ class _Search:
     already seen: the search jumps back to depth k and goes on with the
     next sibling there (McKay 1981). At each tree node, siblings in the
     same orbit under the discovered automorphisms that fix the
-    individualized prefix pointwise are skipped.
+    individualized prefix pointwise are skipped. Each node keeps one
+    union-find of those orbits, a quick-find list from vertex to orbit,
+    and before it tries its next sibling it unions in the cycles of the
+    generators found since that fix its prefix (a generator found twice
+    only repeats unions).
 
     Twin cells end the search. Take a node whose every non-singleton
     cell is one twin class: all of its vertices share one open
@@ -216,17 +220,16 @@ class _Search:
     def __init__(self, n: int, rows: Sequence[int]):
         self.n = n
         self.rows = rows
-        self.first: Optional[tuple] = None  # (code, inverse labeling, path)
+        self.first: Optional[tuple] = None  # (code, labeling, path)
         self.best: Optional[tuple] = None
-        self.best_lab: Optional[list[int]] = None
         self.gens: list[tuple[int, ...]] = []
 
     def run(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The canonical labeling and the rows it relabels the graph to."""
         n = self.n
         self._descend(*_refine(n, self.rows, [list(range(n))], [(1 << n) - 1]), ())
-        assert self.best is not None and self.best_lab is not None
-        return tuple(self.best_lab), self.best[0]
+        assert self.best is not None
+        return tuple(self.best[1]), self.best[0]
 
     def _descend(
         self, cells: list[list[int]], masks: list[int], prefix: tuple[int, ...]
@@ -247,20 +250,23 @@ class _Search:
                 for a, b in list(zip(c, c[1:])) + twins:
                     swap = list(range(self.n))
                     swap[a], swap[b] = b, a
-                    if tuple(swap) not in self.gens:
-                        self.gens.append(tuple(swap))
+                    self.gens.append(tuple(swap))
             return min(self._leaf(leaf, tuple(path)), depth - 1)
         target = next(i for i, c in enumerate(cells) if len(c) > 1)
         cell = cells[target]
         explored: list[int] = []
-        find = None
-        gens_seen = -1
+        orbit = list(range(self.n))  # v -> its orbit under gens fixing prefix
+        applied = 0  # how many of self.gens have been looked at
         for v in cell:
             if explored:
-                if len(self.gens) != gens_seen:
-                    find = self._orbit_find(prefix)
-                    gens_seen = len(self.gens)
-                if find is not None and any(find(v) == find(u) for u in explored):
+                for g in self.gens[applied:]:
+                    if all(g[x] == x for x in prefix):
+                        for u, w in enumerate(g):
+                            a, b = orbit[u], orbit[w]
+                            if a != b:
+                                orbit = [b if o == a else o for o in orbit]
+                applied = len(self.gens)
+                if any(orbit[u] == orbit[v] for u in explored):
                     continue
             bit = 1 << v
             child = (
@@ -284,45 +290,23 @@ class _Search:
         code = relabel_rows(n, self.rows, lab)
         for other in (self.first, self.best):
             if other is not None and code == other[0]:
-                _, inv, other_path = other
-                perm = tuple(inv[lab[v]] for v in range(n))
-                if perm not in self.gens:
-                    self.gens.append(perm)
+                _, other_lab, other_path = other
+                # the automorphism sends the vertex at each position of this
+                # leaf to the vertex at that position of the other leaf
+                perm = [0] * n
+                for w, i in enumerate(other_lab):
+                    perm[cells[i][0]] = w
+                self.gens.append(tuple(perm))
                 # perm fixes path[:k] and maps path[k] onto other_path[k]
                 k = 0
                 while path[k] == other_path[k]:
                     k += 1
                 return k
         if self.best is None or code < self.best[0]:
-            inv = [0] * n
-            for v in range(n):
-                inv[lab[v]] = v
-            self.best = (code, inv, path)
-            self.best_lab = lab
+            self.best = (code, lab, path)
             if self.first is None:
                 self.first = self.best
         return len(path) - 1
-
-    def _orbit_find(self, prefix: tuple[int, ...]):
-        fixing = [
-            g for g in self.gens if all(g[x] == x for x in prefix)
-        ]
-        if not fixing:
-            return None
-        parent = list(range(self.n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for g in fixing:
-            for v in range(self.n):
-                a, b = find(v), find(g[v])
-                if a != b:
-                    parent[a] = b
-        return find
 
 
 # ---------------------------------------------------------------------------

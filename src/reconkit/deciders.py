@@ -35,12 +35,14 @@ equals it, so card counts are compared first and only equal sizes are
 walked.  A walk takes a key hit through the later stages once per twin
 orbit (graph.twin_orbits), every deletion still keyed and charged.
 
-Degree-class prefilter: a graph is kept with its degree classes (degree r
--> bitmask of the vertices of degree r) and its degree histogram packed
-into one int, a 6-bit field per degree (cards are below order 64, so a
-card's counts never carry).  Deleting a vertex set S turns the key into
-the card's from popcounts of the "adjacent to exactly j of S" masks
-against each class, with no sort; deleting c edges changes it in O(c).
+Degree-class prefilter: a graph is kept with its degree histogram packed
+into one int, a 6-bit field per degree, so degree d counts 64^d (cards
+are below order 64, so a card's counts never carry).  Deleting a vertex
+set S turns the key into the card's, with no sort: it loses 64^deg(v)
+for each v in S, and each other neighbour w of S, with d_w neighbours of
+which j_w lie in S, moves down j_w degrees, so the card's key is
+key - sum_{v in S} 64^deg(v) - sum_{w in N(S) - S} (64^d_w - 64^(d_w - j_w)).
+Deleting c edges changes it in O(c).
 Card rows are built only when a key hits a target card class.  Their
 degree profile (per vertex, its degree and the sum of its neighbours'
 degrees, sorted) must then be a card class's before a certificate is
@@ -72,7 +74,7 @@ refusal is too.  Deck checks, recon walks and the front end are uncharged.
 A unit costs from microseconds to tenths of a millisecond, the most when
 it certifies a graph with large twin classes: two E12 cards at c = 2
 answer in 0.3 s, one P7 card at c = 3 is refused after about 4 s, one E20
-card at c = 3 after about 10 s, and one K10,10 card at c = 3 after 17 to
+card at c = 3 after 8 to 9 s, and one K10,10 card at c = 3 after 17 to
 22 s (2 vCPU, CPython 3.11.7).
 """
 
@@ -144,11 +146,12 @@ def _degree_profile(rows: Sequence[int]) -> tuple[int, ...]:
 
 
 class _Shape(NamedTuple):
-    """A rows-graph with its degree classes (degree -> vertex mask), packed
-    degree histogram `key` and edge count, built by _shape alone, so edge
-    candidates carry classes too.  A search candidate's `undo` is the c
-    vertices or c edges whose deletion gives back the first card; the
-    graphs of deck checks have none."""
+    """A rows-graph with its packed degree histogram `key`, edge count and
+    degree classes (degree -> vertex mask), built by _shape alone.  The
+    classes serve only _coverage's c = 1 vertex check: the card's edge
+    count forces the deleted vertex's degree.  A search candidate's `undo`
+    is the c vertices or c edges whose deletion gives back the first card;
+    the graphs of deck checks have none."""
 
     n: int
     rows: Sequence[int]
@@ -169,41 +172,24 @@ def _shape(n: int, rows: Sequence[int], undo: Optional[tuple] = None) -> _Shape:
     return _Shape(n, rows, classes, key, degrees // 2, undo)
 
 
-def _class_histogram(classes: dict[int, int], within: int) -> int:
-    """Packed degree histogram of the vertices in `within`."""
-    acc = 0
-    for d, mask in classes.items():
-        hit = within & mask
-        if hit:
-            acc += hit.bit_count() << _FIELD * d
-    return acc
-
-
 def _key_without_vertices(s: _Shape, drop: Sequence[int]) -> int:
-    """Packed histogram of s minus the vertices in drop: a vertex adjacent
-    to exactly j of them moves down j degrees, which shifts its share of
-    the histogram by 6j bits."""
+    """Packed histogram of s minus the vertices in drop: a dropped vertex
+    of degree d takes 64^d off the key, and a kept vertex of degree d
+    adjacent to j of them moves down j degrees, from 64^d to 64^(d - j)."""
     rows = s.rows
-    if len(drop) == 1:
-        nb = rows[drop[0]]
-        moved = _class_histogram(s.classes, nb)
-        return s.key - (1 << _FIELD * nb.bit_count()) - moved + (moved >> _FIELD)
     key = s.key
-    drop_mask = 0
+    gone = touched = 0
     for v in drop:
-        drop_mask |= 1 << v
+        gone |= 1 << v
+        touched |= rows[v]
         key -= 1 << _FIELD * rows[v].bit_count()
-    exact = [((1 << s.n) - 1) & ~drop_mask]  # exact[j]: adjacent to j of drop
-    for v in drop:
-        nb = rows[v]
-        exact = (
-            [exact[0] & ~nb]
-            + [(exact[j] & ~nb) | (exact[j - 1] & nb) for j in range(1, len(exact))]
-            + [exact[-1] & nb]
-        )
-    for j in range(1, len(exact)):
-        moved = _class_histogram(s.classes, exact[j])
-        key -= moved - (moved >> _FIELD * j)
+    touched &= ~gone
+    while touched:
+        low = touched & -touched
+        touched ^= low
+        row = rows[low.bit_length() - 1]
+        moved = 1 << _FIELD * row.bit_count()
+        key -= moved - (moved >> _FIELD * (row & gone).bit_count())
     return key
 
 

@@ -390,6 +390,52 @@ def test_twin_leaf_matches_the_full_search(monkeypatch):
         assert got == want, g.rows
 
 
+def _group_order(n, gens):
+    # the closure of the generators: every product reached from the identity
+    seen = {tuple(range(n))}
+    frontier = list(seen)
+    while frontier:
+        reached = []
+        for p in frontier:
+            for g in gens:
+                q = tuple(g[x] for x in p)
+                if q not in seen:
+                    seen.add(q)
+                    reached.append(q)
+        frontier = reached
+    return len(seen)
+
+
+def test_search_generators_span_the_automorphism_group():
+    # the oracle for the pruning: orbit pruning skips a sibling only when
+    # a found automorphism maps it onto an explored one, so the generators
+    # a search collects must be automorphisms that span all of Aut(G),
+    # whose order networkx counts, on a seeded relabeling of every
+    # connected class on n <= 7
+    nx = pytest.importorskip("networkx")
+    import reconkit.canon as canon
+
+    rng = random.Random(34)
+    classes = 0
+    for n in range(1, 8):
+        for g in enumerate_graphs(n):
+            if len(component_masks(n, g.rows)) != 1:
+                continue
+            h = _relabeled(g, rng)
+            search = canon._Search(h.n, h.rows)
+            search.run()
+            gens = set(search.gens)
+            assert all(permute(h, perm) == h for perm in gens), h.rows
+            graph = nx.Graph()
+            graph.add_nodes_from(range(n))
+            graph.add_edges_from(h.edges)
+            matcher = nx.algorithms.isomorphism.GraphMatcher(graph, graph)
+            automorphisms = sum(1 for _ in matcher.isomorphisms_iter())
+            assert _group_order(n, gens) == automorphisms, h.rows
+            classes += 1
+    assert classes == 996
+
+
 def test_symmetric_certificate_bytes_are_pinned():
     # the n <= 7 digest cannot see a change in the certificates of larger
     # graphs whose search prunes by automorphisms at every level. This digest was recorded with the search before it jumped

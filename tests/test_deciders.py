@@ -667,13 +667,16 @@ def test_vertex_extensions_are_complete_up_to_isomorphism():
 def test_deletion_keys_match_the_cards():
     # the keyer against the packed histogram of each card built in full:
     # every vertex and edge deletion of c = 1..3 elements (at most 3,000 a
-    # graph and c), on seeded random graphs and twin-heavy ones
+    # graph and c), on seeded random graphs and twin-heavy ones; at order
+    # 63 (K63 above all) the 6-bit fields of the key are as full as they get
     rng = random.Random(23)
     graphs = [random_graph(rng, n, p) for n in range(2, 11) for p in (0.2, 0.5, 0.8)]
     graphs += [complete_graph(n) for n in (2, 5, 8)]
     graphs += [union([K3, K3, K2, K1]), union([complete_graph(4)] * 3)]
     graphs += [join([empty_graph(a), empty_graph(b)])
                for a, b in ((1, 5), (3, 3), (4, 6))]
+    graphs += [random_graph(rng, n, p) for n in (32, 63) for p in (0.2, 0.5, 0.9)]
+    graphs += [complete_graph(63)]
     checked = set()
     for g in graphs:
         s = deciders._shape(g.n, g.rows)
