@@ -6,7 +6,10 @@ Concretely it is the graph6 line of a canonical representative, found by
 individualization-refinement search with pruning by discovered
 automorphisms, assembled component by component. Components go through
 the same memo as whole graphs, so a labeled component that recurs across
-cards, candidates or deletions is searched once. An automorphism found
+cards, candidates or deletions is searched once, and a disconnected
+graph's line is put together from its components' lines: each one's
+triangle of graph6 bits is shifted into place column by column, with no
+pass over the graph's edges (see _labeling_rows). An automorphism found
 at a leaf makes the search jump back (see _Search): the line and rook
 graphs the tests pin take at most n leaves in every labeling tried. A
 node whose non-singleton cells are all twin classes ends the search
@@ -26,8 +29,8 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .errors import CapacityError, _count_text
-from .graph import Graph, component_masks, graph6_decode, graph6_encode_rows
-from .graph import iter_bits, relabel_rows
+from .graph import Graph, _decode_triangle, _encode_triangle, _triangle
+from .graph import component_masks, graph6_decode, iter_bits, relabel_rows
 
 CERTIFICATE_ORDER_CAP = 64  # orders >= 64 are refused
 
@@ -198,8 +201,9 @@ class _Search:
     individualized prefix pointwise are skipped. Each node keeps one
     union-find of those orbits, a quick-find list from vertex to orbit,
     and before it tries its next sibling it unions in the cycles of the
-    generators found since that fix its prefix (a generator found twice
-    only repeats unions).
+    generators found since that fix its prefix. Twin leaves and repeated
+    leaf matches find some generators again; `gens` keeps each once, so
+    no node checks a copy's prefix.
 
     Twin cells end the search. Take a node whose every non-singleton
     cell is one twin class: all of its vertices share one open
@@ -223,6 +227,7 @@ class _Search:
         self.first: Optional[tuple] = None  # (code, labeling, path)
         self.best: Optional[tuple] = None
         self.gens: list[tuple[int, ...]] = []
+        self._known: set[tuple[int, ...]] = set()
 
     def run(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The canonical labeling and the rows it relabels the graph to."""
@@ -250,7 +255,7 @@ class _Search:
                 for a, b in list(zip(c, c[1:])) + twins:
                     swap = list(range(self.n))
                     swap[a], swap[b] = b, a
-                    self.gens.append(tuple(swap))
+                    self._found(tuple(swap))
             return min(self._leaf(leaf, tuple(path)), depth - 1)
         target = next(i for i, c in enumerate(cells) if len(c) > 1)
         cell = cells[target]
@@ -282,6 +287,12 @@ class _Search:
             explored.append(v)
         return depth - 1
 
+    def _found(self, perm: tuple[int, ...]) -> None:
+        """Record an automorphism, unless an earlier leaf found it."""
+        if perm not in self._known:
+            self._known.add(perm)
+            self.gens.append(perm)
+
     def _leaf(self, cells: list[list[int]], path: tuple[int, ...]) -> int:
         n = self.n
         lab = [0] * n
@@ -296,7 +307,7 @@ class _Search:
                 perm = [0] * n
                 for w, i in enumerate(other_lab):
                     perm[cells[i][0]] = w
-                self.gens.append(tuple(perm))
+                self._found(tuple(perm))
                 # perm fixes path[:k] and maps path[k] onto other_path[k]
                 k = 0
                 while path[k] == other_path[k]:
@@ -313,50 +324,67 @@ class _Search:
 # component assembly
 
 
-def _induced_rows(rows: Sequence[int], verts: list[int]) -> list[int]:
-    index = {v: i for i, v in enumerate(verts)}
+def _induced_rows(rows: Sequence[int], comp: int) -> list[int]:
+    """Rows of the subgraph induced on the vertex mask comp, gathered run
+    by run of consecutive vertices: one shift per row for a component that
+    `union` laid out."""
+    runs = []  # (first vertex, width mask, first local index) per run
+    local = 0
+    while comp:
+        first = (comp & -comp).bit_length() - 1
+        block = comp >> first
+        width = (block ^ block + 1) >> 1  # the run's mask, shifted to bit 0
+        runs.append((first, width, local))
+        local += width.bit_length()
+        comp ^= width << first
+    if len(runs) == 1:
+        return [row >> first & width for row in rows[first:first + local]]
     out = []
-    for v in verts:
-        acc = 0
-        nb = rows[v]
-        while nb:
-            low = nb & -nb
-            u = low.bit_length() - 1
-            nb ^= low
-            if u in index:
-                acc |= 1 << index[u]
-        out.append(acc)
+    for start, size, _ in runs:
+        for row in rows[start:start + size.bit_length()]:
+            acc = 0
+            for first, width, local in runs:
+                acc |= (row >> first & width) << local
+            out.append(acc)
     return out
 
 
-def _labeling_rows(
-    n: int, rows: Sequence[int]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _labeling_rows(n: int, rows: Sequence[int]) -> tuple[tuple[int, ...], int]:
     """Canonical labeling (old -> new) of an arbitrary rows-graph, and the
-    rows of the canonical representative.
+    `_triangle` of the canonical representative.
 
     A connected graph is searched directly. Otherwise each component is
     canonicalized through the memo (a labeled component that recurs
     across graphs is searched once), and the pieces are laid out in order
     of (component order, component certificate), which makes the
     assembled labeled graph an isomorphism invariant of the whole graph.
+    A piece's certificate is its canonical form's graph6 line, whose size
+    prefix is one byte, as a piece has at most 62 vertices: the piece's
+    triangle is decoded from it and shifted into place column by column.
     """
     comps = component_masks(n, rows)
     if len(comps) == 1:
-        return _Search(n, rows).run()
+        lab, code = _Search(n, rows).run()
+        return lab, _triangle(n, code)
     pieces = []
     for comp in comps:
         verts = list(iter_bits(comp))
-        key, local = _canon_entry(len(verts), _induced_rows(rows, verts))
-        pieces.append((len(verts), key, verts, local))
+        cert, local = _canon_entry(len(verts), _induced_rows(rows, comp))
+        pieces.append((len(verts), cert, verts, local))
     pieces.sort(key=lambda p: (p[0], p[1]))
     lab = [0] * n
+    tri = 0
     offset = 0
-    for nc, _key, verts, local in pieces:
-        for i, v in enumerate(verts):
-            lab[v] = offset + local[i]
+    for nc, cert, verts, local in pieces:
+        for v, i in zip(verts, local):
+            lab[v] = offset + i
+        part = _decode_triangle(cert[1:])
+        for j in range(offset + 1, offset + nc):  # piece column j - offset
+            width = j - offset
+            tri |= (part & (1 << width) - 1) << (j * (j - 1) >> 1) + offset
+            part >>= width
         offset += nc
-    return tuple(lab), relabel_rows(n, rows, lab)
+    return tuple(lab), tri
 
 
 def check_certificate_order(order: int, what: str = "order") -> None:
@@ -389,9 +417,8 @@ def _canon_entry(n: int, rows: Sequence[int]) -> tuple[bytes, bytes]:
     cached = _CERT_CACHE.get(key)
     if cached is not None:
         return cached
-    lab, code = _labeling_rows(n, rows)
-    cert = graph6_encode_rows(n, code).encode("ascii")
-    entry = (cert, bytes(lab))
+    lab, tri = _labeling_rows(n, rows)
+    entry = (_encode_triangle(n, tri), bytes(lab))
     if len(_CERT_CACHE) >= _CACHE_LIMIT:
         _CERT_CACHE.clear()
     _CERT_CACHE[key] = entry

@@ -9,10 +9,19 @@ The other modules share this rows kernel: delete_vertices_rows and
 delete_edges_rows are the one implementation of each deletion, behind
 delete_vertices/delete_edges, the decks and the preimage search, and
 relabel_rows is behind permute and the canonical search.
+
+The graph6 codec has one kernel too.  _triangle packs the upper triangle
+of the adjacency matrix into one int, bit v(v-1)/2 + u for the edge uv
+(u < v), one shift-or per row; that is graph6's bit order.  A line is the
+triangle's bits, lowest first, through binascii's base64 with the
+alphabet translated to chr(63..126), and _decode_triangle reverses it.
+graph6_encode_rows, graph6_decode and canon's certificates all go through
+it, so no loop in the codec runs per bit.
 """
 
 from __future__ import annotations
 
+from binascii import a2b_base64, b2a_base64
 from itertools import product
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -348,6 +357,45 @@ def is_connected(g: Graph) -> bool:
 
 
 _G6_HEADER = ">>graph6<<"
+# graph6 writes each 6-bit group as chr(63 + value), base64 as the
+# value-th letter of its alphabet: one translate table each way.  _REV8
+# reverses the bits of a byte, so a little-endian triangle becomes graph6's
+# bit stream, bit 0 first, in one translate.
+_B64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_TO_G6 = bytes.maketrans(_B64, bytes(range(63, 127)))
+_FROM_G6 = bytes.maketrans(bytes(range(63, 127)), _B64)
+_REV8 = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def _triangle(n: int, rows: Sequence[int]) -> int:
+    """The upper triangle of the adjacency matrix as one int: bit
+    v(v-1)/2 + u is the edge uv, u < v, so bit i is graph6's i-th bit."""
+    tri = 0
+    for v in range(1, n):
+        tri |= (rows[v] & (1 << v) - 1) << (v * (v - 1) >> 1)
+    return tri
+
+
+def _encode_triangle(n: int, tri: int) -> bytes:
+    """The graph6 line of the graph on n vertices with this triangle: its
+    bits, lowest first, padded to whole 24-bit groups, which base64 writes
+    as four 6-bit groups each."""
+    if n <= 62:
+        head = bytes((63 + n,))
+    elif n <= 258047:
+        head = bytes((126, 63 + (n >> 12 & 63), 63 + (n >> 6 & 63), 63 + (n & 63)))
+    else:
+        raise CapacityError(f"graph6 encoding supports n <= 258047, got {n}")
+    nbits = n * (n - 1) >> 1
+    stream = tri.to_bytes(-(-nbits // 24) * 3, "little").translate(_REV8)
+    return head + b2a_base64(stream, newline=False).translate(_TO_G6)[: -(-nbits // 6)]
+
+
+def _decode_triangle(body: bytes) -> int:
+    """The triangle of a graph6 body, the line past its size prefix,
+    trusted to be well formed: its padding bits are zero."""
+    quads = body.translate(_FROM_G6).ljust(-(-len(body) // 4) * 4, b"A")
+    return int.from_bytes(a2b_base64(quads).translate(_REV8), "little")
 
 
 def graph6_encode(g: Graph) -> str:
@@ -357,26 +405,7 @@ def graph6_encode(g: Graph) -> str:
 def graph6_encode_rows(n: int, rows: Sequence[int]) -> str:
     """Standard graph6 line: size prefix plus the upper triangle of the
     adjacency matrix in column order, packed into 6-bit chunks offset by 63."""
-    if n <= 62:
-        out = [chr(63 + n)]
-    elif n <= 258047:
-        out = ["~", chr(63 + (n >> 12 & 63)), chr(63 + (n >> 6 & 63)), chr(63 + (n & 63))]
-    else:
-        raise CapacityError(f"graph6 encoding supports n <= 258047, got {n}")
-    bits = 0
-    nbits = 0
-    for v in range(1, n):
-        row = rows[v]
-        for u in range(v):
-            bits = bits << 1 | (row >> u & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(63 + bits))
-                bits = 0
-                nbits = 0
-    if nbits:
-        out.append(chr(63 + (bits << (6 - nbits))))
-    return "".join(out)
+    return _encode_triangle(n, _triangle(n, rows)).decode("ascii")
 
 
 def graph6_decode(line: str) -> Graph:
@@ -388,9 +417,9 @@ def graph6_decode(line: str) -> Graph:
         s = s[len(_G6_HEADER):]
     if not s:
         raise Graph6ParseError("empty graph6 line", base)
-    for i, ch in enumerate(s):
-        if not (63 <= ord(ch) <= 126):
-            raise Graph6ParseError(f"invalid graph6 byte {ch!r}", base + i)
+    if min(s) < "?" or max(s) > "~":
+        i, ch = next((i, ch) for i, ch in enumerate(s) if not "?" <= ch <= "~")
+        raise Graph6ParseError(f"invalid graph6 byte {ch!r}", base + i)
     pos = 0
     if s[0] == "~":
         if len(s) >= 2 and s[1] == "~":
@@ -414,21 +443,19 @@ def graph6_decode(line: str) -> Graph:
         )
     if len(s) - pos > nchars:
         raise Graph6ParseError("trailing bytes after graph6 body", base + pos + nchars)
+    if nchars and ord(s[-1]) - 63 & (1 << 6 * nchars - nbits) - 1:
+        raise Graph6ParseError("nonzero graph6 padding bits", base + len(s) - 1)
+    tri = _decode_triangle(s[pos:].encode("ascii"))
     rows = [0] * n
-    u, v = 0, 1  # the next bit is x(u, v), in column order x(0,1) x(0,2) x(1,2) ...
-    for idx in range(pos, pos + nchars):
-        group = ord(s[idx]) - 63
-        for shift in range(5, -1, -1):
-            if v == n:
-                if group >> shift & 1:
-                    raise Graph6ParseError("nonzero graph6 padding bits", base + idx)
-                continue
-            if group >> shift & 1:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-            u += 1
-            if u == v:
-                u, v = 0, v + 1
+    for v in range(1, n):  # column v of the triangle: v's neighbours below v
+        col = tri & (1 << v) - 1
+        tri >>= v
+        rows[v] |= col
+        bit = 1 << v
+        while col:
+            low = col & -col
+            rows[low.bit_length() - 1] |= bit
+            col ^= low
     return Graph._from_rows(n, rows)
 
 

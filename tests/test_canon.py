@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import graph6_oracle
 from canon_oracle import _refine as oracle_refine
 from conftest import all_labeled_graphs, brute_canonical_mask
 
@@ -29,6 +30,7 @@ from reconkit.graph import (
     line_graph,
     path_graph,
     permute,
+    relabel_rows,
     union,
 )
 from reconkit.reductions import gi_to_led
@@ -434,6 +436,46 @@ def test_search_generators_span_the_automorphism_group():
             assert _group_order(n, gens) == automorphisms, h.rows
             classes += 1
     assert classes == 996
+
+
+def test_search_keeps_each_generator_once():
+    # twin leaves and repeated leaf matches find generators again; on
+    # these labelings the searches once held 358 generators, 187 distinct
+    import reconkit.canon as canon
+
+    rng = random.Random(35)
+    graphs = [
+        _hypercube(5),
+        line_graph(join([empty_graph(6), empty_graph(6)])),
+        line_graph(complete_graph(9)),
+        join([empty_graph(10), empty_graph(10)]),
+        join([empty_graph(2)] * 5),
+        join([empty_graph(4)] * 4),
+    ]
+    for g in graphs:
+        for _ in range(3):
+            h = _relabeled(g, rng)
+            search = canon._Search(h.n, h.rows)
+            search.run()
+            assert len(set(search.gens)) == len(search.gens), h.rows
+
+
+def test_union_certificates_match_the_oracle_at_order_63():
+    # a disconnected graph's line is assembled from its components' lines;
+    # at order 63 each component still has a one-byte size prefix, and the
+    # whole line must be the per-bit encoding of the relabeled graph
+    rng = random.Random(35)
+    graphs = [union([complete_graph(62), empty_graph(1)]), empty_graph(63)]
+    for order in (3, 7, 9, 21):
+        parts = [_random_graph(rng, order, 0.5) for _ in range(63 // order)]
+        graphs.append(_relabeled(union(parts), rng))
+        graphs.append(_relabeled(copies(parts[0], 63 // order), rng))
+    sizes = (1, 1, 2, 5, 12, 20, 22)
+    graphs.append(_relabeled(union([_random_graph(rng, k, 0.3) for k in sizes]), rng))
+    for g in graphs:
+        assert g.n == 63 and len(component_masks(g.n, g.rows)) > 1
+        code = relabel_rows(g.n, g.rows, canonical_labeling(g))
+        assert certificate(g) == graph6_oracle.graph6_encode_rows(g.n, code).encode("ascii")
 
 
 def test_symmetric_certificate_bytes_are_pinned():

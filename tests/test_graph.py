@@ -2,15 +2,18 @@ import random
 
 import pytest
 
+import graph6_oracle
 from conftest import all_labeled_graphs, brute_canonical_mask, brute_isomorphic, random_graph
 
 import reconkit.canon as canon
 from reconkit.canon import are_isomorphic, certificate
 from reconkit.deciders import enum_preimages
 from reconkit.deck import Deck, build_deck
-from reconkit.errors import CapacityError, Graph6ParseError, InputError
+from reconkit.errors import CapacityError, Graph6ParseError, InputError, ReconError
 from reconkit.graph import (
     Graph,
+    _decode_triangle,
+    _triangle,
     complement,
     complete_graph,
     component_masks,
@@ -407,6 +410,47 @@ def test_graph6_agrees_with_networkx():
         line = nx.to_graph6_bytes(other, header=False).decode("ascii").rstrip("\n")
         assert graph6_encode(g) == line
         assert graph6_decode(line) == g
+
+
+def test_graph6_kernel_matches_the_per_bit_oracle():
+    # frozen oracle: the per-bit codec the triangle kernel replaced, on
+    # both size forms and across the n = 62 / 63 boundary
+    rng = random.Random(35)
+    for n in list(range(0, 71)) + [62, 63, 64] * 3:
+        for p in (0.0, 0.1, 0.5, 0.9, 1.0):
+            g = random_graph(rng, n, p)
+            line = graph6_oracle.graph6_encode_rows(n, g.rows)
+            assert graph6_encode(g) == line
+            assert graph6_decode(line) == graph6_oracle.graph6_decode(line) == g
+            tri = _triangle(n, g.rows)
+            assert tri == sum(1 << (v * (v - 1) >> 1) + u for u, v in g.edges)
+            assert _decode_triangle(line[1 if n <= 62 else 4:].encode("ascii")) == tri
+
+
+def test_graph6_errors_match_the_per_bit_oracle():
+    # each malformed line fails with the oracle's error, message and byte
+    # offset: truncations, extra bytes, and one byte replaced by any of
+    # chr(32..129), which reaches every padding bit of the last byte
+    def outcome(decode, line):
+        try:
+            return decode(line)
+        except ReconError as err:
+            return type(err), str(err), getattr(err, "offset", None)
+
+    rng = random.Random(36)
+    lines = ["", " ", "~", "~~", "~?", "~??", "~~??????", "?", "@", "A", "B?"]
+    for n in (0, 1, 2, 3, 4, 5, 7, 12, 62, 63, 64):
+        line = graph6_encode(random_graph(rng, n, 0.5))
+        lines += [line, line[:-1], line + "?", f" {line}\n", ">>graph6<<" + line, line[:3]]
+        for _ in range(25):
+            i = rng.randrange(len(line))
+            lines.append(line[:i] + chr(rng.randrange(32, 130)) + line[i + 1:])
+    errors = 0
+    for line in lines:
+        got = outcome(graph6_decode, line)
+        assert got == outcome(graph6_oracle.graph6_decode, line), line
+        errors += type(got) is tuple
+    assert errors >= 200
 
 
 def test_brute_iso_oracle_matches_engine_small():
