@@ -22,6 +22,26 @@ cell has uniform counts into every cell the round did not create, so the
 next round probes only the fresh pieces. And the round after
 individualizing a vertex v of an equitable partition splits each cell
 into v's neighbors and the rest, in that order, with no signature.
+
+A search also memoizes the canonical form C it finds, with the identity
+labeling, so C itself (a catalog's representative, or the form a
+certified graph's cards are deleted from) is never searched. That is the
+labeling C's own search returns. Let sigma be the labeling found for a
+connected G. Refinement is invariant under relabeling, so sigma maps G's
+search tree onto C's, and G's best leaf onto the leaf of C whose
+partition is ([0], ..., [n - 1]), the identity. Every ancestor of that
+leaf has cells that are runs of consecutive vertices, in order, and the
+vertex individualized toward the leaf takes its cell's first position,
+so it is the cell's smallest vertex: the child `_descend` tries first,
+and no pruning applies while nothing is explored. The twin leaf is
+relabeling-invariant too, and its node's cells are runs, so splitting
+them in vertex order gives the identity. So the first leaf of C's search
+is the identity, with code C, the least code, and as the best leaf
+changes only on a strictly smaller code the search returns it. A
+disconnected C needs no entry of its own: its components are canonical
+forms laid out in sorted order, so each one's labeling is the identity,
+and the stable sort keeps equal ones in vertex order, so C assembles to
+the identity too, from memo hits.
 """
 
 from __future__ import annotations
@@ -37,6 +57,7 @@ CERTIFICATE_ORDER_CAP = 64  # orders >= 64 are refused
 _CACHE_LIMIT = 400_000
 # (n, packed rows) -> (certificate, canonical labeling old -> new as bytes)
 _CERT_CACHE: dict[tuple[int, int], tuple[bytes, bytes]] = {}
+_IDENTITY = [bytes(range(n)) for n in range(CERTIFICATE_ORDER_CAP)]  # shared labelings
 
 
 def clear_certificate_cache() -> None:
@@ -349,9 +370,12 @@ def _induced_rows(rows: Sequence[int], comp: int) -> list[int]:
     return out
 
 
-def _labeling_rows(n: int, rows: Sequence[int]) -> tuple[tuple[int, ...], int]:
-    """Canonical labeling (old -> new) of an arbitrary rows-graph, and the
-    `_triangle` of the canonical representative.
+def _labeling_rows(
+    n: int, rows: Sequence[int]
+) -> tuple[tuple[int, ...], int, Optional[tuple[int, ...]]]:
+    """Canonical labeling (old -> new) of an arbitrary rows-graph, the
+    `_triangle` of the canonical representative, and the representative's
+    rows if the graph was searched, else None.
 
     A connected graph is searched directly. Otherwise each component is
     canonicalized through the memo (a labeled component that recurs
@@ -365,7 +389,7 @@ def _labeling_rows(n: int, rows: Sequence[int]) -> tuple[tuple[int, ...], int]:
     comps = component_masks(n, rows)
     if len(comps) == 1:
         lab, code = _Search(n, rows).run()
-        return lab, _triangle(n, code)
+        return lab, _triangle(n, code), code
     pieces = []
     for comp in comps:
         verts = list(iter_bits(comp))
@@ -384,7 +408,7 @@ def _labeling_rows(n: int, rows: Sequence[int]) -> tuple[tuple[int, ...], int]:
             tri |= (part & (1 << width) - 1) << (j * (j - 1) >> 1) + offset
             part >>= width
         offset += nc
-    return tuple(lab), tri
+    return tuple(lab), tri, None
 
 
 def check_certificate_order(order: int, what: str = "order") -> None:
@@ -406,7 +430,8 @@ def _memo_key(n: int, rows: Sequence[int]) -> tuple[int, int]:
 
 def _memoized_labeling(n: int, rows: Sequence[int]) -> Optional[bytes]:
     """The canonical labeling of a rows-graph if the memo holds it: the
-    graph was certified since the memo was last cleared."""
+    graph was certified, or is the canonical form of a certified graph,
+    since the memo was last cleared."""
     return _CERT_CACHE.get(_memo_key(n, rows), (None, None))[1]
 
 
@@ -417,11 +442,14 @@ def _canon_entry(n: int, rows: Sequence[int]) -> tuple[bytes, bytes]:
     cached = _CERT_CACHE.get(key)
     if cached is not None:
         return cached
-    lab, tri = _labeling_rows(n, rows)
+    lab, tri, code = _labeling_rows(n, rows)
     entry = (_encode_triangle(n, tri), bytes(lab))
     if len(_CERT_CACHE) >= _CACHE_LIMIT:
         _CERT_CACHE.clear()
     _CERT_CACHE[key] = entry
+    if code is not None and len(_CERT_CACHE) < _CACHE_LIMIT:
+        # the canonical form's own search would return the identity
+        _CERT_CACHE[_memo_key(n, code)] = (entry[0], _IDENTITY[n])
     return entry
 
 

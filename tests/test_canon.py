@@ -15,6 +15,7 @@ from reconkit.canon import (
     clear_certificate_cache,
     find_isomorphism,
 )
+from reconkit.deck import build_deck, deck_equal
 from reconkit.errors import CapacityError
 from reconkit.graph import (
     Graph,
@@ -569,15 +570,117 @@ def test_memo_survives_clears_between_component_and_whole(monkeypatch, limit):
         h = permute(g, perm)
         clear_certificate_cache()
         cases.append((g, h, certificate(h)))
+    # a connected canonical form stores one entry, so the memo can be
+    # filled to limit - 1 before a search miss that would store two
+    forms = [canonical_form(path_graph(k)) for k in range(2, 1 + limit)]
+    miss = _relabeled(suite["petersen"], rng)
+    clear_certificate_cache()
+    miss_entry = (certificate(miss), canonical_labeling(miss))
     monkeypatch.setattr(canon, "_CACHE_LIMIT", limit)
+
+    def within_limit(result):
+        # a search miss stores two entries; the memo never passes its limit
+        assert len(canon._CERT_CACHE) <= limit
+        return result
+
     for g, h, want in cases:
         clear_certificate_cache()
-        assert certificate(h) == want
-        assert permute(h, canonical_labeling(h)) == canonical_form(h)
-        mapping = find_isomorphism(h, g)
+        assert within_limit(certificate(h)) == want
+        lab = within_limit(canonical_labeling(h))
+        assert permute(h, lab) == within_limit(canonical_form(h))
+        mapping = within_limit(find_isomorphism(h, g))
         assert mapping is not None and sorted(mapping) == list(range(g.n))
         for u, v in h.edges:
             assert g.has_edge(mapping[u], mapping[v])
+    clear_certificate_cache()
+    for form in forms:
+        within_limit(certificate(form))
+    assert len(canon._CERT_CACHE) == limit - 1
+    assert within_limit(certificate(miss)) == miss_entry[0]
+    assert within_limit(canonical_labeling(miss)) == miss_entry[1]
+    assert canon._memo_key(miss.n, miss.rows) in canon._CERT_CACHE
+
+
+def _identity_leaf_corpus():
+    # every class on n <= 7 relabeled, seeded random graphs of orders 2-40
+    # at densities 0.1-0.9, unions of those, and the symmetric graphs
+    rng = random.Random(36)
+    corpus = [_relabeled(g, rng) for n in range(8) for g in enumerate_graphs(n)]
+    pieces = []
+    for n in range(2, 41):
+        for density in (0.1, 0.3, 0.5, 0.7, 0.9):
+            pieces.append(_random_graph(rng, n, density))
+    corpus += [_relabeled(g, rng) for g in pieces]
+    for _ in range(40):
+        parts = [rng.choice(pieces[:100]) for _ in range(rng.randint(2, 4))]
+        corpus.append(_relabeled(union(parts), rng))
+    for g in list(_symmetric_suite().values()) + _six_symmetric():
+        corpus += [g, _relabeled(g, rng)]
+    return corpus
+
+
+def test_canonical_form_searches_to_the_identity():
+    # a miss stores the canonical form C with the identity labeling,
+    # because C's own search would return it: its first leaf is the
+    # identity, with code C (module docstring). Checked from an empty
+    # memo: the search on a connected C, and the entry of every C, cold
+    # and as the memo holds it after certifying g
+    import reconkit.canon as canon
+
+    corpus = _identity_leaf_corpus()
+    unions = 0
+    for g in corpus:
+        clear_certificate_cache()
+        cert = certificate(g)
+        c = graph6_decode(cert.decode("ascii"))
+        identity = bytes(range(c.n))
+        warm = canon._canon_entry(c.n, c.rows)
+        assert warm == (cert, identity), g.rows
+        clear_certificate_cache()
+        if len(component_masks(c.n, c.rows)) == 1:
+            assert canon._Search(c.n, c.rows).run() == (tuple(range(c.n)), tuple(c.rows))
+            clear_certificate_cache()
+        else:
+            unions += 1
+        assert canon._canon_entry(c.n, c.rows) == warm, g.rows
+    assert len(corpus) == 1253 + 195 + 40 + 30 and unions > 300
+
+
+def test_certified_graph_needs_no_search_of_its_canonical_form(monkeypatch):
+    # work bound: once x is certified, its canonical form is a memo hit
+    rng = random.Random(36)
+    corpus = [_relabeled(g, rng) for g in enumerate_graphs(6)[::5]]
+    corpus += [_relabeled(g, rng) for g in _symmetric_suite().values()]
+    corpus += [_random_graph(rng, n, 0.4) for n in (9, 17, 30)]
+    corpus.append(union([corpus[-1], corpus[-2]]))
+    searches = _count_searches(monkeypatch)
+    for x in corpus:
+        certificate(x)
+        before = searches[0]
+        form = canonical_form(x)
+        mapping = find_isomorphism(x, form)
+        assert certificate(form) == certificate(x)
+        assert canonical_labeling(form) == tuple(range(x.n))
+        assert searches[0] == before, x.rows
+        assert permute(x, mapping) == form
+
+
+def test_catalog_pass_search_count(monkeypatch):
+    # work bound: the catalog-canon loop over the classes of n <= 6, from
+    # an empty memo after the set-up. find_isomorphism(x, rep) searched
+    # each connected class again, for 439 searches
+    rng = random.Random(36)
+    reps = [g for n in range(1, 7) for g in enumerate_graphs(n)]
+    rep_decks = [build_deck(rep, "vertex", 1) for rep in reps]
+    items = [(i, _relabeled(rep, rng)) for i, rep in enumerate(reps)]
+    rng.shuffle(items)
+    searches = _count_searches(monkeypatch)
+    for i, x in items:
+        certificate(x)
+        assert find_isomorphism(x, reps[i]) is not None
+        assert deck_equal(build_deck(x, "vertex", 1), rep_decks[i])
+    assert len(reps) == 208
+    assert searches[0] == 315
 
 
 def test_certificates_agree_with_networkx_on_unions():

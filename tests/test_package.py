@@ -73,17 +73,21 @@ def test_bare_import_loads_no_layer_until_one_is_used():
 def test_canon_cold_import_loads_only_pinned_stdlib_modules():
     # every cold CLI call imports canon and graph; beyond what typing
     # itself loads, they may load only these (binascii is the graph6
-    # kernel's, an extension module; base64 would add its own imports)
+    # kernel's, an extension module; base64 would add its own imports).
+    # -I ignores PYTHONDONTWRITEBYTECODE, so -B keeps the probe from
+    # leaving bytecode in src
     src = Path(__file__).resolve().parents[1] / "src"
     probe = (
         "import sys; sys.path.insert(0, sys.argv[1]); import __future__, typing; "
         "before = set(sys.modules); import reconkit.canon; "
         "print(*sorted(set(sys.modules) - before))"
     )
+    cached = set(src.rglob("*.pyc"))
     out = subprocess.run(
-        [sys.executable, "-S", "-I", "-c", probe, str(src)],
+        [sys.executable, "-S", "-I", "-B", "-c", probe, str(src)],
         capture_output=True, text=True, check=True,
     ).stdout
+    assert set(src.rglob("*.pyc")) == cached
     loaded = {name for name in out.split() if not name.startswith("reconkit")}
     assert loaded <= {
         "binascii", "importlib", "importlib._bootstrap", "importlib._bootstrap_external"
