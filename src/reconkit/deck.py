@@ -14,23 +14,20 @@ disjoint edges, so their cards fall into few orbits (K8: 378 into 4).
 
 Where canon's memo holds g's canonical labeling (g, or a graph whose
 canonical form g is, was certified since the memo was last cleared),
-each orbit's card is certified as a deletion from g's canonical form C:
-the sets are mapped into C, keyed by C's twin orbits, and each key's
-least mapped set is deleted.  The keys and their least sets depend only
-on C, so every certified labeling of g certifies the same card rows, and
-classes whose canonical forms share a labeled card share one memo entry
-(a catalog-canon pass: 6,607 canonical searches down to 3,861, and to
-2,939 once canon also memoizes canonical forms).  Any other g keys its
-own sets, each orbit by its first set, which is its least when g is C.
-Deck.cards still holds g's own deletions.  build_deck never certifies g
-for this, as a search of g pays back only through other classes' cards:
-certifying each connected g took the decks of `verify deck-uniqueness`,
-whose enumerated classes are their own canonical forms, from 1,862
-searches to 2,468, and certifying the padded graphs of gi_to_lvd and
-gi_to_led, whose cards already share their untouched components through
-the component memo, made those gadget-iff items 5% slower.  A g past the
-certificate cap is never in the memo, so path_graph(64) still builds
-its 64 cards.
+each orbit's card is certified as the same deletion from g's canonical
+form.  Those card rows depend only on g's class and the mapped set, so
+classes whose canonical forms share a labeled card, and every certified
+labeling of a twin-free g, share one memo entry (a catalog-canon pass:
+6,607 canonical searches down to 3,861, and to 2,939 once canon also
+memoizes canonical forms).  Deck.cards still holds g's own deletions.  build_deck never
+certifies g for this, as a search of g pays back only through other
+classes' cards: certifying each connected g took the decks of `verify
+deck-uniqueness`, whose enumerated classes are their own canonical
+forms, from 1,862 searches to 2,468, and certifying the padded graphs
+of gi_to_lvd and gi_to_led, whose cards already share their untouched
+components through the component memo, made those gadget-iff items 5%
+slower.  A g past the certificate cap is never in the memo, so
+path_graph(64) still builds its 64 cards.
 """
 
 from __future__ import annotations
@@ -154,37 +151,28 @@ def build_deck(g: Graph, kind: str, c: int) -> Deck:
         sets, card_rows = combinations(g.edges, c), delete_edges_rows
     else:
         raise InputError(f"build_deck kind must be vertex or edge, got {kind!r}")
-    base = g.rows
+    orbit = twin_orbits(g.n, g.rows)
     lab = _memoized_labeling(g.n, g.rows)
     if lab == bytes(range(g.n)):  # g is its own canonical form
         lab = None
     elif lab is not None:
         base = relabel_rows(g.n, g.rows, lab)
-    orbit = twin_orbits(g.n, base)
     certs: dict[tuple, bytes] = {}  # one certificate per twin orbit
-    least: dict[tuple, tuple] = {}  # orbit key -> its least set mapped into C
-    keyed = []
+    tagged = []
     for drop in sets:
         rows = card_rows(g.rows, drop)
-        if lab is None:  # each orbit by its first set
-            key = orbit(drop)
-            if key not in certs:
-                certs[key] = certificate_rows(len(rows), rows)
-        else:  # the same deletion from g's canonical form C
-            moved = tuple(sorted(
-                [lab[v] for v in drop] if kind == "vertex" else [
-                    (lab[u], lab[v]) if lab[u] < lab[v] else (lab[v], lab[u])
-                    for u, v in drop
+        card = Graph._from_rows(len(rows), rows)
+        key = orbit(drop)
+        cert = certs.get(key)
+        if cert is None:
+            if lab is not None:  # the same deletion from g's canonical form
+                moved = [lab[v] for v in drop] if kind == "vertex" else [
+                    (lab[u], lab[v]) for u, v in drop
                 ]
-            ))
-            key = orbit(moved)
-            if moved < least.setdefault(key, moved):
-                least[key] = moved
-        keyed.append((key, Graph._from_rows(len(rows), rows)))
-    for key, moved in least.items():
-        rows = card_rows(base, moved)
-        certs[key] = certificate_rows(len(rows), rows)
-    tagged = sorted([(certs[key], card) for key, card in keyed], key=lambda t: t[0])
+                rows = card_rows(base, moved)
+            cert = certs[key] = certificate_rows(len(rows), rows)
+        tagged.append((cert, card))
+    tagged.sort(key=lambda t: t[0])
     return Deck._from_sorted(kind, tagged)
 
 

@@ -164,9 +164,10 @@ def _count_searches(monkeypatch):
 
 def test_certified_relabeling_builds_its_deck_without_search(monkeypatch):
     # work bound: a certified graph's cards are certified as deletions of
-    # its canonical form, each twin orbit through its least set there, so
-    # once one labeling's deck is built, another certified labeling builds
-    # its deck with no search, twin-free or not
+    # its canonical form, so once one labeling's deck is built, another
+    # certified labeling builds its deck with no search. The graphs are
+    # twin-free: a twin orbit is certified through its first set in the
+    # labeling's own order, which relabeling may change
     runs = _count_searches(monkeypatch)
     rng = random.Random(32)
     graphs = [path_graph(7), union([path_graph(4), path_graph(5)])]
@@ -174,8 +175,6 @@ def test_certified_relabeling_builds_its_deck_without_search(monkeypatch):
         g = random_graph(rng, rng.randint(5, 9), 0.45)
         if len(_twin_classes(g.n, g.rows)) == g.n:
             graphs.append(g)
-    graphs += [g for g in _twin_heavy_graphs() if g.m >= 2]
-    assert sum(len(_twin_classes(g.n, g.rows)) < g.n for g in graphs) == 36
     for g in graphs:
         for kind, c in (("vertex", 1), ("vertex", 2), ("edge", 1), ("edge", 2)):
             clear_certificate_cache()
