@@ -82,8 +82,9 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import partial
-from itertools import combinations, islice, product
+from itertools import accumulate, combinations, islice, product
 from math import comb, prod
+from operator import gt, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .canon import certificate_rows, find_isomorphism
@@ -551,40 +552,46 @@ def enum_preimages(d: Deck, c: int, mode: str) -> PreimageSet:
 # --- identifying subdecks ----------------------------------------------------
 
 
-def _subset_sums(base: int, steps: Sequence[int]) -> list[int]:
-    """base plus the sum of the steps at the set bits of each index."""
-    sums = [base]
-    for step in steps:
-        sums += [total + step for total in sums]
-    return sums
-
-
-def _extension_tables(card: Graph) -> list[tuple[list[int], list[int]]]:
-    """Packed degree histograms of H_A - u, H_A the card C plus a vertex x
-    joined to the vertex mask A: per card vertex u, then for no u (H_A
-    itself), a pair (lo, hi) of subset-sum tables over the low h =
-    ceil(n/2) and the high vertices.  With a = A minus u, the key is
-
-        key(C - u) + sum over w in a of 63 * 64^(w's degree in C - u) + 64^|a|
-        = lo[a mod 2^h] + hi[a >> h] + 64^|a|:
-
-    x has degree |a| and lifts each vertex of a from its degree d in C - u
-    to d + 1, which moves it one 6-bit field up.  The sum is additive over
-    the bits of a, so the two half-width tables hold it."""
-    n, rows = card.n, card.rows
-    h = (n + 1) // 2
-    out = []
-    for u in range(n + 1):
-        gone = rows[u] if u < n else 0
-        deg = [r.bit_count() - (gone >> w & 1) for w, r in enumerate(rows)]
-        key = sum(1 << _FIELD * d for w, d in enumerate(deg) if w != u)
-        steps = [0 if w == u else 63 << _FIELD * d for w, d in enumerate(deg)]
-        out.append((_subset_sums(key, steps[:h]), _subset_sums(0, steps[h:])))
-    return out
-
-
 def _covers(v: Sequence[int], a: Sequence[int]) -> bool:
     return all(x >= y for x, y in zip(v, a))
+
+
+def _deletion_hits(card: Graph, by_key: dict[int, list[int]]) -> dict[int, list]:
+    """With H_A the card plus a vertex joined to A: A -> [(u, B, classes)]
+    over the card vertices u, in increasing order, for which H_A - u keys
+    to a target of by_key (its classes), B = A - {u}.  Every A is listed,
+    twin pattern or not; the solve is derived in _Blockers."""
+    n, rows = card.n, card.rows
+    deg = [r.bit_count() for r in rows]
+    targets = []  # per key: K_0 + ... + K_d for each d, their sum, the classes
+    for key, hit in by_key.items():
+        cum = list(accumulate(key >> _FIELD * d & 63 for d in range(n)))
+        targets.append((cum, sum(cum), hit))
+    found: dict[int, list] = {}
+    for u in range(n):
+        by_degree: list[list[int]] = [[] for _ in range(n)]  # degree in C - u -> bits
+        for w in range(n):
+            if w != u:
+                by_degree[deg[w] - (rows[u] >> w & 1)].append(1 << w)
+        sizes = [len(bits) for bits in by_degree]
+        have = list(accumulate(sizes))  # P_d = cum[d] - have[d]
+        total = n + sum(have)
+        for cum, cum_total, hit in targets:
+            b, odd = divmod(total - cum_total, 2)
+            if odd or not 0 <= b < n:
+                continue
+            beta = list(map(sub, have, cum))  # -P_d, plus 1 from d = b on
+            beta[b:] = [x + 1 for x in beta[b:]]
+            if min(beta) < 0 or any(map(gt, beta, sizes)):
+                continue
+            picks = [
+                list(map(sum, combinations(bits, x))) for bits, x in zip(by_degree, beta) if x
+            ]
+            for a in map(sum, product(*picks)):
+                entry = (u, a, hit)
+                found.setdefault(a, []).append(entry)
+                found.setdefault(a | 1 << u, []).append(entry)
+    return found
 
 
 class _Blockers:
@@ -600,19 +607,42 @@ class _Blockers:
     deletion that undoes the extension (its new vertex or edge) gives
     card i and is counted without being keyed; only an H with cov_H = mu
     on j >= i and g's degree histogram can be g, so only such an H is
-    certified.  Edge extensions are walked by _coverage.  A vertex
-    extension H_A (card i plus a vertex joined to A) keys each H_A - u
-    from two of card i's subset-sum tables (_extension_tables) and a
-    popcount.  H_(A ^ {u}) - u is the same labeled graph, so the walk
-    memoises a key hit's card class by (u, A - u), which halves the
-    certifying stages; _coverage's twin memo would need each H's twin
-    classes, which the tables never build.  Class i's walk starts on
-    first use, against the targets of d's classes from i on (a slice of
-    d's class table, so no deck is rebuilt).  `coverages(i)` yields the
-    coverages found so far, kept as an antichain, then resumes the walk,
-    so no class is walked twice and each consumer stops it where it has
-    its answer: `identifies` at the first coverage that covers a profile,
-    recon's universal number once no larger sum is possible.
+    certified.  Edge extensions are walked by _coverage.
+
+    A vertex extension H_A is card i (C, of order n) plus a vertex x
+    joined to A, one per twin pattern.  For a card vertex u, H_A - u is
+    C - u plus x joined to B = A - {u}, so H_A - u and H_(B | {u}) - u
+    are one labeled graph.  The pairs (A, u) that key to a target K are
+    solved for once per walk (_deletion_hits).  Let h_d count the
+    vertices of degree d in C - u and beta_d those of them in B.  x has
+    degree b = |B| and lifts each vertex of B one degree, so the packed
+    key of H_A - u has the fields
+
+        K_d = h_d - beta_d + beta_(d-1) + [d = b]    (d = 0, ..., n - 1).
+
+    Summed over e <= d the beta's telescope, so with P_d the sum over
+    e <= d of K_e - h_e, P_d = [d >= b] - beta_d.  Over d < n the beta_d
+    add up to b and [d >= b] holds n - b times, so b = (n - b) - sum_d P_d:
+    b = (n - sum_d P_d) / 2, and then beta_d = [d >= b] - P_d.  Conversely
+    a B with these counts has b vertices, and its field d is h_d + P_d -
+    P_(d-1) = K_d, since [d >= b] and [d - 1 >= b] differ exactly at d = b.
+    So (b, beta) is unique per (u, K): it fails a range check (b a whole
+    number below n, 0 <= beta_d <= h_d), or the hits are the B that take
+    beta_d vertices of each degree class, the products of combinations
+    inside the classes, each hit at A = B and A = B | {u}.  The walk then
+    visits twin_patterns in order and takes only an A's hitting u's, in
+    increasing u.  It memoises a hit's card class by (u, B), which halves
+    the certifying stages; _coverage's twin memo would need each H's twin
+    classes, which the solve never builds.
+
+    Class i's walk starts on first use, against the targets of d's
+    classes from i on (a slice of d's class table, so no deck is
+    rebuilt), and yields each distinct coverage once, in the order found.
+    `coverages(i)` yields the coverages found so far, kept as an
+    antichain, then resumes the walk, so no class is walked twice and
+    each consumer stops it where it has its answer: `identifies` at the
+    first coverage that covers a profile, recon's universal number once
+    no larger sum is possible.
     """
 
     def __init__(self, g: Graph, d: Deck):
@@ -621,50 +651,55 @@ class _Blockers:
         self.deck = d
         self.walks: dict[int, tuple[Iterator[tuple[int, ...]], list]] = {}
 
+    def _is_own(self, s: _Shape) -> bool:
+        return s.key == self.own_key and certificate_rows(s.n, s.rows) == self.own
+
     def _walk(self, t: _DeckTargets) -> Iterator[tuple[int, ...]]:
-        """Coverage of each extension of t's first card that is not g."""
-        card, mults = t.cards[0], t.mults
-        if t.kind == "edge":
-            for s in _extensions(card, "edge", 1):
-                cov = _coverage(s, t, False)
-                if not (
-                    cov == mults
-                    and s.key == self.own_key
-                    and certificate_rows(s.n, s.rows) == self.own
-                ):
-                    yield tuple(cov)
-            return
-        n, rows, by_key = card.n, card.rows, t.by_key
-        *tables, whole = _extension_tables(card)
-        h = (n + 1) // 2
-        low = (1 << h) - 1
-        memo: dict[int, Optional[int]] = {}  # u << n | a -> class of H_a - u
-        for attach in twin_patterns(n, rows, None):
-            cov = [1] + [0] * (len(mults) - 1)  # H - x is card i
-            left = t.count - 1
-            for u, (lo, hi) in enumerate(tables):
-                if not left:
-                    break
-                a = attach & ~(1 << u)
-                hit = by_key.get(lo[a & low] + hi[a >> h] + (1 << _FIELD * a.bit_count()))
-                if hit and any(cov[j] < mults[j] for j in hit):
-                    at = u << n | a
-                    if at not in memo:
-                        memo[at] = _card_class(
-                            t, delete_vertices_rows(extend_rows(n, rows, a), (u,))
-                        )
-                    j = memo[at]
-                    if j is not None and cov[j] < mults[j]:
-                        cov[j] += 1
-                        left -= 1
-            lo, hi = whole
-            if not (
-                cov == mults
-                and lo[attach & low] + hi[attach >> h]
-                + (1 << _FIELD * attach.bit_count()) == self.own_key
-                and certificate_rows(n + 1, extend_rows(n, rows, attach)) == self.own
-            ):
+        """Each distinct coverage of an extension of t's first card that
+        is not g, once, in the order the extensions are walked."""
+        seen: set[tuple[int, ...]] = set()
+        for cov in (self._edge_walk if t.kind == "edge" else self._vertex_walk)(t):
+            if cov not in seen:
+                seen.add(cov)
+                yield cov
+
+    def _edge_walk(self, t: _DeckTargets) -> Iterator[tuple[int, ...]]:
+        mults = t.mults
+        for s in _extensions(t.cards[0], "edge", 1):
+            cov = _coverage(s, t, False)
+            if not (cov == mults and self._is_own(s)):
                 yield tuple(cov)
+
+    def _vertex_walk(self, t: _DeckTargets) -> Iterator[tuple[int, ...]]:
+        card, mults = t.cards[0], tuple(t.mults)
+        n, rows = card.n, card.rows
+        hits = _deletion_hits(card, t.by_key)
+        start = (1,) + (0,) * (len(mults) - 1)  # H - x is card i
+        memo: dict[int, Optional[int]] = {}  # u << n | B -> class of H_B - u
+        for attach in twin_patterns(n, rows, None):
+            cov = start
+            entries = hits.get(attach)
+            if entries:
+                counts = list(start)
+                left = t.count - 1
+                for u, a, hit in entries:
+                    if not left:
+                        break
+                    if any(counts[j] < mults[j] for j in hit):
+                        at = u << n | a
+                        if at not in memo:
+                            memo[at] = _card_class(
+                                t, delete_vertices_rows(extend_rows(n, rows, a), (u,))
+                            )
+                        j = memo[at]
+                        if j is not None and counts[j] < mults[j]:
+                            counts[j] += 1
+                            left -= 1
+                cov = tuple(counts)
+            if not (
+                cov == mults and self._is_own(_shape(n + 1, extend_rows(n, rows, attach)))
+            ):
+                yield cov
 
     def coverages(self, i: int) -> Iterator[tuple[int, ...]]:
         """Class i's walk as an antichain of coverages: those kept so far,

@@ -28,7 +28,7 @@ from reconkit.deciders import (
     two_lvd,
 )
 from reconkit.errors import CapacityError, InputError
-from reconkit.families import many_preimage_deck
+from reconkit.families import clique_union_pair, many_preimage_deck
 from reconkit.graph import (
     Graph,
     complete_graph,
@@ -41,7 +41,6 @@ from reconkit.graph import (
     join,
     path_graph,
     permute,
-    twin_patterns,
     union,
 )
 from reconkit.recon import recon_number
@@ -1014,10 +1013,10 @@ def test_one_walk_matches_built_decks():
 
 
 def test_vertex_class_walk_matches_the_generic_walk():
-    # the recon vertex walk keys each deletion from its card's tables; per
-    # card class i it yields exactly _coverage over _extensions of card i,
-    # in order, minus g, and each table key is _key_without_vertices of
-    # the built extension (entry n: the extension's own key)
+    # the recon vertex walk solves each deletion's degree signature; per
+    # card class i it yields exactly the distinct coverages of _coverage
+    # over _extensions of card i, in order of first appearance, minus g
+    # (the solve itself is pinned by test_deletion_hits_match_every_key)
     rng = random.Random(29)
     graphs = [g for n in range(3, 7) for g in enumerate_graphs(n)]
     graphs += rng.sample(enumerate_graphs(7), 30)
@@ -1039,19 +1038,47 @@ def test_vertex_class_walk_matches_the_generic_walk():
                 cov = deciders._coverage(s, t, False)
                 if not (cov == t.mults and certificate_rows(s.n, s.rows) == own):
                     want.append(tuple(cov))
+            want = list(dict.fromkeys(want))
             assert list(blockers._walk(deciders._DeckTargets(d, 1, i))) == want, (g, i)
             yielded += len(want)
+    assert yielded > 3000
+
+
+def test_deletion_hits_match_every_key():
+    # the recon vertex walk's solve against keying every pair: for each
+    # card class, every attachment set A of the card (all 2^n, not only
+    # twin patterns) and every card vertex u, _deletion_hits lists
+    # (u, A - u, classes) at A, in increasing u, exactly when the built
+    # extension minus u keys to a target; twin-heavy cards included
+    rng = random.Random(37)
+    graphs = [g for n in range(3, 6) for g in enumerate_graphs(n)]
+    graphs += rng.sample(enumerate_graphs(6), 20) + rng.sample(enumerate_graphs(7), 20)
+    for n in (8, 9, 10):
+        for _ in range(2):
+            graphs.append(random_graph(rng, n, rng.choice((0.3, 0.5, 0.7))))
+    twin_heavy = [g for n in range(4, 9) for g in clique_union_pair(n)]
+    twin_heavy += [union([complete_graph(4), complete_graph(5)]), empty_graph(9), complete_graph(9)]
+    twin_heavy.append(join([empty_graph(4), empty_graph(5)]))
+    graphs += twin_heavy + [union([g, K1]) for g in twin_heavy[-4:]]
+    hits = 0
+    for g in graphs:
+        d = build_deck(g, "vertex", 1)
+        for i in range(len(d.classes())):
+            t = deciders._DeckTargets(d, 1, i)
             card = t.cards[0]
             n = card.n
-            h = (n + 1) // 2
-            tables = deciders._extension_tables(card)
-            for attach in twin_patterns(n, card.rows, None):
+            found = deciders._deletion_hits(card, t.by_key)
+            assert set(found) <= set(range(1 << n)), (g, i)
+            for attach in range(1 << n):
                 s = deciders._shape(n + 1, extend_rows(n, card.rows, attach))
-                for u, (lo, hi) in enumerate(tables):
-                    a = attach & ~(1 << u)
-                    key = lo[a % (1 << h)] + hi[a >> h] + 64 ** a.bit_count()
-                    assert key == (deciders._key_without_vertices(s, (u,)) if u < n else s.key)
-    assert yielded > 5000
+                want = []
+                for u in range(n):
+                    key = deciders._key_without_vertices(s, (u,))
+                    if key in t.by_key:
+                        want.append((u, attach & ~(1 << u), t.by_key[key]))
+                assert found.get(attach, []) == want, (g, i, attach)
+                hits += len(want)
+    assert hits > 20000
 
 
 def test_every_witness_has_its_deck():
