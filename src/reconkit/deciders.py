@@ -73,9 +73,9 @@ match, and refused past SEARCH_BUDGET units; its order is fixed, so a
 refusal is too.  Deck checks, recon walks and the front end are uncharged.
 A unit costs from microseconds to tenths of a millisecond, the most when
 it certifies a graph with large twin classes: two E12 cards at c = 2
-answer in 0.3 s, one P7 card at c = 3 is refused after about 4 s, one E20
-card at c = 3 after 8 to 9 s, and one K10,10 card at c = 3 after 17 to
-22 s (2 vCPU, CPython 3.11.7).
+answer in 0.3 s, one P7 card at c = 3 is refused after 4.3 to 5.4 s, one
+E20 card at c = 3 after 8.4 to 11.5 s, and one K10,10 card at c = 3 after
+19.2 to 22.4 s (3 runs, 2-vCPU Intel Xeon VM, CPython 3.11.7).
 """
 
 from __future__ import annotations
@@ -88,8 +88,8 @@ from operator import gt, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .canon import certificate_rows, find_isomorphism
-from .deck import DELETION_SETS_CAP, Deck, check_deletion_sets
-from .errors import CapacityError, InputError, _count_text
+from .deck import DELETION_SETS_CAP, Deck, _deletion_sets, check_deletion_sets
+from .errors import CapacityError, InputError, _check_at_least, _count_text
 from .graph import (
     Graph,
     _twin_classes,
@@ -147,30 +147,25 @@ def _degree_profile(rows: Sequence[int]) -> tuple[int, ...]:
 
 
 class _Shape(NamedTuple):
-    """A rows-graph with its packed degree histogram `key`, edge count and
-    degree classes (degree -> vertex mask), built by _shape alone.  The
-    classes serve only _coverage's c = 1 vertex check: the card's edge
-    count forces the deleted vertex's degree.  A search candidate's `undo`
-    is the c vertices or c edges whose deletion gives back the first card;
-    the graphs of deck checks have none."""
+    """A rows-graph with its packed degree histogram `key` and edge count,
+    built by _shape alone.  A search candidate's `undo` is the c vertices
+    or c edges whose deletion gives back the first card; the graphs of
+    deck checks have none."""
 
     n: int
     rows: Sequence[int]
-    classes: dict[int, int]
     key: int
     m: int
     undo: Optional[tuple]
 
 
 def _shape(n: int, rows: Sequence[int], undo: Optional[tuple] = None) -> _Shape:
-    classes: dict[int, int] = {}
     key = degrees = 0
-    for v in range(n):
-        d = rows[v].bit_count()
-        classes[d] = classes.get(d, 0) | 1 << v
+    for r in rows:
+        d = r.bit_count()
         key += 1 << _FIELD * d
         degrees += d
-    return _Shape(n, rows, classes, key, degrees // 2, undo)
+    return _Shape(n, rows, key, degrees // 2, undo)
 
 
 def _key_without_vertices(s: _Shape, drop: Sequence[int]) -> int:
@@ -242,8 +237,7 @@ class _DeckTargets:
     def __init__(self, d: Deck, c: int, first: int = 0):
         if d.kind not in ("vertex", "edge"):
             raise InputError(f"deck kind must be vertex or edge, got {d.kind!r}")
-        if c < 1:
-            raise InputError(f"deletion count must be >= 1, got {c}")
+        _check_at_least(c, 1, "deletion count")
         self.kind = d.kind
         self.c = c
         self.order = d.uniform_order()  # None when empty or mixed
@@ -299,16 +293,20 @@ def _coverage(s: _Shape, t: _DeckTargets, exhaust: bool) -> list[int]:
         if t.order != n - c:
             return cov
         if c == 1:
-            # the deleted vertex's degree is forced by the card edge count;
+            # the deleted vertex's degree d is forced by the card edge count;
             # for containment each degree class must be large enough to
-            # serve every card class that needs it
-            eligible = 0
+            # serve every card class that needs it.  Field d of the key is
+            # the class size, save when all of 64 vertices have degree d
+            # and it carries into field d + 1
+            degrees = set()
             for edges, need in t.need_by_edges.items():
-                mask = s.classes.get(s.m - edges, 0)
-                if exhaust and mask.bit_count() < need:
+                d = s.m - edges
+                if exhaust and (
+                    d < 0 or s.key >> _FIELD * d & 63 < need and s.key != n << _FIELD * d
+                ):
                     return cov
-                eligible |= mask
-            space: Sequence = list(iter_bits(eligible))
+                degrees.add(d)
+            space: Sequence = [v for v in range(n) if s.rows[v].bit_count() in degrees]
         else:
             space = range(n)
         card_rows = delete_vertices_rows
@@ -374,30 +372,20 @@ def _sub_match(s: _Shape, t: _DeckTargets) -> bool:
 # the eight decision problems
 
 
-def _check_targets(g: Graph, d: Deck, c: int) -> tuple[_DeckTargets, int]:
-    """Targets for matching d against g, and g's number of c-deletions."""
-    t = _DeckTargets(d, c)
-    if t.kind == "vertex" and c > g.n:
-        raise InputError(f"cannot delete {c} vertices from order {g.n}")
-    if t.kind == "edge" and c > g.m:
-        raise InputError(f"cannot delete {c} edges from {g.m} edges")
-    return t, comb(g.n if t.kind == "vertex" else g.m, c)
-
-
 def deck_check(g: Graph, d: Deck, c: int) -> bool:
     """VDC_c / EDC_c: is d exactly the c-deletion deck of g?  It walks
     only a deck that already has all C(n, c) (C(m, c)) cards, so it needs
     no deletion-set cap."""
-    t, deletions = _check_targets(g, d, c)
-    return len(d) == deletions and _sub_match(_shape(g.n, g.rows), t)
+    t = _DeckTargets(d, c)
+    return len(d) == _deletion_sets(g, t.kind, c) and _sub_match(_shape(g.n, g.rows), t)
 
 
 def subdeck_check(g: Graph, cards: Deck, c: int) -> bool:
     """k-VDC_c / k-EDC_c: are the given cards a sub-multiset of g's deck?"""
     if len(cards) < 1:
         raise InputError("subdeck check requires at least one card")
-    t, deletions = _check_targets(g, cards, c)
-    check_deletion_sets(deletions)
+    t = _DeckTargets(cards, c)
+    check_deletion_sets(_deletion_sets(g, t.kind, c))
     return _sub_match(_shape(g.n, g.rows), t)
 
 
@@ -463,22 +451,23 @@ def _edge_additions(card: Graph, c: int, charge: Callable) -> Iterator[_Shape]:
         frontier = grown
 
 
-def _kelly_added_edges(d: Deck, c: int, n: int) -> Optional[int]:
-    """Edges an extension of the first card must add for the full c-deck d
-    of an order-n graph (Kelly: each edge lies in C(n-2, c) cards).  None
-    when the count is not fixed; negative when no graph has this deck."""
-    per_edge = comb(n - 2, c)
+def _kelly_added_edges(t: _DeckTargets) -> Optional[int]:
+    """Edges an extension of the first card must add for t's cards to be
+    the full c-vertex-deck of a graph (Kelly: each of its edges lies in
+    C(n-2, c) cards).  None when the count is not fixed; negative when no
+    graph has this deck."""
+    per_edge = comb(max(t.order + t.c - 2, 0), t.c)  # 0 when n < 2: no edge to count
     if not per_edge:
         return None
-    total = sum(card.m for card in d.cards)
+    total = sum(edges * count for edges, count in t.need_by_edges.items())
     if total % per_edge:
         return -1
-    return total // per_edge - d.cards[0].m
+    return total // per_edge - t.cards[0].m
 
 
-def _full_size(t: _DeckTargets, c: int) -> int:
+def _full_size(t: _DeckTargets) -> int:
     """Cards in the full c-deck of a graph with t's cards."""
-    return comb((t.order if t.kind == "vertex" else t.edges) + c, c)
+    return comb((t.order if t.kind == "vertex" else t.edges) + t.c, t.c)
 
 
 def _targets(d: Deck, c: int, mode: str) -> Optional[_DeckTargets]:
@@ -491,9 +480,9 @@ def _targets(d: Deck, c: int, mode: str) -> Optional[_DeckTargets]:
     t = _DeckTargets(d, c)
     if t.order is None or (t.kind == "edge" and t.edges is None):
         return None  # mixed card shapes never form or fit a deck
-    if mode == "sub" and len(d) > _full_size(t, c):
+    if mode == "sub" and len(d) > _full_size(t):
         raise InputError(
-            f"{len(d)} cards cannot be contained in a {_full_size(t, c)}-card deck"
+            f"{len(d)} cards cannot be contained in a {_full_size(t)}-card deck"
         )
     return t
 
@@ -504,21 +493,18 @@ def _search_preimages(d: Deck, c: int, mode: str) -> Iterator[tuple[bytes, _Shap
     the budget is charged as the search runs."""
     t = _targets(d, c, mode)
     if t is not None:
-        yield from _search(d, t, c, mode)
+        yield from _search(t, mode)
 
 
-def _search(
-    d: Deck, t: _DeckTargets, c: int, mode: str
-) -> Iterator[tuple[bytes, _Shape]]:
+def _search(t: _DeckTargets, mode: str) -> Iterator[tuple[bytes, _Shape]]:
     """_search_preimages on validated targets."""
-    n0 = t.order
     size = None
-    full_size = _full_size(t, c)
+    full_size = _full_size(t)
     if mode == "pure":
-        if len(d) != full_size:
+        if t.count != full_size:
             return
         if t.kind == "vertex":
-            size = _kelly_added_edges(d, c, n0 + c)
+            size = _kelly_added_edges(t)
             if size is not None and size < 0:
                 return
     check_deletion_sets(full_size)  # the walk visits them per candidate
@@ -532,7 +518,7 @@ def _search(
             )
 
     seen: set[bytes] = set()
-    for s in _extensions(d.cards[0], t.kind, c, size, charge):
+    for s in _extensions(t.cards[0], t.kind, t.c, size, charge):
         matched = _sub_match(s, t)  # adds the deletions its walk keyed
         charge(1 + matched)  # the candidate, and the certificate of a match
         if matched:
@@ -837,7 +823,7 @@ def find_preimage(d: Deck, c: int, mode: str) -> Optional[Graph]:
                 for g in _glued(t.cards[0], x, b, y):
                     if subdeck_check(g, d, c):
                         return g
-    found = next(_search(d, t, c, mode), None)
+    found = next(_search(t, mode), None)
     if found is None:
         return None
     s = found[1]
@@ -863,6 +849,5 @@ def two_lvd(g1: Graph, g2: Graph, c: int) -> bool:
     isomorphic graphs, found over C(n, min(c, n)) deletion sets per card."""
     if g1.n != g2.n:
         raise InputError(f"orders differ: {g1.n} vs {g2.n}")
-    if c < 1:
-        raise InputError(f"deletion count must be >= 1, got {c}")
+    _check_at_least(c, 1, "deletion count")
     return _pair_test([g1, g2], c) is not None

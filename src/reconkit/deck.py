@@ -39,7 +39,7 @@ from math import comb
 from typing import Iterable, Optional, Sequence
 
 from .canon import _memoized_labeling, certificate, certificate_rows
-from .errors import CapacityError, InputError, _count_text
+from .errors import CapacityError, InputError, _check_at_least, _count_text
 from .graph import Graph, delete_edges_rows, delete_vertices, delete_vertices_rows
 from .graph import graph6_decode, graph6_encode, relabel_rows, twin_orbits
 
@@ -109,9 +109,6 @@ class Deck:
         sizes = {card.m for card in self.cards}
         return sizes.pop() if len(sizes) == 1 else None
 
-    def cert_counter(self) -> Counter:
-        return Counter(self.certs)
-
     def classes(self) -> list[tuple[bytes, tuple[Graph, ...]]]:
         """(certificate, cards) per isomorphism class, in certificate order,
         the cards in deck order: the certificates are sorted, so each class
@@ -133,24 +130,28 @@ def check_deletion_sets(count: int) -> None:
         )
 
 
+def _deletion_sets(g: Graph, kind: str, c: int) -> int:
+    """g's C(n, c) vertex or C(m, c) edge deletion sets, for a c >= 0 and a
+    kind of vertex or edge; c past n (m) is refused."""
+    if kind == "vertex" and c > g.n:
+        raise InputError(f"cannot delete {_count_text(c)} vertices from order {g.n}")
+    if kind == "edge" and c > g.m:
+        raise InputError(f"cannot delete {_count_text(c)} edges from {g.m} edges")
+    return comb(g.n if kind == "vertex" else g.m, c)
+
+
 def build_deck(g: Graph, kind: str, c: int) -> Deck:
     """All cards obtained by deleting every c-subset of vertices or edges,
     each twin orbit certified once, from g's canonical form if g is
     already certified (see the module docstring)."""
-    if c < 0:
-        raise InputError(f"deletion count must be >= 0, got {c}")
-    if kind == "vertex":
-        if c > g.n:
-            raise InputError(f"cannot delete {c} vertices from order {g.n}")
-        check_deletion_sets(comb(g.n, c))
-        sets, card_rows = combinations(range(g.n), c), delete_vertices_rows
-    elif kind == "edge":
-        if c > g.m:
-            raise InputError(f"cannot delete {c} edges from {g.m} edges")
-        check_deletion_sets(comb(g.m, c))
-        sets, card_rows = combinations(g.edges, c), delete_edges_rows
-    else:
+    _check_at_least(c, 0, "deletion count")
+    if kind not in ("vertex", "edge"):
         raise InputError(f"build_deck kind must be vertex or edge, got {kind!r}")
+    check_deletion_sets(_deletion_sets(g, kind, c))
+    if kind == "vertex":
+        sets, card_rows = combinations(range(g.n), c), delete_vertices_rows
+    else:
+        sets, card_rows = combinations(g.edges, c), delete_edges_rows
     orbit = twin_orbits(g.n, g.rows)
     lab = _memoized_labeling(g.n, g.rows)
     if lab == bytes(range(g.n)):  # g is its own canonical form

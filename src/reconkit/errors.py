@@ -17,9 +17,18 @@ class CapacityError(ReconError):
 
 
 def _count_text(count: int) -> str:
-    """A count for a message: its digits, or its bit length once the count
-    passes 2^64, since Python refuses to print ints past 4,300 digits."""
-    return str(count) if count < 1 << 64 else f"({count.bit_length()}-bit number)"
+    """A count for a message: its digits, or its bit length once its
+    magnitude passes 2^64, since Python refuses to print ints past 4,300
+    digits."""
+    if -(1 << 64) < count < 1 << 64:
+        return str(count)
+    return f"{'-' if count < 0 else ''}({count.bit_length()}-bit number)"
+
+
+def _check_at_least(value: int, least: int, what: str) -> None:
+    """Refuse a count below its least value, e.g. a deletion count below 1."""
+    if value < least:
+        raise InputError(f"{what} must be >= {least}, got {_count_text(value)}")
 
 
 class Graph6ParseError(InputError):

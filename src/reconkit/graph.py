@@ -26,6 +26,7 @@ from itertools import product
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import CapacityError, Graph6ParseError, InputError
+from .errors import _check_at_least, _count_text
 
 ENUMERATION_CAP = 7  # 1,044 classes; 8 has 12,346 (A000088), past desk scale
 
@@ -36,8 +37,7 @@ class Graph:
     __slots__ = ("n", "rows", "m")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        if n < 0:
-            raise InputError(f"vertex count must be >= 0, got {n}")
+        _check_at_least(n, 0, "vertex count")
         rows = [0] * n
         for u, v in edges:
             if u == v:
@@ -255,8 +255,7 @@ def _sized_patterns(prefixes: list[list[int]], size: int) -> Iterator[int]:
 
 
 def complete_graph(n: int) -> Graph:
-    if n < 0:
-        raise InputError(f"vertex count must be >= 0, got {n}")
+    _check_at_least(n, 0, "vertex count")
     full = (1 << n) - 1
     return Graph._from_rows(n, [full ^ 1 << v for v in range(n)])
 
@@ -526,10 +525,9 @@ def enumerate_graphs(n: int) -> tuple[Graph, ...]:
     """
     if n > ENUMERATION_CAP:
         raise CapacityError(
-            f"enumeration is capped at n = {ENUMERATION_CAP}, got {n}"
+            f"enumeration is capped at n = {ENUMERATION_CAP}, got {_count_text(n)}"
         )
-    if n < 0:
-        raise InputError(f"vertex count must be >= 0, got {n}")
+    _check_at_least(n, 0, "vertex count")
     if n not in _ENUM_CACHE:
         graphs = (g.rows for g in enumerate_graphs(n - 1))
         found = extension_classes(n - 1, graphs, canonical_deletion=True)

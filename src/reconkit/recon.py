@@ -37,8 +37,10 @@ such bound.
 from __future__ import annotations
 
 import math
+from collections import Counter
+from functools import partial
 from math import comb
-from typing import Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .deck import Deck, build_deck, subdeck_contained
 from .deciders import profile_identifies
@@ -89,6 +91,12 @@ def _check_caps(g: Graph, kind: str) -> None:
         raise InputError(f"kind must be vertex or edge, got {kind!r}")
 
 
+def _toggle_shares(g: Graph, kind: str) -> int:
+    """Cards g shares with a toggle of g: two vertex cards on n >= 3
+    vertices (module docstring), else none."""
+    return 2 if kind == "vertex" and g.n >= 3 else 0
+
+
 def _universe_is_singleton(g: Graph, kind: str) -> bool:
     # Empty collections identify only in a one-class universe: all graphs
     # of the order (vertex kind), or all graphs of the order and edge
@@ -98,6 +106,15 @@ def _universe_is_singleton(g: Graph, kind: str) -> bool:
         return g.n <= 1
     full = comb(g.n, 2)
     return g.m in {1, full - 1, full}
+
+
+def _identified(g: Graph, kind: str, blockers: Callable, profile: Sequence[int]) -> bool:
+    """Does the count profile over g's card classes identify g?  No profile
+    of at most the toggle's shared cards does, the empty one only in a
+    one-class universe; the rest ask the class walks of `blockers()`."""
+    if not any(profile):
+        return _universe_is_singleton(g, kind)
+    return sum(profile) > _toggle_shares(g, kind) and blockers().identifies(profile)
 
 
 def identifies(g: Graph, s: Deck, kind: str) -> bool:
@@ -122,13 +139,9 @@ def identifies(g: Graph, s: Deck, kind: str) -> bool:
     deck = build_deck(g, kind, 1)
     if not subdeck_contained(query, deck):
         raise InputError("the given cards are not a subdeck of g's deck")
-    if kind == "vertex" and g.n >= 3 and len(query) <= 2:
-        return False
-    if len(query) == 0:
-        return _universe_is_singleton(g, kind)
-    counts = query.cert_counter()
+    counts = Counter(query.certs)
     profile = [counts[cert] for cert, _ in deck.classes()]
-    return profile_identifies(g, deck).identifies(profile)
+    return _identified(g, kind, lambda: profile_identifies(g, deck), profile)
 
 
 def _profiles(mults: list[int], size: int) -> Iterator[tuple[int, ...]]:
@@ -165,10 +178,8 @@ def recon_number(g: Graph, kind: str, quantifier: str) -> ReconNumber:
     classes = deck.classes()
     mults = [len(cards) for _, cards in classes]
     blockers = profile_identifies(g, deck)
-    start = 3 if kind == "vertex" and g.n >= 3 else 0  # the toggle (module docstring)
-
-    def identified(p: tuple[int, ...]) -> bool:
-        return blockers.identifies(p) if any(p) else _universe_is_singleton(g, kind)
+    identified = partial(_identified, g, kind, lambda: blockers)
+    shared = _toggle_shares(g, kind)  # cards g shares with a graph not g, at least
 
     def subdeck_for(profile: tuple[int, ...]) -> Deck:
         # the first cards of each class run, so still certificate-sorted
@@ -180,12 +191,11 @@ def recon_number(g: Graph, kind: str, quantifier: str) -> ReconNumber:
         return Deck._from_sorted(kind, tagged)
 
     if quantifier == "exists":
-        for size in range(start, len(deck) + 1):
+        for size in range(shared + 1 if shared else 0, len(deck) + 1):
             for profile in _profiles(mults, size):
                 if identified(profile):
                     return ReconNumber(size, witness=subdeck_for(profile))
         return ReconNumber(math.inf)
-    shared = 2 if start else 0  # the toggle shares two vertex cards
     for i in range(len(mults)):
         rest = sum(mults[i:])  # walk i shares no more cards
         for cov in blockers.coverages(i) if rest > shared else ():
@@ -194,10 +204,7 @@ def recon_number(g: Graph, kind: str, quantifier: str) -> ReconNumber:
                 break
     if shared == len(deck) or _universe_is_singleton(g, kind):
         return ReconNumber(math.inf if shared else 0)  # a one-class universe shares none
-    # profiles below the toggle's bound are not tested
-    failure = next(
-        p for p in _profiles(mults, shared) if shared < start or not identified(p)
-    )
+    failure = next(p for p in _profiles(mults, shared) if not identified(p))
     return ReconNumber(shared + 1, counterexample=subdeck_for(failure))
 
 

@@ -18,7 +18,7 @@ from math import comb
 
 from .canon import certificate, check_certificate_order
 from .deck import Deck, build_deck, check_deletion_sets
-from .errors import InputError
+from .errors import InputError, _check_at_least, _count_text
 from .graph import (
     Graph,
     complete_graph,
@@ -58,7 +58,7 @@ def _require_pair(g: Graph, h: Graph, kind: str, c: int) -> int:
         raise InputError(f"{kind}: orders differ ({g.n} vs {h.n})")
     min_order = _min_order(kind, c)
     if g.n < min_order:
-        raise InputError(f"{kind}: order must be >= {min_order}, got {g.n}")
+        raise InputError(f"{kind}: order must be >= {_count_text(min_order)}, got {g.n}")
     if not is_connected(g) or not is_connected(h):
         raise InputError(f"{kind}: both graphs must be connected")
     return g.n
@@ -79,8 +79,7 @@ def gi_to_lvd(g: Graph, h: Graph, c: int) -> Deck:
     """Deck whose pure legitimacy (LVD_c) decides g ~ h: the c-deck of
     g plus c+1 isolated vertices, one "g + isolated" card swapped for the
     "h + isolated" card."""
-    if c < 1:
-        raise InputError(f"deletion count must be >= 1, got {c}")
+    _check_at_least(c, 1, "deletion count")
     check_deletion_sets(comb(g.n + c + 1, c))
     n = _require_pair(g, h, "gi_to_lvd", c)
     big = union([g, empty_graph(c + 1)])
@@ -94,8 +93,7 @@ def gi_to_lvd(g: Graph, h: Graph, c: int) -> Deck:
 def gi_to_led(g: Graph, h: Graph, c: int) -> Deck:
     """Deck whose pure legitimacy (LED_c) decides g ~ h, built from the
     c-edge-deck of g + c disjoint edges + a large clique."""
-    if c < 1:
-        raise InputError(f"deletion count must be >= 1, got {c}")
+    _check_at_least(c, 1, "deletion count")
     check_certificate_order(2 * g.n + 2 * c + 1, "gi_to_led card order")
     n = _require_pair(g, h, "gi_to_led", c)
     ell = n + 1
@@ -115,8 +113,7 @@ def _hat(g: Graph) -> Graph:
 def kedc_to_kvdc(g: Graph, cards: Deck, c: int) -> tuple[Graph, Deck]:
     """Transfer a k-EDC_c instance to a k-VDC_c instance by taking line
     graphs of the hat construction of every graph involved."""
-    if c < 1:
-        raise InputError(f"deletion count must be >= 1, got {c}")
+    _check_at_least(c, 1, "deletion count")
     if cards.kind != "edge":
         raise InputError(f"kedc_to_kvdc needs edge cards, got {cards.kind!r}")
     if len(cards) == 0:
@@ -127,7 +124,7 @@ def kedc_to_kvdc(g: Graph, cards: Deck, c: int) -> tuple[Graph, Deck]:
             f"match the graph order {g.n}"
         )
     if g.n <= c:
-        raise InputError(f"order must exceed c={c}, got {g.n}")
+        raise InputError(f"order must exceed c={_count_text(c)}, got {g.n}")
     hat = _hat(g)
     assert hat.n == 2 * g.n + 2
     image = Deck("vertex", [line_graph(_hat(card)) for card in cards.cards])
@@ -137,10 +134,8 @@ def kedc_to_kvdc(g: Graph, cards: Deck, c: int) -> tuple[Graph, Deck]:
 def gi_to_kedc(g: Graph, h: Graph, c: int, k: int) -> tuple[Graph, Deck]:
     """k-EDC_c instance deciding g ~ h: graph g + c disjoint edges, cards
     "h + 2c isolated" plus k-1 true edge-cards."""
-    if c < 1:
-        raise InputError(f"deletion count must be >= 1, got {c}")
-    if k < 2:
-        raise InputError(f"card count must be >= 2, got {k}")
+    _check_at_least(c, 1, "deletion count")
+    _check_at_least(k, 2, "card count")
     check_certificate_order(g.n + 2 * c, "gi_to_kedc card order")
     _require_pair(g, h, "gi_to_kedc", c)
     base = union([g, copies(complete_graph(2), c)])
@@ -159,10 +154,8 @@ def gi_to_kedc(g: Graph, h: Graph, c: int, k: int) -> tuple[Graph, Deck]:
 
 def gi_to_klvd(g: Graph, h: Graph, c: int, k: int) -> Deck:
     """k-card vertex subdeck deciding g ~ h via padded clique unions."""
-    if c < 1:
-        raise InputError(f"deletion count must be >= 1, got {c}")
-    if k < 2:
-        raise InputError(f"card count must be >= 2, got {k}")
+    _check_at_least(c, 1, "deletion count")
+    _check_at_least(k, 2, "card count")
     check_certificate_order(3 * g.n + 2 * k + 2 * c, "gi_to_klvd card order")
     n = _require_pair(g, h, "gi_to_klvd", c)
     ell = n + k
@@ -176,10 +169,8 @@ def gi_to_klvd(g: Graph, h: Graph, c: int, k: int) -> Deck:
 def gi_to_kled(g: Graph, h: Graph, c: int, k: int) -> Deck:
     """k-card edge subdeck deciding g ~ h: cliques with c edges removed in
     the k-1 g-cards (K_ell side) and in the h-card (K_{ell+1} side)."""
-    if c < 1:
-        raise InputError(f"deletion count must be >= 1, got {c}")
-    if k < 2:
-        raise InputError(f"card count must be >= 2, got {k}")
+    _check_at_least(c, 1, "deletion count")
+    _check_at_least(k, 2, "card count")
     check_certificate_order(3 * g.n + 2 * k + 1, "gi_to_kled card order")
     n = _require_pair(g, h, "gi_to_kled", c)
     ell = n + k

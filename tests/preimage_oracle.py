@@ -91,7 +91,7 @@ class _DeckTargets:
         self.edges = d.uniform_edges()
         self.degseqs = [tuple(sorted(card.degrees())) for card in d.cards]
         self.degseq_counter = Counter(self.degseqs)
-        self.cert_counter = d.cert_counter()
+        self.cert_counter = Counter(d.certs)
         self.classes: list[_CardClass] = []
         seen: dict[bytes, int] = {}
         for cert, card, degseq in zip(d.certs, d.cards, self.degseqs):

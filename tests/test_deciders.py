@@ -294,7 +294,7 @@ def test_pair_test_walks_one_deletion_size(monkeypatch):
         sizes.append(size)
         return real(n, rows, size)
 
-    def fail(d, t, c, mode):
+    def fail(t, mode):
         raise AssertionError("exhaustive search entered")
 
     monkeypatch.setattr(deciders, "twin_patterns", spy)
@@ -329,7 +329,7 @@ def test_front_end_refutes_on_a_later_card_pair(monkeypatch):
     assert two_lvd(first, star, 1) and two_lvd(first, triangle, 1)
     assert not two_lvd(star, triangle, 1)
 
-    def fail(d, t, c, mode):
+    def fail(t, mode):
         raise AssertionError("exhaustive search entered")
 
     monkeypatch.setattr(deciders, "_search", fail)
@@ -413,6 +413,18 @@ def test_deck_check_self_consistency():
                     if kind == "edge" and c > g.m:
                         continue
                     assert deck_check(g, build_deck(g, kind, c), c)
+
+
+def test_one_vertex_checks_of_regular_order_64_graphs():
+    # the c = 1 vertex check sizes each degree class from its field of the
+    # packed histogram; in a regular graph on 64 vertices that field
+    # carries, so the check must still find the whole class
+    cycle = Graph(64, [(v, (v + 1) % 64) for v in range(64)])
+    for g in (cycle, complete_graph(64)):
+        d = build_deck(g, "vertex", 1)
+        assert deck_check(g, d, 1)
+        assert subdeck_check(g, Deck("vertex", d.cards[:3]), 1)
+    assert not deck_check(cycle, build_deck(complete_graph(64), "vertex", 1), 1)
 
 
 def test_mixed_shape_collections_are_rejected_by_answer():
@@ -573,6 +585,9 @@ def test_pure_vertex_search_uses_kellys_edge_count(monkeypatch):
     offered.clear()
     assert not legit_vertex(Deck("vertex", [K3, K3, K3, P3]), 1, "pure")
     assert offered == []
+    # a preimage on fewer than 2 vertices has no edge to count: the one
+    # card of K1's deck is K0
+    assert enum_preimages(Deck("vertex", [Graph(0)]), 1, "pure") == (Graph(1),)
 
 
 def _raw_edge_additions(base, c):

@@ -248,6 +248,10 @@ def test_rows_kernel_agrees_with_graph():
                 for attach in range(1 << n):
                     if attach.bit_count() == size:
                         assert brute_canonical_mask(extend(g, attach)) in reached
+            # sizes out of range, as the pure vertex search's Kelly count
+            # can ask for fewer than no added edges, have no pattern
+            for size in (-1, n + 1):
+                assert list(twin_patterns(n, g.rows, size)) == []
 
 
 def test_permute():

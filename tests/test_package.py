@@ -1,5 +1,6 @@
 """The lazy `reconkit` package: the names it exports and where they resolve."""
 
+import re
 import subprocess
 import sys
 from importlib import import_module
@@ -204,7 +205,173 @@ def _guard_calls():
     return calls
 
 
-GUARDS = _guard_calls()
+def _exactly(message):
+    return "^" + re.escape(message) + "$"
+
+
+def _count_guard_calls():
+    # each folded count guard and the checks around it, with the exact
+    # message: where a call breaks several rules, the first check named
+    # in the id fires
+    from reconkit import (
+        Deck,
+        Graph,
+        build_deck,
+        complete_graph,
+        deck_check,
+        empty_graph,
+        endvertex_deck,
+        enum_preimages,
+        enumerate_graphs,
+        gi_to_kedc,
+        gi_to_kled,
+        gi_to_klvd,
+        gi_to_led,
+        gi_to_lvd,
+        kedc_to_kvdc,
+        path_graph,
+        subdeck_check,
+        two_lvd,
+    )
+    from reconkit.errors import CapacityError, InputError
+
+    k3, k4, p3, e20 = complete_graph(3), complete_graph(4), path_graph(3), empty_graph(20)
+    k30, k31 = complete_graph(30), complete_graph(31)
+    cards = build_deck(k3, "vertex", 1)
+    edge_cards = build_deck(k3, "edge", 1)
+    ends = endvertex_deck(p3)
+    c_low = "deletion count must be >= 1, got 0"
+    k_low = "card count must be >= 2, got 1"
+    calls = [
+        ("Graph n < 0", lambda: Graph(-1), InputError, "vertex count must be >= 0, got -1"),
+        ("complete_graph n < 0", lambda: complete_graph(-2), InputError,
+         "vertex count must be >= 0, got -2"),
+        ("enumerate_graphs n < 0", lambda: enumerate_graphs(-1), InputError,
+         "vertex count must be >= 0, got -1"),
+        ("enumerate_graphs cap", lambda: enumerate_graphs(8), CapacityError,
+         "enumeration is capped at n = 7, got 8"),
+        ("build_deck c < 0 before kind", lambda: build_deck(k3, "endvertex", -1),
+         InputError, "deletion count must be >= 0, got -1"),
+        ("build_deck kind before c > n", lambda: build_deck(k3, "endvertex", 9),
+         InputError, "build_deck kind must be vertex or edge, got 'endvertex'"),
+        ("build_deck c > n", lambda: build_deck(k3, "vertex", 4), InputError,
+         "cannot delete 4 vertices from order 3"),
+        ("build_deck c > m", lambda: build_deck(p3, "edge", 3), InputError,
+         "cannot delete 3 edges from 2 edges"),
+        ("build_deck cap", lambda: build_deck(e20, "vertex", 10), CapacityError,
+         "184756 deletion sets exceed the 100000 cap"),
+        ("deck_check kind before c < 1", lambda: deck_check(k3, ends, 0), InputError,
+         "deck kind must be vertex or edge, got 'endvertex'"),
+        ("deck_check c < 1", lambda: deck_check(k3, cards, 0), InputError,
+         c_low),
+        ("deck_check c > n", lambda: deck_check(k3, cards, 4), InputError,
+         "cannot delete 4 vertices from order 3"),
+        ("deck_check c > m", lambda: deck_check(p3, edge_cards, 3), InputError,
+         "cannot delete 3 edges from 2 edges"),
+        ("subdeck_check no cards before c < 1",
+         lambda: subdeck_check(k3, Deck("vertex", []), 0), InputError,
+         "subdeck check requires at least one card"),
+        ("subdeck_check c < 1", lambda: subdeck_check(k3, cards, 0), InputError, c_low),
+        ("subdeck_check c > n", lambda: subdeck_check(k3, cards, 21),
+         InputError, "cannot delete 21 vertices from order 3"),
+        ("subdeck_check cap", lambda: subdeck_check(e20, cards, 10), CapacityError,
+         "184756 deletion sets exceed the 100000 cap"),
+        ("enum_preimages mode before empty deck",
+         lambda: enum_preimages(Deck("vertex", []), 0, "bogus"), InputError,
+         "mode must be pure or sub, got 'bogus'"),
+        ("enum_preimages empty deck before c < 1",
+         lambda: enum_preimages(Deck("vertex", []), 0, "sub"), InputError,
+         "preimage search needs a nonempty deck"),
+        ("enum_preimages kind before c < 1", lambda: enum_preimages(ends, 0, "sub"),
+         InputError, "deck kind must be vertex or edge, got 'endvertex'"),
+        ("enum_preimages c < 1", lambda: enum_preimages(cards, 0, "pure"), InputError,
+         c_low),
+        ("two_lvd orders before c < 1", lambda: two_lvd(k3, k4, 0), InputError,
+         "orders differ: 3 vs 4"),
+        ("two_lvd c < 1", lambda: two_lvd(k3, k3, 0), InputError, c_low),
+        ("gi_to_lvd c < 1 before orders", lambda: gi_to_lvd(k3, k4, 0), InputError,
+         c_low),
+        ("gi_to_lvd cap before orders", lambda: gi_to_lvd(k3, k4, 40), CapacityError,
+         "135751 deletion sets exceed the 100000 cap"),
+        ("gi_to_led c < 1 before orders", lambda: gi_to_led(k3, k4, 0), InputError,
+         c_low),
+        ("gi_to_led order cap before orders", lambda: gi_to_led(k3, k4, 40),
+         CapacityError,
+         "certificates are capped below order 64, got gi_to_led card order 87"),
+        ("kedc_to_kvdc c < 1 before kind", lambda: kedc_to_kvdc(k3, cards, 0),
+         InputError, c_low),
+    ]
+    for build, order in ((gi_to_kedc, 3 + 2 * 40), (gi_to_klvd, 9 + 2 * 2 + 2 * 40),
+                         (gi_to_kled, 9 + 2 * 40 + 1)):
+        name = build.__name__
+        c, k = (40, 2) if build is not gi_to_kled else (1, 40)
+        # K30 and K31 break every later check: the order cap and equal orders
+        calls += [
+            (f"{name} c < 1 before k < 2", lambda b=build: b(k30, k31, 0, 1), InputError,
+             c_low),
+            (f"{name} k < 2 before order cap", lambda b=build: b(k30, k31, 40, 1),
+             InputError, k_low),
+            (f"{name} order cap before orders", lambda b=build, c=c, k=k: b(k3, k4, c, k),
+             CapacityError,
+             f"certificates are capped below order 64, got {name} card order {order}"),
+        ]
+    return [(name, call, error, _exactly(message)) for name, call, error, message in calls]
+
+
+def _huge_count_calls():
+    # Python refuses to print an int past 4,300 digits, so a message names
+    # such a count by its bit length
+    from reconkit.errors import InputError
+    from reconkit import (
+        Graph,
+        build_deck,
+        complete_graph,
+        deck_check,
+        enum_preimages,
+        enumerate_graphs,
+        gi_to_kled,
+        kedc_to_kvdc,
+        subdeck_check,
+        two_lvd,
+    )
+
+    huge = 10**5000
+    k3 = complete_graph(3)
+    cards = build_deck(k3, "vertex", 1)
+    calls = [
+        ("build_deck c", lambda: build_deck(k3, "vertex", huge),
+         "cannot delete (16610-bit number) vertices from order 3"),
+        ("build_deck -c", lambda: build_deck(k3, "vertex", -huge),
+         "deletion count must be >= 0, got -(16610-bit number)"),
+        ("subdeck_check c", lambda: subdeck_check(k3, cards, huge),
+         "cannot delete (16610-bit number) vertices from order 3"),
+        ("subdeck_check -c", lambda: subdeck_check(k3, cards, -huge),
+         "deletion count must be >= 1, got -(16610-bit number)"),
+        ("deck_check c", lambda: deck_check(k3, cards, huge),
+         "cannot delete (16610-bit number) vertices from order 3"),
+        ("enum_preimages -c", lambda: enum_preimages(cards, -huge, "sub"),
+         "deletion count must be >= 1, got -(16610-bit number)"),
+        ("gi_to_kled c", lambda: gi_to_kled(k3, k3, huge, 2),
+         "gi_to_kled: order must be >= (16610-bit number), got 3"),
+        ("gi_to_kled -c", lambda: gi_to_kled(k3, k3, -huge, 2),
+         "deletion count must be >= 1, got -(16610-bit number)"),
+        ("gi_to_kled -k", lambda: gi_to_kled(k3, k3, 1, -huge),
+         "card count must be >= 2, got -(16610-bit number)"),
+        ("kedc_to_kvdc c", lambda: kedc_to_kvdc(k3, build_deck(k3, "edge", 1), huge),
+         "order must exceed c=(16610-bit number), got 3"),
+        ("two_lvd -c", lambda: two_lvd(k3, k3, -huge),
+         "deletion count must be >= 1, got -(16610-bit number)"),
+        ("Graph -n", lambda: Graph(-huge),
+         "vertex count must be >= 0, got -(16610-bit number)"),
+        ("enumerate_graphs -n", lambda: enumerate_graphs(-huge),
+         "vertex count must be >= 0, got -(16610-bit number)"),
+    ]
+    return [
+        (f"huge {name}", call, InputError, _exactly(message)) for name, call, message in calls
+    ]
+
+
+GUARDS = _guard_calls() + _count_guard_calls() + _huge_count_calls()
 
 
 @pytest.mark.parametrize(
@@ -216,6 +383,21 @@ def test_input_guards_raise_a_reconkit_error(call, error, message):
         call()
 
 
+def test_loc_counts_code_lines_without_docstrings_or_comments():
+    from importlib.util import module_from_spec, spec_from_file_location
+
+    spec = spec_from_file_location(
+        "loc", Path(__file__).resolve().parents[1] / "tools" / "loc.py"
+    )
+    loc = module_from_spec(spec)
+    spec.loader.exec_module(loc)
+    source = (
+        '"""Module\ndocstring."""\n\n# a comment\n'
+        'def f():\n    """Doc."""\n    return """two\n# lines"""  # trailing\n'
+    )
+    assert loc.count(source) == (8, 3)
+
+
 def test_zero_copies_is_the_empty_graph():
     from reconkit import complete_graph, copies, empty_graph
 
@@ -224,8 +406,6 @@ def test_zero_copies_is_the_empty_graph():
 
 def test_readme_module_table_is_the_export_contract():
     # one row per module of the package, naming every name it exports
-    import re
-
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     overview = readme.split("## Library overview", 1)[1].split("\n## ", 1)[0]
     rows = {}
