@@ -81,7 +81,7 @@ E20 card at c = 3 after 8.4 to 11.5 s, and one K10,10 card at c = 3 after
 from __future__ import annotations
 
 from collections import Counter
-from functools import partial
+from functools import cached_property, partial
 from itertools import accumulate, combinations, islice, product
 from math import comb, prod
 from operator import gt, sub
@@ -251,9 +251,8 @@ class _DeckTargets:
         self.by_key: dict[int, list[int]] = {}
         self.need_by_edges: Counter = Counter()
         for j, card in enumerate(self.cards):
-            degs = card.degrees()
-            self.degseqs.append(tuple(sorted(degs)))
-            self.by_key.setdefault(sum(1 << _FIELD * r for r in degs), []).append(j)
+            self.degseqs.append(tuple(sorted(card.degrees())))
+            self.by_key.setdefault(_shape(card.n, card.rows).key, []).append(j)
             self.need_by_edges[card.m] += self.mults[j]
         self.profiles: Optional[set[tuple[int, ...]]] = None  # on the first key hit
         self.spent = 0  # deletions the walks keyed, plus a search's other charges
@@ -581,8 +580,13 @@ def _deletion_hits(card: Graph, by_key: dict[int, list[int]]) -> dict[int, list]
 
 
 class _Blockers:
-    """The graphs that keep subdecks of g's 1-deletion deck d from
-    identifying g, found lazily, one walk per card class.
+    """The graphs that keep subdecks of g's full 1-deletion deck d (vertex
+    or edge kind) from identifying g, found lazily, one walk per card
+    class: `identifies(profile)` says whether the subdeck with that many
+    cards of each class identifies g among graphs of its order (and edge
+    count, for edge decks), and the largest sum `coverages(i)` yields is
+    the most cards of classes i, i+1, ... that an extension of card i
+    other than g shares with g.
 
     A subdeck is a count profile a over d's card classes (certificate
     order, multiplicities mu).  Let i be the first class with a_i > 0.
@@ -593,7 +597,8 @@ class _Blockers:
     deletion that undoes the extension (its new vertex or edge) gives
     card i and is counted without being keyed; only an H with cov_H = mu
     on j >= i and g's degree histogram can be g, so only such an H is
-    certified.  Edge extensions are walked by _coverage.
+    certified, and g itself only once one is.  Edge extensions are walked
+    by _coverage.
 
     A vertex extension H_A is card i (C, of order n) plus a vertex x
     joined to A, one per twin pattern.  For a card vertex u, H_A - u is
@@ -632,10 +637,14 @@ class _Blockers:
     """
 
     def __init__(self, g: Graph, d: Deck):
-        self.own = certificate_rows(g.n, g.rows)
+        self.g = g
         self.own_key = _shape(g.n, g.rows).key
         self.deck = d
         self.walks: dict[int, tuple[Iterator[tuple[int, ...]], list]] = {}
+
+    @cached_property
+    def own(self) -> bytes:
+        return certificate_rows(self.g.n, self.g.rows)
 
     def _is_own(self, s: _Shape) -> bool:
         return s.key == self.own_key and certificate_rows(s.n, s.rows) == self.own
@@ -705,17 +714,6 @@ class _Blockers:
         """No coverage of the profile's first class covers the profile."""
         i = next(j for j, count in enumerate(profile) if count)
         return not any(_covers(cov, profile[i:]) for cov in self.coverages(i))
-
-
-def profile_identifies(g: Graph, d: Deck) -> _Blockers:
-    """The blockers of g's full 1-deletion deck d (vertex or edge kind),
-    over nonempty count profiles of d's card classes in certificate order:
-    `identifies(profile)` says whether the subdeck with that many cards of
-    each class identifies g among graphs of its order (and edge count, for
-    edge decks), and the largest sum `coverages(i)` yields is the most
-    cards of classes i, i+1, ... that an extension of card i other than g
-    shares with g.  Both share one lazy walk per card class (_Blockers)."""
-    return _Blockers(g, d)
 
 
 # --- certifying front end ---------------------------------------------------

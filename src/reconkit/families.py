@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .canon import CERTIFICATE_ORDER_CAP, check_certificate_order
 from .deck import Deck
-from .errors import CapacityError, InputError
+from .errors import CapacityError, InputError, _count_text
 from .graph import (
     Graph,
     complete_graph,
@@ -32,7 +32,7 @@ def clique_union_pair(n: int) -> tuple[Graph, Graph]:
     """The order-n pair (K_{t+1} u K_{t-1}, 2K_t), t = n // 2, with an
     extra isolated vertex in each when n is odd."""
     if n < 4:
-        raise InputError(f"the pair is defined for n >= 4, got {n}")
+        raise InputError(f"the pair is defined for n >= 4, got {_count_text(n)}")
     check_certificate_order(n)
     t = n // 2
     first = union([complete_graph(t + 1), complete_graph(t - 1)])
@@ -81,7 +81,9 @@ def _selector_order(k: int, n: int, what: str, extra: int = 0) -> int:
     k > 7 alone passes it, so 2^(k-1) is built only for smaller k, and the
     message names an order past 2^7 by its bit count."""
     if k < 2 or n < 1:
-        raise InputError(f"need k >= 2 and n >= 1, got k={k}, n={n}")
+        raise InputError(
+            f"need k >= 2 and n >= 1, got k={_count_text(k)}, n={_count_text(n)}"
+        )
     bits = CERTIFICATE_ORDER_CAP.bit_length()
     if k > bits:
         raise CapacityError(

@@ -15,7 +15,7 @@ of the adjacency matrix into one int, bit v(v-1)/2 + u for the edge uv
 (u < v), one shift-or per row; that is graph6's bit order.  A line is the
 triangle's bits, lowest first, through binascii's base64 with the
 alphabet translated to chr(63..126), and _decode_triangle reverses it.
-graph6_encode_rows, graph6_decode and canon's certificates all go through
+graph6_encode, graph6_decode and canon's certificates all go through
 it, so no loop in the codec runs per bit.
 """
 
@@ -29,6 +29,7 @@ from .errors import CapacityError, Graph6ParseError, InputError
 from .errors import _check_at_least, _count_text
 
 ENUMERATION_CAP = 7  # 1,044 classes; 8 has 12,346 (A000088), past desk scale
+_G6_ORDER_CAP = 258047  # graph6's 4-byte size prefix; the codec has no 8-byte one
 
 
 class Graph:
@@ -38,6 +39,10 @@ class Graph:
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         _check_at_least(n, 0, "vertex count")
+        if n > _G6_ORDER_CAP:
+            raise CapacityError(
+                f"graph orders are capped at {_G6_ORDER_CAP}, got {_count_text(n)}"
+            )
         rows = [0] * n
         for u, v in edges:
             if u == v:
@@ -229,23 +234,24 @@ def twin_patterns(n: int, rows: Sequence[int], size: Optional[int]) -> Iterator[
         prefixes.append(masks)
     if size is None:
         return map(sum, product(*prefixes))  # classes are disjoint: sum is or
-    return _sized_patterns(prefixes, size)
+    return _sized_patterns(prefixes, size, 0)
 
 
-def _sized_patterns(prefixes: list[list[int]], size: int) -> Iterator[int]:
-    """The patterns of product(*prefixes) with `size` vertices, in product
-    order, visiting only count profiles that can still reach `size`."""
+def _sized_patterns(prefixes: list[list], size: int, zero) -> Iterator:
+    """The sums, from `zero`, of product(*prefixes) with `size` vertices
+    (prefixes[i][k] holds k of class i), in product order, visiting only
+    count profiles that can still reach `size`."""
     room = [0] * (len(prefixes) + 1)  # room[i]: vertices in classes i, i+1, ...
     for i in reversed(range(len(prefixes))):
         room[i] = room[i + 1] + len(prefixes[i]) - 1
 
-    def fill(i: int, left: int) -> Iterator[int]:
+    def fill(i: int, left: int) -> Iterator:
         if i == len(prefixes):
-            yield 0
+            yield zero
             return
         for k in range(max(0, left - room[i + 1]), min(left, len(prefixes[i]) - 1) + 1):
             for rest in fill(i + 1, left - k):
-                yield prefixes[i][k] | rest
+                yield prefixes[i][k] + rest
 
     return fill(0, size) if 0 <= size <= room[0] else iter(())
 
@@ -381,10 +387,10 @@ def _encode_triangle(n: int, tri: int) -> bytes:
     as four 6-bit groups each."""
     if n <= 62:
         head = bytes((63 + n,))
-    elif n <= 258047:
+    elif n <= _G6_ORDER_CAP:
         head = bytes((126, 63 + (n >> 12 & 63), 63 + (n >> 6 & 63), 63 + (n & 63)))
     else:
-        raise CapacityError(f"graph6 encoding supports n <= 258047, got {n}")
+        raise CapacityError(f"graph6 encoding supports n <= {_G6_ORDER_CAP}, got {n}")
     nbits = n * (n - 1) >> 1
     stream = tri.to_bytes(-(-nbits // 24) * 3, "little").translate(_REV8)
     return head + b2a_base64(stream, newline=False).translate(_TO_G6)[: -(-nbits // 6)]
@@ -398,13 +404,9 @@ def _decode_triangle(body: bytes) -> int:
 
 
 def graph6_encode(g: Graph) -> str:
-    return graph6_encode_rows(g.n, g.rows)
-
-
-def graph6_encode_rows(n: int, rows: Sequence[int]) -> str:
     """Standard graph6 line: size prefix plus the upper triangle of the
     adjacency matrix in column order, packed into 6-bit chunks offset by 63."""
-    return _encode_triangle(n, _triangle(n, rows)).decode("ascii")
+    return _encode_triangle(g.n, _triangle(g.n, g.rows)).decode("ascii")
 
 
 def graph6_decode(line: str) -> Graph:
@@ -422,7 +424,7 @@ def graph6_decode(line: str) -> Graph:
     pos = 0
     if s[0] == "~":
         if len(s) >= 2 and s[1] == "~":
-            raise CapacityError("graph6 orders above 258047 are not supported")
+            raise CapacityError(f"graph6 orders above {_G6_ORDER_CAP} are not supported")
         if len(s) < 4:
             raise Graph6ParseError("truncated graph6 size prefix", base + len(s))
         n = (

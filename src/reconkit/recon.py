@@ -18,8 +18,8 @@ number is one more than the most cards g shares with such an h (Myrvold's
 adversary number), 0 in a one-class universe, where the empty collection
 identifies, and infinite when some h has g's whole deck.  An h sharing
 cards of g's classes i, i+1, ... and no earlier one extends card i, and
-the walk of card i's extensions counts them (deciders.profile_identifies
-gives its coverages).  The walks run in class order until the classes
+the walk of card i's extensions counts them (deciders._Blockers gives
+its coverages).  The walks run in class order until the classes
 left hold no more cards than the most found.  The counterexample is the
 first profile one card below the value, in the order the existential
 search tries them, that does not identify.  The profile tests and
@@ -40,12 +40,12 @@ import math
 from collections import Counter
 from functools import partial
 from math import comb
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .deck import Deck, build_deck, subdeck_contained
-from .deciders import profile_identifies
+from .deciders import _Blockers
 from .errors import CapacityError, InputError
-from .graph import Graph
+from .graph import Graph, _sized_patterns
 
 VERTEX_ORDER_CAP = 10
 EDGE_COUNT_CAP = 12
@@ -108,13 +108,13 @@ def _universe_is_singleton(g: Graph, kind: str) -> bool:
     return g.m in {1, full - 1, full}
 
 
-def _identified(g: Graph, kind: str, blockers: Callable, profile: Sequence[int]) -> bool:
+def _identified(g: Graph, kind: str, blockers: _Blockers, profile: Sequence[int]) -> bool:
     """Does the count profile over g's card classes identify g?  No profile
     of at most the toggle's shared cards does, the empty one only in a
-    one-class universe; the rest ask the class walks of `blockers()`."""
+    one-class universe; the rest ask the class walks of `blockers`."""
     if not any(profile):
         return _universe_is_singleton(g, kind)
-    return sum(profile) > _toggle_shares(g, kind) and blockers().identifies(profile)
+    return sum(profile) > _toggle_shares(g, kind) and blockers.identifies(profile)
 
 
 def identifies(g: Graph, s: Deck, kind: str) -> bool:
@@ -124,7 +124,7 @@ def identifies(g: Graph, s: Deck, kind: str) -> bool:
     is read as a count profile over g's card classes, and the one-vertex
     (one-edge) extensions of its first card in certificate order are
     walked until one that is not g contains s, or none is left
-    (deciders.profile_identifies).  A vertex subdeck of at most two cards
+    (deciders._Blockers).  A vertex subdeck of at most two cards
     of a graph on n >= 3 vertices never identifies (module docstring).
     """
     _check_caps(g, kind)
@@ -141,23 +141,7 @@ def identifies(g: Graph, s: Deck, kind: str) -> bool:
         raise InputError("the given cards are not a subdeck of g's deck")
     counts = Counter(query.certs)
     profile = [counts[cert] for cert, _ in deck.classes()]
-    return _identified(g, kind, lambda: profile_identifies(g, deck), profile)
-
-
-def _profiles(mults: list[int], size: int) -> Iterator[tuple[int, ...]]:
-    # count vectors a_i <= mults[i] with sum = size, lexicographically
-    def rec(i: int, left: int, acc: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if i == len(mults):
-            if left == 0:
-                yield acc
-            return
-        tail = sum(mults[i + 1:])
-        lo = max(0, left - tail)
-        hi = min(mults[i], left)
-        for take in range(lo, hi + 1):
-            yield from rec(i + 1, left - take, acc + (take,))
-
-    yield from rec(0, size, ())
+    return _identified(g, kind, _Blockers(g, deck), profile)
 
 
 def recon_number(g: Graph, kind: str, quantifier: str) -> ReconNumber:
@@ -177,8 +161,10 @@ def recon_number(g: Graph, kind: str, quantifier: str) -> ReconNumber:
     # count profiles are tested
     classes = deck.classes()
     mults = [len(cards) for _, cards in classes]
-    blockers = profile_identifies(g, deck)
-    identified = partial(_identified, g, kind, lambda: blockers)
+    # profiles a_i <= mults[i] of one size, lexicographically, as sums of (a_i,)
+    counts = [[(k,) for k in range(m + 1)] for m in mults]
+    blockers = _Blockers(g, deck)
+    identified = partial(_identified, g, kind, blockers)
     shared = _toggle_shares(g, kind)  # cards g shares with a graph not g, at least
 
     def subdeck_for(profile: tuple[int, ...]) -> Deck:
@@ -192,7 +178,7 @@ def recon_number(g: Graph, kind: str, quantifier: str) -> ReconNumber:
 
     if quantifier == "exists":
         for size in range(shared + 1 if shared else 0, len(deck) + 1):
-            for profile in _profiles(mults, size):
+            for profile in _sized_patterns(counts, size, ()):
                 if identified(profile):
                     return ReconNumber(size, witness=subdeck_for(profile))
         return ReconNumber(math.inf)
@@ -204,7 +190,7 @@ def recon_number(g: Graph, kind: str, quantifier: str) -> ReconNumber:
                 break
     if shared == len(deck) or _universe_is_singleton(g, kind):
         return ReconNumber(math.inf if shared else 0)  # a one-class universe shares none
-    failure = next(p for p in _profiles(mults, shared) if not identified(p))
+    failure = next(p for p in _sized_patterns(counts, shared, ()) if not identified(p))
     return ReconNumber(shared + 1, counterexample=subdeck_for(failure))
 
 

@@ -85,7 +85,7 @@ class ReductionReport(NamedTuple):
         return not self.violations
 
 
-def _connected_upto(n: int) -> list[Graph]:
+def _connected(n: int) -> list[Graph]:
     return [g for g in enumerate_graphs(n) if is_connected(g)]
 
 
@@ -127,7 +127,7 @@ def verify_reduction(
     violations: list[str] = []
     checked = 0
     for n in range(_min_order(kind, c), n_max + 1):
-        conn = _connected_upto(n)
+        conn = _connected(n)
         for g, h in product(conn, conn):
             got = decide(g, h)
             checked += 1
@@ -346,7 +346,7 @@ def check_whitney() -> Verdict:
     vertices; the triangle/3-star collision is the lone control."""
     bad = 0
     for n in (4, 5):
-        conn = [g for g in enumerate_graphs(n) if is_connected(g)]
+        conn = _connected(n)
         certs = [certificate(line_graph(g)) for g in conn]
         for a, b in combinations(range(len(conn)), 2):
             if certs[a] == certs[b]:

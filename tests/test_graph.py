@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -13,6 +14,7 @@ from reconkit.errors import CapacityError, Graph6ParseError, InputError, ReconEr
 from reconkit.graph import (
     Graph,
     _decode_triangle,
+    _sized_patterns,
     _triangle,
     complement,
     complete_graph,
@@ -26,7 +28,6 @@ from reconkit.graph import (
     extension_classes,
     graph6_decode,
     graph6_encode,
-    graph6_encode_rows,
     is_connected,
     iter_bits,
     join,
@@ -47,6 +48,10 @@ def test_graph_validation():
         Graph(3, [(0, 3)])
     with pytest.raises(InputError):
         Graph(-1)
+    # orders stop at graph6's limit, checked before any rows are built
+    assert Graph(258047).n == 258047
+    with pytest.raises(CapacityError, match="capped at 258047"):
+        Graph(258048)
     # duplicates and orientation collapse to one canonical edge
     assert Graph(3, [(1, 0), (0, 1)]).edges == ((0, 1),)
 
@@ -221,7 +226,6 @@ def test_rows_kernel_agrees_with_graph():
         n = rng.randint(0, 9)
         g = Graph(n, [e for e in complete_graph(n).edges if rng.random() < 0.3])
         assert rows_edges(g.n, g.rows) == list(g.edges)
-        assert graph6_encode_rows(g.n, g.rows) == graph6_encode(g)
         label = list(range(n))
         for _ in range(n):
             for u, v in g.edges:
@@ -252,6 +256,27 @@ def test_rows_kernel_agrees_with_graph():
             # can ask for fewer than no added edges, have no pattern
             for size in (-1, n + 1):
                 assert list(twin_patterns(n, g.rows, size)) == []
+
+
+def test_sized_patterns_are_the_product_filtered_by_size():
+    # one enumerator serves twin patterns (disjoint masks summed from 0) and
+    # recon's count profiles (one-tuples summed from ()): either way it is
+    # product(*prefixes) filtered by size, in product order
+    rng = random.Random(39)
+    for _ in range(300):
+        caps = [rng.randint(0, 3) for _ in range(rng.randint(0, 5))]
+        total = sum(caps)
+        counts = [[(k,) for k in range(cap + 1)] for cap in caps]
+        masks = []
+        for i, cap in enumerate(caps):
+            low = sum(caps[:i])
+            masks.append([(1 << k) - 1 << low for k in range(cap + 1)])
+        for size in (-1, 0, rng.randint(0, total), total, total + 1):
+            want = [v for v in product(*(range(cap + 1) for cap in caps)) if sum(v) == size]
+            assert list(_sized_patterns(counts, size, ())) == want
+            assert list(_sized_patterns(masks, size, 0)) == [
+                sum(m[k] for m, k in zip(masks, v)) for v in want
+            ]
 
 
 def test_permute():

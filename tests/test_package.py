@@ -3,6 +3,7 @@
 import re
 import subprocess
 import sys
+from collections import Counter
 from importlib import import_module
 from pathlib import Path
 
@@ -190,8 +191,8 @@ def _guard_calls():
          "order must exceed c=3"),
         ("copies -1", lambda: copies(k3, -1), InputError, "copy count"),
         ("has_edge", lambda: k3.has_edge(0, 3), InputError, "out of range"),
-        ("graph6 encode", lambda: graph6_encode(Graph(258048)), CapacityError,
-         "n <= 258047"),
+        ("graph6 encode", lambda: graph6_encode(Graph._from_rows(258048, [0] * 258048)),
+         CapacityError, "n <= 258047"),
         ("graph6 decode", lambda: graph6_decode("~~?@??"), CapacityError,
          "above 258047"),
     ]
@@ -244,6 +245,8 @@ def _count_guard_calls():
     k_low = "card count must be >= 2, got 1"
     calls = [
         ("Graph n < 0", lambda: Graph(-1), InputError, "vertex count must be >= 0, got -1"),
+        ("Graph order cap", lambda: Graph(258048), CapacityError,
+         "graph orders are capped at 258047, got 258048"),
         ("complete_graph n < 0", lambda: complete_graph(-2), InputError,
          "vertex count must be >= 0, got -2"),
         ("enumerate_graphs n < 0", lambda: enumerate_graphs(-1), InputError,
@@ -321,16 +324,21 @@ def _count_guard_calls():
 def _huge_count_calls():
     # Python refuses to print an int past 4,300 digits, so a message names
     # such a count by its bit length
-    from reconkit.errors import InputError
+    from reconkit.errors import CapacityError, InputError
     from reconkit import (
         Graph,
         build_deck,
+        clique_union_pair,
         complete_graph,
         deck_check,
+        empty_graph,
         enum_preimages,
         enumerate_graphs,
         gi_to_kled,
         kedc_to_kvdc,
+        many_preimage_deck,
+        many_preimage_graphs,
+        path_graph,
         subdeck_check,
         two_lvd,
     )
@@ -365,9 +373,21 @@ def _huge_count_calls():
          "vertex count must be >= 0, got -(16610-bit number)"),
         ("enumerate_graphs -n", lambda: enumerate_graphs(-huge),
          "vertex count must be >= 0, got -(16610-bit number)"),
+        ("clique_union_pair -n", lambda: clique_union_pair(-huge),
+         "the pair is defined for n >= 4, got -(16610-bit number)"),
+        ("many_preimage_deck -k", lambda: many_preimage_deck(-huge, 3),
+         "need k >= 2 and n >= 1, got k=-(16610-bit number), n=3"),
+        ("many_preimage_deck -n", lambda: many_preimage_deck(3, -huge),
+         "need k >= 2 and n >= 1, got k=3, n=-(16610-bit number)"),
+        ("many_preimage_graphs -k", lambda: many_preimage_graphs(-huge, 1),
+         "need k >= 2 and n >= 1, got k=-(16610-bit number), n=1"),
     ]
+    capped = "graph orders are capped at 258047, got (16610-bit number)"
     return [
         (f"huge {name}", call, InputError, _exactly(message)) for name, call, message in calls
+    ] + [
+        (f"huge {build.__name__} n", lambda b=build: b(huge), CapacityError, _exactly(capped))
+        for build in (Graph, empty_graph, path_graph)
     ]
 
 
@@ -383,7 +403,7 @@ def test_input_guards_raise_a_reconkit_error(call, error, message):
         call()
 
 
-def test_loc_counts_code_lines_without_docstrings_or_comments():
+def test_loc_counts_code_lines_without_docstrings_or_comments(tmp_path, capsys):
     from importlib.util import module_from_spec, spec_from_file_location
 
     spec = spec_from_file_location(
@@ -396,6 +416,62 @@ def test_loc_counts_code_lines_without_docstrings_or_comments():
         'def f():\n    """Doc."""\n    return """two\n# lines"""  # trailing\n'
     )
     assert loc.count(source) == (8, 3)
+    # --base: per-module changes against another package, a module
+    # missing on one side counting 0 there, then the sums
+    new, old = tmp_path / "new", tmp_path / "old"
+    new.mkdir()
+    old.mkdir()
+    (new / "a.py").write_text(source)
+    (new / "b.py").write_text("x = 1\n\ny = 2\n")
+    (old / "b.py").write_text("x = 1\n")
+    (old / "c.py").write_text("# gone\nz = 3\n")
+    assert loc.main([str(new), "--base", str(old)]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert rows == [
+        ["module", "lines", "code", "+lines", "+code"],
+        ["a.py", "8", "3", "+8", "+3"],
+        ["b.py", "3", "2", "+2", "+1"],
+        ["c.py", "0", "0", "-2", "-1"],
+        ["total", "11", "5", "+8", "+3"],
+    ]
+
+
+def test_every_module_level_name_is_used():
+    # a function, class or constant of src/reconkit that nothing in the
+    # package, the benchmark or the export list refers to is dead code
+    import ast
+
+    root = Path(__file__).resolve().parents[1]
+    package = sorted((root / "src" / "reconkit").glob("*.py"))
+    bench = [p for p in sorted((root / "perfbench").rglob("*.py")) if "tests" not in p.parts]
+
+    def references(node):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                yield sub.id
+            elif isinstance(sub, ast.Attribute):
+                yield sub.attr
+
+    trees = {path: ast.parse(path.read_text()) for path in package + bench}
+    used = Counter(reconkit.__all__)
+    for tree in trees.values():
+        used.update(references(tree))
+    dead = []
+    for path in package:
+        for node in trees[path].body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            inside = Counter(references(node))
+            dead += [
+                f"{path.stem}.{name}" for name in names
+                if not name.startswith("__") and used[name] == inside[name]
+            ]
+    assert dead == []
 
 
 def test_zero_copies_is_the_empty_graph():

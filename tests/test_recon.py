@@ -223,23 +223,14 @@ ATLAS_VERTEX_VALUES = {
 
 def _walked_sizes(monkeypatch):
     # the sizes of the profiles recon hands to the class walks
-    import reconkit.recon as recon_module
-
     sizes = []
-    real = recon_module.profile_identifies
+    real = deciders._Blockers.identifies
 
-    def spy(g, d):
-        blockers = real(g, d)
-        test = blockers.identifies
+    def spy(self, profile):
+        sizes.append(sum(profile))
+        return real(self, profile)
 
-        def counted(profile):
-            sizes.append(sum(profile))
-            return test(profile)
-
-        blockers.identifies = counted
-        return blockers
-
-    monkeypatch.setattr(recon_module, "profile_identifies", spy)
+    monkeypatch.setattr(deciders._Blockers, "identifies", spy)
     return sizes
 
 
@@ -277,12 +268,10 @@ def test_universal_number_tests_profiles_of_one_size(monkeypatch):
 
 
 def test_identifies_answers_two_vertex_cards_without_a_walk(monkeypatch):
-    import reconkit.recon as recon_module
-
     def refuse(*args):
         raise AssertionError("a walk was started")
 
-    monkeypatch.setattr(recon_module, "profile_identifies", refuse)
+    monkeypatch.setattr(deciders._Blockers, "coverages", refuse)
     g = Graph(5, [(0, 1), (1, 2), (2, 3), (2, 4)])  # a tree with 3 leaves
     full = build_deck(g, "vertex", 1)
     for cards in (full.cards[:1], full.cards[:2], full.cards[-2:]):
@@ -299,6 +288,25 @@ def test_identifies_answers_two_vertex_cards_without_a_walk(monkeypatch):
     # and the rest still walks
     with pytest.raises(AssertionError, match="walk"):
         identifies(g, Deck("vertex", full.cards[:3]), "vertex")
+
+
+def test_blockers_certify_g_only_when_an_extension_may_be_g(monkeypatch):
+    # building the class walks certifies nothing; g is certified once an
+    # extension covers the whole deck with g's degree histogram
+    g = graph6_decode("DAK")
+    deck = build_deck(g, "vertex", 1)
+    calls = []
+    real = deciders.certificate_rows
+
+    def spy(n, rows):
+        calls.append(n)
+        return real(n, rows)
+
+    monkeypatch.setattr(deciders, "certificate_rows", spy)
+    blockers = deciders._Blockers(g, deck)
+    assert calls == []
+    assert blockers.identifies([len(cards) for _, cards in deck.classes()])
+    assert blockers.own == real(g.n, g.rows)
 
 
 def _seeded_graph(seed, n, m):
