@@ -47,6 +47,8 @@ Card rows are built only when a key hits a target card class.  Their
 degree profile (per vertex, its degree and the sum of its neighbours'
 degrees, sorted) must then be a card class's before a certificate is
 computed; the set of the classes' profiles is built on the first hit.
+Recon's vertex class walks (_Blockers) read a hit's profile off tables
+of the card and build card rows only once the profile hits.
 
 Vertex decks add c vertices to the first card, one per round, over
 twin_patterns (twins are swapped by an automorphism).  Each of the first
@@ -254,7 +256,7 @@ class _DeckTargets:
             self.degseqs.append(tuple(sorted(card.degrees())))
             self.by_key.setdefault(_shape(card.n, card.rows).key, []).append(j)
             self.need_by_edges[card.m] += self.mults[j]
-        self.profiles: Optional[set[tuple[int, ...]]] = None  # on the first key hit
+        self.profiles: Optional[set[tuple[int, ...]]] = None  # see _class_profiles
         self.spent = 0  # deletions the walks keyed, plus a search's other charges
 
 
@@ -268,14 +270,23 @@ def _edge_delta_feasible(
     return all(a - c <= b <= a for a, b in zip(cand_degseq, card_degseq))
 
 
-def _card_class(t: _DeckTargets, rows: list[int]) -> Optional[int]:
-    """The card class of t that a deletion's card rows fall in, or None."""
+def _class_profiles(t: _DeckTargets) -> set[tuple[int, ...]]:
+    """The degree profiles of t's card classes, built on the first key hit.
+    t keeps them in a plain attribute: a cached_property moves all of t's
+    attributes into a dict, which made the preimage search about 2% slower."""
     if t.profiles is None:
         t.profiles = {_degree_profile(card.rows) for card in t.cards}
-    # the profile stage rejects 4,901 of the 7,130 key hits of a seed-1
-    # recon-enum pass and 98 of the 1,850 of the reduction-iff sweep; a
-    # component-size stage behind it rejected none of either, so there is none
-    if _degree_profile(rows) in t.profiles:
+    return t.profiles
+
+
+def _card_class(t: _DeckTargets, rows: list[int]) -> Optional[int]:
+    """The card class of t that a deletion's card rows fall in, or None."""
+    # the profile stage rejects 1,008 of the 1,560 calls of a seed-1
+    # recon-enum pass (edge class walks and rich-deck searches; the vertex
+    # class walks profile from tables) and 98 of the 1,399 of the
+    # reduction-iff sweep; a component-size stage behind it rejected none
+    # of either, so there is none
+    if _degree_profile(rows) in _class_profiles(t):
         return t.index.get(certificate_rows(len(rows), rows))
     return None
 
@@ -579,6 +590,38 @@ def _deletion_hits(card: Graph, by_key: dict[int, list[int]]) -> dict[int, list]
     return found
 
 
+def _profile_table(n: int, rows: Sequence[int], u: int) -> list[tuple[int, int, int, int]]:
+    """Per vertex w != u of the card C - u: (1 << w, w's row without u,
+    d_w << 12 | S_w, d_w), with d_w its degree and S_w the sum of its
+    neighbours' degrees in C - u."""
+    keep = ~(1 << u)
+    deg = [(r & keep).bit_count() for r in rows]
+    table = []
+    for w in range(n):
+        if w != u:
+            row = rows[w] & keep
+            total = sum(deg[v] for v in iter_bits(row))
+            table.append((1 << w, row, deg[w] << 12 | total, deg[w]))
+    return table
+
+
+def _hit_profile(table: list[tuple[int, int, int, int]], mask: int) -> tuple[int, ...]:
+    """_degree_profile of C - u plus a vertex x joined to mask, from u's table."""
+    b = mask.bit_count()
+    lift = 1 << 12 | b  # w in B: one degree more, and x's degree in its sum
+    x = b << 12 | b
+    out = []
+    for bit, row, base, d in table:
+        if mask & bit:
+            out.append(base + (row & mask).bit_count() + lift)
+            x += d
+        else:
+            out.append(base + (row & mask).bit_count())
+    out.append(x)
+    out.sort()
+    return tuple(out)
+
+
 class _Blockers:
     """The graphs that keep subdecks of g's full 1-deletion deck d (vertex
     or edge kind) from identifying g, found lazily, one walk per card
@@ -586,7 +629,7 @@ class _Blockers:
     cards of each class identifies g among graphs of its order (and edge
     count, for edge decks), and the largest sum `coverages(i)` yields is
     the most cards of classes i, i+1, ... that an extension of card i
-    other than g shares with g.
+    other than g shares with g, when that is above `floor`.
 
     A subdeck is a count profile a over d's card classes (certificate
     order, multiplicities mu).  Let i be the first class with a_i > 0.
@@ -626,6 +669,19 @@ class _Blockers:
     the certifying stages; _coverage's twin memo would need each H's twin
     classes, which the solve never builds.
 
+    A hit's degree profile is read off u's _profile_table (C - u: per w,
+    its row, degree d_w and neighbours' degree sum S_w), built on u's
+    first hit.  In H_B - u, w has degree d_w + [w in B]; each neighbour of
+    w in B gains one degree and x adds b when w is in B, so w's sum is
+    S_w + |N(w) & B| + [w in B] b; x has degree b and sum b + (sum over B
+    of d_w).  Card rows are built and certified only on a profile hit.
+
+    Coverages summing to at most `floor` are not yielded (recon passes the
+    cards g shares with a toggle of itself, which every profile it asks
+    about exceeds), and the vertex walk skips a twin pattern with fewer
+    than floor hits unclassified: its coverage sums to at most floor, one
+    card per hitting u and the undo card.
+
     Class i's walk starts on first use, against the targets of d's
     classes from i on (a slice of d's class table, so no deck is
     rebuilt), and yields each distinct coverage once, in the order found.
@@ -636,10 +692,11 @@ class _Blockers:
     no larger sum is possible.
     """
 
-    def __init__(self, g: Graph, d: Deck):
+    def __init__(self, g: Graph, d: Deck, floor: int = 0):
         self.g = g
         self.own_key = _shape(g.n, g.rows).key
         self.deck = d
+        self.floor = floor
         self.walks: dict[int, tuple[Iterator[tuple[int, ...]], list]] = {}
 
     @cached_property
@@ -650,11 +707,12 @@ class _Blockers:
         return s.key == self.own_key and certificate_rows(s.n, s.rows) == self.own
 
     def _walk(self, t: _DeckTargets) -> Iterator[tuple[int, ...]]:
-        """Each distinct coverage of an extension of t's first card that
-        is not g, once, in the order the extensions are walked."""
+        """Each distinct coverage above the floor of an extension of t's
+        first card that is not g, once, in the order the extensions are
+        walked."""
         seen: set[tuple[int, ...]] = set()
         for cov in (self._edge_walk if t.kind == "edge" else self._vertex_walk)(t):
-            if cov not in seen:
+            if sum(cov) > self.floor and cov not in seen:
                 seen.add(cov)
                 yield cov
 
@@ -671,9 +729,12 @@ class _Blockers:
         hits = _deletion_hits(card, t.by_key)
         start = (1,) + (0,) * (len(mults) - 1)  # H - x is card i
         memo: dict[int, Optional[int]] = {}  # u << n | B -> class of H_B - u
+        tables: dict[int, list] = {}  # u -> _profile_table, on u's first hit
         for attach in twin_patterns(n, rows, None):
+            entries = hits.get(attach, ())
+            if len(entries) < self.floor:
+                continue  # covers at most floor cards: one per u and the undo card
             cov = start
-            entries = hits.get(attach)
             if entries:
                 counts = list(start)
                 left = t.count - 1
@@ -683,9 +744,13 @@ class _Blockers:
                     if any(counts[j] < mults[j] for j in hit):
                         at = u << n | a
                         if at not in memo:
-                            memo[at] = _card_class(
-                                t, delete_vertices_rows(extend_rows(n, rows, a), (u,))
-                            )
+                            table = tables.get(u)
+                            if table is None:
+                                table = tables[u] = _profile_table(n, rows, u)
+                            memo[at] = None
+                            if _hit_profile(table, a) in _class_profiles(t):
+                                card_rows = delete_vertices_rows(extend_rows(n, rows, a), (u,))
+                                memo[at] = t.index.get(certificate_rows(n, card_rows))
                         j = memo[at]
                         if j is not None and counts[j] < mults[j]:
                             counts[j] += 1

@@ -39,10 +39,7 @@ class Graph:
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         _check_at_least(n, 0, "vertex count")
-        if n > _G6_ORDER_CAP:
-            raise CapacityError(
-                f"graph orders are capped at {_G6_ORDER_CAP}, got {_count_text(n)}"
-            )
+        _check_order(n)
         rows = [0] * n
         for u, v in edges:
             if u == v:
@@ -101,6 +98,12 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={list(self.edges)})"
+
+
+def _check_order(n: int) -> None:
+    """Refuse an order above the cap before any row is built."""
+    if n > _G6_ORDER_CAP:
+        raise CapacityError(f"graph orders are capped at {_G6_ORDER_CAP}, got {_count_text(n)}")
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +281,7 @@ def union(parts: Sequence[Graph]) -> Graph:
     """Disjoint union; vertices of each part are relabeled consecutively."""
     if not parts:
         raise InputError("union of zero graphs")
+    _check_order(sum(g.n for g in parts))
     rows: list[int] = []
     for g in parts:
         offset = len(rows)
@@ -290,6 +294,7 @@ def join(parts: Sequence[Graph]) -> Graph:
     if not parts:
         raise InputError("join of zero graphs")
     n = sum(p.n for p in parts)
+    _check_order(n)
     rows: list[int] = []
     for p in parts:
         offset = len(rows)
@@ -299,11 +304,13 @@ def join(parts: Sequence[Graph]) -> Graph:
 
 
 def copies(g: Graph, count: int) -> Graph:
-    """Union of `count` disjoint copies of g (count >= 0; 0 gives K_0)."""
+    """Union of `count` disjoint copies of g (count >= 0; 0 copies, or
+    copies of K_0, give K_0)."""
     if count < 0:
         raise InputError("copy count must be >= 0")
-    if count == 0:
+    if count == 0 or g.n == 0:
         return empty_graph(0)
+    _check_order(g.n * count)
     return union([g] * count)
 
 
@@ -319,6 +326,7 @@ def complement(g: Graph) -> Graph:
 def line_graph(g: Graph) -> Graph:
     """One vertex per edge of g, in the canonical (lexicographic) edge order;
     adjacency means the two edges share exactly one endpoint."""
+    _check_order(g.m)
     edges = g.edges
     incident = [0] * g.n  # per vertex of g, the mask of its edges
     for i, (a, b) in enumerate(edges):
@@ -384,13 +392,11 @@ def _triangle(n: int, rows: Sequence[int]) -> int:
 def _encode_triangle(n: int, tri: int) -> bytes:
     """The graph6 line of the graph on n vertices with this triangle: its
     bits, lowest first, padded to whole 24-bit groups, which base64 writes
-    as four 6-bit groups each."""
+    as four 6-bit groups each.  The caller keeps n within the cap."""
     if n <= 62:
         head = bytes((63 + n,))
-    elif n <= _G6_ORDER_CAP:
-        head = bytes((126, 63 + (n >> 12 & 63), 63 + (n >> 6 & 63), 63 + (n & 63)))
     else:
-        raise CapacityError(f"graph6 encoding supports n <= {_G6_ORDER_CAP}, got {n}")
+        head = bytes((126, 63 + (n >> 12 & 63), 63 + (n >> 6 & 63), 63 + (n & 63)))
     nbits = n * (n - 1) >> 1
     stream = tri.to_bytes(-(-nbits // 24) * 3, "little").translate(_REV8)
     return head + b2a_base64(stream, newline=False).translate(_TO_G6)[: -(-nbits // 6)]
@@ -406,6 +412,8 @@ def _decode_triangle(body: bytes) -> int:
 def graph6_encode(g: Graph) -> str:
     """Standard graph6 line: size prefix plus the upper triangle of the
     adjacency matrix in column order, packed into 6-bit chunks offset by 63."""
+    if g.n > _G6_ORDER_CAP:  # before the triangle is built
+        raise CapacityError(f"graph6 encoding supports n <= {_G6_ORDER_CAP}, got {g.n}")
     return _encode_triangle(g.n, _triangle(g.n, g.rows)).decode("ascii")
 
 

@@ -29,8 +29,9 @@ No collection of at most two vertex cards identifies a graph g on n >= 3
 vertices (Harary & Plantholt): the cards come from some u != v, and
 toggling the pair uv gives h with h - u = g - u and h - v = g - v but
 one edge more or less, so h is not g.  So the existential vertex search
-starts at size 3, the universal one starts from two shared cards, and
-such collections are answered without a walk; the edge numbers have no
+starts at size 3, the universal one starts from two shared cards, such
+collections are answered without a walk, and the walks pass over graphs
+sharing at most two cards (the _Blockers floor); the edge numbers have no
 such bound.
 """
 
@@ -141,7 +142,7 @@ def identifies(g: Graph, s: Deck, kind: str) -> bool:
         raise InputError("the given cards are not a subdeck of g's deck")
     counts = Counter(query.certs)
     profile = [counts[cert] for cert, _ in deck.classes()]
-    return _identified(g, kind, _Blockers(g, deck), profile)
+    return _identified(g, kind, _Blockers(g, deck, _toggle_shares(g, kind)), profile)
 
 
 def recon_number(g: Graph, kind: str, quantifier: str) -> ReconNumber:
@@ -163,9 +164,9 @@ def recon_number(g: Graph, kind: str, quantifier: str) -> ReconNumber:
     mults = [len(cards) for _, cards in classes]
     # profiles a_i <= mults[i] of one size, lexicographically, as sums of (a_i,)
     counts = [[(k,) for k in range(m + 1)] for m in mults]
-    blockers = _Blockers(g, deck)
-    identified = partial(_identified, g, kind, blockers)
     shared = _toggle_shares(g, kind)  # cards g shares with a graph not g, at least
+    blockers = _Blockers(g, deck, shared)
+    identified = partial(_identified, g, kind, blockers)
 
     def subdeck_for(profile: tuple[int, ...]) -> Deck:
         # the first cards of each class run, so still certificate-sorted

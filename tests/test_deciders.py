@@ -3,6 +3,7 @@ import tracemalloc
 from collections import Counter
 from itertools import combinations, combinations_with_replacement, islice, product
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +38,7 @@ from reconkit.graph import (
     empty_graph,
     enumerate_graphs,
     extend_rows,
+    graph6_decode,
     is_connected,
     join,
     path_graph,
@@ -1094,6 +1096,63 @@ def test_deletion_hits_match_every_key():
                 assert found.get(attach, []) == want, (g, i, attach)
                 hits += len(want)
     assert hits > 20000
+
+
+def test_profile_tables_match_the_built_card():
+    # the recon vertex walk reads a hit's degree profile off u's table: for
+    # every card vertex u and every B in V(C) - u it is the profile of the
+    # built card C - u plus a vertex joined to B; twin-heavy cards included
+    rng = random.Random(41)
+    graphs = [g for n in range(3, 6) for g in enumerate_graphs(n)]
+    graphs += rng.sample(enumerate_graphs(6), 20) + rng.sample(enumerate_graphs(7), 20)
+    for n in (8, 9, 10):
+        for _ in range(2):
+            graphs.append(random_graph(rng, n, rng.choice((0.3, 0.5, 0.7))))
+    graphs += [g for n in range(4, 9) for g in clique_union_pair(n)]
+    graphs += [union([complete_graph(4), complete_graph(5)]), join([empty_graph(4), empty_graph(5)])]
+    checked = 0
+    for g in graphs:
+        n, rows = g.n, g.rows
+        for u in range(n):
+            table = deciders._profile_table(n, rows, u)
+            for b in range(1 << n):
+                if not b >> u & 1:
+                    card = delete_vertices_rows(extend_rows(n, rows, b), (u,))
+                    assert deciders._hit_profile(table, b) == deciders._degree_profile(card), (g, u, b)
+                    checked += 1
+    assert checked > 40000
+
+
+def _atlas_graphs():
+    atlas = Path(__file__).parent / "data" / "recon_atlas.txt"
+    return [graph6_decode(line.split()[0]) for line in atlas.read_text().splitlines()
+            if not line.startswith("#")]
+
+
+def test_class_walks_above_a_floor_drop_only_the_coverages_below_it():
+    # _Blockers(g, d, floor) yields exactly the floor-0 walk's distinct
+    # coverages that sum past the floor, in the same order, although the
+    # vertex walk skips short hit lists unclassified; floors 1, 2 and 3 in
+    # turn, over atlas graphs (every third one for vertex decks, every
+    # seventh for edge decks) and seeded graphs on 8..10 vertices
+    rng = random.Random(43)
+    atlas = _atlas_graphs()
+    seeded = [random_graph(rng, n, 0.5) for n in (8, 9, 10)]
+    sparse = [random_graph(rng, n, 0.25) for n in (8, 9, 10)]
+    counts = Counter()
+    for kind, graphs in (("vertex", atlas[::3] + seeded), ("edge", atlas[::7] + sparse)):
+        for j, g in enumerate(graphs):
+            if kind == "edge" and not g.m:
+                continue
+            d = build_deck(g, kind, 1)
+            floor = 1 + j % 3
+            for i in range(len(d.classes())):
+                want = list(deciders._Blockers(g, d)._walk(deciders._DeckTargets(d, 1, i)))
+                got = list(deciders._Blockers(g, d, floor)._walk(deciders._DeckTargets(d, 1, i)))
+                assert got == [cov for cov in want if sum(cov) > floor], (kind, g, i)
+                counts[kind, "kept"] += len(got)
+                counts[kind, "dropped"] += len(want) - len(got)
+    assert min(counts.values()) > 500, counts
 
 
 def test_every_witness_has_its_deck():

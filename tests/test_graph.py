@@ -7,6 +7,7 @@ import graph6_oracle
 from conftest import all_labeled_graphs, brute_canonical_mask, brute_isomorphic, random_graph
 
 import reconkit.canon as canon
+import reconkit.graph as graph_module
 from reconkit.canon import are_isomorphic, certificate
 from reconkit.deciders import enum_preimages
 from reconkit.deck import Deck, build_deck
@@ -41,7 +42,7 @@ from reconkit.graph import (
 from reconkit.reductions import gi_to_kled
 
 
-def test_graph_validation():
+def test_graph_validation(monkeypatch):
     with pytest.raises(InputError):
         Graph(3, [(0, 0)])
     with pytest.raises(InputError):
@@ -52,6 +53,15 @@ def test_graph_validation():
     assert Graph(258047).n == 258047
     with pytest.raises(CapacityError, match="capped at 258047"):
         Graph(258048)
+    # so do unions and copies (any number of copies of K_0 is K_0), and
+    # graph6_encode refuses a larger order, built unchecked, before it
+    # packs the triangle
+    assert union([empty_graph(258046), empty_graph(1)]).n == 258047
+    assert copies(empty_graph(258047), 1).n == 258047
+    assert copies(empty_graph(0), 10**5000) == empty_graph(0)
+    monkeypatch.setattr(graph_module, "_triangle", None)
+    with pytest.raises(CapacityError, match="n <= 258047, got 258048"):
+        graph6_encode(Graph._from_rows(258048, [0] * 258048))
     # duplicates and orientation collapse to one canonical edge
     assert Graph(3, [(1, 0), (0, 1)]).edges == ((0, 1),)
 

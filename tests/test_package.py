@@ -330,17 +330,21 @@ def _huge_count_calls():
         build_deck,
         clique_union_pair,
         complete_graph,
+        copies,
         deck_check,
         empty_graph,
         enum_preimages,
         enumerate_graphs,
         gi_to_kled,
+        join,
         kedc_to_kvdc,
+        line_graph,
         many_preimage_deck,
         many_preimage_graphs,
         path_graph,
         subdeck_check,
         two_lvd,
+        union,
     )
 
     huge = 10**5000
@@ -383,11 +387,23 @@ def _huge_count_calls():
          "need k >= 2 and n >= 1, got k=-(16610-bit number), n=1"),
     ]
     capped = "graph orders are capped at 258047, got (16610-bit number)"
+    # derived graphs check the order they would build before any row (in
+    # the join, K3 comes first so that, unchecked, only its rows are long)
+    big = "graph orders are capped at 258047, got "
+    derived = [
+        ("union", lambda: union([empty_graph(258047), k3]), big + "258050"),
+        ("join", lambda: join([k3, empty_graph(258047)]), big + "258050"),
+        ("copies", lambda: copies(empty_graph(258047), 2), big + "516094"),
+        ("copies count", lambda: copies(k3, huge), big + "(16612-bit number)"),
+        ("line_graph", lambda: line_graph(complete_graph(719)), big + "258121"),
+    ]
     return [
         (f"huge {name}", call, InputError, _exactly(message)) for name, call, message in calls
     ] + [
         (f"huge {build.__name__} n", lambda b=build: b(huge), CapacityError, _exactly(capped))
         for build in (Graph, empty_graph, path_graph)
+    ] + [
+        (f"huge {name}", call, CapacityError, _exactly(message)) for name, call, message in derived
     ]
 
 

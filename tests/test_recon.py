@@ -393,18 +393,27 @@ def test_one_walk_per_card_class(monkeypatch, kind, g, quantifier):
 
 def test_vertex_walk_certifies_no_card_twice(monkeypatch):
     # work bound, no clock: H_A - u and H_(A^u) - u are one labeled graph,
-    # so a class walk looks up a key hit's card class once per (u, A - u)
-    seen, current, walks = [], [], []
-    real_class = deciders._card_class
+    # so a class walk reads a key hit's degree profile off u's table once
+    # per (u, A - u), and certifies no card rows twice
+    g = _seeded_graph(9, 9, 18)
+    classified, certified, current, walks = [], [], [], []
+    real_profile, real_cert = deciders._hit_profile, deciders.certificate_rows
 
-    def card_class(t, rows):
-        seen.append((current[0], tuple(rows)))
-        return real_class(t, rows)
+    def hit_profile(table, b):
+        classified.append((current[0], tuple(table), b))  # the table names u
+        return real_profile(table, b)
+
+    def certificate_rows(n, rows):
+        if n < g.n:  # a card; g and its extensions have g's order
+            certified.append((current[0], tuple(rows)))
+        return real_cert(n, rows)
 
     _spy_class_walks(monkeypatch, current, lambda t: walks.append(t) or len(walks))
-    monkeypatch.setattr(deciders, "_card_class", card_class)
-    assert recon_number(_seeded_graph(9, 9, 18), "vertex", "forall").value == 3
-    assert seen and len(set(seen)) == len(seen)
+    monkeypatch.setattr(deciders, "_hit_profile", hit_profile)
+    monkeypatch.setattr(deciders, "certificate_rows", certificate_rows)
+    assert recon_number(g, "vertex", "forall").value == 3
+    assert classified and len(set(classified)) == len(classified)
+    assert certified and len(set(certified)) == len(certified) < len(classified)
 
 
 SPIDER = Graph(7, [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5), (4, 6)])  # twins 1, 2 and 5, 6
