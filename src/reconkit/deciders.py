@@ -676,11 +676,12 @@ class _Blockers:
     S_w + |N(w) & B| + [w in B] b; x has degree b and sum b + (sum over B
     of d_w).  Card rows are built and certified only on a profile hit.
 
-    Coverages summing to at most `floor` are not yielded (recon passes the
-    cards g shares with a toggle of itself, which every profile it asks
-    about exceeds), and the vertex walk skips a twin pattern with fewer
-    than floor hits unclassified: its coverage sums to at most floor, one
-    card per hitting u and the undo card.
+    `floor` is the most cards g shares with a toggle of itself: two vertex
+    cards on n >= 3 vertices (recon's module docstring), else none.  No
+    profile of at most floor cards identifies g, so coverages summing to
+    at most floor are not yielded, and the vertex walk skips a twin
+    pattern with fewer than floor hits unclassified: its coverage sums to
+    at most floor, one card per hitting u and the undo card.
 
     Class i's walk starts on first use, against the targets of d's
     classes from i on (a slice of d's class table, so no deck is
@@ -692,11 +693,11 @@ class _Blockers:
     no larger sum is possible.
     """
 
-    def __init__(self, g: Graph, d: Deck, floor: int = 0):
+    def __init__(self, g: Graph, d: Deck):
         self.g = g
         self.own_key = _shape(g.n, g.rows).key
         self.deck = d
-        self.floor = floor
+        self.floor = 2 if d.kind == "vertex" and g.n >= 3 else 0
         self.walks: dict[int, tuple[Iterator[tuple[int, ...]], list]] = {}
 
     @cached_property

@@ -92,12 +92,6 @@ def _check_caps(g: Graph, kind: str) -> None:
         raise InputError(f"kind must be vertex or edge, got {kind!r}")
 
 
-def _toggle_shares(g: Graph, kind: str) -> int:
-    """Cards g shares with a toggle of g: two vertex cards on n >= 3
-    vertices (module docstring), else none."""
-    return 2 if kind == "vertex" and g.n >= 3 else 0
-
-
 def _universe_is_singleton(g: Graph, kind: str) -> bool:
     # Empty collections identify only in a one-class universe: all graphs
     # of the order (vertex kind), or all graphs of the order and edge
@@ -111,11 +105,12 @@ def _universe_is_singleton(g: Graph, kind: str) -> bool:
 
 def _identified(g: Graph, kind: str, blockers: _Blockers, profile: Sequence[int]) -> bool:
     """Does the count profile over g's card classes identify g?  No profile
-    of at most the toggle's shared cards does, the empty one only in a
-    one-class universe; the rest ask the class walks of `blockers`."""
+    of at most the toggle's shared cards (blockers.floor) does, the empty
+    one only in a one-class universe; the rest ask the class walks of
+    `blockers`."""
     if not any(profile):
         return _universe_is_singleton(g, kind)
-    return sum(profile) > _toggle_shares(g, kind) and blockers.identifies(profile)
+    return sum(profile) > blockers.floor and blockers.identifies(profile)
 
 
 def identifies(g: Graph, s: Deck, kind: str) -> bool:
@@ -142,7 +137,7 @@ def identifies(g: Graph, s: Deck, kind: str) -> bool:
         raise InputError("the given cards are not a subdeck of g's deck")
     counts = Counter(query.certs)
     profile = [counts[cert] for cert, _ in deck.classes()]
-    return _identified(g, kind, _Blockers(g, deck, _toggle_shares(g, kind)), profile)
+    return _identified(g, kind, _Blockers(g, deck), profile)
 
 
 def recon_number(g: Graph, kind: str, quantifier: str) -> ReconNumber:
@@ -164,8 +159,8 @@ def recon_number(g: Graph, kind: str, quantifier: str) -> ReconNumber:
     mults = [len(cards) for _, cards in classes]
     # profiles a_i <= mults[i] of one size, lexicographically, as sums of (a_i,)
     counts = [[(k,) for k in range(m + 1)] for m in mults]
-    shared = _toggle_shares(g, kind)  # cards g shares with a graph not g, at least
-    blockers = _Blockers(g, deck, shared)
+    blockers = _Blockers(g, deck)
+    shared = blockers.floor  # cards g shares with a graph not g, at least
     identified = partial(_identified, g, kind, blockers)
 
     def subdeck_for(profile: tuple[int, ...]) -> Deck:
