@@ -12,12 +12,6 @@ once its graph has parsed (so malformed input exits 2 with only graph
 loaded), ``reduce`` loads reductions, ``family`` families and ``verify``
 verify.  No subcommand loads ``dataclasses`` or ``inspect``, and only
 ``--json`` output loads ``json``.
-
-Unscaled medians of 31 alternating cold calls (2-vCPU Intel Xeon VM,
-CPython 3.11.7, whose ``site`` loads a ``certifi`` .pth), with compiled
-bytecode / without a bytecode cache: ``python -c pass`` 36 ms; ``deck``,
-``reduce``, ``family`` 44-45 / 58-59 ms; ``check``, ``legit``,
-``preimages`` 45-46 / 64-66 ms; ``rn`` 47 / 67 ms; ``verify graph6`` 49 / 75 ms.
 """
 
 from __future__ import annotations

@@ -73,17 +73,15 @@ round's twin patterns, charged before it starts), per last-round
 candidate, per deletion a candidate's walk keys and per certificate of a
 match, and refused past SEARCH_BUDGET units; its order is fixed, so a
 refusal is too.  Deck checks, recon walks and the front end are uncharged.
-A unit costs from microseconds to tenths of a millisecond, the most when
-it certifies a graph with large twin classes: two E12 cards at c = 2
-answer in 0.3 s, one P7 card at c = 3 is refused after 4.3 to 5.4 s, one
-E20 card at c = 3 after 8.4 to 11.5 s, and one K10,10 card at c = 3 after
-19.2 to 22.4 s (3 runs, 2-vCPU Intel Xeon VM, CPython 3.11.7).
+A unit's cost varies with what it certifies, and is highest on graphs with
+large twin classes, so one-card refusals at c = 3 (P7, E20, K10,10) take
+seconds.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import cached_property, partial
+from functools import partial
 from itertools import accumulate, combinations, islice, product
 from math import comb, prod
 from operator import gt, sub
@@ -199,9 +197,7 @@ def _keyer(s: _Shape, kind: str) -> Callable[[tuple], int]:
     deg = [r.bit_count() for r in s.rows]
 
     def keyed(drop: tuple[tuple[int, int], ...]) -> int:
-        # the one- and two-edge paths pay: without them gadget-iff went from
-        # 1,329 to 1,238 items/s and its tail from 10.8 to 13.9 ms (medians
-        # of 4 alternating pairs, seed 5, 2 vCPU, CPython 3.11.7)
+        # the one- and two-edge paths pay on gadget-iff's edge searches
         if len(drop) == 1:
             (u, v), = drop
             return s.key - _DOWN[deg[u]] - _DOWN[deg[v]]
@@ -234,9 +230,10 @@ class _DeckTargets:
     """The card classes of d from class `first` on, in certificate order,
     as parallel lists (one card, multiplicity, sorted degree sequence per
     class) with `index` from certificate to position; `order` and `edges`
-    are d's uniform card shape."""
+    are d's uniform card shape.  `start`, a card of class `first`, takes
+    the place of its first card as cards[0], the card a walk extends."""
 
-    def __init__(self, d: Deck, c: int, first: int = 0):
+    def __init__(self, d: Deck, c: int, first: int = 0, start: Optional[Graph] = None):
         if d.kind not in ("vertex", "edge"):
             raise InputError(f"deck kind must be vertex or edge, got {d.kind!r}")
         _check_at_least(c, 1, "deletion count")
@@ -246,6 +243,8 @@ class _DeckTargets:
         self.edges = d.uniform_edges()
         classes = d.classes()[first:]
         self.cards = [cards[0] for _, cards in classes]
+        if start is not None:
+            self.cards[0] = start
         self.mults = [len(cards) for _, cards in classes]
         self.count = sum(self.mults)
         self.index = {cert: j for j, (cert, _) in enumerate(classes)}
@@ -281,11 +280,10 @@ def _class_profiles(t: _DeckTargets) -> set[tuple[int, ...]]:
 
 def _card_class(t: _DeckTargets, rows: list[int]) -> Optional[int]:
     """The card class of t that a deletion's card rows fall in, or None."""
-    # the profile stage rejects 1,008 of the 1,560 calls of a seed-1
-    # recon-enum pass (edge class walks and rich-deck searches; the vertex
-    # class walks profile from tables) and 98 of the 1,399 of the
-    # reduction-iff sweep; a component-size stage behind it rejected none
-    # of either, so there is none
+    # callers: deck checks, the preimage search and the edge class walks
+    # (the vertex class walks profile from tables).  The profile stage
+    # spares a certificate on each call it rejects; a component-size stage
+    # behind it rejected none, so there is none
     if _degree_profile(rows) in _class_profiles(t):
         return t.index.get(certificate_rows(len(rows), rows))
     return None
@@ -640,8 +638,8 @@ class _Blockers:
     deletion that undoes the extension (its new vertex or edge) gives
     card i and is counted without being keyed; only an H with cov_H = mu
     on j >= i and g's degree histogram can be g, so only such an H is
-    certified, and g itself only once one is.  Edge extensions are walked
-    by _coverage.
+    certified, against `own`, g's certificate, which recon computes before
+    it builds d.  Edge extensions are walked by _coverage.
 
     A vertex extension H_A is card i (C, of order n) plus a vertex x
     joined to A, one per twin pattern.  For a card vertex u, H_A - u is
@@ -686,6 +684,16 @@ class _Blockers:
     Class i's walk starts on first use, against the targets of d's
     classes from i on (a slice of d's class table, so no deck is
     rebuilt), and yields each distinct coverage once, in the order found.
+    It extends class i's first card in g's canonical form C, the rows of
+    C minus the first deletion of C in class i, which build_deck kept
+    (deck._starts) when it certified the class through them.  Every
+    certificate the walk makes then depends only on g's class, so a later
+    query on the class (another labeling, quantifier or profile) finds
+    them all in canon's memo.  Any card of class i gives the same set of
+    coverages, as its extensions are the same graphs up to isomorphism,
+    and no consumer reads their order; a deck built without C's labeling
+    (g not certified, or its own canonical form) starts from its own first
+    card of the class.
     `coverages(i)` yields the coverages found so far, kept as an
     antichain, then resumes the walk, so no class is walked twice and
     each consumer stops it where it has its answer: `identifies` at the
@@ -693,16 +701,12 @@ class _Blockers:
     no larger sum is possible.
     """
 
-    def __init__(self, g: Graph, d: Deck):
-        self.g = g
+    def __init__(self, g: Graph, d: Deck, own: bytes):
+        self.own = own  # g's certificate
         self.own_key = _shape(g.n, g.rows).key
         self.deck = d
         self.floor = 2 if d.kind == "vertex" and g.n >= 3 else 0
         self.walks: dict[int, tuple[Iterator[tuple[int, ...]], list]] = {}
-
-    @cached_property
-    def own(self) -> bytes:
-        return certificate_rows(self.g.n, self.g.rows)
 
     def _is_own(self, s: _Shape) -> bool:
         return s.key == self.own_key and certificate_rows(s.n, s.rows) == self.own
@@ -766,7 +770,11 @@ class _Blockers:
         """Class i's walk as an antichain of coverages: those kept so far,
         then each new one the walk finds, kept as it is yielded."""
         if i not in self.walks:
-            self.walks[i] = (self._walk(_DeckTargets(self.deck, 1, i)), [])
+            start = None
+            if self.deck._starts:  # class i's first card in g's canonical form
+                rows = self.deck._starts[self.deck.classes()[i][0]][1]
+                start = Graph._from_rows(len(rows), rows)
+            self.walks[i] = (self._walk(_DeckTargets(self.deck, 1, i, start)), [])
         walk, found = self.walks[i]
         yield from found
         for cov in walk:  # resumes where the last consumer stopped

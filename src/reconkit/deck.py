@@ -14,20 +14,23 @@ disjoint edges, so their cards fall into few orbits (K8: 378 into 4).
 
 Where canon's memo holds g's canonical labeling (g, or a graph whose
 canonical form g is, was certified since the memo was last cleared),
-each orbit's card is certified as the same deletion from g's canonical
-form.  Those card rows depend only on g's class and the mapped set, so
-classes whose canonical forms share a labeled card, and every certified
-labeling of a twin-free g, share one memo entry (a catalog-canon pass:
-6,607 canonical searches down to 3,861, and to 2,939 once canon also
-memoizes canonical forms).  Deck.cards still holds g's own deletions.  build_deck never
-certifies g for this, as a search of g pays back only through other
-classes' cards: certifying each connected g took the decks of `verify
-deck-uniqueness`, whose enumerated classes are their own canonical
-forms, from 1,862 searches to 2,468, and certifying the padded graphs
-of gi_to_lvd and gi_to_led, whose cards already share their untouched
-components through the component memo, made those gadget-iff items 5%
-slower.  A g past the certificate cap is never in the memo, so
-path_graph(64) still builds its 64 cards.
+each orbit is certified through its first deletion set in g's canonical
+form C, in C's own order: the set that building C's own deck would
+certify.  Twin classes map onto C's, so g's sets are keyed by the twin
+orbits of their images in C, and each key's first set comes from one
+walk over C's own sets; at vertex c = 1 the key, the least vertex of the
+image's twin class in C, is its own first set, so no walk is needed.
+Those card rows depend only on g's class, so every certified labeling of
+g shares C's certificate entries, and so do classes whose canonical
+forms share a labeled card.  Deck.cards still holds g's own deletions,
+in g's order within a class.  The deck also keeps, per card class, its
+first deletion set of C and that card's rows (`_starts`), which recon's
+class walks extend.  build_deck never certifies g for this, as a search
+of g pays back only through other classes' cards: recon certifies g
+itself, and the enumerated classes of `verify deck-uniqueness` are their
+own canonical forms, whose first sets are their own.  A g past the
+certificate cap is never in the memo, so path_graph(64) still builds its
+64 cards.
 """
 
 from __future__ import annotations
@@ -40,8 +43,9 @@ from typing import Iterable, Optional, Sequence
 
 from .canon import _memoized_labeling, certificate, certificate_rows
 from .errors import CapacityError, InputError, _check_at_least, _count_text
-from .graph import Graph, delete_edges_rows, delete_vertices, delete_vertices_rows
-from .graph import graph6_decode, graph6_encode, relabel_rows, twin_orbits
+from .graph import Graph, _twin_labels, delete_edges_rows, delete_vertices
+from .graph import delete_vertices_rows, graph6_decode, graph6_encode, relabel_rows
+from .graph import rows_edges, twin_orbits
 
 DECK_KINDS = ("vertex", "edge", "endvertex")
 DELETION_SETS_CAP = 10**5  # deletion sets one deck build or check may walk
@@ -55,7 +59,7 @@ class Deck:
     shapes by answering false rather than raising.
     """
 
-    __slots__ = ("kind", "cards", "certs", "_hash")
+    __slots__ = ("kind", "cards", "certs", "_hash", "_starts")
 
     def __init__(self, kind: str, cards: Iterable[Graph]):
         if kind not in DECK_KINDS:
@@ -63,18 +67,25 @@ class Deck:
         self._set(kind, sorted(((certificate(c), c) for c in cards), key=lambda t: t[0]))
 
     @classmethod
-    def _from_sorted(cls, kind: str, tagged: list[tuple[bytes, Graph]]) -> Deck:
+    def _from_sorted(
+        cls, kind: str, tagged: list[tuple[bytes, Graph]], starts: Optional[dict] = None
+    ) -> Deck:
         """The deck of these (certificate, card) pairs, trusted as given:
-        each certificate is its card's, in sorted order."""
+        each certificate is its card's, in sorted order.  `starts` maps a
+        certificate to its class's first deletion set of g's canonical form
+        and that card's rows (build_deck)."""
         d = object.__new__(cls)
-        d._set(kind, tagged)
+        d._set(kind, tagged, starts)
         return d
 
-    def _set(self, kind: str, tagged: list[tuple[bytes, Graph]]) -> None:
+    def _set(
+        self, kind: str, tagged: list[tuple[bytes, Graph]], starts: Optional[dict] = None
+    ) -> None:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "cards", tuple(c for _, c in tagged))
         object.__setattr__(self, "certs", tuple(t for t, _ in tagged))
         object.__setattr__(self, "_hash", hash((kind, self.certs)))
+        object.__setattr__(self, "_starts", starts)
 
     def __setattr__(self, name, value):
         raise AttributeError("Deck is immutable")
@@ -142,7 +153,7 @@ def _deletion_sets(g: Graph, kind: str, c: int) -> int:
 
 def build_deck(g: Graph, kind: str, c: int) -> Deck:
     """All cards obtained by deleting every c-subset of vertices or edges,
-    each twin orbit certified once, from g's canonical form if g is
+    each twin orbit certified once, through g's canonical form if g is
     already certified (see the module docstring)."""
     _check_at_least(c, 0, "deletion count")
     if kind not in ("vertex", "edge"):
@@ -152,12 +163,13 @@ def build_deck(g: Graph, kind: str, c: int) -> Deck:
         sets, card_rows = combinations(range(g.n), c), delete_vertices_rows
     else:
         sets, card_rows = combinations(g.edges, c), delete_edges_rows
-    orbit = twin_orbits(g.n, g.rows)
     lab = _memoized_labeling(g.n, g.rows)
-    if lab == bytes(range(g.n)):  # g is its own canonical form
-        lab = None
-    elif lab is not None:
+    if lab is None or lab == bytes(range(g.n)):  # not certified, or its own form
+        orbit, first, starts = twin_orbits(g.n, g.rows), None, None
+    else:
         base = relabel_rows(g.n, g.rows, lab)
+        orbit, first = _orbits_in_form(g.n, kind, c, lab, base)
+        starts = {}  # cert -> (first set of C in the class, its card rows)
     certs: dict[tuple, bytes] = {}  # one certificate per twin orbit
     tagged = []
     for drop in sets:
@@ -166,15 +178,47 @@ def build_deck(g: Graph, kind: str, c: int) -> Deck:
         key = orbit(drop)
         cert = certs.get(key)
         if cert is None:
-            if lab is not None:  # the same deletion from g's canonical form
-                moved = [lab[v] for v in drop] if kind == "vertex" else [
-                    (lab[u], lab[v]) for u, v in drop
-                ]
+            if first is not None:  # the orbit's first set of C instead
+                moved = first(key)
                 rows = card_rows(base, moved)
             cert = certs[key] = certificate_rows(len(rows), rows)
+            if first is not None and (cert not in starts or moved < starts[cert][0]):
+                starts[cert] = moved, rows
         tagged.append((cert, card))
     tagged.sort(key=lambda t: t[0])
-    return Deck._from_sorted(kind, tagged)
+    return Deck._from_sorted(kind, tagged, starts)
+
+
+def _orbits_in_form(n: int, kind: str, c: int, lab: bytes, base: Sequence[int]) -> tuple:
+    """(orbit, first) for the c-sets of a g of order n that lab takes to its
+    canonical form C, with the rows base: orbit keys a set of g by the twin
+    orbit of its image in C, and first gives the key's first set in C's
+    own order, from one walk over C's sets.  At vertex c = 1 the key is the
+    least vertex of the image's twin class in C, its own first set."""
+    if kind == "vertex" and c == 1:
+        labels = _twin_labels(n, base)
+        rep: dict[int, int] = {}  # twin label -> its least vertex in C
+        for w, label in enumerate(labels):
+            rep.setdefault(label, w)
+        least = [rep[labels[w]] for w in lab]  # per vertex of g
+        return lambda drop: (least[drop[0]],), lambda key: key
+    key = twin_orbits(n, base)
+    if kind == "vertex":
+        sets = combinations(range(n), c)
+
+        def image(drop: tuple) -> list[int]:
+            return [lab[v] for v in drop]
+    else:
+        sets = combinations(rows_edges(n, base), c)
+
+        def image(drop: tuple) -> tuple:
+            return tuple(sorted(
+                (lab[u], lab[v]) if lab[u] < lab[v] else (lab[v], lab[u]) for u, v in drop
+            ))
+    firsts: dict[tuple, tuple] = {}
+    for moved in sets:
+        firsts.setdefault(key(moved), moved)
+    return lambda drop: key(image(drop)), firsts.__getitem__
 
 
 def endvertex_deck(g: Graph) -> Deck:

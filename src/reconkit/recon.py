@@ -33,6 +33,15 @@ starts at size 3, the universal one starts from two shared cards, such
 collections are answered without a walk, and the walks pass over graphs
 sharing at most two cards (the _Blockers floor); the edge numbers have no
 such bound.
+
+The numbers and identification are isomorphism invariants, and so is the
+work: recon certifies g before it builds g's deck, so build_deck certifies
+each card through g's canonical form C, and each class walk extends C's
+first card of its class (deciders._Blockers).  Every certificate a call
+makes, besides g's own, then depends only on g's class, and a second
+query on the class, by another labeling, quantifier or subdeck, meets
+them in canon's memo.  Witnesses and counterexamples are still g's own
+cards, and no answer depends on the order in which coverages are found.
 """
 
 from __future__ import annotations
@@ -43,7 +52,8 @@ from functools import partial
 from math import comb
 from typing import NamedTuple, Optional, Sequence
 
-from .deck import Deck, build_deck, subdeck_contained
+from .canon import certificate
+from .deck import Deck, _deletion_sets, build_deck, subdeck_contained
 from .deciders import _Blockers
 from .errors import CapacityError, InputError
 from .graph import Graph, _sized_patterns
@@ -103,6 +113,14 @@ def _universe_is_singleton(g: Graph, kind: str) -> bool:
     return g.m in {1, full - 1, full}
 
 
+def _certified_deck(g: Graph, kind: str) -> tuple[bytes, Deck]:
+    """g's certificate and its 1-deletion deck, g certified first, so that
+    the deck is certified through g's canonical form (module docstring)."""
+    _deletion_sets(g, kind, 1)  # the deck's refusal comes before g's certificate
+    own = certificate(g)
+    return own, build_deck(g, kind, 1)
+
+
 def _identified(g: Graph, kind: str, blockers: _Blockers, profile: Sequence[int]) -> bool:
     """Does the count profile over g's card classes identify g?  No profile
     of at most the toggle's shared cards (blockers.floor) does, the empty
@@ -118,8 +136,8 @@ def identifies(g: Graph, s: Deck, kind: str) -> bool:
 
     It does when every graph whose deck contains s is isomorphic to g.  s
     is read as a count profile over g's card classes, and the one-vertex
-    (one-edge) extensions of its first card in certificate order are
-    walked until one that is not g contains s, or none is left
+    (one-edge) extensions of a card of its first class in certificate
+    order are walked until one that is not g contains s, or none is left
     (deciders._Blockers).  A vertex subdeck of at most two cards
     of a graph on n >= 3 vertices never identifies (module docstring).
     """
@@ -132,12 +150,12 @@ def identifies(g: Graph, s: Deck, kind: str) -> bool:
         if s.kind != "edge":
             raise InputError(f"expected an edge subdeck, got {s.kind!r}")
         query = s
-    deck = build_deck(g, kind, 1)
+    own, deck = _certified_deck(g, kind)
     if not subdeck_contained(query, deck):
         raise InputError("the given cards are not a subdeck of g's deck")
     counts = Counter(query.certs)
     profile = [counts[cert] for cert, _ in deck.classes()]
-    return _identified(g, kind, _Blockers(g, deck), profile)
+    return _identified(g, kind, _Blockers(g, deck, own), profile)
 
 
 def recon_number(g: Graph, kind: str, quantifier: str) -> ReconNumber:
@@ -152,14 +170,14 @@ def recon_number(g: Graph, kind: str, quantifier: str) -> ReconNumber:
     if quantifier not in ("exists", "forall"):
         raise InputError(f"quantifier must be exists or forall, got {quantifier!r}")
     _check_caps(g, kind)
-    deck = build_deck(g, kind, 1)
+    own, deck = _certified_deck(g, kind)
     # subsets with equal class counts identify (or not) together, so only
     # count profiles are tested
     classes = deck.classes()
     mults = [len(cards) for _, cards in classes]
     # profiles a_i <= mults[i] of one size, lexicographically, as sums of (a_i,)
     counts = [[(k,) for k in range(m + 1)] for m in mults]
-    blockers = _Blockers(g, deck)
+    blockers = _Blockers(g, deck, own)
     shared = blockers.floor  # cards g shares with a graph not g, at least
     identified = partial(_identified, g, kind, blockers)
 

@@ -1047,7 +1047,7 @@ def test_vertex_class_walk_matches_the_generic_walk():
     for g in graphs:
         d = build_deck(g, "vertex", 1)
         own = certificate_rows(g.n, g.rows)
-        blockers = deciders._Blockers(g, d)
+        blockers = deciders._Blockers(g, d, own)
         assert blockers.floor == (2 if g.n >= 3 else 0)
         for i in range(len(d.classes())):
             t = deciders._DeckTargets(d, 1, i)

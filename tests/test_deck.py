@@ -8,7 +8,7 @@ import pytest
 from conftest import random_graph
 
 from reconkit.canon import _CERT_CACHE as canon_memo
-from reconkit.canon import CERTIFICATE_ORDER_CAP, are_isomorphic, certificate
+from reconkit.canon import CERTIFICATE_ORDER_CAP, are_isomorphic, canonical_form, certificate
 from reconkit.canon import clear_certificate_cache
 from reconkit.deck import (
     Deck,
@@ -163,31 +163,38 @@ def _count_searches(monkeypatch):
 
 
 def test_certified_relabeling_builds_its_deck_without_search(monkeypatch):
-    # work bound: a certified graph's cards are certified as deletions of
-    # its canonical form, so once one labeling's deck is built, another
-    # certified labeling builds its deck with no search. The graphs are
-    # twin-free: a twin orbit is certified through its first set in the
-    # labeling's own order, which relabeling may change
+    # work bound: a certified graph's twin orbits are certified through
+    # their first deletion sets in its canonical form C, in C's own order,
+    # so once one labeling's deck is built, another certified labeling
+    # builds its deck with no search, twins or not.  Each class's start
+    # card (the one recon's walks extend) is C's first card of the class
     runs = _count_searches(monkeypatch)
     rng = random.Random(32)
     graphs = [path_graph(7), union([path_graph(4), path_graph(5)])]
-    while len(graphs) < 9:
-        g = random_graph(rng, rng.randint(5, 9), 0.45)
-        if len(_twin_classes(g.n, g.rows)) == g.n:
-            graphs.append(g)
+    graphs += [random_graph(rng, rng.randint(5, 9), 0.45) for _ in range(7)]
+    graphs += [g for g in _twin_heavy_graphs() if g.m >= 2]
+    checked = 0
     for g in graphs:
         for kind, c in (("vertex", 1), ("vertex", 2), ("edge", 1), ("edge", 2)):
             clear_certificate_cache()
             certificate(g)
             want = build_deck(g, kind, c)
-            perm = list(range(g.n))
-            rng.shuffle(perm)
-            h = permute(g, perm)
+            h = permute(g, rng.sample(range(g.n), g.n))
             certificate(h)
             runs[0] = 0
             got = build_deck(h, kind, c)
             assert runs[0] == 0, (g.rows, kind, c)
             assert got == want
+            form = canonical_form(h)
+            if got._starts is None:  # h is its own canonical form
+                assert h.rows == form.rows
+                continue
+            firsts = {cert: cards[0] for cert, cards in build_deck(form, kind, c).classes()}
+            assert {cert: tuple(rows) for cert, (_, rows) in got._starts.items()} == {
+                cert: card.rows for cert, card in firsts.items()
+            }, (g.rows, kind, c)
+            checked += 1
+    assert checked > 100
 
 
 def test_build_deck_never_certifies_the_graph():

@@ -452,6 +452,53 @@ def test_loc_counts_code_lines_without_docstrings_or_comments(tmp_path, capsys):
     ]
 
 
+def test_minima_sums_each_items_least_time_per_cell():
+    from importlib.util import module_from_spec, spec_from_file_location
+
+    spec = spec_from_file_location(
+        "minima", Path(__file__).resolve().parents[1] / "tools" / "minima.py"
+    )
+    minima = module_from_spec(spec)
+    spec.loader.exec_module(minima)
+
+    class Stub:
+        # three items of two cells; item "b" fails its check, "c" raises
+        def pass_items(self, p):
+            assert p == 0
+            return ["a", "b", "c"]
+
+        def run(self, item, tracer):
+            if item == "c":
+                raise ValueError(item)
+            return item
+
+        def check(self, item, out):
+            return item != "b"
+
+    # each clock step is the next second of a fixed list, read at the
+    # start and end of each run: item times 1, 2, 3 then 4, 1, 2 then 2, 5, 1
+    ticks = iter([0, 1, 0, 2, 0, 3, 0, 4, 0, 1, 0, 2, 0, 2, 0, 5, 0, 1])
+    cleared = []
+    items, times, failures = minima.serve(
+        Stub(), 3, lambda: cleared.append(1), None, clock=lambda: next(ticks)
+    )
+    assert items == ["a", "b", "c"] and len(cleared) == 3
+    assert times == [[1, 4, 2], [2, 1, 5], [3, 2, 1]]
+    assert failures == ["item 1: wrong answer", "item 2: ValueError: c"] * 3
+    sums = minima.minima(["x", "y", "x"], times)
+    assert sums == {"x": (2, 2), "y": (1, 1)}
+    assert [line.split() for line in minima.report(sums)] == [
+        ["x", "2", "items", "2000.0", "ms"],
+        ["y", "1", "items", "1000.0", "ms"],
+        ["total", "3", "items", "3000.0", "ms"],
+    ]
+    assert minima.cell_of("recon-enum", ("rn", "edge", "forall", None, 5)) == "edge forall"
+    assert minima.cell_of("recon-enum", ("rich", None, None, 2)) == "rich decks"
+    assert minima.cell_of("gadget-iff", (("gi_to_klvd", 1, 2, 5), None, None, True)) == (
+        "gi_to_klvd c=1 k=2"
+    )
+
+
 def test_every_module_level_name_is_used():
     # a function, class or constant of src/reconkit that nothing in the
     # package, the benchmark or the export list refers to is dead code

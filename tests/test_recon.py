@@ -291,22 +291,30 @@ def test_identifies_answers_two_vertex_cards_without_a_walk(monkeypatch):
 
 
 def test_blockers_certify_g_only_when_an_extension_may_be_g(monkeypatch):
-    # building the class walks certifies nothing; g is certified once an
-    # extension covers the whole deck with g's degree histogram
+    # building the class walks certifies nothing, as g's certificate comes
+    # in with the deck; an extension of g's order is certified only once
+    # it covers the whole deck with g's degree histogram
     g = graph6_decode("DAK")
+    own = certificate(g)
     deck = build_deck(g, "vertex", 1)
     calls = []
     real = deciders.certificate_rows
 
     def spy(n, rows):
-        calls.append(n)
+        calls.append(Graph._from_rows(n, rows))
         return real(n, rows)
 
     monkeypatch.setattr(deciders, "certificate_rows", spy)
-    blockers = deciders._Blockers(g, deck)
+    blockers = deciders._Blockers(g, deck, own)
     assert calls == []
     assert blockers.identifies([len(cards) for _, cards in deck.classes()])
-    assert blockers.own == real(g.n, g.rows)
+    assert blockers.own == own
+    monkeypatch.undo()
+    whole = [x for x in calls if x.n == g.n]
+    assert whole  # g is an extension of each of its cards
+    for x in whole:
+        assert sorted(x.degrees()) == sorted(g.degrees())
+        assert subdeck_contained(deck, build_deck(x, "vertex", 1))
 
 
 def _seeded_graph(seed, n, m):
@@ -462,6 +470,50 @@ def test_recon_number_builds_only_its_own_decks(monkeypatch, kind, g, quantifier
     assert (subdeck.kind, subdeck.cards, subdeck.certs) == (kind, rebuilt.cards, rebuilt.certs)
     assert subdeck == rebuilt and hash(subdeck) == hash(rebuilt)
     assert subdeck_contained(subdeck, full)
+
+
+def _connected_seeded_graph(seed, n, m):
+    g = _seeded_graph(seed, n, m)
+    while len(component_masks(g.n, g.rows)) > 1:
+        seed += 100
+        g = _seeded_graph(seed, n, m)
+    return g
+
+
+@pytest.mark.parametrize("kind, g", [
+    ("vertex", _connected_seeded_graph(1, 8, 14)),
+    ("vertex", _connected_seeded_graph(2, 9, 20)),
+    ("vertex", _connected_seeded_graph(3, 10, 22)),
+    ("vertex", SPIDER),
+    ("edge", _connected_seeded_graph(4, 7, 11)),
+    ("edge", _connected_seeded_graph(5, 8, 12)),
+    ("edge", SPIDER),
+])
+def test_second_labeling_searches_only_its_own_certificate(monkeypatch, kind, g):
+    # work bound, no clock: recon certifies g first, and every other
+    # certificate of a call (deck cards, walk starts, extensions and their
+    # cards) depends only on g's class, so after one labeling's calls
+    # another labeling of a connected g makes one canonical search, its
+    # own certificate, for both quantifiers
+    import reconkit.canon as canon
+
+    runs = [0]
+    run = canon._Search.run
+
+    def counting_run(self):
+        runs[0] += 1
+        return run(self)
+
+    monkeypatch.setattr(canon._Search, "run", counting_run)
+    canon.clear_certificate_cache()
+    first = [recon_number(g, kind, q) for q in ("exists", "forall")]
+    assert runs[0] > 1
+    h = permute(g, random.Random(g.m).sample(range(g.n), g.n))
+    assert h.rows != g.rows
+    runs[0] = 0
+    second = [recon_number(h, kind, q) for q in ("exists", "forall")]
+    assert runs[0] == 1
+    assert [r.value for r in first] == [r.value for r in second]
 
 
 def test_recon_number_ignores_the_labeling():

@@ -5,6 +5,7 @@ replaced, and the committed atlas of every graph on 2..7 vertices.
 witness certificates and counterexample certificates must agree exactly.
 """
 
+import hashlib
 import math
 import random
 from collections import Counter
@@ -17,7 +18,7 @@ from conftest import random_graph
 
 import reconkit.deciders as deciders
 from reconkit.deck import Deck, build_deck, endvertex_deck
-from reconkit.errors import InputError
+from reconkit.errors import InputError, ReconError
 from reconkit.families import clique_union_pair
 from reconkit.graph import (
     Graph,
@@ -25,6 +26,8 @@ from reconkit.graph import (
     empty_graph,
     enumerate_graphs,
     graph6_decode,
+    graph6_encode,
+    permute,
 )
 from reconkit.recon import identifies, recon_number
 
@@ -225,10 +228,39 @@ def test_atlas_universal_numbers_from_shared_cards():
 
 
 def test_atlas_entries_recompute():
-    # every entry on n <= 6 and a seeded sample of n = 7
+    # every entry on n <= 6 and a seeded sample of n = 7, each graph
+    # relabeled (the atlas lists canonical forms), for both kinds and both
+    # quantifiers; each answer's bytes are folded into one digest: the
+    # value and the witness and counterexample cards as graph6, or the
+    # error text where the edge kind has no number.  Each witness
+    # identifies g and each counterexample does not.  The digest was
+    # recorded by this loop; a change that moves it changes answer bytes
     _, rows = _atlas()
     graphs = [graph6_decode(row[0]) for row in rows]
     small = [(g, row) for g, row in zip(graphs, rows) if g.n <= 6]
     large = [(g, row) for g, row in zip(graphs, rows) if g.n == 7]
+    digest = hashlib.sha256()
+
+    def rn(g, kind, quantifier):
+        got = recon_number(g, kind, quantifier)
+        parts = [kind, quantifier, str(got.value)]
+        for subdeck, identifying in ((got.witness, True), (got.counterexample, False)):
+            if subdeck is not None:
+                assert identifies(g, subdeck, kind) is identifying, (g, kind, quantifier)
+            parts.append("-" if subdeck is None else ",".join(map(graph6_encode, subdeck.cards)))
+        digest.update(" ".join(parts).encode() + b"\n")
+        return got
+
+    rng = random.Random(41)
     for g, row in small + random.Random(7).sample(large, 50):
-        assert oracle.atlas_line(g, recon_number).split() == row
+        g = permute(g, rng.sample(range(g.n), g.n))
+        digest.update(graph6_encode(g).encode() + b"\n")
+        assert oracle.atlas_line(g, rn).split()[1:] == row[1:]
+        for kind, quantifier in oracle.ATLAS_COLUMNS:
+            if kind == "edge" and not 1 <= g.m <= oracle.EDGE_COUNT_CAP:
+                with pytest.raises(ReconError) as refused:
+                    recon_number(g, kind, quantifier)
+                digest.update(f"{kind} {quantifier} {refused.value}\n".encode())
+    assert digest.hexdigest() == (
+        "07dd2138a33c4854abc93c973e840358b311a02dd15643e90e18011d6bdb03aa"
+    )
