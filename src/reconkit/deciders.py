@@ -47,8 +47,6 @@ Card rows are built only when a key hits a target card class.  Their
 degree profile (per vertex, its degree and the sum of its neighbours'
 degrees, sorted) must then be a card class's before a certificate is
 computed; the set of the classes' profiles is built on the first hit.
-Recon's vertex class walks (_Blockers) read a hit's profile off tables
-of the card and build card rows only once the profile hits.
 
 Vertex decks add c vertices to the first card, one per round, over
 twin_patterns (twins are swapped by an automorphism).  Each of the first
@@ -222,6 +220,100 @@ def _keyer(s: _Shape, kind: str) -> Callable[[tuple], int]:
     return keyed
 
 
+def _deletion_hits(card: Graph, by_key: dict[int, list[int]]) -> dict[int, list]:
+    """With H_A the card C (of order n) plus a vertex x joined to A: A ->
+    [(u, B, classes)] over the card vertices u, in increasing order, for
+    which H_A - u keys to a target of by_key (its classes), B = A - {u}.
+    Every A is listed, twin pattern or not, and each hit is listed under
+    A = B and A = B | {u}, as H_B - u and H_(B | {u}) - u are one labeled
+    graph.
+
+    The hits are solved for, not keyed.  Let h_d count the vertices of
+    degree d in C - u and beta_d those of them in B.  x has degree b = |B|
+    and lifts each vertex of B one degree, so the packed key of H_A - u
+    has the fields
+
+        K_d = h_d - beta_d + beta_(d-1) + [d = b]    (d = 0, ..., n - 1).
+
+    Summed over e <= d the beta's telescope, so with P_d the sum over
+    e <= d of K_e - h_e, P_d = [d >= b] - beta_d.  Over d < n the beta_d
+    add up to b and [d >= b] holds n - b times, so b = (n - b) - sum_d P_d:
+    b = (n - sum_d P_d) / 2, and then beta_d = [d >= b] - P_d.  Conversely
+    a B with these counts has b vertices, and its field d is h_d + P_d -
+    P_(d-1) = K_d, since [d >= b] and [d - 1 >= b] differ exactly at d = b.
+    So (b, beta) is unique per (u, K): it fails a range check (b a whole
+    number below n, 0 <= beta_d <= h_d), or the hits are the B that take
+    beta_d vertices of each degree class, the products of combinations
+    inside the classes."""
+    n, rows = card.n, card.rows
+    deg = [r.bit_count() for r in rows]
+    targets = []  # per key: K_0 + ... + K_d for each d, their sum, the classes
+    for key, hit in by_key.items():
+        cum = list(accumulate(key >> _FIELD * d & 63 for d in range(n)))
+        targets.append((cum, sum(cum), hit))
+    found: dict[int, list] = {}
+    for u in range(n):
+        by_degree: list[list[int]] = [[] for _ in range(n)]  # degree in C - u -> bits
+        for w in range(n):
+            if w != u:
+                by_degree[deg[w] - (rows[u] >> w & 1)].append(1 << w)
+        sizes = [len(bits) for bits in by_degree]
+        have = list(accumulate(sizes))  # P_d = cum[d] - have[d]
+        total = n + sum(have)
+        for cum, cum_total, hit in targets:
+            b, odd = divmod(total - cum_total, 2)
+            if odd or not 0 <= b < n:
+                continue
+            beta = list(map(sub, have, cum))  # -P_d, plus 1 from d = b on
+            beta[b:] = [x + 1 for x in beta[b:]]
+            if min(beta) < 0 or any(map(gt, beta, sizes)):
+                continue
+            picks = [
+                list(map(sum, combinations(bits, x))) for bits, x in zip(by_degree, beta) if x
+            ]
+            for a in map(sum, product(*picks)):
+                entry = (u, a, hit)
+                found.setdefault(a, []).append(entry)
+                found.setdefault(a | 1 << u, []).append(entry)
+    return found
+
+
+def _profile_table(n: int, rows: Sequence[int], u: int) -> list[tuple[int, int, int, int]]:
+    """Per vertex w != u of the card C - u: (1 << w, w's row without u,
+    d_w << 12 | S_w, d_w), with d_w its degree and S_w the sum of its
+    neighbours' degrees in C - u.  _hit_profile reads off it the degree
+    profile of H_B - u, C - u plus a vertex x joined to B: w has degree
+    d_w + [w in B]; each neighbour of w in B gains one degree and x adds
+    b = |B| when w is in B, so w's sum is S_w + |N(w) & B| + [w in B] b;
+    x has degree b and sum b + (sum over B of d_w)."""
+    keep = ~(1 << u)
+    deg = [(r & keep).bit_count() for r in rows]
+    table = []
+    for w in range(n):
+        if w != u:
+            row = rows[w] & keep
+            total = sum(deg[v] for v in iter_bits(row))
+            table.append((1 << w, row, deg[w] << 12 | total, deg[w]))
+    return table
+
+
+def _hit_profile(table: list[tuple[int, int, int, int]], mask: int) -> tuple[int, ...]:
+    """_degree_profile of C - u plus a vertex x joined to mask, from u's table."""
+    b = mask.bit_count()
+    lift = 1 << 12 | b  # w in B: one degree more, and x's degree in its sum
+    x = b << 12 | b
+    out = []
+    for bit, row, base, d in table:
+        if mask & bit:
+            out.append(base + (row & mask).bit_count() + lift)
+            x += d
+        else:
+            out.append(base + (row & mask).bit_count())
+    out.append(x)
+    out.sort()
+    return tuple(out)
+
+
 # ---------------------------------------------------------------------------
 # precomputed view of the deck being matched against
 
@@ -280,10 +372,8 @@ def _class_profiles(t: _DeckTargets) -> set[tuple[int, ...]]:
 
 def _card_class(t: _DeckTargets, rows: list[int]) -> Optional[int]:
     """The card class of t that a deletion's card rows fall in, or None."""
-    # callers: deck checks, the preimage search and the edge class walks
-    # (the vertex class walks profile from tables).  The profile stage
-    # spares a certificate on each call it rejects; a component-size stage
-    # behind it rejected none, so there is none
+    # the profile stage spares a certificate on each call it rejects; a
+    # component-size stage behind it rejected none, so there is none
     if _degree_profile(rows) in _class_profiles(t):
         return t.index.get(certificate_rows(len(rows), rows))
     return None
@@ -541,253 +631,6 @@ def enum_preimages(d: Deck, c: int, mode: str) -> PreimageSet:
     containment), found by extending the first card every possible way."""
     found = sorted(_search_preimages(d, c, mode), key=lambda item: item[0])
     return PreimageSet(Graph._from_rows(s.n, s.rows) for _, s in found)
-
-
-# --- identifying subdecks ----------------------------------------------------
-
-
-def _covers(v: Sequence[int], a: Sequence[int]) -> bool:
-    return all(x >= y for x, y in zip(v, a))
-
-
-def _deletion_hits(card: Graph, by_key: dict[int, list[int]]) -> dict[int, list]:
-    """With H_A the card plus a vertex joined to A: A -> [(u, B, classes)]
-    over the card vertices u, in increasing order, for which H_A - u keys
-    to a target of by_key (its classes), B = A - {u}.  Every A is listed,
-    twin pattern or not; the solve is derived in _Blockers."""
-    n, rows = card.n, card.rows
-    deg = [r.bit_count() for r in rows]
-    targets = []  # per key: K_0 + ... + K_d for each d, their sum, the classes
-    for key, hit in by_key.items():
-        cum = list(accumulate(key >> _FIELD * d & 63 for d in range(n)))
-        targets.append((cum, sum(cum), hit))
-    found: dict[int, list] = {}
-    for u in range(n):
-        by_degree: list[list[int]] = [[] for _ in range(n)]  # degree in C - u -> bits
-        for w in range(n):
-            if w != u:
-                by_degree[deg[w] - (rows[u] >> w & 1)].append(1 << w)
-        sizes = [len(bits) for bits in by_degree]
-        have = list(accumulate(sizes))  # P_d = cum[d] - have[d]
-        total = n + sum(have)
-        for cum, cum_total, hit in targets:
-            b, odd = divmod(total - cum_total, 2)
-            if odd or not 0 <= b < n:
-                continue
-            beta = list(map(sub, have, cum))  # -P_d, plus 1 from d = b on
-            beta[b:] = [x + 1 for x in beta[b:]]
-            if min(beta) < 0 or any(map(gt, beta, sizes)):
-                continue
-            picks = [
-                list(map(sum, combinations(bits, x))) for bits, x in zip(by_degree, beta) if x
-            ]
-            for a in map(sum, product(*picks)):
-                entry = (u, a, hit)
-                found.setdefault(a, []).append(entry)
-                found.setdefault(a | 1 << u, []).append(entry)
-    return found
-
-
-def _profile_table(n: int, rows: Sequence[int], u: int) -> list[tuple[int, int, int, int]]:
-    """Per vertex w != u of the card C - u: (1 << w, w's row without u,
-    d_w << 12 | S_w, d_w), with d_w its degree and S_w the sum of its
-    neighbours' degrees in C - u."""
-    keep = ~(1 << u)
-    deg = [(r & keep).bit_count() for r in rows]
-    table = []
-    for w in range(n):
-        if w != u:
-            row = rows[w] & keep
-            total = sum(deg[v] for v in iter_bits(row))
-            table.append((1 << w, row, deg[w] << 12 | total, deg[w]))
-    return table
-
-
-def _hit_profile(table: list[tuple[int, int, int, int]], mask: int) -> tuple[int, ...]:
-    """_degree_profile of C - u plus a vertex x joined to mask, from u's table."""
-    b = mask.bit_count()
-    lift = 1 << 12 | b  # w in B: one degree more, and x's degree in its sum
-    x = b << 12 | b
-    out = []
-    for bit, row, base, d in table:
-        if mask & bit:
-            out.append(base + (row & mask).bit_count() + lift)
-            x += d
-        else:
-            out.append(base + (row & mask).bit_count())
-    out.append(x)
-    out.sort()
-    return tuple(out)
-
-
-class _Blockers:
-    """The graphs that keep subdecks of g's full 1-deletion deck d (vertex
-    or edge kind) from identifying g, found lazily, one walk per card
-    class: `identifies(profile)` says whether the subdeck with that many
-    cards of each class identifies g among graphs of its order (and edge
-    count, for edge decks), and the largest sum `coverages(i)` yields is
-    the most cards of classes i, i+1, ... that an extension of card i
-    other than g shares with g, when that is above `floor`.
-
-    A subdeck is a count profile a over d's card classes (certificate
-    order, multiplicities mu).  Let i be the first class with a_i > 0.
-    Every H whose deck contains the subdeck extends card i by one vertex
-    (one edge), so the subdeck identifies g iff no extension H of card i
-    that is not g has cov_H[j] >= a_j for every j >= i, where cov_H[j] =
-    min(mult of class j in H's deck, mu_j), one deletion walk of H.  The
-    deletion that undoes the extension (its new vertex or edge) gives
-    card i and is counted without being keyed; only an H with cov_H = mu
-    on j >= i and g's degree histogram can be g, so only such an H is
-    certified, against `own`, g's certificate, which recon computes before
-    it builds d.  Edge extensions are walked by _coverage.
-
-    A vertex extension H_A is card i (C, of order n) plus a vertex x
-    joined to A, one per twin pattern.  For a card vertex u, H_A - u is
-    C - u plus x joined to B = A - {u}, so H_A - u and H_(B | {u}) - u
-    are one labeled graph.  The pairs (A, u) that key to a target K are
-    solved for once per walk (_deletion_hits).  Let h_d count the
-    vertices of degree d in C - u and beta_d those of them in B.  x has
-    degree b = |B| and lifts each vertex of B one degree, so the packed
-    key of H_A - u has the fields
-
-        K_d = h_d - beta_d + beta_(d-1) + [d = b]    (d = 0, ..., n - 1).
-
-    Summed over e <= d the beta's telescope, so with P_d the sum over
-    e <= d of K_e - h_e, P_d = [d >= b] - beta_d.  Over d < n the beta_d
-    add up to b and [d >= b] holds n - b times, so b = (n - b) - sum_d P_d:
-    b = (n - sum_d P_d) / 2, and then beta_d = [d >= b] - P_d.  Conversely
-    a B with these counts has b vertices, and its field d is h_d + P_d -
-    P_(d-1) = K_d, since [d >= b] and [d - 1 >= b] differ exactly at d = b.
-    So (b, beta) is unique per (u, K): it fails a range check (b a whole
-    number below n, 0 <= beta_d <= h_d), or the hits are the B that take
-    beta_d vertices of each degree class, the products of combinations
-    inside the classes, each hit at A = B and A = B | {u}.  The walk then
-    visits twin_patterns in order and takes only an A's hitting u's, in
-    increasing u.  It memoises a hit's card class by (u, B), which halves
-    the certifying stages; _coverage's twin memo would need each H's twin
-    classes, which the solve never builds.
-
-    A hit's degree profile is read off u's _profile_table (C - u: per w,
-    its row, degree d_w and neighbours' degree sum S_w), built on u's
-    first hit.  In H_B - u, w has degree d_w + [w in B]; each neighbour of
-    w in B gains one degree and x adds b when w is in B, so w's sum is
-    S_w + |N(w) & B| + [w in B] b; x has degree b and sum b + (sum over B
-    of d_w).  Card rows are built and certified only on a profile hit.
-
-    `floor` is the most cards g shares with a toggle of itself: two vertex
-    cards on n >= 3 vertices (recon's module docstring), else none.  No
-    profile of at most floor cards identifies g, so coverages summing to
-    at most floor are not yielded, and the vertex walk skips a twin
-    pattern with fewer than floor hits unclassified: its coverage sums to
-    at most floor, one card per hitting u and the undo card.
-
-    Class i's walk starts on first use, against the targets of d's
-    classes from i on (a slice of d's class table, so no deck is
-    rebuilt), and yields each distinct coverage once, in the order found.
-    It extends class i's first card in g's canonical form C, the rows of
-    C minus the first deletion of C in class i, which build_deck kept
-    (deck._starts) when it certified the class through them.  Every
-    certificate the walk makes then depends only on g's class, so a later
-    query on the class (another labeling, quantifier or profile) finds
-    them all in canon's memo.  Any card of class i gives the same set of
-    coverages, as its extensions are the same graphs up to isomorphism,
-    and no consumer reads their order; a deck built without C's labeling
-    (g not certified, or its own canonical form) starts from its own first
-    card of the class.
-    `coverages(i)` yields the coverages found so far, kept as an
-    antichain, then resumes the walk, so no class is walked twice and
-    each consumer stops it where it has its answer: `identifies` at the
-    first coverage that covers a profile, recon's universal number once
-    no larger sum is possible.
-    """
-
-    def __init__(self, g: Graph, d: Deck, own: bytes):
-        self.own = own  # g's certificate
-        self.own_key = _shape(g.n, g.rows).key
-        self.deck = d
-        self.floor = 2 if d.kind == "vertex" and g.n >= 3 else 0
-        self.walks: dict[int, tuple[Iterator[tuple[int, ...]], list]] = {}
-
-    def _is_own(self, s: _Shape) -> bool:
-        return s.key == self.own_key and certificate_rows(s.n, s.rows) == self.own
-
-    def _walk(self, t: _DeckTargets) -> Iterator[tuple[int, ...]]:
-        """Each distinct coverage above the floor of an extension of t's
-        first card that is not g, once, in the order the extensions are
-        walked."""
-        seen: set[tuple[int, ...]] = set()
-        for cov in (self._edge_walk if t.kind == "edge" else self._vertex_walk)(t):
-            if sum(cov) > self.floor and cov not in seen:
-                seen.add(cov)
-                yield cov
-
-    def _edge_walk(self, t: _DeckTargets) -> Iterator[tuple[int, ...]]:
-        mults = t.mults
-        for s in _extensions(t.cards[0], "edge", 1):
-            cov = _coverage(s, t, False)
-            if not (cov == mults and self._is_own(s)):
-                yield tuple(cov)
-
-    def _vertex_walk(self, t: _DeckTargets) -> Iterator[tuple[int, ...]]:
-        card, mults = t.cards[0], tuple(t.mults)
-        n, rows = card.n, card.rows
-        hits = _deletion_hits(card, t.by_key)
-        start = (1,) + (0,) * (len(mults) - 1)  # H - x is card i
-        memo: dict[int, Optional[int]] = {}  # u << n | B -> class of H_B - u
-        tables: dict[int, list] = {}  # u -> _profile_table, on u's first hit
-        for attach in twin_patterns(n, rows, None):
-            entries = hits.get(attach, ())
-            if len(entries) < self.floor:
-                continue  # covers at most floor cards: one per u and the undo card
-            cov = start
-            if entries:
-                counts = list(start)
-                left = t.count - 1
-                for u, a, hit in entries:
-                    if not left:
-                        break
-                    if any(counts[j] < mults[j] for j in hit):
-                        at = u << n | a
-                        if at not in memo:
-                            table = tables.get(u)
-                            if table is None:
-                                table = tables[u] = _profile_table(n, rows, u)
-                            memo[at] = None
-                            if _hit_profile(table, a) in _class_profiles(t):
-                                card_rows = delete_vertices_rows(extend_rows(n, rows, a), (u,))
-                                memo[at] = t.index.get(certificate_rows(n, card_rows))
-                        j = memo[at]
-                        if j is not None and counts[j] < mults[j]:
-                            counts[j] += 1
-                            left -= 1
-                cov = tuple(counts)
-            if not (
-                cov == mults and self._is_own(_shape(n + 1, extend_rows(n, rows, attach)))
-            ):
-                yield cov
-
-    def coverages(self, i: int) -> Iterator[tuple[int, ...]]:
-        """Class i's walk as an antichain of coverages: those kept so far,
-        then each new one the walk finds, kept as it is yielded."""
-        if i not in self.walks:
-            start = None
-            if self.deck._starts:  # class i's first card in g's canonical form
-                rows = self.deck._starts[self.deck.classes()[i][0]][1]
-                start = Graph._from_rows(len(rows), rows)
-            self.walks[i] = (self._walk(_DeckTargets(self.deck, 1, i, start)), [])
-        walk, found = self.walks[i]
-        yield from found
-        for cov in walk:  # resumes where the last consumer stopped
-            if any(_covers(v, cov) for v in found):
-                continue
-            found[:] = [v for v in found if not _covers(cov, v)]
-            found.append(cov)
-            yield cov
-
-    def identifies(self, profile: Sequence[int]) -> bool:
-        """No coverage of the profile's first class covers the profile."""
-        i = next(j for j, count in enumerate(profile) if count)
-        return not any(_covers(cov, profile[i:]) for cov in self.coverages(i))
 
 
 # --- certifying front end ---------------------------------------------------

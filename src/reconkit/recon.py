@@ -18,9 +18,9 @@ number is one more than the most cards g shares with such an h (Myrvold's
 adversary number), 0 in a one-class universe, where the empty collection
 identifies, and infinite when some h has g's whole deck.  An h sharing
 cards of g's classes i, i+1, ... and no earlier one extends card i, and
-the walk of card i's extensions counts them (deciders._Blockers gives
-its coverages).  The walks run in class order until the classes
-left hold no more cards than the most found.  The counterexample is the
+the walk of card i's extensions counts them (_Blockers gives its
+coverages).  The walks run in class order until the classes left hold
+no more cards than the most found.  The counterexample is the
 first profile one card below the value, in the order the existential
 search tries them, that does not identify.  The profile tests and
 coverages of a call share one lazy walk per card class.
@@ -35,12 +35,12 @@ sharing at most two cards (the _Blockers floor); the edge numbers have no
 such bound.
 
 The numbers and identification are isomorphism invariants, and so is the
-work: recon certifies g before it builds g's deck, so build_deck certifies
-each card through g's canonical form C, and each class walk extends C's
-first card of its class (deciders._Blockers).  Every certificate a call
-makes, besides g's own, then depends only on g's class, and a second
-query on the class, by another labeling, quantifier or subdeck, meets
-them in canon's memo.  Witnesses and counterexamples are still g's own
+work: _Blockers certifies g before it builds g's deck, so build_deck
+certifies each card through g's canonical form C, and each class walk
+extends C's first card of its class.  Every certificate a call makes,
+besides g's own, then depends only on g's class, and a second query on
+the class, by another labeling, quantifier or subdeck, meets them in
+canon's memo.  Witnesses and counterexamples are still g's own
 cards, and no answer depends on the order in which coverages are found.
 """
 
@@ -50,13 +50,14 @@ import math
 from collections import Counter
 from functools import partial
 from math import comb
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .canon import certificate
+from .canon import certificate, certificate_rows
 from .deck import Deck, _deletion_sets, build_deck, subdeck_contained
-from .deciders import _Blockers
+from .deciders import _class_profiles, _coverage, _DeckTargets, _deletion_hits, _extensions
+from .deciders import _hit_profile, _profile_table, _shape, _Shape
 from .errors import CapacityError, InputError
-from .graph import Graph, _sized_patterns
+from .graph import Graph, _sized_patterns, delete_vertices_rows, extend_rows, twin_patterns
 
 VERTEX_ORDER_CAP = 10
 EDGE_COUNT_CAP = 12
@@ -113,12 +114,156 @@ def _universe_is_singleton(g: Graph, kind: str) -> bool:
     return g.m in {1, full - 1, full}
 
 
-def _certified_deck(g: Graph, kind: str) -> tuple[bytes, Deck]:
-    """g's certificate and its 1-deletion deck, g certified first, so that
-    the deck is certified through g's canonical form (module docstring)."""
-    _deletion_sets(g, kind, 1)  # the deck's refusal comes before g's certificate
-    own = certificate(g)
-    return own, build_deck(g, kind, 1)
+def _covers(v: Sequence[int], a: Sequence[int]) -> bool:
+    return all(x >= y for x, y in zip(v, a))
+
+
+class _Blockers:
+    """The graphs that keep subdecks of g's 1-deletion deck (vertex or
+    edge kind) from identifying g, found lazily, one walk per card class.
+    Building one refuses a g without the deck, then certifies g (`own`)
+    and only then builds `deck`, so that the deck is certified through
+    g's canonical form C (module docstring).  `identifies(profile)` says
+    whether the subdeck with that many cards of each class identifies g
+    among graphs of its order (and edge count, for edge decks), and the
+    largest sum `coverages(i)` yields is the most cards of classes i,
+    i+1, ... that an extension of card i other than g shares with g, when
+    that is above `floor`, the cards g shares with a toggle of itself
+    (module docstring).
+
+    A subdeck is a count profile a over the deck's card classes
+    (certificate order, multiplicities mu).  Let i be the first class with
+    a_i > 0.  Every H whose deck contains the subdeck extends card i by
+    one vertex (one edge), so the subdeck identifies g iff no extension H
+    of card i that is not g has cov_H[j] >= a_j for every j >= i, where
+    cov_H[j] = min(mult of class j in H's deck, mu_j), one deletion walk
+    of H.  The deletion that undoes the extension (its new vertex or edge)
+    gives card i and is counted without being keyed; only an H with
+    cov_H = mu on j >= i and g's degree histogram can be g, so only such
+    an H is certified, against `own`.  Edge extensions are walked by
+    _coverage.
+
+    A vertex extension H_A is card i (of order n) plus a vertex x joined
+    to A, one per twin pattern.  The pairs (A, u) for which H_A - u keys to
+    a target are solved for once per walk (_deletion_hits), and the walk
+    visits twin_patterns in order and takes only an A's hitting u's, in
+    increasing u.  It memoises a hit's card class by (u, B), B = A - {u}:
+    H_A - u is one labeled graph for A = B and A = B | {u}, so the memo
+    halves the certifying stages; _coverage's twin memo would need each
+    H's twin classes, which the solve never builds.  A hit's degree
+    profile is read off u's _profile_table, built on u's first hit, and
+    card rows are built and certified only on a profile hit.  A twin
+    pattern with fewer than floor hits is skipped unclassified: its
+    coverage sums to at most floor, one card per hitting u and the undo
+    card.
+
+    Class i's walk starts on first use, against the targets of the deck's
+    classes from i on (a slice of its class table, so no deck is
+    rebuilt), and yields each distinct coverage once, in the order found.
+    It extends class i's first card in C, the rows of C minus the first
+    deletion of C in class i, which build_deck kept (deck._starts) when it
+    certified the class through them.  Every certificate the walk makes
+    then depends only on g's class, so a later query on the class
+    (another labeling, quantifier or profile) finds them all in canon's
+    memo.  Any card of class i gives the same set of coverages, as its
+    extensions are the same graphs up to isomorphism, and no consumer
+    reads their order; a deck built without C's labeling (g its own
+    canonical form) starts from its own first card of the class.
+    `coverages(i)` yields the coverages found so far, kept as an
+    antichain, then resumes the walk, so no class is walked twice and
+    each consumer stops it where it has its answer: `identifies` at the
+    first coverage that covers a profile, recon's universal number once
+    no larger sum is possible.
+    """
+
+    def __init__(self, g: Graph, kind: str):
+        _deletion_sets(g, kind, 1)  # the deck's refusal comes before g's certificate
+        self.own = certificate(g)
+        self.deck = build_deck(g, kind, 1)
+        self.own_key = _shape(g.n, g.rows).key
+        self.floor = 2 if kind == "vertex" and g.n >= 3 else 0
+        self.walks: dict[int, tuple[Iterator[tuple[int, ...]], list]] = {}
+
+    def _is_own(self, s: _Shape) -> bool:
+        return s.key == self.own_key and certificate_rows(s.n, s.rows) == self.own
+
+    def _walk(self, t: _DeckTargets) -> Iterator[tuple[int, ...]]:
+        """Each distinct coverage above the floor of an extension of t's
+        first card that is not g, once, in the order the extensions are
+        walked."""
+        seen: set[tuple[int, ...]] = set()
+        for cov in (self._edge_walk if t.kind == "edge" else self._vertex_walk)(t):
+            if sum(cov) > self.floor and cov not in seen:
+                seen.add(cov)
+                yield cov
+
+    def _edge_walk(self, t: _DeckTargets) -> Iterator[tuple[int, ...]]:
+        mults = t.mults
+        for s in _extensions(t.cards[0], "edge", 1):
+            cov = _coverage(s, t, False)
+            if not (cov == mults and self._is_own(s)):
+                yield tuple(cov)
+
+    def _vertex_walk(self, t: _DeckTargets) -> Iterator[tuple[int, ...]]:
+        card, mults = t.cards[0], tuple(t.mults)
+        n, rows = card.n, card.rows
+        hits = _deletion_hits(card, t.by_key)
+        start = (1,) + (0,) * (len(mults) - 1)  # H - x is card i
+        memo: dict[int, Optional[int]] = {}  # u << n | B -> class of H_B - u
+        tables: dict[int, list] = {}  # u -> _profile_table, on u's first hit
+        for attach in twin_patterns(n, rows, None):
+            entries = hits.get(attach, ())
+            if len(entries) < self.floor:
+                continue  # covers at most floor cards: one per u and the undo card
+            cov = start
+            if entries:
+                counts = list(start)
+                left = t.count - 1
+                for u, a, hit in entries:
+                    if not left:
+                        break
+                    if any(counts[j] < mults[j] for j in hit):
+                        at = u << n | a
+                        if at not in memo:
+                            table = tables.get(u)
+                            if table is None:
+                                table = tables[u] = _profile_table(n, rows, u)
+                            memo[at] = None
+                            if _hit_profile(table, a) in _class_profiles(t):
+                                card_rows = delete_vertices_rows(extend_rows(n, rows, a), (u,))
+                                memo[at] = t.index.get(certificate_rows(n, card_rows))
+                        j = memo[at]
+                        if j is not None and counts[j] < mults[j]:
+                            counts[j] += 1
+                            left -= 1
+                cov = tuple(counts)
+            if not (
+                cov == mults and self._is_own(_shape(n + 1, extend_rows(n, rows, attach)))
+            ):
+                yield cov
+
+    def coverages(self, i: int) -> Iterator[tuple[int, ...]]:
+        """Class i's walk as an antichain of coverages: those kept so far,
+        then each new one the walk finds, kept as it is yielded."""
+        if i not in self.walks:
+            start = None
+            if self.deck._starts:  # class i's first card in g's canonical form
+                rows = self.deck._starts[self.deck.classes()[i][0]][1]
+                start = Graph._from_rows(len(rows), rows)
+            self.walks[i] = (self._walk(_DeckTargets(self.deck, 1, i, start)), [])
+        walk, found = self.walks[i]
+        yield from found
+        for cov in walk:  # resumes where the last consumer stopped
+            if any(_covers(v, cov) for v in found):
+                continue
+            found[:] = [v for v in found if not _covers(cov, v)]
+            found.append(cov)
+            yield cov
+
+    def identifies(self, profile: Sequence[int]) -> bool:
+        """No coverage of the profile's first class covers the profile."""
+        i = next(j for j, count in enumerate(profile) if count)
+        return not any(_covers(cov, profile[i:]) for cov in self.coverages(i))
 
 
 def _identified(g: Graph, kind: str, blockers: _Blockers, profile: Sequence[int]) -> bool:
@@ -138,8 +283,8 @@ def identifies(g: Graph, s: Deck, kind: str) -> bool:
     is read as a count profile over g's card classes, and the one-vertex
     (one-edge) extensions of a card of its first class in certificate
     order are walked until one that is not g contains s, or none is left
-    (deciders._Blockers).  A vertex subdeck of at most two cards
-    of a graph on n >= 3 vertices never identifies (module docstring).
+    (_Blockers).  A vertex subdeck of at most two cards of a graph on
+    n >= 3 vertices never identifies (module docstring).
     """
     _check_caps(g, kind)
     if kind == "vertex":
@@ -150,12 +295,13 @@ def identifies(g: Graph, s: Deck, kind: str) -> bool:
         if s.kind != "edge":
             raise InputError(f"expected an edge subdeck, got {s.kind!r}")
         query = s
-    own, deck = _certified_deck(g, kind)
+    blockers = _Blockers(g, kind)
+    deck = blockers.deck
     if not subdeck_contained(query, deck):
         raise InputError("the given cards are not a subdeck of g's deck")
     counts = Counter(query.certs)
     profile = [counts[cert] for cert, _ in deck.classes()]
-    return _identified(g, kind, _Blockers(g, deck, own), profile)
+    return _identified(g, kind, blockers, profile)
 
 
 def recon_number(g: Graph, kind: str, quantifier: str) -> ReconNumber:
@@ -170,14 +316,14 @@ def recon_number(g: Graph, kind: str, quantifier: str) -> ReconNumber:
     if quantifier not in ("exists", "forall"):
         raise InputError(f"quantifier must be exists or forall, got {quantifier!r}")
     _check_caps(g, kind)
-    own, deck = _certified_deck(g, kind)
+    blockers = _Blockers(g, kind)
+    deck = blockers.deck
     # subsets with equal class counts identify (or not) together, so only
     # count profiles are tested
     classes = deck.classes()
     mults = [len(cards) for _, cards in classes]
     # profiles a_i <= mults[i] of one size, lexicographically, as sums of (a_i,)
     counts = [[(k,) for k in range(m + 1)] for m in mults]
-    blockers = _Blockers(g, deck, own)
     shared = blockers.floor  # cards g shares with a graph not g, at least
     identified = partial(_identified, g, kind, blockers)
 

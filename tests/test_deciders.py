@@ -1,3 +1,4 @@
+import hashlib
 import random
 import tracemalloc
 from collections import Counter
@@ -10,6 +11,7 @@ import preimage_oracle as oracle
 from conftest import random_graph
 
 import reconkit.deciders as deciders
+import reconkit.recon as recon
 from reconkit.canon import are_isomorphic, certificate, certificate_rows
 from reconkit.deck import (
     DELETION_SETS_CAP,
@@ -27,7 +29,7 @@ from reconkit.deciders import (
     subdeck_check,
     two_lvd,
 )
-from reconkit.errors import CapacityError, InputError
+from reconkit.errors import CapacityError, InputError, ReconError
 from reconkit.families import clique_union_pair, many_preimage_deck
 from reconkit.graph import (
     Graph,
@@ -37,6 +39,7 @@ from reconkit.graph import (
     empty_graph,
     enumerate_graphs,
     extend_rows,
+    graph6_encode,
     is_connected,
     join,
     path_graph,
@@ -1045,9 +1048,9 @@ def test_vertex_class_walk_matches_the_generic_walk():
             graphs.append(permute(g, perm))
     yielded = dropped = 0
     for g in graphs:
-        d = build_deck(g, "vertex", 1)
+        blockers = recon._Blockers(g, "vertex")
+        d = blockers.deck
         own = certificate_rows(g.n, g.rows)
-        blockers = deciders._Blockers(g, d, own)
         assert blockers.floor == (2 if g.n >= 3 else 0)
         for i in range(len(d.classes())):
             t = deciders._DeckTargets(d, 1, i)
@@ -1159,3 +1162,54 @@ def test_every_witness_has_its_deck():
         assert check(witness, deck, c)
         assert certificate(witness) in certs
     assert answers[True] and answers[False]
+
+
+def test_preimage_answer_bytes_are_pinned():
+    # a seeded corpus of small decks, vertex and edge at c = 1 and 2: full
+    # decks (pure), samples of 1-3 cards (sub), and a deck with one card of
+    # another graph (pure and sub), plus a one-card E12 deck at c = 4 that
+    # the search refuses on its budget.  Each answer's bytes are folded
+    # into one digest: find_preimage's witness, checked against its deck,
+    # and enum_preimages' output as graph6, or the refusal text.  The
+    # digest was recorded by this loop; a change that moves it changes
+    # answer bytes
+    rng = random.Random(43)
+    cases = []
+    for kind, c in product(("vertex", "edge"), (1, 2)):
+        for _ in range(14):
+            n = rng.randint(c + 1, 6)
+            g, other = (random_graph(rng, n, rng.random()) for _ in range(2))
+            if kind == "edge" and min(g.m, other.m) < c:
+                continue
+            full = build_deck(g, kind, c)
+            cases.append((full, c, "pure"))
+            cases += [
+                (Deck(kind, rng.sample(full.cards, k)), c, "sub") for k in (1, 2, 3) if k <= len(full)
+            ]
+            swapped = list(full.cards)
+            swapped[rng.randrange(len(swapped))] = rng.choice(build_deck(other, kind, c).cards)
+            cases += [(Deck(kind, swapped), c, mode) for mode in ("pure", "sub")]
+    cases.append((Deck("vertex", [empty_graph(12)]), 4, "sub"))
+    digest = hashlib.sha256()
+    found = refused = 0
+    for deck, c, mode in cases:
+        parts = [deck.kind, str(c), mode, ",".join(map(graph6_encode, deck.cards))]
+        try:
+            witness = find_preimage(deck, c, mode)
+        except ReconError as exc:
+            parts.append(f"refused: {exc}")
+            refused += 1
+        else:
+            if witness is not None:
+                assert (subdeck_check if mode == "sub" else deck_check)(witness, deck, c)
+                found += 1
+            parts.append("-" if witness is None else graph6_encode(witness))
+        try:
+            parts.append(",".join(map(graph6_encode, enum_preimages(deck, c, mode))))
+        except ReconError as exc:
+            parts.append(f"refused: {exc}")
+        digest.update(" ".join(parts).encode() + b"\n")
+    assert (len(cases), found, refused) == (260, 209, 1)
+    assert digest.hexdigest() == (
+        "4a473313b05387ffced6d689161cee589f843ef6166ab4c4db33908ccd33e48e"
+    )

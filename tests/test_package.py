@@ -537,6 +537,24 @@ def test_every_module_level_name_is_used():
     assert dead == []
 
 
+def test_every_planted_fault_still_applies():
+    # tools/mutants.py plants each fault by replacing an exact text, so a
+    # refactor of the patched code must update its entry: each old text
+    # occurs exactly once in its file, and each named test is defined
+    from importlib.util import module_from_spec, spec_from_file_location
+
+    root = Path(__file__).resolve().parents[1]
+    spec = spec_from_file_location("mutants", root / "tools" / "mutants.py")
+    mutants = module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    assert mutants.MUTANTS
+    for m in mutants.MUTANTS:
+        assert (root / m.file).read_text().count(m.old) == 1, m.name
+        assert m.old != m.new and m.tests, m.name
+        for node in m.tests:
+            path, name = node.split("::")
+            assert f"\ndef {name}(" in (root / path).read_text(), node
+
 def test_zero_copies_is_the_empty_graph():
     from reconkit import complete_graph, copies, empty_graph
 

@@ -7,6 +7,7 @@ import pytest
 from conftest import trees_of_order
 
 import reconkit.deciders as deciders
+import reconkit.recon as recon
 from reconkit.canon import are_isomorphic, certificate
 from reconkit.deck import Deck, build_deck, deck_equal, endvertex_deck, subdeck_contained
 from reconkit.errors import CapacityError, InputError
@@ -63,12 +64,14 @@ def test_identifies_empty_subdeck():
 
 @pytest.mark.parametrize("quantifier", ["exists", "forall"])
 def test_edgeless_graph_has_no_edge_deck(quantifier):
-    # build_deck refuses before any subdeck is looked at, so an edgeless
-    # graph never reaches the empty-subdeck rule
-    with pytest.raises(InputError, match="cannot delete 1 edges from 0 edges"):
-        recon_number(empty_graph(5), "edge", quantifier)
-    with pytest.raises(InputError, match="cannot delete 1 edges from 0 edges"):
-        identifies(empty_graph(5), Deck("edge", []), "edge")
+    # the deck's refusal comes before any subdeck is looked at, so an
+    # edgeless graph never reaches the empty-subdeck rule, and before g's
+    # certificate, which refuses orders of 64 and more
+    for g in (empty_graph(5), empty_graph(64)):
+        with pytest.raises(InputError, match="cannot delete 1 edges from 0 edges"):
+            recon_number(g, "edge", quantifier)
+        with pytest.raises(InputError, match="cannot delete 1 edges from 0 edges"):
+            identifies(g, Deck("edge", []), "edge")
 
 
 def test_recon_number_values():
@@ -224,13 +227,13 @@ ATLAS_VERTEX_VALUES = {
 def _walked_sizes(monkeypatch):
     # the sizes of the profiles recon hands to the class walks
     sizes = []
-    real = deciders._Blockers.identifies
+    real = recon._Blockers.identifies
 
     def spy(self, profile):
         sizes.append(sum(profile))
         return real(self, profile)
 
-    monkeypatch.setattr(deciders._Blockers, "identifies", spy)
+    monkeypatch.setattr(recon._Blockers, "identifies", spy)
     return sizes
 
 
@@ -254,14 +257,7 @@ def test_universal_number_tests_profiles_of_one_size(monkeypatch):
     # largest coverage sum, so profiles are tested only to pick the
     # counterexample, one card below the value; D?K (value 5) had its
     # profiles of 3, 4 and 5 cards tested when sizes were tried in turn
-    sizes = []
-    real = deciders._Blockers.identifies
-
-    def spy(self, profile):
-        sizes.append(sum(profile))
-        return real(self, profile)
-
-    monkeypatch.setattr(deciders._Blockers, "identifies", spy)
+    sizes = _walked_sizes(monkeypatch)
     got = recon_number(graph6_decode("D?K"), "vertex", "forall")
     assert got.value == 5 and len(got.counterexample) == 4
     assert set(sizes) == {4}
@@ -271,7 +267,7 @@ def test_identifies_answers_two_vertex_cards_without_a_walk(monkeypatch):
     def refuse(*args):
         raise AssertionError("a walk was started")
 
-    monkeypatch.setattr(deciders._Blockers, "coverages", refuse)
+    monkeypatch.setattr(recon._Blockers, "coverages", refuse)
     g = Graph(5, [(0, 1), (1, 2), (2, 3), (2, 4)])  # a tree with 3 leaves
     full = build_deck(g, "vertex", 1)
     for cards in (full.cards[:1], full.cards[:2], full.cards[-2:]):
@@ -291,24 +287,22 @@ def test_identifies_answers_two_vertex_cards_without_a_walk(monkeypatch):
 
 
 def test_blockers_certify_g_only_when_an_extension_may_be_g(monkeypatch):
-    # building the class walks certifies nothing, as g's certificate comes
-    # in with the deck; an extension of g's order is certified only once
-    # it covers the whole deck with g's degree histogram
+    # building the class walks certifies g and builds its deck; an
+    # extension of g's order is certified only once it covers the whole
+    # deck with g's degree histogram
     g = graph6_decode("DAK")
-    own = certificate(g)
-    deck = build_deck(g, "vertex", 1)
+    blockers = recon._Blockers(g, "vertex")
+    deck = blockers.deck
+    assert blockers.own == certificate(g) and deck == build_deck(g, "vertex", 1)
     calls = []
-    real = deciders.certificate_rows
+    real = recon.certificate_rows
 
     def spy(n, rows):
         calls.append(Graph._from_rows(n, rows))
         return real(n, rows)
 
-    monkeypatch.setattr(deciders, "certificate_rows", spy)
-    blockers = deciders._Blockers(g, deck, own)
-    assert calls == []
+    monkeypatch.setattr(recon, "certificate_rows", spy)
     assert blockers.identifies([len(cards) for _, cards in deck.classes()])
-    assert blockers.own == own
     monkeypatch.undo()
     whole = [x for x in calls if x.n == g.n]
     assert whole  # g is an extension of each of its cards
@@ -325,7 +319,7 @@ def _seeded_graph(seed, n, m):
 def _spy_class_walks(monkeypatch, current, start):
     # wraps the vertex class walks: start(t) runs as a walk starts, and its
     # value is put in current before each resumption, since walks interleave
-    real = deciders._Blockers._walk
+    real = recon._Blockers._walk
 
     def walk(self, t):
         mark = start(t)
@@ -337,7 +331,7 @@ def _spy_class_walks(monkeypatch, current, start):
                 return
             yield cov
 
-    monkeypatch.setattr(deciders._Blockers, "_walk", walk)
+    monkeypatch.setattr(recon._Blockers, "_walk", walk)
 
 
 @pytest.mark.parametrize("kind, g", [
@@ -348,7 +342,8 @@ def _spy_class_walks(monkeypatch, current, start):
 def test_one_walk_per_card_class(monkeypatch, kind, g, quantifier):
     # work bound, no clock: a spy on the class walks (vertex) or the
     # extension walk (edge) counts the walks each call starts and the
-    # graphs certified while card class i is walked
+    # graphs certified while card class i is walked, by the walks in
+    # recon and by _coverage's card classes in deciders
     deck = build_deck(g, kind, 1)
     certs = list(dict.fromkeys(deck.certs))
     mults = Counter(deck.certs)
@@ -371,7 +366,7 @@ def test_one_walk_per_card_class(monkeypatch, kind, g, quantifier):
 
         _spy_class_walks(monkeypatch, current, start)
     else:
-        real_extensions = deciders._extensions
+        real_extensions = recon._extensions
 
         def extensions(base, *args):
             i = certs.index(certificate(base))
@@ -380,10 +375,11 @@ def test_one_walk_per_card_class(monkeypatch, kind, g, quantifier):
                 current[:] = [(i, base)]
                 yield h
 
-        monkeypatch.setattr(deciders, "_extensions", extensions)
+        monkeypatch.setattr(recon, "_extensions", extensions)
+    monkeypatch.setattr(recon, "certificate_rows", certificate_rows)
     monkeypatch.setattr(deciders, "certificate_rows", certificate_rows)
     recon_number(g, kind, quantifier)
-    assert sorted(starts) == sorted(set(starts)), starts  # each class once
+    assert starts and sorted(starts) == sorted(set(starts)), starts  # each class once
     assert certified
     for i, base, x in certified:
         if x.m == g.m and x.n == g.n:
@@ -405,7 +401,7 @@ def test_vertex_walk_certifies_no_card_twice(monkeypatch):
     # per (u, A - u), and certifies no card rows twice
     g = _seeded_graph(9, 9, 18)
     classified, certified, current, walks = [], [], [], []
-    real_profile, real_cert = deciders._hit_profile, deciders.certificate_rows
+    real_profile, real_cert = recon._hit_profile, recon.certificate_rows
 
     def hit_profile(table, b):
         classified.append((current[0], tuple(table), b))  # the table names u
@@ -417,8 +413,8 @@ def test_vertex_walk_certifies_no_card_twice(monkeypatch):
         return real_cert(n, rows)
 
     _spy_class_walks(monkeypatch, current, lambda t: walks.append(t) or len(walks))
-    monkeypatch.setattr(deciders, "_hit_profile", hit_profile)
-    monkeypatch.setattr(deciders, "certificate_rows", certificate_rows)
+    monkeypatch.setattr(recon, "_hit_profile", hit_profile)
+    monkeypatch.setattr(recon, "certificate_rows", certificate_rows)
     assert recon_number(g, "vertex", "forall").value == 3
     assert classified and len(set(classified)) == len(classified)
     assert certified and len(set(certified)) == len(certified) < len(classified)
