@@ -23,14 +23,16 @@ image's twin class in C, is its own first set, so no walk is needed.
 Those card rows depend only on g's class, so every certified labeling of
 g shares C's certificate entries, and so do classes whose canonical
 forms share a labeled card.  Deck.cards still holds g's own deletions,
-in g's order within a class.  The deck also keeps, per card class, its
-first deletion set of C and that card's rows (`_starts`), which recon's
-class walks extend.  build_deck never certifies g for this, as a search
-of g pays back only through other classes' cards: recon certifies g
-itself, and the enumerated classes of `verify deck-uniqueness` are their
-own canonical forms, whose first sets are their own.  A g past the
-certificate cap is never in the memo, so path_graph(64) still builds its
-64 cards.
+in g's order within a class.  build_deck never certifies g for this, as
+a search of g pays back only through other classes' cards: recon
+certifies g itself, and the enumerated classes of `verify
+deck-uniqueness` are their own canonical forms, whose first sets are
+their own.  A g past the certificate cap is never in the memo, so
+path_graph(64) still builds its 64 cards.
+
+The private builder _build_deck also returns, per card class, its least
+first deletion set of C (of g itself where g is uncertified) and that
+card's rows: the start cards that recon's class walks extend.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ class Deck:
     shapes by answering false rather than raising.
     """
 
-    __slots__ = ("kind", "cards", "certs", "_hash", "_starts")
+    __slots__ = ("kind", "cards", "certs")
 
     def __init__(self, kind: str, cards: Iterable[Graph]):
         if kind not in DECK_KINDS:
@@ -67,25 +69,17 @@ class Deck:
         self._set(kind, sorted(((certificate(c), c) for c in cards), key=lambda t: t[0]))
 
     @classmethod
-    def _from_sorted(
-        cls, kind: str, tagged: list[tuple[bytes, Graph]], starts: Optional[dict] = None
-    ) -> Deck:
+    def _from_sorted(cls, kind: str, tagged: list[tuple[bytes, Graph]]) -> Deck:
         """The deck of these (certificate, card) pairs, trusted as given:
-        each certificate is its card's, in sorted order.  `starts` maps a
-        certificate to its class's first deletion set of g's canonical form
-        and that card's rows (build_deck)."""
+        each certificate is its card's, in sorted order."""
         d = object.__new__(cls)
-        d._set(kind, tagged, starts)
+        d._set(kind, tagged)
         return d
 
-    def _set(
-        self, kind: str, tagged: list[tuple[bytes, Graph]], starts: Optional[dict] = None
-    ) -> None:
+    def _set(self, kind: str, tagged: list[tuple[bytes, Graph]]) -> None:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "cards", tuple(c for _, c in tagged))
         object.__setattr__(self, "certs", tuple(t for t, _ in tagged))
-        object.__setattr__(self, "_hash", hash((kind, self.certs)))
-        object.__setattr__(self, "_starts", starts)
 
     def __setattr__(self, name, value):
         raise AttributeError("Deck is immutable")
@@ -101,7 +95,7 @@ class Deck:
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.kind, self.certs))
 
     def __repr__(self) -> str:
         return f"Deck(kind={self.kind!r}, cards={len(self.cards)})"
@@ -155,6 +149,13 @@ def build_deck(g: Graph, kind: str, c: int) -> Deck:
     """All cards obtained by deleting every c-subset of vertices or edges,
     each twin orbit certified once, through g's canonical form if g is
     already certified (see the module docstring)."""
+    return _build_deck(g, kind, c)[0]
+
+
+def _build_deck(g: Graph, kind: str, c: int) -> tuple[Deck, dict]:
+    """build_deck's deck, and `starts`: per card certificate, the least
+    first deletion set of C in the class (of g where g is uncertified) and
+    that card's rows."""
     _check_at_least(c, 0, "deletion count")
     if kind not in ("vertex", "edge"):
         raise InputError(f"build_deck kind must be vertex or edge, got {kind!r}")
@@ -165,12 +166,12 @@ def build_deck(g: Graph, kind: str, c: int) -> Deck:
         sets, card_rows = combinations(g.edges, c), delete_edges_rows
     lab = _memoized_labeling(g.n, g.rows)
     if lab is None or lab == bytes(range(g.n)):  # not certified, or its own form
-        orbit, first, starts = twin_orbits(g.n, g.rows), None, None
+        orbit, first = twin_orbits(g.n, g.rows), None
     else:
         base = relabel_rows(g.n, g.rows, lab)
         orbit, first = _orbits_in_form(g.n, kind, c, lab, base)
-        starts = {}  # cert -> (first set of C in the class, its card rows)
     certs: dict[tuple, bytes] = {}  # one certificate per twin orbit
+    starts: dict[bytes, tuple] = {}
     tagged = []
     for drop in sets:
         rows = card_rows(g.rows, drop)
@@ -178,15 +179,16 @@ def build_deck(g: Graph, kind: str, c: int) -> Deck:
         key = orbit(drop)
         cert = certs.get(key)
         if cert is None:
+            moved = drop
             if first is not None:  # the orbit's first set of C instead
                 moved = first(key)
                 rows = card_rows(base, moved)
             cert = certs[key] = certificate_rows(len(rows), rows)
-            if first is not None and (cert not in starts or moved < starts[cert][0]):
+            if cert not in starts or moved < starts[cert][0]:
                 starts[cert] = moved, rows
         tagged.append((cert, card))
     tagged.sort(key=lambda t: t[0])
-    return Deck._from_sorted(kind, tagged, starts)
+    return Deck._from_sorted(kind, tagged), starts
 
 
 def _orbits_in_form(n: int, kind: str, c: int, lab: bytes, base: Sequence[int]) -> tuple:

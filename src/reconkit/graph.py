@@ -265,6 +265,7 @@ def _sized_patterns(prefixes: list[list], size: int, zero) -> Iterator:
 
 def complete_graph(n: int) -> Graph:
     _check_at_least(n, 0, "vertex count")
+    _check_order(n)
     full = (1 << n) - 1
     return Graph._from_rows(n, [full ^ 1 << v for v in range(n)])
 

@@ -29,15 +29,16 @@ No collection of at most two vertex cards identifies a graph g on n >= 3
 vertices (Harary & Plantholt): the cards come from some u != v, and
 toggling the pair uv gives h with h - u = g - u and h - v = g - v but
 one edge more or less, so h is not g.  So the existential vertex search
-starts at size 3, the universal one starts from two shared cards, such
-collections are answered without a walk, and the walks pass over graphs
-sharing at most two cards (the _Blockers floor); the edge numbers have no
-such bound.
+starts at size 3, the universal one starts from two shared cards, and
+the walks pass over graphs sharing at most two cards (the _Blockers
+floor); the edge numbers have no such bound.  _Blockers.identifies
+answers a profile of at most floor cards without a walk: the empty one
+identifies only in a one-class universe, and no other one does.
 
 The numbers and identification are isomorphism invariants, and so is the
-work: _Blockers certifies g before it builds g's deck, so build_deck
-certifies each card through g's canonical form C, and each class walk
-extends C's first card of its class.  Every certificate a call makes,
+work: _Blockers certifies g before it builds g's deck, so the deck
+builder certifies each card through g's canonical form C, and each class
+walk extends C's first card of its class.  Every certificate a call makes,
 besides g's own, then depends only on g's class, and a second query on
 the class, by another labeling, quantifier or subdeck, meets them in
 canon's memo.  Witnesses and counterexamples are still g's own
@@ -48,12 +49,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from functools import partial
 from math import comb
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .canon import certificate, certificate_rows
-from .deck import Deck, _deletion_sets, build_deck, subdeck_contained
+from .deck import Deck, _build_deck, _deletion_sets
 from .deciders import _class_profiles, _coverage, _DeckTargets, _deletion_hits, _extensions
 from .deciders import _hit_profile, _profile_table, _shape, _Shape
 from .errors import CapacityError, InputError
@@ -103,17 +103,6 @@ def _check_caps(g: Graph, kind: str) -> None:
         raise InputError(f"kind must be vertex or edge, got {kind!r}")
 
 
-def _universe_is_singleton(g: Graph, kind: str) -> bool:
-    # Empty collections identify only in a one-class universe: all graphs
-    # of the order (vertex kind), or all graphs of the order and edge
-    # count (edge kind, singleton exactly at 1, max-1 and max edges; an
-    # edgeless graph has no edge deck, and build_deck refuses it first).
-    if kind == "vertex":
-        return g.n <= 1
-    full = comb(g.n, 2)
-    return g.m in {1, full - 1, full}
-
-
 def _covers(v: Sequence[int], a: Sequence[int]) -> bool:
     return all(x >= y for x, y in zip(v, a))
 
@@ -122,14 +111,16 @@ class _Blockers:
     """The graphs that keep subdecks of g's 1-deletion deck (vertex or
     edge kind) from identifying g, found lazily, one walk per card class.
     Building one refuses a g without the deck, then certifies g (`own`)
-    and only then builds `deck`, so that the deck is certified through
-    g's canonical form C (module docstring).  `identifies(profile)` says
-    whether the subdeck with that many cards of each class identifies g
-    among graphs of its order (and edge count, for edge decks), and the
-    largest sum `coverages(i)` yields is the most cards of classes i,
-    i+1, ... that an extension of card i other than g shares with g, when
-    that is above `floor`, the cards g shares with a toggle of itself
-    (module docstring).
+    and only then builds `deck` and its walk start cards, so that both
+    are certified through g's canonical form C (module docstring).
+    `identifies(profile)` says whether the subdeck with that many cards of
+    each class identifies g among graphs of its order (and edge count, for
+    edge decks), and the largest sum `coverages(i)` yields is the most
+    cards of classes i, i+1, ... that an extension of card i other than g
+    shares with g, when that is above `floor`, the cards g shares with a
+    toggle of itself (module docstring).  A profile of at most floor cards
+    is answered without a walk: the empty one identifies exactly when g's
+    universe is one class (`singleton`), and no other one does.
 
     A subdeck is a count profile a over the deck's card classes
     (certificate order, multiplicities mu).  Let i be the first class with
@@ -160,15 +151,14 @@ class _Blockers:
     Class i's walk starts on first use, against the targets of the deck's
     classes from i on (a slice of its class table, so no deck is
     rebuilt), and yields each distinct coverage once, in the order found.
-    It extends class i's first card in C, the rows of C minus the first
-    deletion of C in class i, which build_deck kept (deck._starts) when it
-    certified the class through them.  Every certificate the walk makes
-    then depends only on g's class, so a later query on the class
-    (another labeling, quantifier or profile) finds them all in canon's
-    memo.  Any card of class i gives the same set of coverages, as its
-    extensions are the same graphs up to isomorphism, and no consumer
-    reads their order; a deck built without C's labeling (g its own
-    canonical form) starts from its own first card of the class.
+    It extends class i's first card in C, the rows of C minus the least
+    first deletion of C in class i, which the deck builder returns
+    (`starts`) with the deck it certified through them.  Every certificate
+    the walk makes then depends only on g's class, so a later query on the
+    class (another labeling, quantifier or profile) finds them all in
+    canon's memo.  Any card of class i gives the same set of coverages, as
+    its extensions are the same graphs up to isomorphism, and no consumer
+    reads their order.
     `coverages(i)` yields the coverages found so far, kept as an
     antichain, then resumes the walk, so no class is walked twice and
     each consumer stops it where it has its answer: `identifies` at the
@@ -179,9 +169,15 @@ class _Blockers:
     def __init__(self, g: Graph, kind: str):
         _deletion_sets(g, kind, 1)  # the deck's refusal comes before g's certificate
         self.own = certificate(g)
-        self.deck = build_deck(g, kind, 1)
+        self.deck, self.starts = _build_deck(g, kind, 1)
         self.own_key = _shape(g.n, g.rows).key
         self.floor = 2 if kind == "vertex" and g.n >= 3 else 0
+        # the empty profile identifies only in a one-class universe: all
+        # graphs of the order (vertex kind), or all graphs of the order and
+        # edge count (edge kind, one class exactly at 1, max-1 and max
+        # edges; an edgeless graph has no edge deck, refused above)
+        full = comb(g.n, 2)
+        self.singleton = g.n <= 1 if kind == "vertex" else g.m in {1, full - 1, full}
         self.walks: dict[int, tuple[Iterator[tuple[int, ...]], list]] = {}
 
     def _is_own(self, s: _Shape) -> bool:
@@ -245,11 +241,9 @@ class _Blockers:
     def coverages(self, i: int) -> Iterator[tuple[int, ...]]:
         """Class i's walk as an antichain of coverages: those kept so far,
         then each new one the walk finds, kept as it is yielded."""
-        if i not in self.walks:
-            start = None
-            if self.deck._starts:  # class i's first card in g's canonical form
-                rows = self.deck._starts[self.deck.classes()[i][0]][1]
-                start = Graph._from_rows(len(rows), rows)
+        if i not in self.walks:  # from class i's first card in g's canonical form
+            rows = self.starts[self.deck.classes()[i][0]][1]
+            start = Graph._from_rows(len(rows), rows)
             self.walks[i] = (self._walk(_DeckTargets(self.deck, 1, i, start)), [])
         walk, found = self.walks[i]
         yield from found
@@ -261,19 +255,15 @@ class _Blockers:
             yield cov
 
     def identifies(self, profile: Sequence[int]) -> bool:
-        """No coverage of the profile's first class covers the profile."""
+        """Does the count profile over the deck's card classes identify g?
+        No profile of at most floor cards does, save the empty one in a
+        one-class universe; for the rest, no coverage of the profile's
+        first class covers the profile."""
+        size = sum(profile)
+        if size <= self.floor:
+            return not size and self.singleton
         i = next(j for j, count in enumerate(profile) if count)
         return not any(_covers(cov, profile[i:]) for cov in self.coverages(i))
-
-
-def _identified(g: Graph, kind: str, blockers: _Blockers, profile: Sequence[int]) -> bool:
-    """Does the count profile over g's card classes identify g?  No profile
-    of at most the toggle's shared cards (blockers.floor) does, the empty
-    one only in a one-class universe; the rest ask the class walks of
-    `blockers`."""
-    if not any(profile):
-        return _universe_is_singleton(g, kind)
-    return sum(profile) > blockers.floor and blockers.identifies(profile)
 
 
 def identifies(g: Graph, s: Deck, kind: str) -> bool:
@@ -290,18 +280,13 @@ def identifies(g: Graph, s: Deck, kind: str) -> bool:
     if kind == "vertex":
         if s.kind not in ("vertex", "endvertex"):
             raise InputError(f"expected a vertex subdeck, got {s.kind!r}")
-        query = s if s.kind == "vertex" else Deck("vertex", s.cards)
-    else:
-        if s.kind != "edge":
-            raise InputError(f"expected an edge subdeck, got {s.kind!r}")
-        query = s
+    elif s.kind != "edge":
+        raise InputError(f"expected an edge subdeck, got {s.kind!r}")
     blockers = _Blockers(g, kind)
-    deck = blockers.deck
-    if not subdeck_contained(query, deck):
+    counts = Counter(s.certs)
+    if not counts <= Counter(blockers.deck.certs):
         raise InputError("the given cards are not a subdeck of g's deck")
-    counts = Counter(query.certs)
-    profile = [counts[cert] for cert, _ in deck.classes()]
-    return _identified(g, kind, blockers, profile)
+    return blockers.identifies([counts[cert] for cert, _ in blockers.deck.classes()])
 
 
 def recon_number(g: Graph, kind: str, quantifier: str) -> ReconNumber:
@@ -325,7 +310,6 @@ def recon_number(g: Graph, kind: str, quantifier: str) -> ReconNumber:
     # profiles a_i <= mults[i] of one size, lexicographically, as sums of (a_i,)
     counts = [[(k,) for k in range(m + 1)] for m in mults]
     shared = blockers.floor  # cards g shares with a graph not g, at least
-    identified = partial(_identified, g, kind, blockers)
 
     def subdeck_for(profile: tuple[int, ...]) -> Deck:
         # the first cards of each class run, so still certificate-sorted
@@ -339,7 +323,7 @@ def recon_number(g: Graph, kind: str, quantifier: str) -> ReconNumber:
     if quantifier == "exists":
         for size in range(shared + 1 if shared else 0, len(deck) + 1):
             for profile in _sized_patterns(counts, size, ()):
-                if identified(profile):
+                if blockers.identifies(profile):
                     return ReconNumber(size, witness=subdeck_for(profile))
         return ReconNumber(math.inf)
     for i in range(len(mults)):
@@ -348,9 +332,11 @@ def recon_number(g: Graph, kind: str, quantifier: str) -> ReconNumber:
             shared = max(shared, sum(cov))
             if shared == rest:
                 break
-    if shared == len(deck) or _universe_is_singleton(g, kind):
+    if shared == len(deck) or blockers.singleton:
         return ReconNumber(math.inf if shared else 0)  # a one-class universe shares none
-    failure = next(p for p in _sized_patterns(counts, shared, ()) if not identified(p))
+    failure = next(
+        p for p in _sized_patterns(counts, shared, ()) if not blockers.identifies(p)
+    )
     return ReconNumber(shared + 1, counterexample=subdeck_for(failure))
 
 

@@ -53,6 +53,8 @@ def test_graph_validation(monkeypatch):
     assert Graph(258047).n == 258047
     with pytest.raises(CapacityError, match="capped at 258047"):
         Graph(258048)
+    with pytest.raises(CapacityError, match="capped at 258047, got 258048"):
+        complete_graph(258048)
     # so do unions and copies (any number of copies of K_0 is K_0), and
     # graph6_encode refuses a larger order, built unchecked, before it
     # packs the triangle

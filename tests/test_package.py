@@ -401,7 +401,7 @@ def _huge_count_calls():
         (f"huge {name}", call, InputError, _exactly(message)) for name, call, message in calls
     ] + [
         (f"huge {build.__name__} n", lambda b=build: b(huge), CapacityError, _exactly(capped))
-        for build in (Graph, empty_graph, path_graph)
+        for build in (Graph, empty_graph, path_graph, complete_graph)
     ] + [
         (f"huge {name}", call, CapacityError, _exactly(message)) for name, call, message in derived
     ]

@@ -1,9 +1,11 @@
 import math
 import random
 from collections import Counter
+from itertools import product
 
 import pytest
 
+import recon_oracle as oracle
 from conftest import trees_of_order
 
 import reconkit.deciders as deciders
@@ -225,15 +227,23 @@ ATLAS_VERTEX_VALUES = {
 
 
 def _walked_sizes(monkeypatch):
-    # the sizes of the profiles recon hands to the class walks
-    sizes = []
-    real = recon._Blockers.identifies
+    # the sizes of the profiles whose test reaches a class walk
+    sizes, asked = [], []
+    identifies, coverages = recon._Blockers.identifies, recon._Blockers.coverages
 
-    def spy(self, profile):
-        sizes.append(sum(profile))
-        return real(self, profile)
+    def identifies_spy(self, profile):
+        asked[:] = [sum(profile)]
+        try:
+            return identifies(self, profile)
+        finally:
+            asked.clear()
 
-    monkeypatch.setattr(recon._Blockers, "identifies", spy)
+    def coverages_spy(self, i):
+        sizes.extend(asked)
+        return coverages(self, i)
+
+    monkeypatch.setattr(recon._Blockers, "identifies", identifies_spy)
+    monkeypatch.setattr(recon._Blockers, "coverages", coverages_spy)
     return sizes
 
 
@@ -284,6 +294,25 @@ def test_identifies_answers_two_vertex_cards_without_a_walk(monkeypatch):
     # and the rest still walks
     with pytest.raises(AssertionError, match="walk"):
         identifies(g, Deck("vertex", full.cards[:3]), "vertex")
+
+
+def test_blockers_answer_every_profile_as_the_oracle_does():
+    # _Blockers.identifies answers every count profile itself, the empty
+    # one and those of at most floor cards included: asked only its walks,
+    # it said a 2-card vertex profile identifies P4, P5, a tree with 3
+    # leaves and DAK, and it raised on the empty profile
+    checked = 0
+    for n in range(3, 6):
+        for g in enumerate_graphs(n):
+            for kind in ("vertex", "edge") if g.m else ("vertex",):
+                blockers = recon._Blockers(g, kind)
+                classes = blockers.deck.classes()
+                for profile in product(*(range(len(cards) + 1) for _, cards in classes)):
+                    cards = [c for k, (_, run) in zip(profile, classes) for c in run[:k]]
+                    want = oracle.identifies(g, Deck(kind, cards), kind)
+                    assert blockers.identifies(profile) == want, (g.rows, kind, profile)
+                    checked += 1
+    assert checked == 1260
 
 
 def test_blockers_certify_g_only_when_an_extension_may_be_g(monkeypatch):
@@ -440,17 +469,18 @@ def test_recon_number_builds_only_its_own_decks(monkeypatch, kind, g, quantifier
     import reconkit.recon as recon_module
 
     built, certified = [], []
-    real, real_cert = recon_module.build_deck, deck_module.certificate_rows
+    real, real_cert = recon_module._build_deck, deck_module.certificate_rows
 
     def spy(*args):
-        built.append(real(*args))
-        return built[-1]
+        deck, starts = real(*args)
+        built.append(deck)
+        return deck, starts
 
     def cert_spy(n, rows):
         certified.append(Graph._from_rows(n, rows))
         return real_cert(n, rows)
 
-    monkeypatch.setattr(recon_module, "build_deck", spy)
+    monkeypatch.setattr(recon_module, "_build_deck", spy)
     monkeypatch.setattr(deck_module, "certificate_rows", cert_spy)
     got = recon_number(g, kind, quantifier)
     monkeypatch.undo()

@@ -73,9 +73,23 @@ MUTANTS = (
     Mutant(
         "g certified after its deck",
         "src/reconkit/recon.py",
-        "        self.own = certificate(g)\n        self.deck = build_deck(g, kind, 1)\n",
-        "        self.deck = build_deck(g, kind, 1)\n        self.own = certificate(g)\n",
+        "        self.own = certificate(g)\n        self.deck, self.starts = _build_deck(g, kind, 1)\n",
+        "        self.deck, self.starts = _build_deck(g, kind, 1)\n        self.own = certificate(g)\n",
         ("tests/test_recon.py::test_second_labeling_searches_only_its_own_certificate",),
+    ),
+    Mutant(
+        "profiles of floor cards asked of the walks",
+        "src/reconkit/recon.py",
+        "if size <= self.floor:",
+        "if size < self.floor:",
+        ("tests/test_recon.py::test_blockers_answer_every_profile_as_the_oracle_does",),
+    ),
+    Mutant(
+        "no sum filter in the class walks",
+        "src/reconkit/recon.py",
+        "if sum(cov) > self.floor and cov not in seen:",
+        "if cov not in seen:",
+        ("tests/test_deciders.py::test_vertex_class_walk_matches_the_generic_walk",),
     ),
     Mutant(
         "g certified before the deletion-count check",
@@ -92,10 +106,45 @@ MUTANTS = (
         ("tests/test_deciders.py::test_profile_tables_match_the_built_card",),
     ),
     Mutant(
+        "x's neighbour-degree sum without b",
+        "src/reconkit/deciders.py",
+        "x = b << 12 | b",
+        "x = b << 12",
+        ("tests/test_deciders.py::test_profile_tables_match_the_built_card",),
+    ),
+    Mutant(
+        "profile table masks vertex u + 1",
+        "src/reconkit/deciders.py",
+        "keep = ~(1 << u)",
+        "keep = ~(1 << u + 1)",
+        ("tests/test_deciders.py::test_profile_tables_match_the_built_card",),
+    ),
+    Mutant(
         "b off by one in the deletion-hit solve",
         "src/reconkit/deciders.py",
         "b, odd = divmod(total - cum_total, 2)",
         "b, odd = divmod(total - cum_total + 2, 2)",
+        ("tests/test_deciders.py::test_deletion_hits_match_every_key",),
+    ),
+    Mutant(
+        "deletion hits without the B | {u} entry",
+        "src/reconkit/deciders.py",
+        "                found.setdefault(a | 1 << u, []).append(entry)\n",
+        "",
+        ("tests/test_deciders.py::test_deletion_hits_match_every_key",),
+    ),
+    Mutant(
+        "deletion-hit step [d >= b] one degree late",
+        "src/reconkit/deciders.py",
+        "beta[b:] = [x + 1 for x in beta[b:]]",
+        "beta[b + 1:] = [x + 1 for x in beta[b + 1:]]",
+        ("tests/test_deciders.py::test_deletion_hits_match_every_key",),
+    ),
+    Mutant(
+        "deletion-hit prefix sign flipped",
+        "src/reconkit/deciders.py",
+        "beta = list(map(sub, have, cum))",
+        "beta = list(map(sub, cum, have))",
         ("tests/test_deciders.py::test_deletion_hits_match_every_key",),
     ),
     Mutant(
@@ -104,6 +153,27 @@ MUTANTS = (
         "firsts.setdefault(key(moved), moved)",
         "firsts[key(moved)] = moved",
         ("tests/test_deck.py::test_certified_relabeling_builds_its_deck_without_search",),
+    ),
+    Mutant(
+        "the greatest start per card class",
+        "src/reconkit/deck.py",
+        "moved < starts[cert][0]",
+        "moved > starts[cert][0]",
+        ("tests/test_deck.py::test_certified_relabeling_builds_its_deck_without_search",),
+    ),
+    Mutant(
+        "no canonical-form memo entry",
+        "src/reconkit/canon.py",
+        "if code is not None and len(_CERT_CACHE) < _CACHE_LIMIT:",
+        "if False:",
+        ("tests/test_canon.py::test_certified_graph_needs_no_search_of_its_canonical_form",),
+    ),
+    Mutant(
+        "no edge degree-sequence prefilter",
+        "src/reconkit/deciders.py",
+        "if exhaust:",
+        "if False:",
+        ("tests/test_deciders.py::test_edge_search_matcher_calls_are_bounded",),
     ),
     Mutant(
         "preimages sorted by rows",
