@@ -442,7 +442,7 @@ def _coverage(s: _Shape, t: _DeckTargets, exhaust: bool) -> list[int]:
                 first = drop, j
             else:
                 if memo is None:
-                    orbit = twin_orbits(n, s.rows)
+                    orbit = twin_orbits(n, s.rows, t.kind)
                     memo = {orbit(first[0]): first[1]}
                 key = orbit(drop)
                 if key not in memo:

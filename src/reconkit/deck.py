@@ -1,8 +1,11 @@
 """Decks: multisets of cards compared up to isomorphism.
 
-Cards are stored in certificate-sorted order, so multiset equivalence and
+Cards are stored in certificate order, so multiset equivalence and
 containment reduce to comparing sorted certificate tuples; the one-to-one
-card matching is implied by certificate exactness.
+card matching is implied by certificate exactness.  Deck's constructor
+alone sets that order up: it sorts the (certificate, card) pairs it is
+given stably by certificate, so the cards of a class keep their given
+order, and no builder sorts.
 
 build_deck certifies one card per twin orbit (graph.twin_orbits): c
 vertices key to their sorted twin classes, c edges to their endpoints'
@@ -66,17 +69,18 @@ class Deck:
     def __init__(self, kind: str, cards: Iterable[Graph]):
         if kind not in DECK_KINDS:
             raise InputError(f"unknown deck kind {kind!r}")
-        self._set(kind, sorted(((certificate(c), c) for c in cards), key=lambda t: t[0]))
+        self._set(kind, [(certificate(c), c) for c in cards])
 
     @classmethod
-    def _from_sorted(cls, kind: str, tagged: list[tuple[bytes, Graph]]) -> Deck:
+    def _from_tagged(cls, kind: str, tagged: list[tuple[bytes, Graph]]) -> Deck:
         """The deck of these (certificate, card) pairs, trusted as given:
-        each certificate is its card's, in sorted order."""
+        each certificate is its card's."""
         d = object.__new__(cls)
         d._set(kind, tagged)
         return d
 
     def _set(self, kind: str, tagged: list[tuple[bytes, Graph]]) -> None:
+        tagged = sorted(tagged, key=lambda t: t[0])  # stable: a class keeps its order
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "cards", tuple(c for _, c in tagged))
         object.__setattr__(self, "certs", tuple(t for t, _ in tagged))
@@ -166,7 +170,7 @@ def _build_deck(g: Graph, kind: str, c: int) -> tuple[Deck, dict]:
         sets, card_rows = combinations(g.edges, c), delete_edges_rows
     lab = _memoized_labeling(g.n, g.rows)
     if lab is None or lab == bytes(range(g.n)):  # not certified, or its own form
-        orbit, first = twin_orbits(g.n, g.rows), None
+        orbit, first = twin_orbits(g.n, g.rows, kind), None
     else:
         base = relabel_rows(g.n, g.rows, lab)
         orbit, first = _orbits_in_form(g.n, kind, c, lab, base)
@@ -187,8 +191,7 @@ def _build_deck(g: Graph, kind: str, c: int) -> tuple[Deck, dict]:
             if cert not in starts or moved < starts[cert][0]:
                 starts[cert] = moved, rows
         tagged.append((cert, card))
-    tagged.sort(key=lambda t: t[0])
-    return Deck._from_sorted(kind, tagged), starts
+    return Deck._from_tagged(kind, tagged), starts
 
 
 def _orbits_in_form(n: int, kind: str, c: int, lab: bytes, base: Sequence[int]) -> tuple:
@@ -204,7 +207,7 @@ def _orbits_in_form(n: int, kind: str, c: int, lab: bytes, base: Sequence[int]) 
             rep.setdefault(label, w)
         least = [rep[labels[w]] for w in lab]  # per vertex of g
         return lambda drop: (least[drop[0]],), lambda key: key
-    key = twin_orbits(n, base)
+    key = twin_orbits(n, base, kind)
     if kind == "vertex":
         sets = combinations(range(n), c)
 

@@ -41,11 +41,13 @@ class Graph:
         _check_at_least(n, 0, "vertex count")
         _check_order(n)
         rows = [0] * n
-        for u, v in edges:
+        for u, v in map(_vertex_pair, edges):
             if u == v:
-                raise InputError(f"self-loop at vertex {u}")
+                raise InputError(f"self-loop at vertex {_count_text(u)}")
             if not (0 <= u < n and 0 <= v < n):
-                raise InputError(f"edge ({u},{v}) out of range for order {n}")
+                raise InputError(
+                    f"edge ({_count_text(u)},{_count_text(v)}) out of range for order {n}"
+                )
             rows[u] |= 1 << v
             rows[v] |= 1 << u
         self._set_rows(n, rows)
@@ -80,7 +82,7 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         if not (0 <= u < self.n and 0 <= v < self.n):
-            raise InputError(f"vertex pair ({u},{v}) out of range")
+            raise InputError(f"vertex pair ({_count_text(u)},{_count_text(v)}) out of range")
         return bool(self.rows[u] >> v & 1)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
@@ -98,6 +100,13 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={list(self.edges)})"
+
+
+def _vertex_pair(edge: Sequence[int]) -> Sequence[int]:
+    """A caller's edge, refused before it is unpacked unless it is a pair."""
+    if len(edge) != 2:
+        raise InputError(f"edge must have 2 vertices, got {len(edge)}")
+    return edge
 
 
 def _check_order(n: int) -> None:
@@ -207,20 +216,21 @@ def _twin_classes(n: int, rows: Sequence[int]) -> list[list[int]]:
     return list(classes.values())
 
 
-def twin_orbits(n: int, rows: Sequence[int]) -> Callable[[tuple], tuple]:
-    """deletion set -> a key only sets in one orbit of the twin
-    transpositions share: c vertices key to their sorted twin labels, c
-    edges (in the order given) to their endpoints' labels and each
-    endpoint's first position among them.  Equal keys give a class-
-    preserving bijection of the sets' vertices, which a permutation inside
-    twin classes, an automorphism, extends.  Twin-free graphs key sets apart."""
+def twin_orbits(n: int, rows: Sequence[int], kind: str) -> Callable[[tuple], tuple]:
+    """The keyer of one deletion kind: a set of `kind` (vertex or edge) ->
+    a key only sets in one orbit of the twin transpositions share.  c
+    vertices key to their sorted twin labels, c edges (in the order given)
+    to their endpoints' labels and each endpoint's first position among
+    them.  Equal keys give a class-preserving bijection of the sets'
+    vertices, which a permutation inside twin classes, an automorphism,
+    extends.  Twin-free graphs key sets apart."""
     cls = _twin_labels(n, rows)
+    if kind == "vertex":
+        return lambda drop: tuple(sorted([cls[v] for v in drop]))
 
     def key(drop: tuple) -> tuple:
-        if drop and type(drop[0]) is tuple:
-            ends = [v for edge in drop for v in edge]
-            return tuple([cls[v] for v in ends] + [ends.index(v) for v in ends])
-        return tuple(sorted([cls[v] for v in drop]))
+        ends = [v for edge in drop for v in edge]
+        return tuple([cls[v] for v in ends] + [ends.index(v) for v in ends])
 
     return key
 
@@ -343,15 +353,16 @@ def delete_vertices(g: Graph, s: Iterable[int]) -> Graph:
     drop = set(s)
     for v in drop:
         if not (0 <= v < g.n):
-            raise InputError(f"vertex {v} out of range for order {g.n}")
+            raise InputError(f"vertex {_count_text(v)} out of range for order {g.n}")
     return Graph._from_rows(g.n - len(drop), delete_vertices_rows(g.rows, drop))
 
 
 def delete_edges(g: Graph, s: Iterable[tuple[int, int]]) -> Graph:
-    drop = list(s)
+    drop = list(map(_vertex_pair, s))
     for u, v in drop:
         if not (0 <= u < g.n and 0 <= v < g.n and g.rows[u] >> v & 1):
-            raise InputError(f"edge {(min(u, v), max(u, v))} not in graph")
+            low, high = sorted((u, v))
+            raise InputError(f"edge ({_count_text(low)}, {_count_text(high)}) not in graph")
     return Graph._from_rows(g.n, delete_edges_rows(g.rows, drop))
 
 

@@ -312,13 +312,12 @@ def recon_number(g: Graph, kind: str, quantifier: str) -> ReconNumber:
     shared = blockers.floor  # cards g shares with a graph not g, at least
 
     def subdeck_for(profile: tuple[int, ...]) -> Deck:
-        # the first cards of each class run, so still certificate-sorted
         tagged = [
             (cert, card)
             for count, (cert, cards) in zip(profile, classes)
             for card in cards[:count]
         ]
-        return Deck._from_sorted(kind, tagged)
+        return Deck._from_tagged(kind, tagged)
 
     if quantifier == "exists":
         for size in range(shared + 1 if shared else 0, len(deck) + 1):

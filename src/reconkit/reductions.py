@@ -12,7 +12,6 @@ build_deck refuses it on its C(n + c + 1, c) deletion sets instead.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from itertools import combinations, islice
 from math import comb
 
@@ -66,13 +65,13 @@ def _require_pair(g: Graph, h: Graph, kind: str, c: int) -> int:
 
 def _swap(deck: Deck, out: Graph, into: Graph) -> Deck:
     """The deck with its first card isomorphic to `out` replaced by `into`,
-    placed after every card of its certificate, where Deck(kind, cards +
-    [into]) would sort it: no card is certified again."""
+    which the deck's stable sort places after every card of its
+    certificate, as in Deck(kind, cards + [into]): no card is certified
+    again."""
     tagged = list(zip(deck.certs, deck.cards))
     del tagged[deck.certs.index(certificate(out))]
-    cert = certificate(into)
-    tagged.insert(bisect_right(tagged, cert, key=lambda t: t[0]), (cert, into))
-    return Deck._from_sorted(deck.kind, tagged)
+    tagged.append((certificate(into), into))
+    return Deck._from_tagged(deck.kind, tagged)
 
 
 def gi_to_lvd(g: Graph, h: Graph, c: int) -> Deck:

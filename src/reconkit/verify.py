@@ -26,7 +26,7 @@ from .deciders import (
     subdeck_check,
     two_lvd,
 )
-from .errors import InputError
+from .errors import InputError, _check_at_least, _count_text
 from .families import (
     clique_union_pair,
     is_clique_union,
@@ -97,20 +97,31 @@ def verify_reduction(
 ) -> ReductionReport:
     """Sweep every admissible instance family up to n_max and check that
     the target decision equals are_isomorphic; violations are reported,
-    and a capacity refusal propagates."""
+    and a capacity refusal propagates.  The k-card gadgets and the
+    kedc_to_kvdc transfer require k.  The transfer checks k-card
+    multisets, with k from 1 to 3, the largest k of REDUCTION_CELLS: the
+    multisets, and so the sweep's time, grow with k."""
     if kind not in REDUCTION_KINDS:
         raise InputError(f"unknown reduction kind {kind!r}")
     if n_max > 5:
-        raise InputError(f"verification sweeps are capped at n_max = 5, got {n_max}")
-    if n_max < _min_order(kind, c):
+        raise InputError(
+            f"verification sweeps are capped at n_max = 5, got {_count_text(n_max)}"
+        )
+    low = _min_order(kind, c)
+    if n_max < low:
         # no instance below the minimum order: the sweep would pass vacuously
         raise InputError(
-            f"{kind} with c={c} needs n_max >= {_min_order(kind, c)}, got {n_max}"
+            f"{kind} with c={_count_text(c)} needs n_max >= {_count_text(low)}, "
+            f"got {_count_text(n_max)}"
         )
-    if kind == "kedc_to_kvdc":
-        return _verify_transfer(n_max, c, k or 2)
-    if kind in TAKES_K and k is None:
+    if k is None and (kind in TAKES_K or kind == "kedc_to_kvdc"):
         raise InputError(f"{kind} requires k")
+    _check_at_least(c, 1, "deletion count")
+    if kind == "kedc_to_kvdc":
+        _check_at_least(k, 1, "card count")
+        if k > 3:
+            raise InputError(f"kedc_to_kvdc sweeps are capped at k = 3, got {_count_text(k)}")
+        return _verify_transfer(n_max, c, k)
 
     def decide(g: Graph, h: Graph) -> bool:
         if kind == "gi_to_lvd":

@@ -855,9 +855,9 @@ def test_walks_key_twin_orbits_from_the_second_hit(monkeypatch):
     built, classified = [0], [0]
     real_orbits, real_class = deciders.twin_orbits, deciders._card_class
 
-    def orbits_spy(n, rows):
+    def orbits_spy(n, rows, kind):
         built[0] += 1
-        return real_orbits(n, rows)
+        return real_orbits(n, rows, kind)
 
     def class_spy(t, rows):
         classified[0] += 1

@@ -237,9 +237,10 @@ def test_equal_twin_orbit_keys_give_isomorphic_cards():
             perm = list(range(n))
             rng.shuffle(perm)
             for g in (rep, permute(rep, perm)):
-                key = twin_orbits(g.n, g.rows)
                 twin_free = len(_twin_classes(g.n, g.rows)) == g.n
-                for items, delete in ((range(g.n), delete_vertices), (g.edges, delete_edges)):
+                for kind, items, delete in (("vertex", range(g.n), delete_vertices),
+                                            ("edge", g.edges, delete_edges)):
+                    key = twin_orbits(g.n, g.rows, kind)
                     for c in range(1, min(3, len(items)) + 1):
                         first = {}
                         for drop in combinations(items, c):

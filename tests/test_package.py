@@ -147,6 +147,7 @@ def _guard_calls():
         complete_graph,
         copies,
         deck_from_text,
+        delete_edges,
         gi_to_kedc,
         gi_to_kled,
         gi_to_klvd,
@@ -191,6 +192,14 @@ def _guard_calls():
          "order must exceed c=3"),
         ("copies -1", lambda: copies(k3, -1), InputError, "copy count"),
         ("has_edge", lambda: k3.has_edge(0, 3), InputError, "out of range"),
+        ("Graph edge of 1 vertex", lambda: Graph(3, [(0,)]), InputError,
+         "^edge must have 2 vertices, got 1$"),
+        ("Graph edge of 3 vertices", lambda: Graph(3, [(0, 1, 2)]), InputError,
+         "^edge must have 2 vertices, got 3$"),
+        ("delete_edges edge of 1 vertex", lambda: delete_edges(k3, [(0,)]), InputError,
+         "^edge must have 2 vertices, got 1$"),
+        ("delete_edges edge of 3 vertices", lambda: delete_edges(k3, [(0, 1, 2)]),
+         InputError, "^edge must have 2 vertices, got 3$"),
         ("graph6 encode", lambda: graph6_encode(Graph._from_rows(258048, [0] * 258048)),
          CapacityError, "n <= 258047"),
         ("graph6 decode", lambda: graph6_decode("~~?@??"), CapacityError,
@@ -233,6 +242,7 @@ def _count_guard_calls():
         path_graph,
         subdeck_check,
         two_lvd,
+        verify_reduction,
     )
     from reconkit.errors import CapacityError, InputError
 
@@ -303,6 +313,22 @@ def _count_guard_calls():
          "certificates are capped below order 64, got gi_to_led card order 87"),
         ("kedc_to_kvdc c < 1 before kind", lambda: kedc_to_kvdc(k3, cards, 0),
          InputError, c_low),
+        ("verify_reduction n_max cap", lambda: verify_reduction("gi_to_lvd", 6, 1),
+         InputError, "verification sweeps are capped at n_max = 5, got 6"),
+        ("verify_reduction min order", lambda: verify_reduction("gi_to_led", 2, 2),
+         InputError, "gi_to_led with c=2 needs n_max >= 3, got 2"),
+        ("verify_reduction transfer without k",
+         lambda: verify_reduction("kedc_to_kvdc", 5, 1), InputError,
+         "kedc_to_kvdc requires k"),
+        ("verify_reduction transfer c < 1", lambda: verify_reduction("kedc_to_kvdc", 5, 0, 2),
+         InputError, c_low),
+        ("verify_reduction transfer k = 0", lambda: verify_reduction("kedc_to_kvdc", 5, 1, 0),
+         InputError, "card count must be >= 1, got 0"),
+        ("verify_reduction transfer k = -1",
+         lambda: verify_reduction("kedc_to_kvdc", 5, 1, -1), InputError,
+         "card count must be >= 1, got -1"),
+        ("verify_reduction transfer k cap", lambda: verify_reduction("kedc_to_kvdc", 5, 1, 4),
+         InputError, "kedc_to_kvdc sweeps are capped at k = 3, got 4"),
     ]
     for build, order in ((gi_to_kedc, 3 + 2 * 40), (gi_to_klvd, 9 + 2 * 2 + 2 * 40),
                          (gi_to_kled, 9 + 2 * 40 + 1)):
@@ -332,6 +358,8 @@ def _huge_count_calls():
         complete_graph,
         copies,
         deck_check,
+        delete_edges,
+        delete_vertices,
         empty_graph,
         enum_preimages,
         enumerate_graphs,
@@ -345,6 +373,7 @@ def _huge_count_calls():
         subdeck_check,
         two_lvd,
         union,
+        verify_reduction,
     )
 
     huge = 10**5000
@@ -385,6 +414,27 @@ def _huge_count_calls():
          "need k >= 2 and n >= 1, got k=3, n=-(16610-bit number)"),
         ("many_preimage_graphs -k", lambda: many_preimage_graphs(-huge, 1),
          "need k >= 2 and n >= 1, got k=-(16610-bit number), n=1"),
+        ("Graph edge end", lambda: Graph(3, [(huge, 0)]),
+         "edge ((16610-bit number),0) out of range for order 3"),
+        ("Graph self-loop", lambda: Graph(3, [(huge, huge)]),
+         "self-loop at vertex (16610-bit number)"),
+        ("delete_edges end", lambda: delete_edges(k3, [(0, huge)]),
+         "edge (0, (16610-bit number)) not in graph"),
+        ("delete_vertices vertex", lambda: delete_vertices(k3, [huge]),
+         "vertex (16610-bit number) out of range for order 3"),
+        ("has_edge vertex", lambda: k3.has_edge(huge, 0),
+         "vertex pair ((16610-bit number),0) out of range"),
+        ("verify_reduction n_max", lambda: verify_reduction("gi_to_lvd", huge, 1),
+         "verification sweeps are capped at n_max = 5, got (16610-bit number)"),
+        ("verify_reduction -n_max", lambda: verify_reduction("gi_to_lvd", -huge, 1),
+         "gi_to_lvd with c=1 needs n_max >= 3, got -(16610-bit number)"),
+        ("verify_reduction transfer c", lambda: verify_reduction("kedc_to_kvdc", 5, huge, 2),
+         "kedc_to_kvdc with c=(16610-bit number) needs n_max >= (16610-bit number), got 5"),
+        ("verify_reduction transfer -c",
+         lambda: verify_reduction("kedc_to_kvdc", 5, -huge, 2),
+         "deletion count must be >= 1, got -(16610-bit number)"),
+        ("verify_reduction transfer k", lambda: verify_reduction("kedc_to_kvdc", 5, 1, huge),
+         "kedc_to_kvdc sweeps are capped at k = 3, got (16610-bit number)"),
     ]
     capped = "graph orders are capped at 258047, got (16610-bit number)"
     # derived graphs check the order they would build before any row (in

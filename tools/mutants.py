@@ -189,6 +189,86 @@ MUTANTS = (
         "if False:",
         ("tests/test_deciders.py::test_preimage_answer_bytes_are_pinned",),
     ),
+    Mutant(
+        "deck pairs kept in the given order",
+        "src/reconkit/deck.py",
+        "tagged = sorted(tagged, key=lambda t: t[0])",
+        "tagged = list(tagged)",
+        (
+            "tests/test_deck.py::test_cards_sorted_by_certificate",
+            "tests/test_deck.py::test_classes_are_certificate_runs",
+        ),
+    ),
+    Mutant(
+        "swapped card placed first",
+        "src/reconkit/reductions.py",
+        "tagged.append((certificate(into), into))",
+        "tagged.insert(0, (certificate(into), into))",
+        ("tests/test_reductions.py::test_gi_to_led_card_count",),
+    ),
+    Mutant(
+        "edge key without the endpoint positions",
+        "src/reconkit/graph.py",
+        "return tuple([cls[v] for v in ends] + [ends.index(v) for v in ends])",
+        "return tuple([cls[v] for v in ends])",
+        ("tests/test_deck.py::test_equal_twin_orbit_keys_give_isomorphic_cards",),
+    ),
+    Mutant(
+        "Graph edges unpacked unchecked",
+        "src/reconkit/graph.py",
+        "for u, v in map(_vertex_pair, edges):",
+        "for u, v in edges:",
+        ("tests/test_package.py::test_input_guards_raise_a_reconkit_error",),
+    ),
+    Mutant(
+        "delete_edges edges unpacked unchecked",
+        "src/reconkit/graph.py",
+        "drop = list(map(_vertex_pair, s))",
+        "drop = list(s)",
+        ("tests/test_package.py::test_input_guards_raise_a_reconkit_error",),
+    ),
+    Mutant(
+        "huge self-loop vertex printed",
+        "src/reconkit/graph.py",
+        'f"self-loop at vertex {_count_text(u)}"',
+        'f"self-loop at vertex {u}"',
+        ("tests/test_package.py::test_input_guards_raise_a_reconkit_error",),
+    ),
+    Mutant(
+        "huge n_max printed",
+        "src/reconkit/verify.py",
+        'capped at n_max = 5, got {_count_text(n_max)}"',
+        'capped at n_max = 5, got {n_max}"',
+        ("tests/test_package.py::test_input_guards_raise_a_reconkit_error",),
+    ),
+    Mutant(
+        "transfer without k",
+        "src/reconkit/verify.py",
+        'if k is None and (kind in TAKES_K or kind == "kedc_to_kvdc"):',
+        "if k is None and kind in TAKES_K:",
+        ("tests/test_package.py::test_input_guards_raise_a_reconkit_error",),
+    ),
+    Mutant(
+        "verify_reduction c unchecked",
+        "src/reconkit/verify.py",
+        '    _check_at_least(c, 1, "deletion count")\n',
+        "",
+        ("tests/test_package.py::test_input_guards_raise_a_reconkit_error",),
+    ),
+    Mutant(
+        "transfer k unchecked below",
+        "src/reconkit/verify.py",
+        '        _check_at_least(k, 1, "card count")\n',
+        "",
+        ("tests/test_package.py::test_input_guards_raise_a_reconkit_error",),
+    ),
+    Mutant(
+        "transfer k capped at 4",
+        "src/reconkit/verify.py",
+        "if k > 3:",
+        "if k > 4:",
+        ("tests/test_package.py::test_input_guards_raise_a_reconkit_error",),
+    ),
     # a spy left on the module the walks moved out of sees no calls
     Mutant(
         "edge walk spy on deciders' _extensions",
