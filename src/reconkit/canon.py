@@ -42,6 +42,17 @@ disconnected C needs no entry of its own: its components are canonical
 forms laid out in sorted order, so each one's labeling is the identity,
 and the stable sort keeps equal ones in vertex order, so C assembles to
 the identity too, from memo hits.
+
+Each memo entry also keeps the automorphisms its search found: the
+generators and the labeling of a connected graph's search, stored in the
+searched graph's entry and in C's, or a disconnected graph's pieces, each
+as (order, certificate, source); nothing where no automorphism but the
+identity was found. `_orbit_labels` turns them, only when a deck asks,
+into the least vertex of each Aut(C) orbit, so a certified graph's vertex
+deck certifies one card per orbit. Each generator is an automorphism,
+which is all that soundness needs; the generators of a search also span
+Aut(G) (McKay 1981), and the twin leaf records twin transpositions, so
+the orbits are never finer than the twin classes.
 """
 
 from __future__ import annotations
@@ -55,8 +66,9 @@ from .graph import component_masks, graph6_decode, iter_bits, relabel_rows
 CERTIFICATE_ORDER_CAP = 64  # orders >= 64 are refused
 
 _CACHE_LIMIT = 400_000
-# (n, packed rows) -> (certificate, canonical labeling old -> new as bytes)
-_CERT_CACHE: dict[tuple[int, int], tuple[bytes, bytes]] = {}
+# (n, packed rows) -> (certificate, canonical labeling old -> new as bytes,
+# generator source of the canonical form's automorphisms, see _orbit_labels)
+_CERT_CACHE: dict[tuple[int, int], tuple[bytes, bytes, Optional[tuple]]] = {}
 _IDENTITY = [bytes(range(n)) for n in range(CERTIFICATE_ORDER_CAP)]  # shared labelings
 
 
@@ -247,8 +259,8 @@ class _Search:
         self.rows = rows
         self.first: Optional[tuple] = None  # (code, labeling, path)
         self.best: Optional[tuple] = None
-        self.gens: list[tuple[int, ...]] = []
-        self._known: set[tuple[int, ...]] = set()
+        self.gens: list[bytes] = []  # each perm[v] is the image of v
+        self._known: set[bytes] = set()
 
     def run(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The canonical labeling and the rows it relabels the graph to."""
@@ -276,7 +288,7 @@ class _Search:
                 for a, b in list(zip(c, c[1:])) + twins:
                     swap = list(range(self.n))
                     swap[a], swap[b] = b, a
-                    self._found(tuple(swap))
+                    self._found(bytes(swap))
             return min(self._leaf(leaf, tuple(path)), depth - 1)
         target = next(i for i, c in enumerate(cells) if len(c) > 1)
         cell = cells[target]
@@ -308,7 +320,7 @@ class _Search:
             explored.append(v)
         return depth - 1
 
-    def _found(self, perm: tuple[int, ...]) -> None:
+    def _found(self, perm: bytes) -> None:
         """Record an automorphism, unless an earlier leaf found it."""
         if perm not in self._known:
             self._known.add(perm)
@@ -328,7 +340,7 @@ class _Search:
                 perm = [0] * n
                 for w, i in enumerate(other_lab):
                     perm[cells[i][0]] = w
-                self._found(tuple(perm))
+                self._found(bytes(perm))
                 # perm fixes path[:k] and maps path[k] onto other_path[k]
                 k = 0
                 while path[k] == other_path[k]:
@@ -372,34 +384,40 @@ def _induced_rows(rows: Sequence[int], comp: int) -> list[int]:
 
 def _labeling_rows(
     n: int, rows: Sequence[int]
-) -> tuple[tuple[int, ...], int, Optional[tuple[int, ...]]]:
+) -> tuple[bytes, int, Optional[tuple[int, ...]], Optional[tuple]]:
     """Canonical labeling (old -> new) of an arbitrary rows-graph, the
-    `_triangle` of the canonical representative, and the representative's
-    rows if the graph was searched, else None.
+    `_triangle` of the canonical representative, the representative's
+    rows if the graph was searched, else None, and the generator source
+    of the representative's automorphisms (see _orbit_labels), None if no
+    automorphism but the identity was found.
 
-    A connected graph is searched directly. Otherwise each component is
-    canonicalized through the memo (a labeled component that recurs
-    across graphs is searched once), and the pieces are laid out in order
-    of (component order, component certificate), which makes the
-    assembled labeled graph an isomorphism invariant of the whole graph.
-    A piece's certificate is its canonical form's graph6 line, whose size
-    prefix is one byte, as a piece has at most 62 vertices: the piece's
-    triangle is decoded from it and shifted into place column by column.
+    A connected graph is searched directly, and its source is the search's
+    labeling and generators. Otherwise each component is canonicalized
+    through the memo (a labeled component that recurs across graphs is
+    searched once), and the pieces are laid out in order of (component
+    order, component certificate), which makes the assembled labeled graph
+    an isomorphism invariant of the whole graph. A piece's certificate is
+    its canonical form's graph6 line, whose size prefix is one byte, as a
+    piece has at most 62 vertices: the piece's triangle is decoded from it
+    and shifted into place column by column. The source lists each
+    piece's (order, certificate, source) in that order.
     """
     comps = component_masks(n, rows)
     if len(comps) == 1:
-        lab, code = _Search(n, rows).run()
-        return lab, _triangle(n, code), code
+        search = _Search(n, rows)
+        lab, code = search.run()
+        lab = bytes(lab)
+        return lab, _triangle(n, code), code, (lab, tuple(search.gens)) if search.gens else None
     pieces = []
     for comp in comps:
         verts = list(iter_bits(comp))
-        cert, local = _canon_entry(len(verts), _induced_rows(rows, comp))
-        pieces.append((len(verts), cert, verts, local))
-    pieces.sort(key=lambda p: (p[0], p[1]))
+        cert, local, source = _canon_entry(len(verts), _induced_rows(rows, comp))
+        pieces.append((len(verts), cert, source, verts, local))
+    pieces.sort(key=lambda p: p[:2])
     lab = [0] * n
     tri = 0
     offset = 0
-    for nc, cert, verts, local in pieces:
+    for nc, cert, _, verts, local in pieces:
         for v, i in zip(verts, local):
             lab[v] = offset + i
         part = _decode_triangle(cert[1:])
@@ -408,7 +426,48 @@ def _labeling_rows(
             tri |= (part & (1 << width) - 1) << (j * (j - 1) >> 1) + offset
             part >>= width
         offset += nc
-    return tuple(lab), tri, None
+    source = None
+    if any(p[2] for p in pieces) or any(p[:2] == q[:2] for p, q in zip(pieces, pieces[1:])):
+        source = (None, tuple(p[:3] for p in pieces))
+    return bytes(lab), tri, None, source
+
+
+def _orbit_labels(n: int, source: Optional[tuple]) -> list[int]:
+    """For each vertex of a memo entry's canonical form C, the least vertex
+    of its orbit under Aut(C), from the entry's generator source.
+
+    A source (lab, gens) holds generators of Aut(G) that the search of a
+    connected G found, and the labeling lab that takes G to C. Their
+    cycles join G's vertices into orbits, and lab maps each orbit of G
+    onto one of C. A source (None, pieces) holds a disconnected C's pieces
+    in layout order, each as (order, certificate, source). A piece's
+    vertices keep its own orbits, shifted to its place, and equal
+    consecutive pieces, whose position-by-position swap is an automorphism
+    of C, share the first one's. No source: no automorphism was found.
+    """
+    if source is None:
+        return list(range(n))
+    lab, gens = source
+    if lab is None:
+        out: list[int] = []
+        for (order, cert, piece), prev in zip(gens, (None,) + gens):
+            if prev is not None and prev[:2] == (order, cert):
+                out += out[-order:]  # the equal piece before, position by position
+            else:
+                offset = len(out)
+                out += [offset + w for w in _orbit_labels(order, piece)]
+        return out
+    least = list(lab)  # per vertex of G: the least image in C of its orbit so far
+    for perm in gens:
+        for u, w in enumerate(perm):
+            a, b = least[u], least[w]
+            if a != b:
+                low, high = (a, b) if a < b else (b, a)
+                least = [low if x == high else x for x in least]
+    out = [0] * n
+    for v, w in enumerate(lab):
+        out[w] = least[v]
+    return out
 
 
 def check_certificate_order(order: int, what: str = "order") -> None:
@@ -428,28 +487,29 @@ def _memo_key(n: int, rows: Sequence[int]) -> tuple[int, int]:
     return n, mask
 
 
-def _memoized_labeling(n: int, rows: Sequence[int]) -> Optional[bytes]:
-    """The canonical labeling of a rows-graph if the memo holds it: the
-    graph was certified, or is the canonical form of a certified graph,
-    since the memo was last cleared."""
-    return _CERT_CACHE.get(_memo_key(n, rows), (None, None))[1]
+def _memoized(n: int, rows: Sequence[int]) -> Optional[tuple[bytes, bytes, Optional[tuple]]]:
+    """The memo's (certificate, canonical labeling, generator source) of a
+    rows-graph if it holds them: the graph was certified, or is the
+    canonical form of a certified graph, since the memo was last cleared."""
+    return _CERT_CACHE.get(_memo_key(n, rows))
 
 
-def _canon_entry(n: int, rows: Sequence[int]) -> tuple[bytes, bytes]:
-    """(certificate, canonical labeling) of a rows-graph, memoized."""
+def _canon_entry(n: int, rows: Sequence[int]) -> tuple[bytes, bytes, Optional[tuple]]:
+    """(certificate, canonical labeling, generator source) of a rows-graph,
+    memoized."""
     check_certificate_order(n)
     key = _memo_key(n, rows)
     cached = _CERT_CACHE.get(key)
     if cached is not None:
         return cached
-    lab, tri, code = _labeling_rows(n, rows)
-    entry = (_encode_triangle(n, tri), bytes(lab))
+    lab, tri, code, source = _labeling_rows(n, rows)
+    entry = (_encode_triangle(n, tri), lab, source)
     if len(_CERT_CACHE) >= _CACHE_LIMIT:
         _CERT_CACHE.clear()
     _CERT_CACHE[key] = entry
     if code is not None and len(_CERT_CACHE) < _CACHE_LIMIT:
         # the canonical form's own search would return the identity
-        _CERT_CACHE[_memo_key(n, code)] = (entry[0], _IDENTITY[n])
+        _CERT_CACHE[_memo_key(n, code)] = (entry[0], _IDENTITY[n], source)
     return entry
 
 

@@ -7,30 +7,34 @@ alone sets that order up: it sorts the (certificate, card) pairs it is
 given stably by certificate, so the cards of a class keep their given
 order, and no builder sorts.
 
-build_deck certifies one card per twin orbit (graph.twin_orbits): c
-vertices key to their sorted twin classes, c edges to their endpoints'
-twin classes and the pattern of shared endpoints.  Equal keys give a
-class-preserving bijection of the two sets' vertices, and a permutation
-inside twin classes is an automorphism, so the two cards are isomorphic.
-The gadgets of `reductions` pad with cliques, isolated vertices and
-disjoint edges, so their cards fall into few orbits (K8: 378 into 4).
+build_deck certifies one card per orbit of deletion sets.  Off the
+certified vertex c = 1 path below, these are twin orbits
+(graph.twin_orbits): c vertices key to their sorted twin classes, c edges
+to their endpoints' twin classes and the pattern of shared endpoints.
+Equal keys give a class-preserving bijection of the two sets' vertices,
+and a permutation inside twin classes is an automorphism, so the two
+cards are isomorphic.  The gadgets of `reductions` pad with cliques,
+isolated vertices and disjoint edges, so their cards fall into few orbits
+(K8: 378 into 4).
 
 Where canon's memo holds g's canonical labeling (g, or a graph whose
 canonical form g is, was certified since the memo was last cleared),
 each orbit is certified through its first deletion set in g's canonical
 form C, in C's own order: the set that building C's own deck would
-certify.  Twin classes map onto C's, so g's sets are keyed by the twin
-orbits of their images in C, and each key's first set comes from one
-walk over C's own sets; at vertex c = 1 the key, the least vertex of the
-image's twin class in C, is its own first set, so no walk is needed.
-Those card rows depend only on g's class, so every certified labeling of
-g shares C's certificate entries, and so do classes whose canonical
-forms share a labeled card.  Deck.cards still holds g's own deletions,
-in g's order within a class.  build_deck never certifies g for this, as
-a search of g pays back only through other classes' cards: recon
-certifies g itself, and the enumerated classes of `verify
-deck-uniqueness` are their own canonical forms, whose first sets are
-their own.  A g past the certificate cap is never in the memo, so
+certify.  At vertex c = 1 a vertex of g keys to the least vertex of its
+image's Aut(C) orbit, from the automorphisms canon kept when it certified
+g (canon._orbit_labels), and that vertex is its own first set: cards
+G - u and G - s(u) are isomorphic for every automorphism s, so a deck has
+one card per orbit.  Other sets key by the twin orbits of their images in
+C, which twin classes map onto, and each key's first set comes from one
+walk over C's own sets.  Those card rows depend only on g's class, so
+every certified labeling of g shares C's certificate entries, and so do
+classes whose canonical forms share a labeled card.  Deck.cards still
+holds g's own deletions, in g's order within a class.  build_deck never
+certifies g for this, as a search of g pays back only through other
+classes' cards: recon certifies g itself, and the enumerated classes of
+`verify deck-uniqueness` are their own canonical forms, whose first sets
+are their own.  A g past the certificate cap is never in the memo, so
 path_graph(64) still builds its 64 cards.
 
 The private builder _build_deck also returns, per card class, its least
@@ -46,9 +50,9 @@ from itertools import combinations, groupby
 from math import comb
 from typing import Iterable, Optional, Sequence
 
-from .canon import _memoized_labeling, certificate, certificate_rows
+from .canon import _memoized, _orbit_labels, certificate, certificate_rows
 from .errors import CapacityError, InputError, _check_at_least, _count_text
-from .graph import Graph, _twin_labels, delete_edges_rows, delete_vertices
+from .graph import Graph, delete_edges_rows, delete_vertices
 from .graph import delete_vertices_rows, graph6_decode, graph6_encode, relabel_rows
 from .graph import rows_edges, twin_orbits
 
@@ -151,8 +155,8 @@ def _deletion_sets(g: Graph, kind: str, c: int) -> int:
 
 def build_deck(g: Graph, kind: str, c: int) -> Deck:
     """All cards obtained by deleting every c-subset of vertices or edges,
-    each twin orbit certified once, through g's canonical form if g is
-    already certified (see the module docstring)."""
+    each orbit certified once, through g's canonical form if g is already
+    certified (see the module docstring)."""
     return _build_deck(g, kind, c)[0]
 
 
@@ -168,13 +172,17 @@ def _build_deck(g: Graph, kind: str, c: int) -> tuple[Deck, dict]:
         sets, card_rows = combinations(range(g.n), c), delete_vertices_rows
     else:
         sets, card_rows = combinations(g.edges, c), delete_edges_rows
-    lab = _memoized_labeling(g.n, g.rows)
-    if lab is None or lab == bytes(range(g.n)):  # not certified, or its own form
+    entry = _memoized(g.n, g.rows)
+    own = entry is not None and entry[1] == bytes(range(g.n))  # g is its canonical form
+    if entry is None or own and (kind, c) != ("vertex", 1):
         orbit, first = twin_orbits(g.n, g.rows, kind), None
     else:
-        base = relabel_rows(g.n, g.rows, lab)
-        orbit, first = _orbits_in_form(g.n, kind, c, lab, base)
-    certs: dict[tuple, bytes] = {}  # one certificate per twin orbit
+        _, lab, source = entry
+        base = g.rows if own else relabel_rows(g.n, g.rows, lab)
+        orbit, first = _orbits_in_form(g.n, kind, c, lab, base, source)
+        if own:  # g's sets are C's: the first one to meet a key is the key's first set
+            first = None
+    certs: dict[tuple, bytes] = {}  # one certificate per orbit
     starts: dict[bytes, tuple] = {}
     tagged = []
     for drop in sets:
@@ -194,18 +202,19 @@ def _build_deck(g: Graph, kind: str, c: int) -> tuple[Deck, dict]:
     return Deck._from_tagged(kind, tagged), starts
 
 
-def _orbits_in_form(n: int, kind: str, c: int, lab: bytes, base: Sequence[int]) -> tuple:
+def _orbits_in_form(
+    n: int, kind: str, c: int, lab: bytes, base: Sequence[int], source: Optional[tuple]
+) -> tuple:
     """(orbit, first) for the c-sets of a g of order n that lab takes to its
-    canonical form C, with the rows base: orbit keys a set of g by the twin
-    orbit of its image in C, and first gives the key's first set in C's
-    own order, from one walk over C's sets.  At vertex c = 1 the key is the
-    least vertex of the image's twin class in C, its own first set."""
+    canonical form C, with the rows base and the memo's generator source:
+    orbit keys a set of g by an orbit of its image in C, and first gives
+    the key's first set in C's own order.  At vertex c = 1 the key is the
+    least vertex of the image's Aut(C) orbit, its own first set.  Other
+    sets key by their images' twin orbits, whose first sets come from one
+    walk over C's sets."""
     if kind == "vertex" and c == 1:
-        labels = _twin_labels(n, base)
-        rep: dict[int, int] = {}  # twin label -> its least vertex in C
-        for w, label in enumerate(labels):
-            rep.setdefault(label, w)
-        least = [rep[labels[w]] for w in lab]  # per vertex of g
+        labels = _orbit_labels(n, source)
+        least = [labels[w] for w in lab]  # per vertex of g
         return lambda drop: (least[drop[0]],), lambda key: key
     key = twin_orbits(n, base, kind)
     if kind == "vertex":

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from binascii import a2b_base64, b2a_base64
 from itertools import product
+from operator import index
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import CapacityError, Graph6ParseError, InputError
@@ -75,7 +76,7 @@ class Graph:
         return tuple(rows_edges(self.n, self.rows))
 
     def degree(self, v: int) -> int:
-        return self.rows[v].bit_count()
+        return self.rows[self._vertex(v)].bit_count()
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(r.bit_count() for r in self.rows)
@@ -86,7 +87,14 @@ class Graph:
         return bool(self.rows[u] >> v & 1)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(iter_bits(self.rows[v]))
+        return tuple(iter_bits(self.rows[self._vertex(v)]))
+
+    def _vertex(self, v: int) -> int:
+        """v, refused unless it is a vertex: Python would read a negative
+        index from the end of the rows."""
+        if not 0 <= v < self.n:
+            raise InputError(f"vertex {_count_text(v)} out of range")
+        return v
 
     def __eq__(self, other) -> bool:
         return (
@@ -102,11 +110,22 @@ class Graph:
         return f"Graph(n={self.n}, edges={list(self.edges)})"
 
 
-def _vertex_pair(edge: Sequence[int]) -> Sequence[int]:
-    """A caller's edge, refused before it is unpacked unless it is a pair."""
-    if len(edge) != 2:
-        raise InputError(f"edge must have 2 vertices, got {len(edge)}")
-    return edge
+def _vertex_pair(edge: Sequence[int]) -> tuple[int, int]:
+    """A caller's edge as a pair of ints, refused before it is unpacked
+    unless it is a sized pair of ints (of int or anything with __index__)."""
+    try:
+        size = len(edge)
+    except TypeError:
+        raise InputError(f"edge must be a pair of ints, got {type(edge).__name__}") from None
+    if size != 2:
+        raise InputError(f"edge must have 2 vertices, got {size}")
+    u, v = edge
+    try:
+        return index(u), index(v)
+    except TypeError:
+        raise InputError(
+            f"edge must be a pair of ints, got {type(u).__name__} and {type(v).__name__}"
+        ) from None
 
 
 def _check_order(n: int) -> None:

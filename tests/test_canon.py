@@ -439,6 +439,86 @@ def test_search_generators_span_the_automorphism_group():
     assert classes == 996
 
 
+def _nx_orbit_labels(nx, g):
+    # per vertex, the least vertex of its orbit under Aut(g): v joins the
+    # orbit of an earlier representative r when networkx maps g with r
+    # marked onto g with v marked
+    def marked(v):
+        out = nx.Graph()
+        out.add_nodes_from((u, {"mark": u == v}) for u in range(g.n))
+        out.add_edges_from(g.edges)
+        return out
+
+    def same(a, b):
+        return a["mark"] == b["mark"]
+
+    matcher = nx.algorithms.isomorphism.GraphMatcher
+    reps, labels = [], []
+    for v in range(g.n):
+        mine = marked(v)
+        label = next((
+            r for r, other in reps
+            if g.degree(r) == g.degree(v) and matcher(other, mine, node_match=same).is_isomorphic()
+        ), v)
+        if label == v:
+            reps.append((v, mine))
+        labels.append(label)
+    return labels
+
+
+def _kept_generators_are_automorphisms(form, source):
+    # each generator a memo entry keeps is an automorphism of the graph its
+    # search was run on, the canonical form `form` relabeled back through
+    # the search's labeling; a disconnected form's pieces are checked on
+    # their own canonical forms
+    if source is None:
+        return True
+    lab, gens = source
+    if lab is None:
+        return all(
+            _kept_generators_are_automorphisms(graph6_decode(cert.decode("ascii")), piece)
+            for _, cert, piece in gens
+        )
+    back = [0] * form.n
+    for v, w in enumerate(lab):
+        back[w] = v
+    searched = permute(form, back)
+    return bool(gens) and all(permute(searched, perm) == searched for perm in gens)
+
+
+def test_orbit_labels_are_the_automorphism_orbits():
+    # independent oracle: on a seeded relabeling x of every class on n <= 7,
+    # and of twin-heavy and disconnected graphs, the orbit labels of x's
+    # canonical form C are networkx's automorphism orbits of C, both from
+    # x's memo entry and from C's. Every kept generator is an automorphism
+    nx = pytest.importorskip("networkx")
+    import reconkit.canon as canon
+
+    rng = random.Random(47)
+    corpus = [g for n in range(8) for g in enumerate_graphs(n)]
+    corpus += [g for g in _twin_heavy_graphs() if 8 <= g.n <= 12]
+    cycle = Graph(5, [(i, (i + 1) % 5) for i in range(5)])
+    corpus += [
+        copies(cycle, 3),
+        union([path_graph(3), complete_graph(3), path_graph(3), empty_graph(2)]),
+        union([_petersen(), complete_graph(2), _petersen()]),
+        union([join([empty_graph(1), empty_graph(3)]), complete_graph(2), path_graph(4)]),
+    ]
+    moved = 0
+    for g in corpus:
+        x = _relabeled(g, rng)
+        clear_certificate_cache()
+        certificate(x)
+        c = canonical_form(x)
+        want = _nx_orbit_labels(nx, c)
+        for n, rows in ((x.n, x.rows), (c.n, c.rows)):
+            _, _, source = canon._canon_entry(n, rows)
+            assert canon._orbit_labels(c.n, source) == want, (x.rows, rows)
+            assert _kept_generators_are_automorphisms(c, source), (x.rows, rows)
+        moved += want != list(range(c.n))
+    assert len(corpus) == 1253 + 73 + 4 and moved == 1168
+
+
 def test_search_keeps_each_generator_once():
     # twin leaves and repeated leaf matches find generators again; on
     # these labelings the searches once held 358 generators, 187 distinct
@@ -624,7 +704,8 @@ def test_canonical_form_searches_to_the_identity():
     # because C's own search would return it: its first leaf is the
     # identity, with code C (module docstring). Checked from an empty
     # memo: the search on a connected C, and the entry of every C, cold
-    # and as the memo holds it after certifying g
+    # and as the memo holds it after certifying g. The two entries hold
+    # the generators of different searches, which give one set of orbits
     import reconkit.canon as canon
 
     corpus = _identity_leaf_corpus()
@@ -635,14 +716,16 @@ def test_canonical_form_searches_to_the_identity():
         c = graph6_decode(cert.decode("ascii"))
         identity = bytes(range(c.n))
         warm = canon._canon_entry(c.n, c.rows)
-        assert warm == (cert, identity), g.rows
+        assert warm[:2] == (cert, identity), g.rows
         clear_certificate_cache()
         if len(component_masks(c.n, c.rows)) == 1:
             assert canon._Search(c.n, c.rows).run() == (tuple(range(c.n)), tuple(c.rows))
             clear_certificate_cache()
         else:
             unions += 1
-        assert canon._canon_entry(c.n, c.rows) == warm, g.rows
+        cold = canon._canon_entry(c.n, c.rows)
+        assert cold[:2] == warm[:2], g.rows
+        assert canon._orbit_labels(c.n, cold[2]) == canon._orbit_labels(c.n, warm[2]), g.rows
     assert len(corpus) == 1253 + 195 + 40 + 30 and unions > 300
 
 
@@ -668,7 +751,8 @@ def test_certified_graph_needs_no_search_of_its_canonical_form(monkeypatch):
 def test_catalog_pass_search_count(monkeypatch):
     # work bound: the catalog-canon loop over the classes of n <= 6, from
     # an empty memo after the set-up. find_isomorphism(x, rep) searched
-    # each connected class again, for 439 searches
+    # each connected class again, for 439 searches, and certifying one
+    # card per twin orbit, not per automorphism orbit, took 315
     rng = random.Random(36)
     reps = [g for n in range(1, 7) for g in enumerate_graphs(n)]
     rep_decks = [build_deck(rep, "vertex", 1) for rep in reps]
@@ -680,7 +764,7 @@ def test_catalog_pass_search_count(monkeypatch):
         assert find_isomorphism(x, reps[i]) is not None
         assert deck_equal(build_deck(x, "vertex", 1), rep_decks[i])
     assert len(reps) == 208
-    assert searches[0] == 315
+    assert searches[0] == 259
 
 
 def test_certificates_agree_with_networkx_on_unions():

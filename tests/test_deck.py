@@ -195,6 +195,26 @@ def test_certified_relabeling_builds_its_deck_without_search(monkeypatch):
     assert checked > 100
 
 
+def test_certified_vertex_deck_bytes_are_its_cards_deck():
+    # a certified graph's vertex c = 1 deck certifies one card per Aut(C)
+    # orbit, from C's cards; its certificates and cards, in order, must be
+    # those of Deck("vertex", cards), which certifies every card, on a
+    # seeded relabeling of every class on n <= 7 and of twin-heavy graphs,
+    # and on each class itself, which is its own canonical form
+    rng = random.Random(47)
+    graphs = [g for n in range(1, 8) for g in enumerate_graphs(n)] + _twin_heavy_graphs()
+    checked = 0
+    for g in graphs:
+        for x in (permute(g, rng.sample(range(g.n), g.n)), canonical_form(g)):
+            certificate(x)
+            got = build_deck(x, "vertex", 1)
+            want = Deck("vertex", [delete_vertices(x, (v,)) for v in range(x.n)])
+            assert (got.certs, got.cards) == (want.certs, want.cards), x.rows
+            assert deck_to_text(got) == deck_to_text(want)
+            checked += 1
+    assert checked == 2 * (1252 + 45)
+
+
 def test_build_deck_never_certifies_the_graph():
     # work bound: cards are certified from g's canonical form only where
     # the memo already holds it, so a deck never pays a search of g: not

@@ -229,6 +229,7 @@ def _count_guard_calls():
         build_deck,
         complete_graph,
         deck_check,
+        delete_edges,
         empty_graph,
         endvertex_deck,
         enum_preimages,
@@ -255,6 +256,24 @@ def _count_guard_calls():
     k_low = "card count must be >= 2, got 1"
     calls = [
         ("Graph n < 0", lambda: Graph(-1), InputError, "vertex count must be >= 0, got -1"),
+        ("degree -1", lambda: k3.degree(-1), InputError, "vertex -1 out of range"),
+        ("degree n", lambda: k3.degree(3), InputError, "vertex 3 out of range"),
+        ("neighbors -1", lambda: k3.neighbors(-1), InputError, "vertex -1 out of range"),
+        ("neighbors n", lambda: k3.neighbors(3), InputError, "vertex 3 out of range"),
+        ("Graph edge not sized", lambda: Graph(3, [5]), InputError,
+         "edge must be a pair of ints, got int"),
+        ("Graph edge of a str", lambda: Graph(3, [(0, "a")]), InputError,
+         "edge must be a pair of ints, got int and str"),
+        ("Graph edge size before ints", lambda: Graph(3, [("a",)]), InputError,
+         "edge must have 2 vertices, got 1"),
+        ("Graph edge ints before self-loop", lambda: Graph(3, [("a", "a")]), InputError,
+         "edge must be a pair of ints, got str and str"),
+        ("Graph self-loop before range", lambda: Graph(3, [(5, 5)]), InputError,
+         "self-loop at vertex 5"),
+        ("delete_edges edge not sized", lambda: delete_edges(k3, [5]), InputError,
+         "edge must be a pair of ints, got int"),
+        ("delete_edges edge of a float", lambda: delete_edges(k3, [(0, 1.0)]), InputError,
+         "edge must be a pair of ints, got int and float"),
         ("Graph order cap", lambda: Graph(258048), CapacityError,
          "graph orders are capped at 258047, got 258048"),
         ("complete_graph n < 0", lambda: complete_graph(-2), InputError,
@@ -424,6 +443,9 @@ def _huge_count_calls():
          "vertex (16610-bit number) out of range for order 3"),
         ("has_edge vertex", lambda: k3.has_edge(huge, 0),
          "vertex pair ((16610-bit number),0) out of range"),
+        ("degree vertex", lambda: k3.degree(-huge), "vertex -(16610-bit number) out of range"),
+        ("neighbors vertex", lambda: k3.neighbors(huge),
+         "vertex (16610-bit number) out of range"),
         ("verify_reduction n_max", lambda: verify_reduction("gi_to_lvd", huge, 1),
          "verification sweeps are capped at n_max = 5, got (16610-bit number)"),
         ("verify_reduction -n_max", lambda: verify_reduction("gi_to_lvd", -huge, 1),
@@ -547,6 +569,41 @@ def test_minima_sums_each_items_least_time_per_cell():
     assert minima.cell_of("gadget-iff", (("gi_to_klvd", 1, 2, 5), None, None, True)) == (
         "gi_to_klvd c=1 k=2"
     )
+
+
+def test_minima_setups_runs_set_up_children_and_reads_their_spread(tmp_path):
+    import json
+    from importlib.util import module_from_spec, spec_from_file_location
+    from types import SimpleNamespace
+
+    spec = spec_from_file_location(
+        "minima", Path(__file__).resolve().parents[1] / "tools" / "minima.py"
+    )
+    minima = module_from_spec(spec)
+    spec.loader.exec_module(minima)
+
+    # five children: four report a set-up time after other output, one fails
+    outputs = iter([0.5, 0.3, None, 0.9, 0.4])
+    calls = []
+
+    def runner(argv, cwd, env, capture_output, text):
+        calls.append((argv, cwd, env["PYTHONDONTWRITEBYTECODE"]))
+        setup_s = next(outputs)
+        if setup_s is None:
+            return SimpleNamespace(returncode=2, stdout="", stderr="error: boom\n")
+        stdout = "workload=x\n" + json.dumps({"setup_s": setup_s}) + "\n"
+        return SimpleNamespace(returncode=0, stdout=stdout, stderr="")
+
+    samples, failures = minima.setups(tmp_path, "catalog-canon", 7, 5, runner=runner)
+    assert samples == [0.5, 0.3, 0.9, 0.4]
+    assert failures == ["set-up 2: exit 2: error: boom"]
+    argv = [sys.executable, "perfbench/run.py", "--workload", "catalog-canon", "--seed", "7",
+            "--seconds", "0", "--setup-only"]
+    assert calls == [(argv, tmp_path, "1")] * 5
+    # inclusive quartiles of 0.3, 0.4, 0.5, 0.9: 0.375, 0.45 and 0.6
+    assert minima.spread(samples).split() == [
+        "setup_s", "min", "0.3000", "q1", "0.3750", "median", "0.4500", "q3", "0.6000", "s"
+    ]
 
 
 def test_every_module_level_name_is_used():

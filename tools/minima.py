@@ -1,6 +1,8 @@
-"""Sums of per-item minima of one perfbench workload, per cell.
+"""Sums of per-item minima of one perfbench workload, per cell, or the
+spread of its set-up time.
 
     python3 tools/minima.py CHECKOUT WORKLOAD [--passes N] [--seed S]
+    python3 tools/minima.py CHECKOUT WORKLOAD --setups N [--seed S]
 
 imports reconkit from CHECKOUT/src and the workload from CHECKOUT/perfbench,
 sets the workload up with seed S (default 1), and serves the items of its
@@ -12,17 +14,29 @@ wall-clock milliseconds, largest sum first, then the total.  A minimum
 drops most of the noise of a shared machine, which is why it is the number
 to compare between two checkouts, run one after the other.
 
+With --setups N it serves no item.  It runs N children of CHECKOUT's
+`perfbench/run.py --workload WORKLOAD --seed S --seconds 0 --setup-only`,
+one after the other, with PYTHONDONTWRITEBYTECODE=1, and prints the
+minimum, lower quartile, median and upper quartile of the scaled `setup_s`
+they report, in seconds: more samples of the set-up than perfbench's own
+median of a few.
+
 Nothing is written into CHECKOUT: no bytecode cache, and only in-process
-workloads are served (cli-cold starts a child per item and is refused).
-Each item run that raises or fails its workload's check is reported on
-stderr, and the command then exits 1.
+workloads are served or set up (cli-cold starts a child per item, and its
+set-up writes under perfbench/, so it is refused).  Each item run that
+raises or fails its workload's check, and each set-up child that fails, is
+reported on stderr, and the command then exits 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
+from statistics import quantiles
 from time import perf_counter
 from traceback import format_exception_only
 from typing import Callable
@@ -81,15 +95,42 @@ def report(sums: dict[str, tuple[int, float]]) -> list[str]:
     return [f"{name:<{width}}  {n:>5} items  {1e3 * t:>9.1f} ms" for name, (n, t) in rows]
 
 
+def setups(root: Path, workload: str, seed: int, count: int, runner=subprocess.run):
+    """The scaled `setup_s` of `count` set-up-only children of root's
+    perfbench, and one line per child that failed."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", "0", "--setup-only"]
+    samples: list[float] = []
+    failures: list[str] = []
+    for index in range(count):
+        proc = runner(argv, cwd=root, env=env, capture_output=True, text=True)
+        if proc.returncode != 0:
+            failures.append(f"set-up {index}: exit {proc.returncode}: {proc.stderr.strip()}")
+            continue
+        samples.append(json.loads(proc.stdout.strip().splitlines()[-1])["setup_s"])
+    return samples, failures
+
+
+def spread(samples: list[float]) -> str:
+    """Minimum, quartiles and median of at least two samples, in seconds."""
+    q1, median, q3 = quantiles(samples, n=4, method="inclusive")
+    return (f"setup_s  min {min(samples):.4f}  q1 {q1:.4f}  median {median:.4f}  "
+            f"q3 {q3:.4f}  s")
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("checkout", type=Path)
     parser.add_argument("workload")
     parser.add_argument("--passes", type=int, default=3)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--setups", type=int, help="time N set-up children instead")
     args = parser.parse_args(argv)
     if args.passes < 1:
         parser.error("--passes must be at least 1")
+    if args.setups is not None and args.setups < 2:
+        parser.error("--setups must be at least 2")
     root = args.checkout.resolve()
     if not (root / "src" / "reconkit" / "__init__.py").is_file():
         parser.error(f"no reconkit package under {root / 'src'}")
@@ -106,6 +147,14 @@ def main(argv: list[str]) -> int:
     wl = WORKLOADS[args.workload](args.seed)
     if not wl.in_process:
         parser.error(f"{args.workload} runs its items in child processes")
+    if args.setups is not None:
+        samples, failures = setups(root, args.workload, args.seed, args.setups)
+        print(f"{args.workload} seed={args.seed} setups={len(samples)} of {args.setups}")
+        if len(samples) >= 2:
+            print(spread(samples))
+        for line in failures:
+            print(f"failed: {line}", file=sys.stderr)
+        return 1 if failures else 0
     tracer = NullTracer()
     wl.setup(tracer)
     items, times, failures = serve(wl, args.passes, reconkit.clear_certificate_cache, tracer)

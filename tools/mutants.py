@@ -269,6 +269,44 @@ MUTANTS = (
         "if k > 4:",
         ("tests/test_package.py::test_input_guards_raise_a_reconkit_error",),
     ),
+    Mutant(
+        "no merge of isomorphic pieces",
+        "src/reconkit/canon.py",
+        "if prev is not None and prev[:2] == (order, cert):",
+        "if False:",
+        ("tests/test_canon.py::test_orbit_labels_are_the_automorphism_orbits",),
+    ),
+    Mutant(
+        "generators applied without the labeling",
+        "src/reconkit/canon.py",
+        "    least = list(lab)  # per vertex of G: the least image in C of its orbit so far\n",
+        "    least = list(range(n))\n    lab = range(n)\n",
+        (
+            "tests/test_canon.py::test_orbit_labels_are_the_automorphism_orbits",
+            "tests/test_deck.py::test_certified_vertex_deck_bytes_are_its_cards_deck",
+        ),
+    ),
+    Mutant(
+        "g's orbit labels used in place of C's",
+        "src/reconkit/deck.py",
+        "least = [labels[w] for w in lab]  # per vertex of g",
+        "least = [min(u for u in range(n) if labels[lab[u]] == labels[w]) for w in lab]",
+        ("tests/test_deck.py::test_certified_vertex_deck_bytes_are_its_cards_deck",),
+    ),
+    Mutant(
+        "degree and neighbors take any index",
+        "src/reconkit/graph.py",
+        "if not 0 <= v < self.n:",
+        "if v >= self.n:",
+        ("tests/test_package.py::test_input_guards_raise_a_reconkit_error",),
+    ),
+    Mutant(
+        "edge ends unchecked for ints",
+        "src/reconkit/graph.py",
+        "return index(u), index(v)",
+        "return u, v",
+        ("tests/test_package.py::test_input_guards_raise_a_reconkit_error",),
+    ),
     # a spy left on the module the walks moved out of sees no calls
     Mutant(
         "edge walk spy on deciders' _extensions",
